@@ -1,18 +1,12 @@
-"""Pure-Python kernel: integer convolution reduced modulo a cyclotomic
-polynomial.
+"""Integer convolution reduced modulo a cyclotomic polynomial.
 
 This is the hot loop of cyclotomic multiplication.  Coefficients are
-Python ints (never overflow); the compiled twin in _poly_c.pyx runs the
-same algorithm on int64 when an a-priori bound allows it.
+Python ints, so nothing overflows.
 
-Contract shared with the compiled twin:
-
-    mul_reduce(xs, ys, high_rows, rows_max) -> list[int]
+    mul_reduce(xs, ys, high_rows) -> list[int]
 
 xs, ys            coefficient vectors of length phi = deg(Phi_N)
 high_rows[j]      the vector of x^(phi+j) mod Phi_N, for j in 0..phi-2
-rows_max          max absolute entry over high_rows (overflow bound hint,
-                  ignored here)
 
 Returns the length-phi vector of (xs * ys) mod Phi_N.
 """
@@ -20,11 +14,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
+# Kept for callers that record which kernel ran; there is only this one.
 IMPLEMENTATION = "pure"
 
 
 def mul_reduce(xs: Sequence[int], ys: Sequence[int],
-               high_rows: Sequence[Sequence[int]], rows_max: int) -> list[int]:
+               high_rows: Sequence[Sequence[int]]) -> list[int]:
     phi = len(xs)
     if phi == 1:
         return [xs[0] * ys[0]]

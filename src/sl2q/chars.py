@@ -34,7 +34,7 @@ from .grp import (
 )
 
 __all__ = [
-    "CharLabel", "CharTable", "complex_table", "value_at",
+    "CharLabel", "CharTable", "complex_table",
     "TRIV", "PSI", "XI1", "XI2", "ETA1", "ETA2", "Chi", "Theta",
     "char_labels", "parse_char_label",
 ]
@@ -132,16 +132,12 @@ def sym_add(s1: tuple, s2: tuple) -> tuple:
     raise ValueError(f"cannot add symbolic cells {s1!r} and {s2!r}")
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(v)
-
-
 def sym_str(sym: tuple) -> str:
     """Stable text mini-grammar: "3", "-1/2", "2*nu(14,3)", "(1+sqrt(5))/2",
     "-1+sqrt(-7)" and the like."""
     tag = sym[0]
     if tag == "rat":
-        return _frac_str(sym[1])
+        return str(sym[1])
     if tag == "nu":
         coef, r, s = sym[1], sym[2], sym[3]
         if coef == 0:
@@ -151,11 +147,11 @@ def sym_str(sym: tuple) -> str:
             return core
         if coef == -1:
             return f"-{core}"
-        return f"{_frac_str(coef)}*{core}"
+        return f"{coef}*{core}"
     if tag == "gauss":
         a, b, disc = sym[1], sym[2], sym[3]
         if b == 0:
-            return _frac_str(a)
+            return str(a)
         root = f"sqrt({disc})"
         if a.denominator == 2 and b.denominator == 2:
             na, nb = a.numerator, b.numerator
@@ -167,13 +163,13 @@ def sym_str(sym: tuple) -> str:
             else:
                 mid = f"{'+' if nb > 0 and head else ''}{nb}*{root}"
             return f"({head}{mid})/2"
-        head = _frac_str(a) if a else ""
+        head = str(a) if a else ""
         if b == 1:
             mid = f"+{root}" if head else root
         elif b == -1:
             mid = f"-{root}"
         else:
-            mid = f"{'+' if b > 0 and head else ''}{_frac_str(b)}*{root}"
+            mid = f"{'+' if b > 0 and head else ''}{b}*{root}"
         return f"{head}{mid}"
     raise ValueError(f"bad symbolic cell {sym!r}")
 
@@ -405,8 +401,3 @@ def complex_table(q: int) -> CharTable:
     symbolic = {(ch, lab): rows[ch][lab][1]
                 for ch in chars for lab in class_labels(q)}
     return CharTable(q, eps, N, classes, chars, values, symbolic)
-
-
-def value_at(table: CharTable, char: CharLabel, g: GroupElem,
-             max_enum: int = DEFAULT_MAX_ENUM) -> CycNum:
-    return table.value_at(char, g, max_enum)

@@ -32,16 +32,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # integer polynomials, dense lists, index = degree
 
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return out
-
-
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     """Quotient of polynomials that divide exactly (integer coefficients)."""
     num = list(num)
@@ -116,12 +106,6 @@ def _high_rows(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows[(phi_n + j) % N] for j in range(phi_n - 1))
 
 
-@lru_cache(maxsize=None)
-def _rows_max(N: int) -> int:
-    high = _high_rows(N)
-    return max((abs(v) for row in high for v in row), default=0)
-
-
 # ---------------------------------------------------------------------------
 
 def _as_fraction(x) -> Fraction | None:
@@ -145,7 +129,7 @@ class CycNum:
     __slots__ = ("conductor", "coeffs", "_intform")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(coeffs) != _phi(conductor):
             raise ValueError(
                 f"need {_phi(conductor)} coefficients at conductor {conductor}, "
@@ -235,7 +219,7 @@ class CycNum:
             return CycNum(N, [a.coeffs[0] * b.coeffs[0]])
         xs, dx = a._int_coeffs()
         ys, dy = b._int_coeffs()
-        out = mul_reduce(xs, ys, _high_rows(N), _rows_max(N))
+        out = mul_reduce(xs, ys, _high_rows(N))
         den = dx * dy
         if den == 1:
             return CycNum(N, out)

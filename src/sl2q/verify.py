@@ -76,6 +76,16 @@ def _fail_list(bad: list, limit: int = 4) -> str:
     return shown + more
 
 
+def _cyclic_closure(g) -> list:
+    """The elements g, g^2, ..., 1 of the cyclic subgroup <g>."""
+    elts = [g]
+    h = g * g
+    while h != g:
+        elts.append(h)
+        h = h * g
+    return elts
+
+
 def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     """Run the whole suite; q must lie within the enumeration bound."""
     if q > max_enum:
@@ -303,11 +313,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         subgroups = set()
         bad = []
         for g in G:
-            elts = [g]
-            h = g * g
-            while h != g:
-                elts.append(h)
-                h = h * g
+            elts = _cyclic_closure(g)
             subgroups.add(frozenset(elts))
             n = len(elts)
             counts = Counter(lookup[h] for h in elts)
@@ -342,15 +348,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     # (11) order-2q subgroups are conjugates of <zc> or <zd>
     def check_order_2q():
-        def closure(g):
-            elts = [g]
-            h = g * g
-            while h != g:
-                elts.append(h)
-                h = h * g
-            return frozenset(elts)
-
-        base = [closure(rep_zc(q)), closure(rep_zd(q))]
+        base = [frozenset(_cyclic_closure(r)) for r in (rep_zc(q), rep_zd(q))]
         target = set()
         for S in base:
             for h in G:
@@ -362,7 +360,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
             if element_order(g) != 2 * q:
                 continue
             n += 1
-            if closure(g) not in target:
+            if frozenset(_cyclic_closure(g)) not in target:
                 bad.append(f"<{g!r}> not conjugate to <zc> or <zd>")
         if bad:
             return False, _fail_list(bad)

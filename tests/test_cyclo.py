@@ -4,14 +4,17 @@ The ring axioms run as hypothesis properties over random small operands;
 the named identities (vanishing geometric sums, nu symmetries, Gauss
 sums) pin down the values the character tables are built from.
 """
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from sl2q.cyclo import (CycNum, cyclotomic_polynomial, nu, rational,
-                        root_of_unity, sqrt_eps_q, working_conductor)
+from sl2q._kernel import mul_reduce
+from sl2q.cyclo import (CycNum, _high_rows, _power_rows, cyclotomic_polynomial,
+                        nu, rational, root_of_unity, sqrt_eps_q,
+                        working_conductor)
 
 # small conductors with interesting lcm structure; lcm of any three is
 # at most 2520, so even the worst promotion stays cheap
@@ -68,6 +71,37 @@ def test_geometric_sum_vanishes(n):
         for i in range(1, n):
             total = total + root_of_unity(n, i * k)
         assert total == -1
+
+
+def test_kernel_reduction_is_correct():
+    # zeta_12^6 = -1: square the basis vector for zeta_12^3
+    xs = [0, 0, 0, 1]
+    assert mul_reduce(xs, xs, _high_rows(12)) == [-1, 0, 0, 0]
+    z = root_of_unity(1092, 1)
+    assert z ** 1092 == 1
+
+
+@pytest.mark.parametrize("N", [1, 12, 60, 1092])
+@pytest.mark.parametrize("magnitude", [50, 10 ** 30])
+def test_kernel_matches_power_row_sum(N, magnitude):
+    # reference: zeta^i * zeta^j = zeta^((i+j) mod N), read off the power
+    # rows, so it shares no code with the kernel's high-row reduction
+    rows = _power_rows(N)
+    phi = len(rows[0])
+    rng = random.Random(N)
+    for _ in range(3):
+        xs = [rng.randint(-magnitude, magnitude) for _ in range(phi)]
+        ys = [rng.randint(-magnitude, magnitude) for _ in range(phi)]
+        by_power = [0] * N
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                by_power[(i + j) % N] += x * y
+        expected = [0] * phi
+        for k, c in enumerate(by_power):
+            if c:
+                for t, r in enumerate(rows[k]):
+                    expected[t] += c * r
+        assert mul_reduce(xs, ys, _high_rows(N)) == expected
 
 
 def test_root_of_unity_basics():
