@@ -18,12 +18,19 @@ Gauss sum.
 
 Each cell also carries a small symbolic form (a tagged tuple) used by
 the text and LaTeX renderers; the exact CycNum is the value of record.
+Both renderers are one cell grammar (``_render``) spelled per format.
+
+``CharTable`` is the table type of both the complex table built here
+and the real table of ``realrep``, which is the complex table with other
+row labels and a ``source`` recipe (which complex rows each real row
+sums).  ``CharTable.from_json`` loads either.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .cyclo import CycNum, nu, rational, root_of_unity, sqrt_eps_q, working_conductor
 from .fq import is_odd_prime
@@ -132,108 +139,85 @@ def sym_add(s1: tuple, s2: tuple) -> tuple:
     raise ValueError(f"cannot add symbolic cells {s1!r} and {s2!r}")
 
 
+class _CellFormat(NamedTuple):
+    """What the text and LaTeX cell grammars spell differently."""
+    rat: Callable[[Fraction], str]
+    nu: Callable[[int, int], str]
+    root: Callable[[int], str]
+    mul: str
+    half: Callable[[str], str]
+
+
+def _frac_tex(v: Fraction) -> str:
+    if v.denominator == 1:
+        return str(v.numerator)
+    s = "-" if v < 0 else ""
+    return f"{s}\\tfrac{{{abs(v.numerator)}}}{{{v.denominator}}}"
+
+
+_TEXT = _CellFormat(str, "nu({},{})".format, "sqrt({})".format, "*",
+                    "({})/2".format)
+_LATEX = _CellFormat(_frac_tex, "\\nu_{{{}}}^{{{}}}".format,
+                     "\\sqrt{{{}}}".format, "", "\\tfrac{{{}}}{{2}}".format)
+
+
+def _term(head: str, coef, atom: str, fmt: _CellFormat) -> str:
+    """``head`` followed by coef*atom; a unit coefficient is written bare."""
+    if coef == 1:
+        return f"{head}+{atom}" if head else atom
+    if coef == -1:
+        return f"{head}-{atom}"
+    sign = "+" if coef > 0 and head else ""
+    return f"{head}{sign}{fmt.rat(coef)}{fmt.mul}{atom}"
+
+
+def _render(sym: tuple, fmt: _CellFormat) -> str:
+    tag = sym[0]
+    if tag == "rat":
+        return fmt.rat(sym[1])
+    if tag == "nu":
+        coef, r, s = sym[1], sym[2], sym[3]
+        return "0" if coef == 0 else _term("", coef, fmt.nu(r, s), fmt)
+    if tag == "gauss":
+        a, b, disc = sym[1], sym[2], sym[3]
+        if b == 0:
+            return fmt.rat(a)
+        root = fmt.root(disc)
+        if a.denominator == 2 and b.denominator == 2:
+            na, nb = a.numerator, b.numerator
+            return fmt.half(_term(fmt.rat(na) if na else "", nb, root, fmt))
+        return _term(fmt.rat(a) if a else "", b, root, fmt)
+    raise ValueError(f"bad symbolic cell {sym!r}")
+
+
 def sym_str(sym: tuple) -> str:
     """Stable text mini-grammar: "3", "-1/2", "2*nu(14,3)", "(1+sqrt(5))/2",
     "-1+sqrt(-7)" and the like."""
-    tag = sym[0]
-    if tag == "rat":
-        return str(sym[1])
-    if tag == "nu":
-        coef, r, s = sym[1], sym[2], sym[3]
-        if coef == 0:
-            return "0"
-        core = f"nu({r},{s})"
-        if coef == 1:
-            return core
-        if coef == -1:
-            return f"-{core}"
-        return f"{coef}*{core}"
-    if tag == "gauss":
-        a, b, disc = sym[1], sym[2], sym[3]
-        if b == 0:
-            return str(a)
-        root = f"sqrt({disc})"
-        if a.denominator == 2 and b.denominator == 2:
-            na, nb = a.numerator, b.numerator
-            head = f"{na}" if na else ""
-            if nb == 1:
-                mid = f"+{root}" if head else root
-            elif nb == -1:
-                mid = f"-{root}"
-            else:
-                mid = f"{'+' if nb > 0 and head else ''}{nb}*{root}"
-            return f"({head}{mid})/2"
-        head = str(a) if a else ""
-        if b == 1:
-            mid = f"+{root}" if head else root
-        elif b == -1:
-            mid = f"-{root}"
-        else:
-            mid = f"{'+' if b > 0 and head else ''}{b}*{root}"
-        return f"{head}{mid}"
-    raise ValueError(f"bad symbolic cell {sym!r}")
+    return _render(sym, _TEXT)
 
 
 def sym_latex(sym: tuple) -> str:
-    tag = sym[0]
-
-    def frac_tex(v: Fraction) -> str:
-        if v.denominator == 1:
-            return str(v.numerator)
-        s = "-" if v < 0 else ""
-        return f"{s}\\tfrac{{{abs(v.numerator)}}}{{{v.denominator}}}"
-
-    if tag == "rat":
-        return frac_tex(sym[1])
-    if tag == "nu":
-        coef, r, s = sym[1], sym[2], sym[3]
-        if coef == 0:
-            return "0"
-        core = f"\\nu_{{{r}}}^{{{s}}}"
-        if coef == 1:
-            return core
-        if coef == -1:
-            return f"-{core}"
-        return f"{frac_tex(coef)}{core}"
-    if tag == "gauss":
-        a, b, disc = sym[1], sym[2], sym[3]
-        root = f"\\sqrt{{{disc}}}"
-        if b == 0:
-            return frac_tex(a)
-        if a.denominator == 2 and b.denominator == 2:
-            na, nb = a.numerator, b.numerator
-            inner = f"{na}" if na else ""
-            if nb == 1:
-                inner += "+" + root if inner else root
-            elif nb == -1:
-                inner += "-" + root
-            else:
-                inner += f"{'+' if nb > 0 and inner else ''}{nb}{root}"
-            return f"\\tfrac{{{inner}}}{{2}}"
-        inner = frac_tex(a) if a else ""
-        if b == 1:
-            inner += "+" + root if inner else root
-        elif b == -1:
-            inner += "-" + root
-        else:
-            inner += f"{'+' if b > 0 and inner else ''}{frac_tex(b)}{root}"
-        return inner
-    raise ValueError(f"bad symbolic cell {sym!r}")
+    """The same cell in LaTeX: "\\tfrac{1+\\sqrt{5}}{2}", "-2\\nu_{8}^{1}"."""
+    return _render(sym, _LATEX)
 
 
 # ---------------------------------------------------------------------------
 
 class CharTable:
-    """Exact character table: rows CharLabel, columns ClassLabel.
+    """Exact character table: columns ClassLabel, rows character labels.
 
-    ``values`` maps (CharLabel, ClassLabel) to CycNum at the working
-    conductor; ``symbolic`` carries the display cells (None on tables
-    rebuilt from JSON; the exact values are the record).
+    ``values`` maps (row, ClassLabel) to CycNum at the working conductor;
+    ``symbolic`` carries the display cells (None on tables rebuilt from
+    JSON; the exact values are the record).  The complex table has
+    CharLabel rows and ``source`` None.  The real table (see
+    ``realrep.real_table``) has RealCharLabel rows, and ``source`` maps
+    each of them to the (CharLabel, multiplicity) pairs it is the sum of.
     """
 
     def __init__(self, q: int, epsilon: int, conductor: int,
-                 classes: tuple[ConjClass, ...], chars: tuple[CharLabel, ...],
-                 values: dict, symbolic: dict | None):
+                 classes: tuple[ConjClass, ...], chars: tuple,
+                 values: dict, symbolic: dict | None,
+                 source: dict | None = None):
         self.q = q
         self.epsilon = epsilon
         self.conductor = conductor
@@ -241,18 +225,27 @@ class CharTable:
         self.chars = chars
         self.values = values
         self.symbolic = symbolic
+        self.source = source
 
-    def value(self, char: CharLabel, label: ClassLabel) -> CycNum:
+    def value(self, char, label: ClassLabel) -> CycNum:
         return self.values[(char, label)]
 
-    def degree(self, char: CharLabel) -> int:
+    def degree(self, char) -> int:
         return self.value(char, ONE).as_integer()
 
-    def value_at(self, char: CharLabel, g: GroupElem,
+    def value_at(self, char, g: GroupElem,
                  max_enum: int = DEFAULT_MAX_ENUM) -> CycNum:
         if g.q != self.q:
             raise ValueError(f"element of SL2({g.q}) in a table for SL2({self.q})")
         return self.value(char, class_of(g, max_enum))
+
+    def class_sum(self, char, counts: dict) -> CycNum:
+        """Sum of count * chi(label) over a {ClassLabel: count} map."""
+        acc = None
+        for lab, cnt in counts.items():
+            term = self.value(char, lab) * cnt
+            acc = term if acc is None else acc + term
+        return acc
 
     @property
     def class_order(self) -> list[ClassLabel]:
@@ -265,7 +258,7 @@ class CharTable:
         raise KeyError(str(label))
 
     def to_json(self) -> dict:
-        return {
+        obj = {
             "q": self.q,
             "epsilon": self.epsilon,
             "conductor": self.conductor,
@@ -287,23 +280,35 @@ class CharTable:
                 for ch in self.chars
             },
         }
+        if self.source is not None:
+            obj["source"] = {str(ch): [[str(c), m] for c, m in self.source[ch]]
+                             for ch in self.chars}
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "CharTable":
+        """Load either table; a "source" entry marks the real one."""
         from .grp import parse_class_label
+        from .realrep import parse_real_char_label
         q = obj["q"]
         classes = tuple(
             ConjClass(parse_class_label(c["label"]),
                       GroupElem(q, *c["representative"]),
                       c["size"], c["order"])
             for c in obj["classes"])
-        chars = tuple(parse_char_label(s) for s in obj["chars"])
+        source = obj.get("source")
+        parse_row = parse_char_label if source is None else parse_real_char_label
+        chars = tuple(parse_row(s) for s in obj["chars"])
         values = {
             (ch, cls.label): CycNum.from_json(obj["values"][str(ch)][str(cls.label)])
             for ch in chars for cls in classes
         }
+        if source is not None:
+            source = {ch: tuple((parse_char_label(c), m)
+                                for c, m in source[str(ch)])
+                      for ch in chars}
         return cls(q, obj["epsilon"], obj["conductor"], classes, chars,
-                   values, None)
+                   values, None, source)
 
     def __eq__(self, other):
         if not isinstance(other, CharTable):
@@ -312,6 +317,7 @@ class CharTable:
                 and self.conductor == other.conductor
                 and self.classes == other.classes
                 and self.chars == other.chars
+                and self.source == other.source
                 and all(self.value(ch, lab) == other.value(ch, lab)
                         for ch in self.chars for lab in self.class_order))
 
@@ -323,7 +329,7 @@ def _fold_exponent(r: int, s: int) -> int:
     return min(s, r - s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def complex_table(q: int) -> CharTable:
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")

@@ -183,12 +183,15 @@ def _cmd_classes(args) -> int:
     return 0
 
 
-def _render_char_grid(table, chars, fmt: str, char_tex) -> int:
-    """Shared text/csv/latex rendering for both character tables."""
+def _cmd_table(table, fmt: str) -> int:
+    """Both character tables, in all four formats."""
+    if fmt == "json":
+        print(json.dumps(table.to_json(), indent=2))
+        return 0
     labels = table.class_order
     if fmt == "csv":
         rows = []
-        for ch in chars:
+        for ch in table.chars:
             for lab in labels:
                 v = table.value(ch, lab).approx()
                 rows.append([str(ch), str(lab),
@@ -199,15 +202,15 @@ def _render_char_grid(table, chars, fmt: str, char_tex) -> int:
         return 0
     if fmt == "latex":
         headers = [""] + [_class_latex(str(lab)) for lab in labels]
-        rows = [[char_tex(str(ch))]
+        rows = [[_char_latex(str(ch))]
                 + [f"${sym_latex(table.symbolic[(ch, lab)])}$" for lab in labels]
-                for ch in chars]
+                for ch in table.chars]
         print(_latex_table(headers, rows))
         return 0
     headers = ["char"] + [str(lab) for lab in labels]
     rows = []
     legend = {}
-    for ch in chars:
+    for ch in table.chars:
         cells = [str(ch)]
         for lab in labels:
             s = sym_str(table.symbolic[(ch, lab)])
@@ -222,22 +225,6 @@ def _render_char_grid(table, chars, fmt: str, char_tex) -> int:
         for s, z in legend.items():
             print(f"  {s} = {_fmt_complex(z)}")
     return 0
-
-
-def _cmd_char_table(args) -> int:
-    ct = complex_table(args.q)
-    if args.fmt == "json":
-        print(json.dumps(ct.to_json(), indent=2))
-        return 0
-    return _render_char_grid(ct, ct.chars, args.fmt, _char_latex)
-
-
-def _cmd_real_table(args) -> int:
-    rt = real_table(args.q)
-    if args.fmt == "json":
-        print(json.dumps(rt.to_json(), indent=2))
-        return 0
-    return _render_char_grid(rt, rt.labels, args.fmt, _char_latex)
 
 
 def _cmd_fs(args) -> int:
@@ -342,8 +329,8 @@ def _cmd_verify(args) -> int:
 
 _DISPATCH = {
     "classes": _cmd_classes,
-    "char-table": _cmd_char_table,
-    "real-table": _cmd_real_table,
+    "char-table": lambda args: _cmd_table(complex_table(args.q), args.fmt),
+    "real-table": lambda args: _cmd_table(real_table(args.q), args.fmt),
     "fs": _cmd_fs,
     "fixed-points": _cmd_fixed_points,
     "verify": _cmd_verify,

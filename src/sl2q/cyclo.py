@@ -90,8 +90,8 @@ def _power_rows(N: int) -> tuple[tuple[int, ...], ...]:
     cur[0] = 1
     for _ in range(N):
         rows.append(tuple(cur))
-        top = cur[phi_n - 1]
-        cur = [0] + cur[:-1]
+        top = cur.pop()
+        cur.insert(0, 0)
         if top:
             for t in range(phi_n):
                 cur[t] -= top * mod[t]

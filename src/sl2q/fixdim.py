@@ -25,15 +25,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
-from .cyclo import CycNum
 from .fq import is_odd_prime
 from .grp import (
     ClassLabel, GroupElem, class_of, element_order, find_b, identity,
     rep_a, rep_c, rep_z, rep_zc, DEFAULT_MAX_ENUM,
 )
-from .realrep import RealCharLabel, RealCharTable, real_char_labels, real_table
+from .chars import CharTable
+from .realrep import RealCharLabel, real_char_labels, real_table
 
 __all__ = [
     "SubgroupKey", "SubgroupDesc", "FixedDimEntry", "FixedDimTable",
@@ -262,11 +263,16 @@ def _resonance(char: RealCharLabel, key: SubgroupKey, n: int) -> int:
     return per_copy * copies
 
 
+@lru_cache(maxsize=8)
+def _real_char_set(q: int) -> frozenset:
+    return frozenset(real_char_labels(q))
+
+
 def fixed_dim_closed(q: int, char: RealCharLabel, kind, index: int = 0) -> int:
     """Closed-form dim V^H; raises on a (char, q) or (kind, q) mismatch."""
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-    if char not in real_char_labels(q):
+    if char not in _real_char_set(q):
         raise ValueError(f"{char} is not a real character of SL2({q})")
     key = _as_key(kind, index)
     _check_key_range(q, key)
@@ -281,15 +287,11 @@ def fixed_dim_closed(q: int, char: RealCharLabel, kind, index: int = 0) -> int:
     return val
 
 
-def fixed_dim_average(rt: RealCharTable, char: RealCharLabel, H: SubgroupDesc,
+def fixed_dim_average(rt: CharTable, char: RealCharLabel, H: SubgroupDesc,
                       max_enum: int = DEFAULT_MAX_ENUM) -> int:
     """Oracle: (1/|H|) sum of character values over H, reduced exactly."""
     counts = Counter(class_of(h, max_enum) for h in H.elements)
-    acc = None
-    for lab, cnt in counts.items():
-        term = rt.value(char, lab) * cnt
-        acc = term if acc is None else acc + term
-    v = (acc / len(H.elements)).as_rational()
+    v = (rt.class_sum(char, counts) / len(H.elements)).as_rational()
     if v is None or v.denominator != 1 or v < 0:
         raise ValueError(
             f"average of {char} over {H.key} is {v!r}, not a nonnegative "

@@ -18,23 +18,22 @@ the quaternionic rows doubled, and each complex-conjugate pair summed.
 Since conjugation swaps xi_1 with xi_2 (and eta_1 with eta_2) when
 q = 3 mod 4, the paired rows are xi_1 + xi_2 = 2 Re xi_1 and
 eta_1 + eta_2 = 2 Re eta_1.
+
+``real_table`` therefore returns a ``chars.CharTable``: its rows are
+RealCharLabels and its ``source`` records that recipe, which complex
+rows each real row sums and with what multiplicity.  ``RealCharTable``
+is another name for ``CharTable``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-
 from functools import lru_cache
 
-from .chars import (
-    CharLabel, CharTable, Chi, ETA1, ETA2, PSI, TRIV, Theta, XI1, XI2,
-    complex_table, sym_add, sym_scale, sym_str,
-)
+from .chars import CharLabel, CharTable, complex_table, sym_add, sym_scale
 from .cyclo import CycNum
 from .grp import (
-    A, B, C, D, ONE, Z, ZC, ZD,
-    ClassLabel, ConjClass, GroupElem, class_labels, class_of,
-    DEFAULT_MAX_ENUM,
+    A, B, C, D, ONE, Z, ZC, ZD, ClassLabel, class_labels, DEFAULT_MAX_ENUM,
 )
 
 __all__ = [
@@ -144,17 +143,15 @@ def fs_indicator_brute(table: CharTable, char: CharLabel) -> int:
     sum over classes of |class| * chi(square of the class)."""
     q = table.q
     sq = square_class_map(q)
-    acc = None
+    counts = Counter()
     for cls in table.classes:
-        term = table.value(char, sq[cls.label]) * cls.size
-        acc = term if acc is None else acc + term
-    return _indicator_from_total(acc, q ** 3 - q)
+        counts[sq[cls.label]] += cls.size
+    return _indicator_from_total(table.class_sum(char, counts), q ** 3 - q)
 
 
 @lru_cache(maxsize=8)
 def _square_label_counts(q: int, max_enum: int):
     """How many g in the whole group have g^2 in each class."""
-    from collections import Counter
     from .grp import class_label_lookup, enumerate_group
     lookup = class_label_lookup(q, max_enum)
     return dict(Counter(lookup[g * g] for g in enumerate_group(q, max_enum)))
@@ -165,11 +162,8 @@ def fs_indicator_raw(table: CharTable, char: CharLabel,
     """Ground-truth indicator: sum of chi(g^2) over every group element,
     classified through the brute-force orbit partition."""
     q = table.q
-    acc = None
-    for lab, cnt in _square_label_counts(q, max_enum).items():
-        term = table.value(char, lab) * cnt
-        acc = term if acc is None else acc + term
-    return _indicator_from_total(acc, q ** 3 - q)
+    counts = _square_label_counts(q, max_enum)
+    return _indicator_from_total(table.class_sum(char, counts), q ** 3 - q)
 
 
 def fs_indicator_closed(table: CharTable, char: CharLabel) -> int:
@@ -300,133 +294,31 @@ def real_char_labels(q: int) -> list[RealCharLabel]:
 
 # ---------------------------------------------------------------------------
 
-class RealCharTable:
-    """Characters of the irreducible real representations.
+# Kept as a name: ``RealCharTable`` is in ``sl2q.__all__``, and callers
+# load real tables through ``RealCharTable.from_json``.
+RealCharTable = CharTable
 
-    Values are recorded on all q+4 complex class labels; when q = 3
-    mod 4 they are constant on the merged real classes {c,d} and
-    {zc,zd}.  ``source`` maps each row to the complex characters (with
-    multiplicities) it is built from.
-    """
-
-    def __init__(self, q: int, epsilon: int, conductor: int,
-                 classes: tuple[ConjClass, ...],
-                 labels: tuple[RealCharLabel, ...],
-                 values: dict, symbolic: dict | None, source: dict):
-        self.q = q
-        self.epsilon = epsilon
-        self.conductor = conductor
-        self.classes = classes
-        self.labels = labels
-        self.values = values
-        self.symbolic = symbolic
-        self.source = source
-
-    def value(self, char: RealCharLabel, label: ClassLabel) -> CycNum:
-        return self.values[(char, label)]
-
-    def degree(self, char: RealCharLabel) -> int:
-        return self.value(char, ONE).as_integer()
-
-    def value_at(self, char: RealCharLabel, g: GroupElem,
-                 max_enum: int = DEFAULT_MAX_ENUM) -> CycNum:
-        if g.q != self.q:
-            raise ValueError(f"element of SL2({g.q}) in a table for SL2({self.q})")
-        return self.value(char, class_of(g, max_enum))
-
-    @property
-    def class_order(self) -> list[ClassLabel]:
-        return [cls.label for cls in self.classes]
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "epsilon": self.epsilon,
-            "conductor": self.conductor,
-            "classes": [
-                {"label": str(c.label),
-                 "representative": list(c.representative.to_tuple()),
-                 "size": c.size, "order": c.element_order}
-                for c in self.classes
-            ],
-            "chars": [str(ch) for ch in self.labels],
-            "values": {
-                str(ch): {str(lab): self.value(ch, lab).to_json()
-                          for lab in self.class_order}
-                for ch in self.labels
-            },
-            "symbolic": None if self.symbolic is None else {
-                str(ch): {str(lab): sym_str(self.symbolic[(ch, lab)])
-                          for lab in self.class_order}
-                for ch in self.labels
-            },
-            "source": {str(ch): [[str(c), m] for c, m in self.source[ch]]
-                       for ch in self.labels},
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RealCharTable":
-        from .chars import parse_char_label
-        from .grp import parse_class_label
-        q = obj["q"]
-        classes = tuple(
-            ConjClass(parse_class_label(c["label"]),
-                      GroupElem(q, *c["representative"]),
-                      c["size"], c["order"])
-            for c in obj["classes"])
-        labels = tuple(parse_real_char_label(s) for s in obj["chars"])
-        values = {
-            (ch, cls.label): CycNum.from_json(obj["values"][str(ch)][str(cls.label)])
-            for ch in labels for cls in classes
-        }
-        source = {ch: tuple((parse_char_label(c), m)
-                            for c, m in obj["source"][str(ch)])
-                  for ch in labels}
-        return cls(q, obj["epsilon"], obj["conductor"], classes, labels,
-                   values, None, source)
-
-    def __eq__(self, other):
-        if not isinstance(other, RealCharTable):
-            return NotImplemented
-        return (self.q == other.q and self.classes == other.classes
-                and self.labels == other.labels
-                and all(self.value(ch, lab) == other.value(ch, lab)
-                        for ch in self.labels for lab in self.class_order))
+# real row kind -> (complex row kind, multiplicity) pairs it sums; the
+# chi and theta rows carry the real label's index over
+_SOURCE = {
+    "triv": (("1", 1),), "psi": (("psi", 1),),
+    "chi_even": (("chi", 1),), "two_chi_odd": (("chi", 2),),
+    "theta_even": (("theta", 1),), "two_theta_odd": (("theta", 2),),
+    "xi1": (("xi1", 1),), "xi2": (("xi2", 1),),
+    "two_eta1": (("eta1", 2),), "two_eta2": (("eta2", 2),),
+    "two_re_xi1": (("xi1", 1), ("xi2", 1)),
+    "two_re_eta1": (("eta1", 1), ("eta2", 1)),
+}
 
 
-@lru_cache(maxsize=None)
-def real_table(q: int) -> RealCharTable:
+@lru_cache(maxsize=8)
+def real_table(q: int) -> CharTable:
     ct = complex_table(q)
     labels = tuple(real_char_labels(q))
     # each real row = sum of complex rows with multiplicity
-    recipe: dict[RealCharLabel, tuple] = {}
-    for lab in labels:
-        if lab.kind == "triv":
-            recipe[lab] = ((TRIV, 1),)
-        elif lab.kind == "psi":
-            recipe[lab] = ((PSI, 1),)
-        elif lab.kind == "chi_even":
-            recipe[lab] = ((Chi(lab.index), 1),)
-        elif lab.kind == "two_chi_odd":
-            recipe[lab] = ((Chi(lab.index), 2),)
-        elif lab.kind == "theta_even":
-            recipe[lab] = ((Theta(lab.index), 1),)
-        elif lab.kind == "two_theta_odd":
-            recipe[lab] = ((Theta(lab.index), 2),)
-        elif lab.kind == "xi1":
-            recipe[lab] = ((XI1, 1),)
-        elif lab.kind == "xi2":
-            recipe[lab] = ((XI2, 1),)
-        elif lab.kind == "two_eta1":
-            recipe[lab] = ((ETA1, 2),)
-        elif lab.kind == "two_eta2":
-            recipe[lab] = ((ETA2, 2),)
-        elif lab.kind == "two_re_xi1":
-            recipe[lab] = ((XI1, 1), (XI2, 1))
-        elif lab.kind == "two_re_eta1":
-            recipe[lab] = ((ETA1, 1), (ETA2, 1))
-        else:  # pragma: no cover
-            raise AssertionError(lab.kind)
+    recipe = {lab: tuple((CharLabel(kind, lab.index), mult)
+                         for kind, mult in _SOURCE[lab.kind])
+              for lab in labels}
 
     values = {}
     symbolic = {}
@@ -442,5 +334,5 @@ def real_table(q: int) -> RealCharTable:
             values[(lab, cls_lab)] = acc_v
             symbolic[(lab, cls_lab)] = acc_s
 
-    return RealCharTable(q, ct.epsilon, ct.conductor, ct.classes, labels,
-                         values, symbolic, recipe)
+    return CharTable(q, ct.epsilon, ct.conductor, ct.classes, labels,
+                     values, symbolic, recipe)

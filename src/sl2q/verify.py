@@ -276,7 +276,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         rt = real_table(q)
         blocks = real_classes(q)
         bad = []
-        for ch in rt.labels:
+        for ch in rt.chars:
             for lab in labels:
                 v = rt.value(ch, lab)
                 if v.conjugate() != v:
@@ -285,11 +285,11 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
             if len(block) == 1:
                 continue
             l1, l2 = sorted(block, key=str)
-            for ch in rt.labels:
+            for ch in rt.chars:
                 if rt.value(ch, l1) != rt.value(ch, l2):
                     bad.append(f"{ch} differs across merged block {l1},{l2}")
-        if len(rt.labels) != blocks.count:
-            bad.append(f"{len(rt.labels)} rows vs {blocks.count} real classes")
+        if len(rt.chars) != blocks.count:
+            bad.append(f"{len(rt.chars)} rows vs {blocks.count} real classes")
         want = q + 4 if q % 4 == 1 else q + 2
         if blocks.count != want:
             bad.append(f"{blocks.count} real classes, expected {want}")
@@ -299,14 +299,14 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         if q == 3:
             note = ("; literature-note: at q=3 the b-range is m=1 only, "
                     "so the count is q+2 = 5")
-        return True, f"{len(rt.labels)} real rows = {blocks.count} real classes{note}"
+        return True, f"{len(rt.chars)} real rows = {blocks.count} real classes{note}"
     run("real_table_rows", check_real_table)
 
     # (10) fixed dims: closed = average for <g> over every group element
     def check_fixed_dims():
         rt = real_table(q)
         lookup = class_label_lookup(q, max_enum)
-        degrees = {ch: rt.degree(ch) for ch in rt.labels}
+        degrees = {ch: rt.degree(ch) for ch in rt.chars}
         # the average depends on <g> only through its class-label counts,
         # so conjugate subgroups share one exact computation
         avg_cache: dict[tuple, dict] = {}
@@ -320,12 +320,8 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
             sig = tuple(sorted((str(lab), cnt) for lab, cnt in counts.items()))
             if sig not in avg_cache:
                 avgs = {}
-                for ch in rt.labels:
-                    acc = None
-                    for lab, cnt in counts.items():
-                        term = rt.value(ch, lab) * cnt
-                        acc = term if acc is None else acc + term
-                    v = (acc / n).as_rational()
+                for ch in rt.chars:
+                    v = (rt.class_sum(ch, counts) / n).as_rational()
                     if v is None or v.denominator != 1 or not 0 <= v <= degrees[ch]:
                         bad.append(f"average of {ch} over <{g!r}> is {v!r}")
                         v = -1
@@ -333,7 +329,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
                 avg_cache[sig] = avgs
             skey = subgroup_key_of(g, max_enum)
             avgs = avg_cache[sig]
-            for ch in rt.labels:
+            for ch in rt.chars:
                 closed = fixed_dim_closed(q, ch, skey)
                 if closed != avgs[ch]:
                     bad.append(f"dim {ch}^{skey}: closed {closed}, "

@@ -195,18 +195,18 @@ def test_criterion_5_real_table(criterion):
     for q in Q_ALL:
         rt = real_table(q)
         blocks = real_classes(q).blocks
-        if len(rt.labels) != len(blocks):
-            problems.append(f"q={q}: {len(rt.labels)} rows, "
+        if len(rt.chars) != len(blocks):
+            problems.append(f"q={q}: {len(rt.chars)} rows, "
                             f"{len(blocks)} real classes")
-        for ch in rt.labels:
+        for ch in rt.chars:
             for lab in rt.class_order:
                 v = rt.value(ch, lab)
                 if v.conjugate() != v:
                     problems.append(f"q={q}: {ch} at {lab} not real")
     for q, table in FIRST_TABLE.items():
         rt = real_table(q)
-        if [str(ch) for ch in rt.labels] != list(table):
-            problems.append(f"q={q}: row labels {[str(c) for c in rt.labels]}")
+        if [str(ch) for ch in rt.chars] != list(table):
+            problems.append(f"q={q}: row labels {[str(c) for c in rt.chars]}")
             continue
         for name, cells in table.items():
             ch = parse_real_char_label(name)
@@ -225,7 +225,7 @@ def test_criterion_6_fixed_point_dimensions(criterion):
         t0 = time.perf_counter()
         rt = real_table(q)
         lookup = class_label_lookup(q)
-        degrees = {ch: rt.degree(ch) for ch in rt.labels}
+        degrees = {ch: rt.degree(ch) for ch in rt.chars}
         avg_cache = {}
         for g in enumerate_group(q):
             powers, h = [g], g
@@ -237,7 +237,7 @@ def test_criterion_6_fixed_point_dimensions(criterion):
             if sig not in avg_cache:
                 n = len(powers)
                 avgs = {}
-                for ch in rt.labels:
+                for ch in rt.chars:
                     acc = None
                     for lab, cnt in counts.items():
                         term = rt.value(ch, lab) * cnt
@@ -246,7 +246,7 @@ def test_criterion_6_fixed_point_dimensions(criterion):
                 avg_cache[sig] = avgs
             avgs = avg_cache[sig]
             key = subgroup_key_of(g)
-            for ch in rt.labels:
+            for ch in rt.chars:
                 avg = avgs[ch]
                 if avg is None or avg.denominator != 1:
                     problems.append(f"q={q} {ch} <{key}>: average {avg}")

@@ -5,9 +5,10 @@ import pytest
 
 from sl2q.chars import (Chi, ETA1, ETA2, PSI, TRIV, Theta, XI1, XI2, CharLabel,
                         CharTable, char_labels, complex_table,
-                        parse_char_label, sym_str)
+                        parse_char_label, sym_latex, sym_str)
 from sl2q.cyclo import nu, rational, sqrt_eps_q
 from sl2q.grp import A, B, C, D, ONE, Z, ZC, ZD, rep_a, rep_c, rep_z
+from sl2q.realrep import parse_real_char_label, real_table
 
 Q_SMALL = [3, 5, 7, 11, 13]
 
@@ -124,6 +125,36 @@ def test_symbolic_cells_render():
     assert sym_str(ct13.symbolic[(Theta(2), B(1))]) == "-nu(14,2)"
     # nu(12,3) = 2cos(pi/2) collapses to an exact zero and renders as one
     assert sym_str(ct13.symbolic[(Chi(1), A(3))]) == "0"
+    # the same cells in LaTeX
+    assert sym_latex(ct5.symbolic[(XI1, C)]) == "\\tfrac{1+\\sqrt{5}}{2}"
+    assert sym_latex(ct5.symbolic[(ETA1, D)]) == "\\tfrac{-1-\\sqrt{5}}{2}"
+    assert sym_latex(ct5.symbolic[(PSI, Z)]) == "5"
+    assert sym_latex(ct7.symbolic[(XI1, C)]) == "\\tfrac{1+\\sqrt{-7}}{2}"
+    assert sym_latex(ct13.symbolic[(Chi(1), A(1))]) == "\\nu_{12}^{1}"
+    assert sym_latex(ct13.symbolic[(Theta(2), B(1))]) == "-\\nu_{14}^{2}"
+    assert sym_latex(ct13.symbolic[(Chi(1), A(3))]) == "0"
+    # a gauss cell off the halves: real q=5 2eta_1 = -1+sqrt(5) at c
+    rt5 = real_table(5)
+    cell = rt5.symbolic[(parse_real_char_label("2eta_1"), C)]
+    assert (sym_str(cell), sym_latex(cell)) == ("-1+sqrt(5)", "-1+\\sqrt{5}")
+    # unit and scaled nu terms
+    cell = ct7.symbolic[(Theta(1), B(1))]
+    assert (sym_str(cell), sym_latex(cell)) == ("-nu(8,1)", "-\\nu_{8}^{1}")
+    cell = real_table(7).symbolic[(parse_real_char_label("2theta_1"), B(1))]
+    assert (sym_str(cell), sym_latex(cell)) == ("-2*nu(8,1)", "-2\\nu_{8}^{1}")
+    # branches no table reaches: fractional and non-unit coefficients
+    half = Fraction(1, 2)
+    for cell, text, tex in [
+            (("rat", -half), "-1/2", "-\\tfrac{1}{2}"),
+            (("nu", half, 8, 1), "1/2*nu(8,1)", "\\tfrac{1}{2}\\nu_{8}^{1}"),
+            (("gauss", half, 3 * half, 5), "(1+3*sqrt(5))/2",
+             "\\tfrac{1+3\\sqrt{5}}{2}"),
+            (("gauss", Fraction(0), -half, -7), "-1/2*sqrt(-7)",
+             "-\\tfrac{1}{2}\\sqrt{-7}"),
+            (("gauss", Fraction(1, 3), Fraction(2, 3), 5), "1/3+2/3*sqrt(5)",
+             "\\tfrac{1}{3}+\\tfrac{2}{3}\\sqrt{5}"),
+            (("gauss", Fraction(2), Fraction(0), 5), "2", "2")]:
+        assert (sym_str(cell), sym_latex(cell)) == (text, tex)
 
 
 def test_symbolic_matches_exact_values():
@@ -163,5 +194,16 @@ def test_json_round_trip():
     assert clone.value(ETA2, B(2)) == ct.value(ETA2, B(2))
 
 
+def test_class_sum_is_the_inner_product_with_the_trivial_row():
+    ct = complex_table(7)
+    sizes = {cls.label: cls.size for cls in ct.classes}
+    for ch in ct.chars:
+        assert ct.class_sum(ch, sizes) == (7 ** 3 - 7 if ch == TRIV else 0)
+
+
 def test_table_is_cached():
     assert complex_table(7) is complex_table(7)
+    assert real_table(7) is real_table(7)
+    # per-process caches stay bounded
+    assert complex_table.cache_info().maxsize is not None
+    assert real_table.cache_info().maxsize is not None

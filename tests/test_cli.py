@@ -2,15 +2,18 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sl2q
 from sl2q.chars import CharTable, complex_table
 from sl2q.cli import main
 from sl2q.fixdim import FixedDimTable
-from sl2q.realrep import RealCharTable, real_table
+from sl2q.realrep import real_table
 from sl2q.verify import VerificationReport
 
 
@@ -100,7 +103,7 @@ def test_real_table_text(capsys):
 def test_real_table_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "real-table", "7", "--format", "json")
     assert code == 0
-    assert RealCharTable.from_json(json.loads(out)) == real_table(7)
+    assert CharTable.from_json(json.loads(out)) == real_table(7)
 
 
 def test_fs_text_and_bound(capsys):
@@ -184,9 +187,12 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_console_script_wiring():
+    # the child imports the same sl2q as this process, installed or not
+    path = [str(Path(sl2q.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from sl2q.cli import main; "
                            "sys.exit(main(['classes', '3']))"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "b^1" in proc.stdout

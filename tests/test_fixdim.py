@@ -56,7 +56,7 @@ def test_first_table_spot_values():
     assert fixed_dim_closed(q, RTRIV, TRIVIAL_H) == 1
     # the trivial subgroup fixes everything
     rt = real_table(q)
-    for ch in rt.labels:
+    for ch in rt.chars:
         assert fixed_dim_closed(q, ch, TRIVIAL_H) == rt.degree(ch)
 
 
@@ -65,7 +65,7 @@ def test_closed_equals_average_everywhere_small(q):
     rt = real_table(q)
     for key in subgroup_keys(q):
         H = subgroup(q, key)
-        for ch in rt.labels:
+        for ch in rt.chars:
             assert fixed_dim_closed(q, ch, key) == fixed_dim_average(rt, ch, H)
 
 
@@ -108,7 +108,7 @@ def test_closed_form_needs_no_enumeration():
 def test_dimension_bounds_and_monotonicity():
     for q in [5, 7, 11, 13]:
         rt = real_table(q)
-        for ch in rt.labels:
+        for ch in rt.chars:
             deg = rt.degree(ch)
             dims = {str(k): fixed_dim_closed(q, ch, k) for k in subgroup_keys(q)}
             assert all(0 <= v <= deg for v in dims.values())
@@ -144,3 +144,24 @@ def test_report_json_round_trip():
     clone = FixedDimTable.from_json(rep.to_json())
     assert clone == rep
     assert clone.all_match
+
+
+def test_label_check_builds_the_labels_once(monkeypatch):
+    # fixed_dim_closed checks its label on every call; full_report(101)
+    # makes 10,815 such calls and must not rebuild the label list for each
+    import sl2q.fixdim as fixdim
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return real_char_labels(q)
+
+    monkeypatch.setattr(fixdim, "real_char_labels", counting)
+    rep = full_report(101)
+    assert len(rep.entries) == 105 * 103
+    assert len(calls) <= 2
+    # the check still rejects labels that are not rows of the table
+    with pytest.raises(ValueError):
+        fixed_dim_closed(7, RXI1, Z_H)  # xi_1 is a real row only for q = 1 mod 4
+    with pytest.raises(ValueError):
+        fixed_dim_closed(7, RChiEven(4), Z_H)  # chi index past (q-3)/2

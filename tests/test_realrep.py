@@ -1,7 +1,8 @@
 """Square map, real classes, Frobenius-Schur indicators, real table."""
 import pytest
 
-from sl2q.chars import Chi, ETA1, ETA2, PSI, TRIV, Theta, XI1, XI2, complex_table
+from sl2q.chars import (CharTable, Chi, ETA1, ETA2, PSI, TRIV, Theta, XI1, XI2,
+                        complex_table)
 from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, class_label_lookup,
                       class_labels, enumerate_group)
 from sl2q.realrep import (RChiEven, RTwoChiOdd, RTwoThetaOdd, RealCharLabel,
@@ -140,13 +141,13 @@ def test_real_char_labels_order():
 @pytest.mark.parametrize("q", Q_SMALL)
 def test_real_row_count_matches_real_class_count(q):
     rt = real_table(q)
-    assert len(rt.labels) == len(real_classes(q).blocks)
+    assert len(rt.chars) == len(real_classes(q).blocks)
 
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13])
 def test_real_rows_are_sums_of_their_sources(q):
     ct, rt = complex_table(q), real_table(q)
-    for rch in rt.labels:
+    for rch in rt.chars:
         for lab in rt.class_order:
             total = None
             for cch, mult in rt.source[rch]:
@@ -158,7 +159,7 @@ def test_real_rows_are_sums_of_their_sources(q):
 def test_real_table_values_are_conjugation_fixed():
     for q in [5, 7]:
         rt = real_table(q)
-        for rch in rt.labels:
+        for rch in rt.chars:
             for lab in rt.class_order:
                 v = rt.value(rch, lab)
                 assert v.conjugate() == v
@@ -166,7 +167,7 @@ def test_real_table_values_are_conjugation_fixed():
 
 def test_real_table_constant_on_merged_blocks():
     rt = real_table(7)
-    for rch in rt.labels:
+    for rch in rt.chars:
         assert rt.value(rch, C) == rt.value(rch, D)
         assert rt.value(rch, ZC) == rt.value(rch, ZD)
 
@@ -191,3 +192,14 @@ def test_real_json_round_trip():
     assert clone == rt
     assert clone.source == rt.source
     assert clone.symbolic is None
+    # one loader for both tables: "source" marks the real one
+    assert RealCharTable is CharTable
+    assert list(rt.to_json())[-1] == "source"
+    clone = CharTable.from_json(rt.to_json())
+    assert clone == real_table(5)
+    assert clone.source == rt.source and clone.source is not None
+    ct = complex_table(5)
+    assert "source" not in ct.to_json()
+    complex_clone = CharTable.from_json(ct.to_json())
+    assert complex_clone.source is None
+    assert complex_clone == ct and complex_clone != clone
