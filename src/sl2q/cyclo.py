@@ -1,10 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A CycNum is a dense vector of rational coefficients over the power basis
-1, zeta, ..., zeta^(phi(N)-1) of Q(zeta_N), kept fully reduced modulo the
-N-th cyclotomic polynomial.  Two values at the same conductor are equal
-iff their vectors are equal; mixed-conductor operands are embedded into
-the least common conductor automatically.
+A CycNum is a dense vector of integer numerators over the power basis
+1, zeta, ..., zeta^(phi(N)-1) of Q(zeta_N), reduced modulo the N-th
+cyclotomic polynomial, and one positive common denominator.  The pair is
+kept in lowest terms (gcd of the denominator and all numerators is 1),
+so two values at the same conductor are equal iff their numerator
+vectors and denominators are equal; mixed-conductor operands are
+embedded into the least common conductor automatically.  All arithmetic
+runs on Python ints; ``coeffs`` gives the rational coefficients on
+request.
 
 Everything any character-table entry needs lives here: roots of unity,
 nu(r, s) = zeta_r^s + zeta_r^(-s), and the quadratic Gauss sum, which is
@@ -18,6 +22,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 
 from .fq import FqElem, legendre_symbol
@@ -28,32 +33,35 @@ __all__ = [
     "sqrt_eps_q", "working_conductor", "rational",
 ]
 
+# Conductor-keyed caches must hold every conductor one command touches:
+# 1, q-1, q, q+1 and N = lcm(q, q-1, q+1).
+_CONDUCTOR_CACHE = 8
+
 
 # ---------------------------------------------------------------------------
 # integer polynomials, dense lists, index = degree
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of polynomials that divide exactly (integer coefficients)."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + dd]
-        if c % den[dd]:
-            raise ArithmeticError("inexact polynomial division")
-        c //= den[dd]
-        out[k] = c
-        if c:
-            for j, b in enumerate(den):
-                num[k + j] -= c * b
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONDUCTOR_CACHE)
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients of Phi_N, low degree first, length phi(N)+1.
+
+    Built from the Moebius product Phi_N = prod_{d | N} (x^d - 1)^mu(N/d):
+    first every factor with mu = +1 is multiplied in, then every factor
+    with mu = -1 is divided out exactly, each in one pass over the list.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -64,19 +72,38 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     """
     if N < 1:
         raise ValueError("conductor must be positive")
-    poly = [-1] + [0] * (N - 1) + [1]          # x^N - 1
-    for d in range(1, N):
-        if N % d == 0:
-            poly = _poly_divexact(poly, list(cyclotomic_polynomial(d)))
+    # mu(N/d) != 0 only for N/d squarefree: N/d = s runs over the
+    # products of distinct primes of N, with mu(s) = (-1)^(number of them)
+    squarefree = [(1, 1)]
+    for p in _prime_factors(N):
+        squarefree += [(s * p, -m) for s, m in squarefree]
+    poly = [1]
+    for d in sorted(N // s for s, m in squarefree if m == 1):
+        # times (x^d - 1)
+        poly = [-c for c in poly] + [0] * d
+        for i in range(len(poly) - 1, d - 1, -1):
+            poly[i] -= poly[i - d]
+    for d in sorted(N // s for s, m in squarefree if m == -1):
+        # exactly divided by (x^d - 1): p[i] = quot[i-d] - quot[i]
+        quot = [0] * (len(poly) - d)
+        for i in range(len(quot)):
+            quot[i] = (quot[i - d] if i >= d else 0) - poly[i]
+        poly = quot
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONDUCTOR_CACHE)
 def _phi(N: int) -> int:
-    return len(cyclotomic_polynomial(N)) - 1
+    """Euler's totient, the degree of Phi_N."""
+    if N < 1:
+        raise ValueError("conductor must be positive")
+    out = N
+    for p in _prime_factors(N):
+        out = out // p * (p - 1)
+    return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONDUCTOR_CACHE)
 def _power_rows(N: int) -> tuple[tuple[int, ...], ...]:
     """x^k mod Phi_N for every k in 0..N-1, as integer vectors of length phi.
 
@@ -98,7 +125,7 @@ def _power_rows(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONDUCTOR_CACHE)
 def _high_rows(N: int) -> tuple[tuple[int, ...], ...]:
     """Reduction rows for the kernel: x^(phi+j) mod Phi_N, j = 0..phi-2."""
     phi_n = _phi(N)
@@ -106,14 +133,53 @@ def _high_rows(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows[(phi_n + j) % N] for j in range(phi_n - 1))
 
 
+def _row_sum(terms, rows, phi_n: int) -> list[int]:
+    """Sum of c * rows[k] over the (k, c) pairs, as a length-phi list."""
+    out = [0] * phi_n
+    positions = range(phi_n)
+    for k, c in terms:
+        row = rows[k]
+        # rows are mostly zeros; compress finds the nonzero entries in C
+        for t in compress(positions, row):
+            out[t] += c * row[t]
+    return out
+
+
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x) -> Fraction | None:
-    if isinstance(x, Fraction):
+_ZERO = Fraction(0)
+
+
+def _rational_operand(x) -> Fraction | int | None:
+    """x itself when it is an int or a Fraction, else None."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     return None
+
+
+def _make(N: int, num, den: int) -> "CycNum":
+    """The CycNum num/den at conductor N, brought to lowest terms (den > 0)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _raw(N, tuple(num), den)
+
+
+def _raw(N: int, num: tuple, den: int) -> "CycNum":
+    """A CycNum from a numerator tuple and denominator already in lowest terms."""
+    x = object.__new__(CycNum)
+    _fill(x, N, num, den)
+    return x
+
+
+def _fill(x: "CycNum", N: int, num: tuple, den: int) -> None:
+    _set = object.__setattr__
+    _set(x, "conductor", N)
+    _set(x, "_num", num)
+    _set(x, "_den", den)
+    _set(x, "_coeffs", None)
 
 
 class CycNum:
@@ -126,28 +192,34 @@ class CycNum:
     True
     """
 
-    __slots__ = ("conductor", "coeffs", "_intform")
+    __slots__ = ("conductor", "_num", "_den", "_coeffs")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        coeffs = [c if type(c) is int else Fraction(c) for c in coeffs]
         if len(coeffs) != _phi(conductor):
             raise ValueError(
                 f"need {_phi(conductor)} coefficients at conductor {conductor}, "
                 f"got {len(coeffs)}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_intform", None)
+        # the lcm of reduced denominators is coprime to the numerators' gcd
+        den = lcm(*(c.denominator for c in coeffs))
+        _fill(self, conductor,
+              tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     def __setattr__(self, name, val):
         raise AttributeError("CycNum is immutable")
 
-    def _int_coeffs(self) -> tuple[list[int], int]:
-        # memoized: products hit the same table values over and over
-        form = self._intform
-        if form is None:
-            form = _clear_denominators(self.coeffs)
-            object.__setattr__(self, "_intform", form)
-        return form
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients over the power basis (derived, memoized)."""
+        out = self._coeffs
+        if out is None:
+            den = self._den
+            out = tuple(Fraction(x, den) if x else _ZERO for x in self._num)
+            object.__setattr__(self, "_coeffs", out)
+        return out
+
+    def _is_rational(self) -> bool:
+        return not any(self._num[1:])
 
     # -- representation changes ---------------------------------------
 
@@ -158,16 +230,13 @@ class CycNum:
             return self
         if M % N:
             raise ValueError(f"{N} does not divide {M}")
-        rows = _power_rows(M)
+        phi_m = _phi(M)
+        if self._is_rational():
+            return _raw(M, (self._num[0],) + (0,) * (phi_m - 1), self._den)
         ratio = M // N
-        out = [Fraction(0)] * _phi(M)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(j * ratio) % M]
-                for t, r in enumerate(row):
-                    if r:
-                        out[t] += c * r
-        return CycNum(M, out)
+        out = _row_sum(((j * ratio, c) for j, c in enumerate(self._num) if c),
+                       _power_rows(M), phi_m)
+        return _make(M, out, self._den)
 
     def _common(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
         if self.conductor == other.conductor:
@@ -178,52 +247,53 @@ class CycNum:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        if (r := _as_fraction(other)) is not None:
-            coeffs = list(self.coeffs)
-            coeffs[0] += r
-            return CycNum(self.conductor, coeffs)
+        if (r := _rational_operand(other)) is not None:
+            den = lcm(self._den, r.denominator)
+            k = den // self._den
+            num = [x * k for x in self._num]
+            num[0] += r.numerator * (den // r.denominator)
+            return _make(self.conductor, num, den)
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b = self._common(other)
-        return CycNum(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return _add_vectors(a, b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, [-c for c in self.coeffs])
+        return _raw(self.conductor, tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other):
-        if (r := _as_fraction(other)) is not None:
+        if (r := _rational_operand(other)) is not None:
             return self + (-r)
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b = self._common(other)
-        return CycNum(a.conductor, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return _add_vectors(a, -b)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scale(self, r: Fraction) -> "CycNum":
-        if r == 1:
+    def _scale(self, p: int, d: int) -> "CycNum":
+        """Multiply by the rational p/d, given in lowest terms with d > 0."""
+        if p == d:
             return self
-        return CycNum(self.conductor, [c * r for c in self.coeffs])
+        return _make(self.conductor, [x * p for x in self._num], self._den * d)
 
     def __mul__(self, other):
-        if (r := _as_fraction(other)) is not None:
-            return self._scale(r)
+        if (r := _rational_operand(other)) is not None:
+            return self._scale(r.numerator, r.denominator)
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b = self._common(other)
+        # a rational operand is a scale, not a kernel product
+        if b._is_rational():
+            return a._scale(b._num[0], b._den)
+        if a._is_rational():
+            return b._scale(a._num[0], a._den)
         N = a.conductor
-        if _phi(N) == 1:
-            return CycNum(N, [a.coeffs[0] * b.coeffs[0]])
-        xs, dx = a._int_coeffs()
-        ys, dy = b._int_coeffs()
-        out = mul_reduce(xs, ys, _high_rows(N))
-        den = dx * dy
-        if den == 1:
-            return CycNum(N, out)
-        return CycNum(N, [Fraction(v, den) for v in out])
+        out = mul_reduce(a._num, b._num, _high_rows(N))
+        return _make(N, out, a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -233,11 +303,12 @@ class CycNum:
             if r is None:
                 raise TypeError("division only by rational values")
             other = r
-        if (r := _as_fraction(other)) is None:
+        if (r := _rational_operand(other)) is None:
             return NotImplemented
         if r == 0:
             raise ZeroDivisionError("division by zero")
-        return self._scale(Fraction(1) / r)
+        r = Fraction(1) / r
+        return self._scale(r.numerator, r.denominator)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -255,22 +326,18 @@ class CycNum:
 
     def conjugate(self) -> "CycNum":
         """Image under zeta_N -> zeta_N^(-1)."""
+        if self._is_rational():
+            return self
         N = self.conductor
-        rows = _power_rows(N)
-        out = [Fraction(0)] * _phi(N)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(N - j) % N]
-                for t, r in enumerate(row):
-                    if r:
-                        out[t] += c * r
-        return CycNum(N, out)
+        out = _row_sum((((N - j) % N, c) for j, c in enumerate(self._num) if c),
+                       _power_rows(N), len(self._num))
+        return _make(N, out, self._den)
 
     def as_rational(self) -> Fraction | None:
         """The rational value, or None when the element is irrational."""
-        if any(self.coeffs[1:]):
+        if not self._is_rational():
             return None
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def as_integer(self) -> int:
         r = self.as_rational()
@@ -280,27 +347,38 @@ class CycNum:
 
     def approx(self) -> complex:
         """Floating shadow; advisory only, never used for decisions."""
-        N = self.conductor
-        return sum((complex(c) * cmath.exp(2j * cmath.pi * k / N)
-                    for k, c in enumerate(self.coeffs) if c), 0j)
+        N, den = self.conductor, self._den
+        return sum((complex(x / den) * cmath.exp(2j * cmath.pi * k / N)
+                    for k, x in enumerate(self._num) if x), 0j)
 
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        if (r := _as_fraction(other)) is not None:
+        if (r := _rational_operand(other)) is not None:
             return self.as_rational() == r
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a._den == b._den and a._num == b._num
 
     __hash__ = None  # no canonical cross-conductor hash; use == only
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._num)
+
+    def _coeff_strs(self) -> list[str]:
+        """str() of each rational coefficient, without building Fractions."""
+        den = self._den
+        if den == 1:
+            return [str(x) for x in self._num]
+        out = []
+        for x in self._num:
+            g = gcd(x, den)
+            out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return out
 
     def __repr__(self):
-        return f"CycNum({self.conductor}, {tuple(str(c) for c in self.coeffs)})"
+        return f"CycNum({self.conductor}, {tuple(self._coeff_strs())})"
 
     # -- serialization ----------------------------------------------------
 
@@ -308,7 +386,7 @@ class CycNum:
         a = self.approx()
         return {
             "conductor": self.conductor,
-            "coeffs": [str(c) for c in self.coeffs],
+            "coeffs": self._coeff_strs(),
             "approx": {"re": a.real, "im": a.imag},
         }
 
@@ -317,11 +395,15 @@ class CycNum:
         return cls(obj["conductor"], [Fraction(s) for s in obj["coeffs"]])
 
 
-def _clear_denominators(coeffs) -> tuple[list[int], int]:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in coeffs], den
+def _add_vectors(a: CycNum, b: CycNum) -> CycNum:
+    """a + b for operands at one conductor."""
+    da, db = a._den, b._den
+    if da == db:
+        return _make(a.conductor, [x + y for x, y in zip(a._num, b._num)], da)
+    g = gcd(da, db)
+    ka, kb = db // g, da // g
+    return _make(a.conductor, [x * ka + y * kb for x, y in zip(a._num, b._num)],
+                 da * ka)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +412,8 @@ def _clear_denominators(coeffs) -> tuple[list[int], int]:
 def rational(r, conductor: int = 1) -> CycNum:
     """A rational number as a CycNum (at conductor 1 unless asked otherwise)."""
     r = Fraction(r)
-    coeffs = [Fraction(0)] * _phi(conductor)
-    coeffs[0] = r
-    return CycNum(conductor, coeffs)
+    return _raw(conductor, (r.numerator,) + (0,) * (_phi(conductor) - 1),
+                r.denominator)
 
 
 def root_of_unity(N: int, k: int) -> CycNum:
@@ -345,7 +426,7 @@ def root_of_unity(N: int, k: int) -> CycNum:
     """
     if N < 1:
         raise ValueError("conductor must be positive")
-    return CycNum(N, _power_rows(N)[k % N])
+    return _raw(N, _power_rows(N)[k % N], 1)
 
 
 def nu(r: int, s: int) -> CycNum:
@@ -359,7 +440,7 @@ def nu(r: int, s: int) -> CycNum:
     return root_of_unity(r, s) + root_of_unity(r, -s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def sqrt_eps_q(q: int) -> CycNum:
     """The quadratic Gauss sum g = sum_k legendre(k) zeta_q^k.
 

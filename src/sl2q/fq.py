@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def is_odd_prime(q: int) -> bool:
     """Trial division; the package targets desk-scale q."""
     if q < 3 or q % 2 == 0:
@@ -133,7 +133,7 @@ def legendre_symbol(a: FqElem) -> int:
     return 1 if is_quadratic_residue(a) else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def primitive_root(q: int) -> FqElem:
     """Smallest generator >= 2 of the multiplicative group of F_q.
 

@@ -244,7 +244,7 @@ def enumerate_group(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tuple[GroupElem
     return tuple(GroupElem(q, *t) for t in _lex_tuples(q))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def find_b(q: int) -> GroupElem:
     """First element of order q+1 in the lexicographic scan.
 
@@ -259,7 +259,7 @@ def find_b(q: int) -> GroupElem:
     raise AssertionError(f"no element of order {q + 1} in SL2({q})")  # unreachable
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def representatives(q: int) -> tuple[ConjClass, ...]:
     """The q+4 conjugacy classes: label, representative, size, element order.
 

@@ -70,7 +70,7 @@ def _fold_b(q: int, k: int) -> ClassLabel:
     return B(min(k, q + 1 - k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def square_class_map(q: int) -> dict:
     """label -> class label of g^2 for g in that class."""
     sq: dict[ClassLabel, ClassLabel] = {ONE: ONE, Z: ONE}
@@ -89,7 +89,7 @@ def square_class_map(q: int) -> dict:
     return sq
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def inverse_class_map(q: int) -> dict:
     """label -> class label of g^{-1}.
 
@@ -114,7 +114,7 @@ class RealClassPartition:
         return len(self.blocks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def real_classes(q: int) -> RealClassPartition:
     inv = inverse_class_map(q)
     seen: set[ClassLabel] = set()

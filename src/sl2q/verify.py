@@ -176,7 +176,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     labels = ct.class_order
     sizes = {cls.label: cls.size for cls in ct.classes}
     # everything at the working conductor up front, so the products below
-    # reuse the memoized integer forms instead of re-promoting per pair
+    # never promote an operand per pair
     val = {(ch, lab): ct.value(ch, lab).promote(ct.conductor)
            for ch in ct.chars for lab in labels}
     conj_val = {key: v.conjugate() for key, v in val.items()}

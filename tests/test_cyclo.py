@@ -4,15 +4,17 @@ The ring axioms run as hypothesis properties over random small operands;
 the named identities (vanishing geometric sums, nu symmetries, Gauss
 sums) pin down the values the character tables are built from.
 """
+import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sl2q._kernel import mul_reduce
-from sl2q.cyclo import (CycNum, _high_rows, _power_rows, cyclotomic_polynomial,
+from sl2q.cyclo import (CycNum, _high_rows, _phi, _power_rows, cyclotomic_polynomial,
                         nu, rational, root_of_unity, sqrt_eps_q,
                         working_conductor)
 
@@ -50,6 +52,28 @@ def test_ring_axioms(x, y, z):
 def test_rational_scalars_commute_with_division(x, r):
     assert (x * r) / r == x
     assert x * r == r * x
+
+
+def _poly_mul(a, b):
+    sparse_b = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in sparse_b:
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # x^N - 1 = prod over d | N of Phi_d, by plain multiplication; the
+    # last four are the working conductors at q = 13, 17, 19, 23
+    for N in list(range(1, 401)) + [1092, 2448, 3420, 6072]:
+        prod = [1]
+        for d in (d for d in range(1, N + 1) if N % d == 0):
+            phi_d = cyclotomic_polynomial(d)
+            assert phi_d[-1] == 1 and len(phi_d) - 1 == _phi(d), d
+            prod = _poly_mul(prod, phi_d)
+        assert prod == [-1] + [0] * (N - 1) + [1], N
 
 
 def test_cyclotomic_polynomials():
@@ -212,3 +236,142 @@ def test_working_conductor(q, N):
     assert working_conductor(q) == N
     # every ingredient embeds: zeta_q, nu at q-1, nu at q+1
     assert N % q == 0 and N % (q - 1) == 0 and N % (q + 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against a plain Fraction-vector model
+
+# every lcm of two of these divides 1092 = 4*3*7*13, the working
+# conductor at q = 13
+MODEL_CONDUCTORS = [1, 3, 4, 7, 12, 13, 84, 1092]
+
+
+def _reduce(poly, N):
+    """A Fraction polynomial (index = degree) mod Phi_N, by long division."""
+    mod = cyclotomic_polynomial(N)
+    phi = len(mod) - 1
+    terms = [(t, m) for t, m in enumerate(mod[:-1]) if m]
+    poly = list(poly) + [Fraction(0)] * max(0, phi - len(poly))
+    for k in range(len(poly) - 1, phi - 1, -1):
+        c = poly[k]
+        if c:
+            for t, m in terms:
+                poly[k - phi + t] -= c * m
+    return poly[:phi]
+
+
+def _model_promote(xs, N, M):
+    poly = [Fraction(0)] * M
+    for j, c in enumerate(xs):
+        poly[j * (M // N)] += c
+    return _reduce(poly, M)
+
+
+def _model_mul(xs, ys, N):
+    poly = [Fraction(0)] * (2 * len(xs) - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                poly[i + j] += x * y
+    return _reduce(poly, N)
+
+
+def _model_conjugate(xs, N):
+    poly = [Fraction(0)] * N
+    for j, c in enumerate(xs):
+        poly[-j % N] += c
+    return _reduce(poly, N)
+
+
+@st.composite
+def model_operands(draw):
+    """(N, coefficient list) with a few nonzero Fraction coefficients."""
+    N = draw(st.sampled_from(MODEL_CONDUCTORS))
+    phi = _phi(N)
+    xs = [Fraction(0)] * phi
+    for _ in range(draw(st.integers(0, 5))):
+        xs[draw(st.integers(0, phi - 1))] = Fraction(
+            draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3, 4, 6])))
+    return N, xs
+
+
+def _assert_normal(v):
+    assert type(v._den) is int and v._den > 0
+    assert all(type(x) is int for x in v._num)
+    assert gcd(v._den, *v._num) == 1
+    if not any(v._num):
+        assert v._den == 1
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(x=model_operands(), y=model_operands(),
+       r=st.fractions(min_value=-5, max_value=5, max_denominator=12))
+def test_arithmetic_matches_fraction_model(x, y, r):
+    (N, xs), (Ny, ys) = x, y
+    M = lcm(N, Ny)
+    a, b = CycNum(N, xs), CycNum(Ny, ys)
+    xm, ym = _model_promote(xs, N, M), _model_promote(ys, Ny, M)
+    cases = [
+        (a + b, M, [u + v for u, v in zip(xm, ym)]),
+        (a - b, M, [u - v for u, v in zip(xm, ym)]),
+        (a * b, M, _model_mul(xm, ym, M)),
+        (a * r, N, [u * r for u in xs]),
+        (r * a, N, [u * r for u in xs]),
+        (a + r, N, [xs[0] + r] + xs[1:]),
+        (-a, N, [-u for u in xs]),
+        (a.conjugate(), N, _model_conjugate(xs, N)),
+        (a.promote(M), M, xm),
+    ]
+    for got, conductor, want in cases:
+        assert got.conductor == conductor
+        assert list(got.coeffs) == want
+        _assert_normal(got)
+
+
+def test_normal_form():
+    x = root_of_unity(12, 1) * Fraction(2, 6) + Fraction(4, 6)
+    assert (x._num, x._den) == ((2, 1, 0, 0), 3)
+    # a common factor of numerators and denominator cancels
+    assert ((x * 3)._num, (x * 3)._den) == ((2, 1, 0, 0), 1)
+    half = (x + x.conjugate()) * Fraction(1, 2)
+    _assert_normal(half)
+    # zero has one form at each conductor, whatever built it
+    for zero in [x - x, x * 0, rational(0, 12), x * Fraction(3, 7) - x * Fraction(3, 7),
+                 CycNum(12, [Fraction(0, 5)] * 4)]:
+        assert (zero._num, zero._den) == ((0, 0, 0, 0), 1)
+    assert CycNum(12, [Fraction(1, 2), 0, Fraction(-1, 3), 2])._den == 6
+
+
+def test_coeffs_are_memoized_fractions():
+    x = nu(12, 1) * Fraction(1, 3) + 2
+    assert all(type(c) is Fraction for c in x.coeffs)
+    # nu(12, 1) = sqrt(3) = 2*zeta_12 - zeta_12^3
+    assert x.coeffs == (Fraction(2), Fraction(2, 3), Fraction(0), Fraction(-1, 3))
+    assert x.coeffs is x.coeffs
+
+
+@pytest.mark.parametrize("value,text", [
+    (lambda: nu(12, 1) * Fraction(1, 2) + root_of_unity(12, 5),
+     '{"conductor": 12, "coeffs": ["0", "0", "0", "1/2"], '
+     '"approx": {"re": 3.061616997868383e-17, "im": 0.5}}'),
+    (lambda: sqrt_eps_q(7) * Fraction(-3, 4) + Fraction(1, 3),
+     '{"conductor": 7, "coeffs": ["-5/12", "-3/2", "-3/2", "0", "-3/2", "0"], '
+     '"approx": {"re": 0.33333333333333326, "im": -1.9843134832984433}}'),
+    (lambda: root_of_unity(12, 1) * Fraction(1, 6)
+     + root_of_unity(12, 2) * Fraction(2, 3) - 7,
+     '{"conductor": 12, "coeffs": ["-7", "1/6", "2/3", "0"], '
+     '"approx": {"re": -6.52232909936926, "im": 0.660683602522959}}'),
+    (lambda: rational(Fraction(-5, 6), 12),
+     '{"conductor": 12, "coeffs": ["-5/6", "0", "0", "0"], '
+     '"approx": {"re": -0.8333333333333334, "im": 0.0}}'),
+    (lambda: rational(0, 5),
+     '{"conductor": 5, "coeffs": ["0", "0", "0", "0"], '
+     '"approx": {"re": 0.0, "im": 0.0}}'),
+])
+def test_json_strings_are_stable(value, text):
+    # the strings written by the Fraction-coefficient representation
+    x = value()
+    assert json.dumps(x.to_json()) == text
+    assert repr(x) == f"CycNum({x.conductor}, {tuple(json.loads(text)['coeffs'])})"
+    assert CycNum.from_json(json.loads(text)) == x
