@@ -265,26 +265,21 @@ def _cmd_fixed_points(args) -> int:
     if args.fmt == "json":
         print(json.dumps(report.to_json(), indent=2))
         return 0
-    headers = ["char"] + [str(k) for k in report.keys]
-    rows = []
-    mismatched = []
-    for ch in report.chars:
-        cells = [str(ch)]
-        for k in report.keys:
-            e = report.entry(ch, k)
-            if e.match is False:
-                cells.append(f"{e.closed}!={e.oracle}")
-                mismatched.append((ch, k))
-            else:
-                cells.append(str(e.closed))
-        rows.append(cells)
+    chars = [str(ch) for ch in report.chars]
+    keys = [str(k) for k in report.keys]
+    grid = [[report.entry(ch, k) for k in report.keys] for ch in report.chars]
     if args.fmt == "csv":
-        long_rows = [[str(ch), str(k), report.entry(ch, k).closed,
-                      report.entry(ch, k).oracle, report.entry(ch, k).match]
-                     for ch in report.chars for k in report.keys]
+        long_rows = [[ch, key, e.closed, e.oracle, e.match]
+                     for ch, row in zip(chars, grid)
+                     for key, e in zip(keys, row)]
         print(_csv_table(["char", "subgroup", "closed", "oracle", "match"],
                          long_rows))
-    elif args.fmt == "latex":
+        return 0 if report.all_match else 2
+    headers = ["char"] + keys
+    rows = [[ch] + [f"{e.closed}!={e.oracle}" if e.match is False
+                    else str(e.closed) for e in row]
+            for ch, row in zip(chars, grid)]
+    if args.fmt == "latex":
         tex_rows = [[_char_latex(r[0])] + r[1:] for r in rows]
         print(_latex_table(headers, tex_rows))
     else:
@@ -294,7 +289,7 @@ def _cmd_fixed_points(args) -> int:
             extras.append(f"oracle skipped: q={args.q} exceeds the "
                           f"enumeration bound {args.max_enum} "
                           f"(raise --max-enum to verify)")
-        elif not mismatched:
+        elif report.all_match:
             extras.append("every entry confirmed by character averaging")
         extras.extend(report.notes)
         if extras:

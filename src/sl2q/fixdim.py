@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .fq import is_odd_prime
 from .grp import (
@@ -180,8 +181,14 @@ def subgroup_key_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> SubgroupK
 # ---------------------------------------------------------------------------
 # closed forms
 
-def _column(q: int, key: SubgroupKey) -> dict:
-    """char.kind -> dim V^H for the given subgroup."""
+@lru_cache(maxsize=8)
+def _column(q: int, key: SubgroupKey) -> MappingProxyType:
+    """char.kind -> dim V^H for the given subgroup, before the resonance
+    correction; built once per (q, key) and read-only."""
+    return MappingProxyType(_generic_column(q, key))
+
+
+def _generic_column(q: int, key: SubgroupKey) -> dict:
     if key.kind == "TrivialH":
         return {"triv": 1, "psi": q, "chi_even": q + 1, "two_chi_odd": 2 * q + 2,
                 "theta_even": q - 1, "two_theta_odd": 2 * q - 2,
@@ -258,6 +265,8 @@ def _resonance(char: RealCharLabel, key: SubgroupKey, n: int) -> int:
         return 0
     if char.index % n:
         return 0
+    # an even n cannot divide the odd index of a doubled odd row
+    assert n % 2 or char.kind not in ("two_chi_odd", "two_theta_odd")
     per_copy = 2 if char.kind in ("chi_even", "two_chi_odd") else -2
     copies = 2 if char.kind.startswith("two_") else 1
     return per_copy * copies
@@ -276,15 +285,17 @@ def fixed_dim_closed(q: int, char: RealCharLabel, kind, index: int = 0) -> int:
         raise ValueError(f"{char} is not a real character of SL2({q})")
     key = _as_key(kind, index)
     _check_key_range(q, key)
-    val = _column(q, key)[char.kind]
-    if key.kind in ("AH", "BH"):
-        n = _closed_order(q, key)
-        if n % 2 == 0 and char.kind in ("two_chi_odd", "two_theta_odd"):
-            # even n cannot divide the odd index; the generic 0 stands
-            assert char.index % n
-        val += _resonance(char, key, n)
+    return _closed_dim(_column(q, key), char, key, _closed_order(q, key))[0]
+
+
+def _closed_dim(column, char: RealCharLabel, key: SubgroupKey,
+                n: int) -> tuple[int, int]:
+    """dim V^H and the resonance correction inside it, for a checked
+    char and key; ``column`` is ``_column(q, key)`` and n = |H|."""
+    res = _resonance(char, key, n)
+    val = column[char.kind] + res
     assert val >= 0
-    return val
+    return val, res
 
 
 def fixed_dim_average(rt: CharTable, char: RealCharLabel, H: SubgroupDesc,
@@ -302,7 +313,7 @@ def fixed_dim_average(rt: CharTable, char: RealCharLabel, H: SubgroupDesc,
 # ---------------------------------------------------------------------------
 # report
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedDimEntry:
     char: RealCharLabel
     key: SubgroupKey
@@ -370,15 +381,22 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
 
     Mismatches are recorded in the entries, never patched over.
     """
+    if not is_odd_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
     chars = real_char_labels(q)
     keys = subgroup_keys(q)
     use_oracle = q <= max_enum
     rt = real_table(q) if use_oracle else None
     entries = {}
-    for key in keys:
+    resonant = []   # (char position, key position) of corrected entries
+    for ki, key in enumerate(keys):
+        column = _column(q, key)
+        n = _closed_order(q, key)
         H = subgroup(q, key) if use_oracle else None
-        for char in chars:
-            closed = fixed_dim_closed(q, char, key)
+        for ci, char in enumerate(chars):
+            closed, res = _closed_dim(column, char, key, n)
+            if res:
+                resonant.append((ci, ki))
             if use_oracle:
                 oracle = fixed_dim_average(rt, char, H, max_enum)
                 entries[(char, key)] = FixedDimEntry(char, key, closed,
@@ -393,11 +411,9 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
             "psi on odd-quotient AH(l): the averaged value is "
             "gcd(q-1,l)+1; some classical write-ups carry gcd(q-1,l) "
             "for the same quantity, which the oracle rules out.")
-    resonant = [(ch, k) for ch in chars for k in keys
-                if k.kind in ("AH", "BH")
-                and _resonance(ch, k, _closed_order(q, k))]
     if resonant:
-        shown = ", ".join(f"({ch}, {k})" for ch, k in resonant[:4])
+        resonant.sort()   # the note lists them in table order, rows first
+        shown = ", ".join(f"({chars[ci]}, {keys[ki]})" for ci, ki in resonant[:4])
         notes.append(
             f"resonant torus entries at {shown}"
             f"{' and more' if len(resonant) > 4 else ''}: when the "

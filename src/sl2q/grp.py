@@ -14,12 +14,19 @@ Two gauges are involved and both are harmless: any generator nu works
 the first in a lexicographic scan of matrix entries); changing either
 permutes the a-/b-class labels coherently, and every quantity checked
 against brute force is invariant under that relabeling.
+
+A group element is a ``GroupElem``: an immutable tuple ``(q, a, b, c, d)``
+with its entries reduced mod q.  It compares and hashes as that plain
+tuple, so ``GroupElem(7, 1, 2, 3, 0) == (7, 1, 2, 3, 0)``.  A product
+builds its result directly, without the constructor's primality check,
+but still checks the determinant.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 
 from .fq import FqElem, inverse, is_odd_prime, is_quadratic_residue, primitive_root
 
@@ -35,40 +42,67 @@ __all__ = [
 DEFAULT_MAX_ENUM = 50
 
 
-class GroupElem:
-    """A 2x2 matrix over F_q with determinant 1, rows (a b / c d)."""
+_new_tuple = tuple.__new__
 
-    __slots__ = ("q", "a", "b", "c", "d")
 
-    def __init__(self, q: int, a: int, b: int, c: int, d: int):
+class GroupElem(tuple):
+    """A 2x2 matrix over F_q with determinant 1, rows (a b / c d).
+
+    Stored as the tuple ``(q, a, b, c, d)`` with entries reduced mod q,
+    so equality and hashing are tuple's: ``g == (q, a, b, c, d)`` and
+    ``hash(g) == hash((q, a, b, c, d))``.  Tuple arithmetic, which means
+    nothing for a matrix, raises TypeError.
+
+    >>> g = GroupElem(7, 1, 2, 3, 0)
+    >>> g * g.inverse() == identity(7)
+    True
+    >>> g.to_tuple()
+    (1, 2, 3, 0)
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, a: int, b: int, c: int, d: int):
         if not is_odd_prime(q):
             raise ValueError(f"q must be an odd prime, got {q}")
         a %= q; b %= q; c %= q; d %= q
         if (a * d - b * c) % q != 1:
             raise ValueError(f"determinant must be 1: ({a},{b},{c},{d}) mod {q}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        return _new_tuple(cls, (q, a, b, c, d))
 
-    def __setattr__(self, name, val):
-        raise AttributeError("GroupElem is immutable")
+    q = property(itemgetter(0))
+    a = property(itemgetter(1))
+    b = property(itemgetter(2))
+    c = property(itemgetter(3))
+    d = property(itemgetter(4))
+
+    def _not_a_matrix_op(self, other):
+        raise TypeError(f"unsupported operand for GroupElem: "
+                        f"{type(other).__name__}")
+
+    # g + h and 3 * g would be tuple concatenation and repetition
+    __add__ = __radd__ = __rmul__ = _not_a_matrix_op
 
     def __mul__(self, other: "GroupElem") -> "GroupElem":
-        if self.q != other.q:
-            raise ValueError(f"mixed moduli {self.q} and {other.q}")
-        q = self.q
-        return GroupElem(
-            q,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        if type(other) is not GroupElem:
+            self._not_a_matrix_op(other)
+        # the determinant check still catches an operand forged past the
+        # constructor
+        q, a, b, c, d = self
+        p, e, f, g, h = other
+        if p != q:
+            raise ValueError(f"mixed moduli {q} and {p}")
+        w = (a * e + b * g) % q
+        x = (a * f + b * h) % q
+        y = (c * e + d * g) % q
+        z = (c * f + d * h) % q
+        if (w * z - x * y) % q != 1:
+            raise ValueError(f"determinant must be 1: ({w},{x},{y},{z}) mod {q}")
+        return _new_tuple(GroupElem, (q, w, x, y, z))
 
     def inverse(self) -> "GroupElem":
-        return GroupElem(self.q, self.d, -self.b, -self.c, self.a)
+        q, a, b, c, d = self
+        return _new_tuple(GroupElem, (q, d, -b % q, -c % q, a))
 
     def __pow__(self, n: int) -> "GroupElem":
         base = self if n >= 0 else self.inverse()
@@ -86,7 +120,8 @@ class GroupElem:
 
     @property
     def trace(self) -> int:
-        return (self.a + self.d) % self.q
+        q, a, _, _, d = self
+        return (a + d) % q
 
     def entries(self) -> tuple[FqElem, FqElem, FqElem, FqElem]:
         q = self.q
@@ -94,15 +129,7 @@ class GroupElem:
                 FqElem(self.c, q), FqElem(self.d, q))
 
     def to_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupElem) and self.q == other.q
-                and self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
-
-    def __hash__(self):
-        return hash((self.q, self.a, self.b, self.c, self.d))
+        return self[1:]
 
     def __repr__(self):
         return f"GroupElem({self.q}, {self.a}, {self.b}, {self.c}, {self.d})"

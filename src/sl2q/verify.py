@@ -3,15 +3,19 @@
 ``verify_all(q)`` enumerates SL2(q) and runs eleven independent checks,
 from the group order up through fixed-point dimensions.  Each check is
 crash-isolated: a failure (or an exception) is recorded and the rest of
-the suite still runs.  The raw Frobenius-Schur sum in check 7
-deliberately walks all q^3-q elements through the orbit partition
-rather than trusting the fast classifier; it is the ground-truth layer
-under the two closed computations.
+the suite still runs.  Checks 3 and 11 share the order of every element,
+computed once, on first use, by the same walk of the cyclic subgroups
+that check 10 makes; if that raises, each check that asks for it fails
+on its own.  The raw Frobenius-Schur sum in check 7 deliberately walks
+all q^3-q elements through the orbit partition rather than trusting the
+fast classifier; it is the ground-truth layer under the two closed
+computations.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 from .chars import CharLabel, ETA1, ETA2, XI1, XI2, complex_table
 from .fixdim import fixed_dim_closed, subgroup_key_of
@@ -86,6 +90,51 @@ def _cyclic_closure(g) -> list:
     return elts
 
 
+def _cyclic_walks(G):
+    """Yield (g, i, walk) for each g of G, in order.
+
+    i numbers the cyclic subgroup <g> among those met so far.  When g is
+    the first element of G that generates <g>, walk is g, g^2, ..., g^n = 1;
+    otherwise it is None.  The power g^k generates <g> exactly when
+    gcd(k, n) = 1, so those elements are not walked again; each is kept
+    only until the scan reaches it.
+    """
+    pending = {}   # generator not yet reached -> number of its subgroup
+    count = 0
+    for g in G:
+        i = pending.pop(g, None)
+        if i is not None:
+            yield g, i, None
+            continue
+        walk = _cyclic_closure(g)
+        n = len(walk)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                pending[walk[k - 1]] = count
+        yield g, count, walk
+        count += 1
+
+
+def _order_2q_conjugates(q: int, G) -> set:
+    """The distinct subgroups h<r>h^-1 for r in {zc, zd} and h in G.
+
+    h<r>h^-1 = <h r h^-1>, and an element of order 2q that lies in a
+    cyclic subgroup of order 2q generates it, so a conjugate x = h r h^-1
+    inside a subgroup already found adds nothing; only the first x of
+    each subgroup is walked.
+    """
+    target = set()
+    covered = set()
+    for r in (rep_zc(q), rep_zd(q)):
+        for h in G:
+            x = h * r * h.inverse()
+            if x not in covered:
+                S = frozenset(_cyclic_closure(x))
+                target.add(S)
+                covered |= S
+    return target
+
+
 def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     """Run the whole suite; q must lie within the enumeration bound."""
     if q > max_enum:
@@ -95,6 +144,20 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     G = enumerate_group(q, max_enum)
     order = q ** 3 - q
     checks: list[VerificationCheck] = []
+
+    orders = None
+
+    def element_orders() -> list:
+        nonlocal orders
+        if orders is None:
+            sizes = []   # order of each cyclic subgroup, by number
+            found = []
+            for _, i, walk in _cyclic_walks(G):
+                if walk is not None:
+                    sizes.append(len(walk))
+                found.append(sizes[i])
+            orders = found   # only once complete: a failed walk sets nothing
+        return orders
 
     def run(name, fn):
         try:
@@ -144,7 +207,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     # (3) unique involution, and where it sits in the torus chains
     def check_involution():
         z = rep_z(q)
-        invs = [g for g in G if element_order(g) == 2]
+        invs = [g for g, n in zip(G, element_orders()) if n == 2]
         ok = invs == [z] or set(invs) == {z}
         ok = ok and len(invs) == 1
         ok = ok and rep_a(q) ** ((q - 1) // 2) == z
@@ -310,33 +373,40 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         # the average depends on <g> only through its class-label counts,
         # so conjugate subgroups share one exact computation
         avg_cache: dict[tuple, dict] = {}
-        subgroups = set()
+        profiles = []   # class-label counts of each cyclic subgroup, by number
+        # (counts, subgroup key) -> the chars whose closed form and
+        # average disagree; both sides are fixed by the pair
+        wrong_cache: dict[tuple, list] = {}
         bad = []
-        for g in G:
-            elts = _cyclic_closure(g)
-            subgroups.add(frozenset(elts))
-            n = len(elts)
-            counts = Counter(lookup[h] for h in elts)
-            sig = tuple(sorted((str(lab), cnt) for lab, cnt in counts.items()))
-            if sig not in avg_cache:
-                avgs = {}
-                for ch in rt.chars:
-                    v = (rt.class_sum(ch, counts) / n).as_rational()
-                    if v is None or v.denominator != 1 or not 0 <= v <= degrees[ch]:
-                        bad.append(f"average of {ch} over <{g!r}> is {v!r}")
-                        v = -1
-                    avgs[ch] = int(v)
-                avg_cache[sig] = avgs
+        for g, i, walk in _cyclic_walks(G):
+            if walk is not None:
+                counts = Counter(lookup[h] for h in walk)
+                sig = tuple(sorted((str(lab), cnt) for lab, cnt in counts.items()))
+                profiles.append(sig)
+                if sig not in avg_cache:
+                    avgs = {}
+                    for ch in rt.chars:
+                        v = (rt.class_sum(ch, counts) / len(walk)).as_rational()
+                        if (v is None or v.denominator != 1
+                                or not 0 <= v <= degrees[ch]):
+                            bad.append(f"average of {ch} over <{g!r}> is {v!r}")
+                            v = -1
+                        avgs[ch] = int(v)
+                    avg_cache[sig] = avgs
+            sig = profiles[i]
             skey = subgroup_key_of(g, max_enum)
-            avgs = avg_cache[sig]
-            for ch in rt.chars:
-                closed = fixed_dim_closed(q, ch, skey)
-                if closed != avgs[ch]:
-                    bad.append(f"dim {ch}^{skey}: closed {closed}, "
-                               f"average {avgs[ch]} (generator {g!r})")
+            wrong = wrong_cache.get((sig, skey))
+            if wrong is None:
+                avgs = avg_cache[sig]
+                wrong = wrong_cache[(sig, skey)] = [
+                    (ch, closed, avgs[ch]) for ch in rt.chars
+                    if (closed := fixed_dim_closed(q, ch, skey)) != avgs[ch]]
+            for ch, closed, avg in wrong:
+                bad.append(f"dim {ch}^{skey}: closed {closed}, "
+                           f"average {avg} (generator {g!r})")
         if bad:
             return False, _fail_list(bad)
-        return True, (f"{len(subgroups)} distinct cyclic subgroups from "
+        return True, (f"{len(profiles)} distinct cyclic subgroups from "
                       f"{order} generators ({len(avg_cache)} class profiles); "
                       f"every average integral, in range, and equal to the "
                       f"closed form")
@@ -344,16 +414,11 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     # (11) order-2q subgroups are conjugates of <zc> or <zd>
     def check_order_2q():
-        base = [frozenset(_cyclic_closure(r)) for r in (rep_zc(q), rep_zd(q))]
-        target = set()
-        for S in base:
-            for h in G:
-                hinv = h.inverse()
-                target.add(frozenset(h * x * hinv for x in S))
+        target = _order_2q_conjugates(q, G)
         n = 0
         bad = []
-        for g in G:
-            if element_order(g) != 2 * q:
+        for g, order_g in zip(G, element_orders()):
+            if order_g != 2 * q:
                 continue
             n += 1
             if frozenset(_cyclic_closure(g)) not in target:

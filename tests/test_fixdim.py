@@ -133,10 +133,25 @@ def test_full_report(q):
     assert len(rep.entries) == len(rep.chars) * len(rep.keys)
 
 
+@pytest.mark.parametrize("q", [13, 53])
+def test_report_entries_equal_fixed_dim_closed(q):
+    rep = full_report(q)
+    for (ch, k), e in rep.entries.items():
+        assert e.closed == fixed_dim_closed(q, ch, k)
+    # the per-key column behind both is cached, so it must be read-only
+    from sl2q.fixdim import _column
+    with pytest.raises(TypeError):
+        _column(q, Z_H)["psi"] = 0
+
+
 def test_full_report_notes_flag_resonance():
     assert any("resonant" in n for n in full_report(11).notes)
     assert any("resonant" in n for n in full_report(13).notes)
     assert not any("resonant" in n for n in full_report(5).notes)
+    # the first four resonant entries are named in table order, rows first
+    assert full_report(101).notes[-1].startswith(
+        "resonant torus entries at (chi_4, AH(25)), (chi_8, AH(25)), "
+        "(chi_10, AH(10)), (chi_10, AH(20)) and more: ")
 
 
 def test_report_json_round_trip():
@@ -147,8 +162,9 @@ def test_report_json_round_trip():
 
 
 def test_label_check_builds_the_labels_once(monkeypatch):
-    # fixed_dim_closed checks its label on every call; full_report(101)
-    # makes 10,815 such calls and must not rebuild the label list for each
+    # fixed_dim_closed checks its label on every call against a cached
+    # set; full_report(101) fills 10,815 entries and must not rebuild the
+    # label list for each
     import sl2q.fixdim as fixdim
     calls = []
 

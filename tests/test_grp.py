@@ -41,6 +41,40 @@ def test_elem_immutable_hashable():
     assert len({g, rep_c(5), rep_d(5)}) == 2
 
 
+def test_elem_is_the_tuple_q_a_b_c_d():
+    g = GroupElem(7, 8, 2, -4, 0)
+    assert hash(g) == hash((7, 1, 2, 3, 0))
+    assert g == (7, 1, 2, 3, 0)
+    assert g.to_tuple() == (1, 2, 3, 0) and type(g.to_tuple()) is tuple
+    assert (g.q, g.a, g.b, g.c, g.d) == (7, 1, 2, 3, 0)
+    assert repr(g) == "GroupElem(7, 1, 2, 3, 0)"
+
+
+def test_elem_rejects_tuple_arithmetic_and_assignment():
+    g, h = rep_c(7), rep_d(7)
+    for op in (lambda: g + h, lambda: 3 * g, lambda: g * 3,
+               lambda: g + (1,), lambda: g * (7, 1, 0)):
+        with pytest.raises(TypeError):
+            op()
+    for name in ("q", "a", "d", "entries_cache"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 0)
+    with pytest.raises(ValueError):
+        g * GroupElem(5, 1, 0, 0, 1)
+    with pytest.raises(ValueError):
+        GroupElem(5, 1, 0, 0, 1) * g
+
+
+def test_product_checks_the_determinant_of_forged_operands():
+    # a tuple built past the constructor, with determinant 2
+    forged = tuple.__new__(GroupElem, (7, 2, 0, 0, 1))
+    g = rep_c(7)
+    with pytest.raises(ValueError):
+        g * forged
+    with pytest.raises(ValueError):
+        forged * g
+
+
 def test_class_labels_shape():
     assert [str(l) for l in class_labels(5)] == [
         "1", "z", "c", "d", "zc", "zd", "a^1", "b^1", "b^2"]

@@ -1,7 +1,15 @@
 """The self-verification suite on small q."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from sl2q.verify import VerificationReport, verify_all
+import sl2q
+from sl2q.grp import element_order, enumerate_group, rep_zc, rep_zd
+from sl2q.verify import (VerificationReport, _cyclic_closure, _cyclic_walks,
+                         _order_2q_conjugates, verify_all)
 
 CHECK_NAMES = [
     "group_order", "class_partition", "unique_involution",
@@ -50,3 +58,131 @@ def test_enumeration_bound_is_enforced():
 def test_rejects_non_prime():
     with pytest.raises(ValueError):
         verify_all(9)
+
+
+# verify_all(q).to_text() as written before the group layer was reworked;
+# every check detail must stay byte-stable
+GOLDEN_TEXT = {
+    5: "\n".join([
+        'verification of SL2(5)',
+        '[PASS] group_order: |SL2(5)| = 120, expected 120, distinct 120',
+        '[PASS] class_partition: 9 classes, disjoint cover; sizes '
+        '1,1,12,12,12,12,30,20,20',
+        '[PASS] unique_involution: unique involution is z; a^((q-1)/2) = z '
+        '(z lies in the split torus chain); both torus midpoints checked',
+        '[PASS] square_inverse_maps: g -> g^2 and g -> g^-1 agree '
+        'classwise for all 120 elements',
+        '[PASS] orthogonality: 9 rows and 9 columns orthogonal at '
+        'conductor 60',
+        '[PASS] degree_sum: sum deg^2 = 120, expected 120 (degrees '
+        '1,5,6,4,4,3,3,2,2)',
+        '[PASS] fs_indicators: closed = grouped = raw for all 9 '
+        'characters; 5 orthogonal, 4 quaternionic, 0 complex',
+        '[PASS] conjugation_trace: trace 9, expected 9; non-real rows none',
+        '[PASS] real_table_rows: 9 real rows = 9 real classes',
+        '[PASS] fixed_dims: 49 distinct cyclic subgroups from 120 '
+        'generators (7 class profiles); every average integral, in range, '
+        'and equal to the closed form',
+        '[PASS] order_2q_subgroups: 24 elements of order 10, 6 subgroup '
+        'conjugates, all accounted for',
+        'overall: PASS',
+    ]),
+    7: "\n".join([
+        'verification of SL2(7)',
+        '[PASS] group_order: |SL2(7)| = 336, expected 336, distinct 336',
+        '[PASS] class_partition: 11 classes, disjoint cover; sizes '
+        '1,1,24,24,24,24,56,56,42,42,42',
+        '[PASS] unique_involution: unique involution is z; b^((q+1)/2) = z '
+        '(z lies in the non-split torus chain); both torus midpoints '
+        'checked',
+        '[PASS] square_inverse_maps: g -> g^2 and g -> g^-1 agree '
+        'classwise for all 336 elements',
+        '[PASS] orthogonality: 11 rows and 11 columns orthogonal at '
+        'conductor 168',
+        '[PASS] degree_sum: sum deg^2 = 336, expected 336 (degrees '
+        '1,7,8,8,6,6,6,4,4,3,3)',
+        '[PASS] fs_indicators: closed = grouped = raw for all 11 '
+        'characters; 4 orthogonal, 3 quaternionic, 4 complex',
+        '[PASS] conjugation_trace: trace 7, expected 7; non-real rows '
+        "['eta_1', 'eta_2', 'xi_1', 'xi_2']",
+        '[PASS] real_table_rows: 9 real rows = 9 real classes',
+        '[PASS] fixed_dims: 116 distinct cyclic subgroups from 336 '
+        'generators (8 class profiles); every average integral, in range, '
+        'and equal to the closed form',
+        '[PASS] order_2q_subgroups: 48 elements of order 14, 8 subgroup '
+        'conjugates, all accounted for',
+        'overall: PASS',
+    ]),
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_TEXT))
+def test_report_text_is_byte_stable(q):
+    assert verify_all(q).to_text() == GOLDEN_TEXT[q]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_shared_subgroups_equal_the_full_expansion(q):
+    G = enumerate_group(q)
+    # check 11: every conjugate of <zc> and <zd>, with no de-duplication
+    full = set()
+    for r in (rep_zc(q), rep_zd(q)):
+        S = _cyclic_closure(r)
+        for h in G:
+            hinv = h.inverse()
+            full.add(frozenset(h * x * hinv for x in S))
+    assert _order_2q_conjugates(q, G) == full
+    # checks 3, 10 and 11: <g> as if walked from g itself, for every g
+    walks = []
+    seen = []
+    for g, i, walk in _cyclic_walks(G):
+        seen.append(g)
+        if walk is not None:
+            assert i == len(walks)
+            walks.append(frozenset(walk))
+        assert walks[i] == frozenset(_cyclic_closure(g))
+        assert len(walks[i]) == element_order(g)
+    assert seen == list(G)
+    assert len(walks) == len({frozenset(_cyclic_closure(g)) for g in G})
+
+
+def test_subgroup_walk_crash_fails_only_its_checks(monkeypatch):
+    import sl2q.verify as verify
+
+    def broken(G):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "_cyclic_walks", broken)
+    report = verify_all(3)
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["unique_involution", "fixed_dims", "order_2q_subgroups"]
+    assert all("crashed: RuntimeError('boom')" == c.details
+               for c in report.checks if not c.passed)
+    assert [c.name for c in report.checks] == CHECK_NAMES
+
+
+_COUNT_PRODUCTS = """
+from sl2q.grp import GroupElem
+from sl2q.verify import verify_all
+calls = 0
+product = GroupElem.__mul__
+def counted(g, h):
+    global calls
+    calls += 1
+    return product(g, h)
+GroupElem.__mul__ = counted
+assert verify_all(11).overall
+print(calls)
+"""
+
+
+def test_group_product_budget_of_verify():
+    # a count, not a timing: the group products verify_all(11) makes from
+    # cold caches, in a fresh interpreter (197,422 before the oracle
+    # stopped re-deriving orders and conjugate subgroups)
+    path = [str(Path(sl2q.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", _COUNT_PRODUCTS],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 110_000
