@@ -1,0 +1,146 @@
+"""North-star scale rows: the large CLI commands that perfbench does not run.
+
+Usage (from the repository root):
+  python3 benchmarks/bench_scale.py --label change [--src src]
+         [--out BENCH_6.json]
+
+Each command runs once, in a fresh child interpreter that imports sl2q
+from --src, with a wall-clock budget (BUDGET_S; the child is killed past
+it) and an address-space cap (CAP_MB, RLIMIT_AS in the child; the cap of
+a perfbench op).  Commands run one at a time.  Each row records:
+
+  argv         the CLI arguments
+  status       "ok" (exit 0), "timeout" (killed at the budget), "oom"
+               (exit 1 and MemoryError or "out of memory" on stderr),
+               "refused" (exit 1 with an "sl2q: error:" message) or
+               "error" (anything else)
+  exit         the child's exit code (null after a timeout)
+  wall_s       spawn to exit, interpreter start-up included
+  peak_rss_mb  the child's ru_maxrss, from wait4
+  stdout_bytes, stdout_sha256   so two trees' outputs can be compared
+  stderr_tail  the last stderr line, when there is one
+
+The rows go into --out under the key --label, next to the rows of other
+labels already there, so running the script once on a checkout of the
+parent commit (``--src <parent>/src --label parent``) and once on the
+change gives both sides in one file.  Only the standard library is used;
+the script is not a test and pytest does not collect it.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BUDGET_S = 120.0
+CAP_MB = 2048
+
+COMMANDS = [
+    ["verify", "23"],
+    ["verify", "47"],
+    ["char-table", "47"],
+    ["real-table", "47"],
+    ["fs", "37"],
+    ["fs", "53"],
+    ["char-table", "31", "--format", "csv"],
+    ["fixed-points", "1009"],
+]
+
+_CHILD = "import sys; from sl2q.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _cap(mb: int):
+    def limit():
+        cap = mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    return limit
+
+
+def run(argv: list[str], src: Path, budget: float, cap_mb: int) -> dict:
+    """One command in a capped child; its row."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", _CHILD, *argv],
+                                stdout=out, stderr=err, env=env,
+                                preexec_fn=_cap(cap_mb))
+        timed_out = False
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.perf_counter() - t0 > budget:
+                proc.kill()
+                pid, status, usage = os.wait4(proc.pid, 0)
+                timed_out = True
+                break
+            time.sleep(0.01)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+        out.seek(0)
+        stdout = out.read()
+        err.seek(0)
+        stderr = err.read().decode(errors="replace")
+    code = None if timed_out else proc.returncode
+    if timed_out:
+        state = "timeout"
+    elif code == 0:
+        state = "ok"
+    elif code == 1 and ("MemoryError" in stderr or "out of memory" in stderr):
+        state = "oom"
+    elif code == 1 and "sl2q: error:" in stderr:
+        state = "refused"
+    else:
+        state = "error"
+    lines = stderr.strip().splitlines()
+    return {
+        "argv": argv,
+        "status": state,
+        "exit": code,
+        "wall_s": round(wall, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+        "stdout_bytes": len(stdout),
+        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+        "stderr_tail": lines[-1] if lines else None,
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True,
+                    help="key of this run's rows in the output file")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="directory holding the sl2q package to run")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
+    args = ap.parse_args()
+
+    rows = []
+    for argv in COMMANDS:
+        row = run(argv, args.src.resolve(), BUDGET_S, CAP_MB)
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "budget_s": BUDGET_S,
+        "cap_mb": CAP_MB,
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

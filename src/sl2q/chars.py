@@ -6,10 +6,17 @@ q, principal-series chi_i of degree q+1, discrete-series theta_j of
 degree q-1, and the four half-degree characters xi_1, xi_2 (degree
 (q+1)/2) and eta_1, eta_2 (degree (q-1)/2).
 
-Every value is an exact CycNum embedded in the working conductor
-N = lcm(q, q-1, q+1).  The zc/zd columns follow from the central
-character of z: chi(zc) = chi(z)/chi(1) * chi(c), and chi(z)/chi(1) is
-always +-1.
+Every value is an exact CycNum kept at its natural conductor: 1 for a
+rational, q-1 for chi_i on the a-classes, q+1 for theta_j on the
+b-classes, q for the Gauss-sum values of xi and eta (in
+Q(sqrt(eps*q)) inside Q(zeta_q)).  The table's ``conductor`` is the
+working conductor N = lcm(q, q-1, q+1) that holds them all; a value is
+embedded there only where JSON and the csv approximations read it
+(``CharTable.serial_value``), so the N * phi(N) reduction rows of
+Q(zeta_N) are built for those two formats alone.
+
+The zc/zd columns follow from the central character of z:
+chi(zc) = chi(z)/chi(1) * chi(c), and chi(z)/chi(1) is always +-1.
 
 The xi_1 / xi_2 (and eta_1 / eta_2) labels are a gauge: they swap under
 the other choice of square root of eps*q.  We pin the gauge by defining
@@ -206,7 +213,10 @@ def sym_latex(sym: tuple) -> str:
 class CharTable:
     """Exact character table: columns ClassLabel, rows character labels.
 
-    ``values`` maps (row, ClassLabel) to CycNum at the working conductor;
+    ``values`` maps (row, ClassLabel) to a CycNum at its natural
+    conductor, a divisor of ``conductor`` (every value of a table loaded
+    from JSON is at ``conductor`` itself); ``serial_value`` embeds it in
+    Q(zeta_conductor), where JSON and the csv approximations read it.
     ``symbolic`` carries the display cells (None on tables rebuilt from
     JSON; the exact values are the record).  The complex table has
     CharLabel rows and ``source`` None.  The real table (see
@@ -229,6 +239,10 @@ class CharTable:
 
     def value(self, char, label: ClassLabel) -> CycNum:
         return self.values[(char, label)]
+
+    def serial_value(self, char, label: ClassLabel) -> CycNum:
+        """The value embedded in Q(zeta_conductor), as JSON and csv write it."""
+        return self.value(char, label).promote(self.conductor)
 
     def degree(self, char) -> int:
         return self.value(char, ONE).as_integer()
@@ -270,7 +284,7 @@ class CharTable:
             ],
             "chars": [str(ch) for ch in self.chars],
             "values": {
-                str(ch): {str(lab): self.value(ch, lab).to_json()
+                str(ch): {str(lab): self.serial_value(ch, lab).to_json()
                           for lab in self.class_order}
                 for ch in self.chars
             },
@@ -334,27 +348,27 @@ def complex_table(q: int) -> CharTable:
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     eps = 1 if q % 4 == 1 else -1
-    N = working_conductor(q)
     disc = eps * q
-    gauss = sqrt_eps_q(q).promote(N)
+    gauss = sqrt_eps_q(q)
     classes = representatives(q)
     a_range = range(1, (q - 3) // 2 + 1)
     b_range = range(1, (q - 1) // 2 + 1)
 
+    # each cell at its natural conductor: 1, r = q-1 or q+1, or q
     def rat_cell(v):
         v = Fraction(v)
-        return (rational(v, N), sym_rat(v))
+        return (rational(v), sym_rat(v))
 
     def nu_cell(r, s, coef=1):
-        val = (nu(r, s) * coef).promote(N)
+        val = nu(r, s) * coef
         rv = val.as_rational()
         if rv is not None:
-            return (val, sym_rat(rv))
+            return rat_cell(rv)
         return (val, ("nu", Fraction(coef), r, _fold_exponent(r, s)))
 
     def gauss_cell(a, b):
         a, b = Fraction(a), Fraction(b)
-        return (rational(a, N) + gauss * b, ("gauss", a, b, disc))
+        return (gauss * b + a, ("gauss", a, b, disc))
 
     rows: dict[CharLabel, dict[ClassLabel, tuple]] = {}
 
@@ -406,4 +420,5 @@ def complex_table(q: int) -> CharTable:
               for ch in chars for lab in class_labels(q)}
     symbolic = {(ch, lab): rows[ch][lab][1]
                 for ch in chars for lab in class_labels(q)}
-    return CharTable(q, eps, N, classes, chars, values, symbolic)
+    return CharTable(q, eps, working_conductor(q), classes, chars, values,
+                     symbolic)

@@ -13,8 +13,8 @@ Text and csv modes render cells in a small stable grammar:
     square roots  "(1+sqrt(5))/2", "-1+sqrt(-7)"  where the radicand
                   is eps*q = (-1)^((q-1)/2) * q
 
-Exit codes: 0 success (verify: all checks passed), 1 usage error,
-2 verification failure.
+Exit codes: 0 success (verify: all checks passed), 1 usage error (or,
+as a last resort, running out of memory), 2 verification failure.
 """
 from __future__ import annotations
 
@@ -193,7 +193,7 @@ def _cmd_table(table, fmt: str) -> int:
         rows = []
         for ch in table.chars:
             for lab in labels:
-                v = table.value(ch, lab).approx()
+                v = table.serial_value(ch, lab).approx()
                 rows.append([str(ch), str(lab),
                              sym_str(table.symbolic[(ch, lab)]),
                              f"{v.real:.9g}", f"{v.imag:.9g}"])
@@ -338,6 +338,11 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"sl2q: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # last resort: the stack is unwound by now, so printing fits
+        print(f"sl2q: error: out of memory in {args.command} {args.q}; "
+              f"try a smaller q", file=sys.stderr)
         return 1
 
 

@@ -33,8 +33,10 @@ __all__ = [
     "sqrt_eps_q", "working_conductor", "rational",
 ]
 
-# Conductor-keyed caches must hold every conductor one command touches:
-# 1, q-1, q, q+1 and N = lcm(q, q-1, q+1).
+# Conductor-keyed caches must hold every conductor one command touches.
+# Table values live at 1, q-1, q or q+1; verify's sums and products of two
+# of them reach q(q-1), q(q+1) and (q^2-1)/2; N = lcm(q, q-1, q+1) is
+# touched only when JSON or the csv approximations serialize a table.
 _CONDUCTOR_CACHE = 8
 
 

@@ -238,10 +238,10 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     ct = complex_table(q)
     labels = ct.class_order
     sizes = {cls.label: cls.size for cls in ct.classes}
-    # everything at the working conductor up front, so the products below
-    # never promote an operand per pair
-    val = {(ch, lab): ct.value(ch, lab).promote(ct.conductor)
-           for ch in ct.chars for lab in labels}
+    # each value at its natural conductor (1, q-1, q or q+1): a product or
+    # sum below embeds its operands only into the lcm of the two, at most
+    # q(q+1), never into the working conductor N
+    val = ct.values
     conj_val = {key: v.conjugate() for key, v in val.items()}
     conj_sized = {(ch, lab): conj_val[(ch, lab)] * sizes[lab]
                   for ch in ct.chars for lab in labels}

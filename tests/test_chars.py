@@ -6,7 +6,7 @@ import pytest
 from sl2q.chars import (Chi, ETA1, ETA2, PSI, TRIV, Theta, XI1, XI2, CharLabel,
                         CharTable, char_labels, complex_table,
                         parse_char_label, sym_latex, sym_str)
-from sl2q.cyclo import nu, rational, sqrt_eps_q
+from sl2q.cyclo import nu, rational, sqrt_eps_q, working_conductor
 from sl2q.grp import A, B, C, D, ONE, Z, ZC, ZD, rep_a, rep_c, rep_z
 from sl2q.realrep import parse_real_char_label, real_table
 
@@ -192,6 +192,13 @@ def test_json_round_trip():
     assert clone.symbolic is None
     assert clone.degree(PSI) == 5
     assert clone.value(ETA2, B(2)) == ct.value(ETA2, B(2))
+    # every cell is written at the table's conductor N, whatever the
+    # conductor it is stored at
+    for table in (ct, real_table(5)):
+        obj = table.to_json()
+        assert {cell["conductor"] for row in obj["values"].values()
+                for cell in row.values()} == {table.conductor}
+        assert CharTable.from_json(obj) == table
 
 
 def test_class_sum_is_the_inner_product_with_the_trivial_row():
@@ -207,3 +214,15 @@ def test_table_is_cached():
     # per-process caches stay bounded
     assert complex_table.cache_info().maxsize is not None
     assert real_table.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_values_stay_at_their_natural_conductor(q):
+    # only serialization embeds a value in Q(zeta_N), N = lcm(q, q-1, q+1)
+    natural = {1, q - 1, q, q + 1}
+    for table in (complex_table(q), real_table(q)):
+        assert table.conductor == working_conductor(q)
+        assert {v.conductor for v in table.values.values()} <= natural
+    # every rational cell of the complex table, nu values included, at 1
+    assert all(v.conductor == 1 for v in complex_table(q).values.values()
+               if v.as_rational() is not None)

@@ -196,3 +196,39 @@ def test_console_script_wiring():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "b^1" in proc.stdout
+
+
+_CAPPED = """
+import resource, sys
+cap = int(sys.argv[1]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from sl2q.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_capped(cap_mb: int, *argv):
+    """The CLI in a fresh interpreter whose address space is capped."""
+    path = [str(Path(sl2q.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", _CAPPED, str(cap_mb), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_out_of_memory_is_a_message_not_a_traceback():
+    # find_b's inverse table alone is 10^11 entries for this prime
+    proc = run_capped(256, "classes", "100000000003")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("sl2q: error: out of memory")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [("char-table", "47"), ("fs", "53")])
+def test_tables_past_the_enumeration_bound_fit_in_500_mb(argv):
+    # neither command builds the reduction rows of N = lcm(q, q-1, q+1):
+    # at q = 53 those alone would be 74,412 * 22,464 ints (1.7 G)
+    proc = run_capped(500, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("char")

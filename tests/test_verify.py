@@ -1,4 +1,5 @@
 """The self-verification suite on small q."""
+import json
 import os
 import subprocess
 import sys
@@ -176,13 +177,50 @@ print(calls)
 """
 
 
+def _run_fresh(program: str) -> str:
+    """stdout of ``program`` run in a fresh interpreter on this sl2q."""
+    path = [str(Path(sl2q.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", program],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_group_product_budget_of_verify():
     # a count, not a timing: the group products verify_all(11) makes from
     # cold caches, in a fresh interpreter (197,422 before the oracle
     # stopped re-deriving orders and conjugate subgroups)
-    path = [str(Path(sl2q.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", _COUNT_PRODUCTS],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 110_000
+    assert int(_run_fresh(_COUNT_PRODUCTS)) <= 110_000
+
+
+_RECORD_CONDUCTORS = """
+import json
+from sl2q import cyclo
+from sl2q.verify import verify_all
+seen = {}
+def recording(name):
+    cached = getattr(cyclo, name)
+    def wrapper(N):
+        seen.setdefault(name, set()).add(N)
+        return cached(N)
+    setattr(cyclo, name, wrapper)
+    return cached
+power_rows = recording("_power_rows")
+recording("_high_rows")
+assert verify_all(13).overall
+info = power_rows.cache_info()
+print(json.dumps({"keys": {k: sorted(v) for k, v in seen.items()},
+                  "misses": info.misses, "currsize": info.currsize}))
+"""
+
+
+def test_verify_works_below_the_working_conductor():
+    # every value stays at its natural conductor (1, q-1, q or q+1), so the
+    # reduction rows verify_all builds are those of the lcm of two of them,
+    # at most q(q+1) = 182 at q = 13, never N = 1092; no row set is evicted
+    got = json.loads(_run_fresh(_RECORD_CONDUCTORS))
+    assert set(got["keys"]) == {"_power_rows", "_high_rows"}
+    for keys in got["keys"].values():
+        assert max(keys) <= 13 * 14
+    assert got["misses"] == got["currsize"]
