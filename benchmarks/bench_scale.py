@@ -52,6 +52,8 @@ COMMANDS = [
     ["fs", "37"],
     ["fs", "53"],
     ["char-table", "31", "--format", "csv"],
+    ["char-table", "47", "--format", "csv"],
+    ["real-table", "23", "--format", "json"],
     ["fixed-points", "1009"],
 ]
 

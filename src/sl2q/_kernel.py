@@ -1,41 +1,58 @@
-"""Integer convolution reduced modulo a cyclotomic polynomial.
+"""Integer polynomials reduced modulo a cyclotomic polynomial.
 
-This is the hot loop of cyclotomic multiplication.  Coefficients are
-Python ints, so nothing overflows.
+This is the hot loop of cyclotomic arithmetic.  Coefficients are Python
+ints, so nothing overflows.
 
-    mul_reduce(xs, ys, high_rows) -> list[int]
+    reduce_mod(poly, moduli) -> list[int]
+    mul_reduce(xs, ys, moduli) -> list[int]
 
-xs, ys            coefficient vectors of length phi = deg(Phi_N)
-high_rows[j]      the vector of x^(phi+j) mod Phi_N, for j in 0..phi-2
+moduli    (mod, step) pairs, each the monic polynomial mod(x^step) with
+          mod given low degree first; each is a multiple of the next,
+          and the last is Phi_N
+poly      an integer vector of length at least phi = deg(Phi_N),
+          index = degree
+xs, ys    coefficient vectors of length phi
 
-Returns the length-phi vector of (xs * ys) mod Phi_N.
+reduce_mod returns poly mod Phi_N, and mul_reduce (xs * ys) mod Phi_N,
+each as a length-phi list: exact long division by each modulus in turn,
+over its nonzero terms.  A sparse multiple of Phi_N keeps the remainder
+and cuts the degree for a few operations per entry, so only the last
+entries pay for every term of Phi_N.
 """
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 # Kept for callers that record which kernel ran; there is only this one.
 IMPLEMENTATION = "pure"
 
 
+def reduce_mod(poly: list[int],
+               moduli: Sequence[tuple[Sequence[int], int]]) -> list[int]:
+    """poly mod the last of moduli, as a length-phi list (poly is reused)."""
+    for mod, step in moduli:
+        deg = len(mod) - 1
+        top = deg * step
+        # x^(step*deg) = -sum_t mod[t] x^(step*t), applied at every k >= top,
+        # top down; compress finds the few nonzero t in C
+        terms = [((t - deg) * step, -mod[t]) for t in compress(range(deg), mod)]
+        for k in range(len(poly) - 1, top - 1, -1):
+            c = poly[k]
+            if c:
+                for off, m in terms:
+                    poly[k + off] += c * m
+        del poly[top:]
+    return poly
+
+
 def mul_reduce(xs: Sequence[int], ys: Sequence[int],
-               high_rows: Sequence[Sequence[int]]) -> list[int]:
+               moduli: Sequence[tuple[Sequence[int], int]]) -> list[int]:
     phi = len(xs)
-    if phi == 1:
-        return [xs[0] * ys[0]]
     conv = [0] * (2 * phi - 1)
+    sparse_ys = [(j, yj) for j, yj in enumerate(ys) if yj]
     for i, xi in enumerate(xs):
         if xi:
-            for j, yj in enumerate(ys):
-                if yj:
-                    conv[i + j] += xi * yj
-    out = conv[:phi]
-    for k in range(phi, 2 * phi - 1):
-        ck = conv[k]
-        if ck:
-            row = high_rows[k - phi]
-            for t in range(phi):
-                rt = row[t]
-                if rt:
-                    out[t] += ck * rt
-    return out
+            for j, yj in sparse_ys:
+                conv[i + j] += xi * yj
+    return reduce_mod(conv, moduli)

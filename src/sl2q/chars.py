@@ -12,8 +12,8 @@ b-classes, q for the Gauss-sum values of xi and eta (in
 Q(sqrt(eps*q)) inside Q(zeta_q)).  The table's ``conductor`` is the
 working conductor N = lcm(q, q-1, q+1) that holds them all; a value is
 embedded there only where JSON and the csv approximations read it
-(``CharTable.serial_value``), so the N * phi(N) reduction rows of
-Q(zeta_N) are built for those two formats alone.
+(``CharTable.serial_value``), so arithmetic at degree phi(N) happens
+for those two formats alone.
 
 The zc/zd columns follow from the central character of z:
 chi(zc) = chi(z)/chi(1) * chi(c), and chi(z)/chi(1) is always +-1.

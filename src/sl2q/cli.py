@@ -97,10 +97,8 @@ def _csv_table(headers: list[str], rows: list[list], comment: str | None = None)
     return buf.getvalue().rstrip("\n")
 
 
-def _latex_table(headers: list[str], rows: list[list[str]],
-                 colspec: str | None = None) -> str:
-    if colspec is None:
-        colspec = "l" + "r" * (len(headers) - 1)
+def _latex_table(headers: list[str], rows: list[list[str]]) -> str:
+    colspec = "l" + "r" * (len(headers) - 1)
     lines = [f"\\begin{{tabular}}{{{colspec}}}", "\\hline"]
     lines.append(" & ".join(headers) + " \\\\")
     lines.append("\\hline")

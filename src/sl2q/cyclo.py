@@ -8,7 +8,10 @@ so two values at the same conductor are equal iff their numerator
 vectors and denominators are equal; mixed-conductor operands are
 embedded into the least common conductor automatically.  All arithmetic
 runs on Python ints; ``coeffs`` gives the rational coefficients on
-request.
+request.  There is one reduction, exact long division by the monic Phi_N
+after a few sparse multiples of it (``_moduli``, ``_kernel.reduce_mod``):
+a product reduces its convolution, and an embedding, a conjugate or a
+root of unity reduces its exponents scattered into one vector.
 
 Everything any character-table entry needs lives here: roots of unity,
 nu(r, s) = zeta_r^s + zeta_r^(-s), and the quadratic Gauss sum, which is
@@ -22,21 +25,22 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from math import gcd, lcm
 
 from .fq import FqElem, legendre_symbol
-from ._kernel import mul_reduce
+from ._kernel import mul_reduce, reduce_mod
 
 __all__ = [
     "CycNum", "cyclotomic_polynomial", "root_of_unity", "nu",
     "sqrt_eps_q", "working_conductor", "rational",
 ]
 
-# Conductor-keyed caches must hold every conductor one command touches.
-# Table values live at 1, q-1, q or q+1; verify's sums and products of two
-# of them reach q(q-1), q(q+1) and (q^2-1)/2; N = lcm(q, q-1, q+1) is
-# touched only when JSON or the csv approximations serialize a table.
+# Conductor-keyed caches (phi(N), and Phi_m for the squarefree m that
+# reduction uses, at most phi(m) + 1 ints an entry) should hold every key
+# one command touches, or products rebuild Phi_m.  Table values live at
+# 1, q-1, q or q+1; verify's sums and products of two of them reach
+# q(q-1), q(q+1) and (q^2-1)/2; N = lcm(q, q-1, q+1) is touched only when
+# JSON or the csv approximations serialize a table.
 _CONDUCTOR_CACHE = 8
 
 
@@ -105,46 +109,27 @@ def _phi(N: int) -> int:
     return out
 
 
-@lru_cache(maxsize=_CONDUCTOR_CACHE)
-def _power_rows(N: int) -> tuple[tuple[int, ...], ...]:
-    """x^k mod Phi_N for every k in 0..N-1, as integer vectors of length phi.
+def _moduli(N: int) -> list[tuple[tuple[int, ...], int]]:
+    """Phi_N for the kernel, after sparse multiples of it that divide faster.
 
-    Since Phi_N divides x^N - 1, x is an N-th root of unity in the quotient
-    ring, so every power of zeta_N is one of these rows.
+    For m | N, z^(N/m) has order m for every primitive N-th root of unity
+    z, so Phi_m(x^(N/m)) is a multiple of Phi_N, and at m = rad(N) it is
+    Phi_N.  m runs over p1, p1*p2, ..., rad(N), primes ascending: the
+    degree falls at each step, and Phi_m has few terms while m is small.
     """
-    phi_n = _phi(N)
-    mod = cyclotomic_polynomial(N)
-    rows = []
-    cur = [0] * phi_n
-    cur[0] = 1
-    for _ in range(N):
-        rows.append(tuple(cur))
-        top = cur.pop()
-        cur.insert(0, 0)
-        if top:
-            for t in range(phi_n):
-                cur[t] -= top * mod[t]
-    return tuple(rows)
+    out, m = [], 1
+    for p in _prime_factors(N):
+        m *= p
+        out.append((cyclotomic_polynomial(m), N // m))
+    return out or [(cyclotomic_polynomial(1), 1)]
 
 
-@lru_cache(maxsize=_CONDUCTOR_CACHE)
-def _high_rows(N: int) -> tuple[tuple[int, ...], ...]:
-    """Reduction rows for the kernel: x^(phi+j) mod Phi_N, j = 0..phi-2."""
-    phi_n = _phi(N)
-    rows = _power_rows(N)
-    return tuple(rows[(phi_n + j) % N] for j in range(phi_n - 1))
-
-
-def _row_sum(terms, rows, phi_n: int) -> list[int]:
-    """Sum of c * rows[k] over the (k, c) pairs, as a length-phi list."""
-    out = [0] * phi_n
-    positions = range(phi_n)
+def _from_powers(N: int, terms) -> list[int]:
+    """Sum of c * zeta_N^k over the (k, c) pairs (0 <= k < N), reduced."""
+    poly = [0] * N
     for k, c in terms:
-        row = rows[k]
-        # rows are mostly zeros; compress finds the nonzero entries in C
-        for t in compress(positions, row):
-            out[t] += c * row[t]
-    return out
+        poly[k] += c
+    return reduce_mod(poly, _moduli(N))
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +217,11 @@ class CycNum:
             return self
         if M % N:
             raise ValueError(f"{N} does not divide {M}")
-        phi_m = _phi(M)
         if self._is_rational():
-            return _raw(M, (self._num[0],) + (0,) * (phi_m - 1), self._den)
+            return _raw(M, (self._num[0],) + (0,) * (_phi(M) - 1), self._den)
         ratio = M // N
-        out = _row_sum(((j * ratio, c) for j, c in enumerate(self._num) if c),
-                       _power_rows(M), phi_m)
+        out = _from_powers(M, ((j * ratio, c)
+                               for j, c in enumerate(self._num) if c))
         return _make(M, out, self._den)
 
     def _common(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
@@ -294,7 +278,7 @@ class CycNum:
         if a._is_rational():
             return b._scale(a._num[0], a._den)
         N = a.conductor
-        out = mul_reduce(a._num, b._num, _high_rows(N))
+        out = mul_reduce(a._num, b._num, _moduli(N))
         return _make(N, out, a._den * b._den)
 
     __rmul__ = __mul__
@@ -331,8 +315,8 @@ class CycNum:
         if self._is_rational():
             return self
         N = self.conductor
-        out = _row_sum((((N - j) % N, c) for j, c in enumerate(self._num) if c),
-                       _power_rows(N), len(self._num))
+        out = _from_powers(N, (((N - j) % N, c)
+                               for j, c in enumerate(self._num) if c))
         return _make(N, out, self._den)
 
     def as_rational(self) -> Fraction | None:
@@ -428,7 +412,7 @@ def root_of_unity(N: int, k: int) -> CycNum:
     """
     if N < 1:
         raise ValueError("conductor must be positive")
-    return _raw(N, _power_rows(N)[k % N], 1)
+    return _raw(N, tuple(_from_powers(N, [(k % N, 1)])), 1)
 
 
 def nu(r: int, s: int) -> CycNum:

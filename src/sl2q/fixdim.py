@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 from .fq import is_odd_prime
 from .grp import (
-    ClassLabel, GroupElem, class_of, element_order, find_b, identity,
+    ClassLabel, GroupElem, class_of, find_b, identity,
     rep_a, rep_c, rep_z, rep_zc, DEFAULT_MAX_ENUM,
 )
 from .chars import CharTable
@@ -156,10 +156,11 @@ def subgroup(q: int, kind, index: int = 0) -> SubgroupDesc:
         g = rep_a(q) ** key.index
     else:
         g = find_b(q) ** key.index
-    order = element_order(g)
-    assert order == _closed_order(q, key)
-    elements = tuple(g ** k for k in range(order))
-    return SubgroupDesc(q, key, order, g, elements)
+    elements = [identity(q)]
+    while (h := elements[-1] * g) != elements[0]:
+        elements.append(h)
+    assert len(elements) == _closed_order(q, key)
+    return SubgroupDesc(q, key, len(elements), g, tuple(elements))
 
 
 def subgroup_key_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> SubgroupKey:

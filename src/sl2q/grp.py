@@ -319,7 +319,7 @@ def representatives(q: int) -> tuple[ConjClass, ...]:
 
 @lru_cache(maxsize=8)
 def _class_tables(q: int, max_enum: int):
-    """Trace lookups for the split/non-split families plus the orbit of c.
+    """Trace lookup for the split/non-split families plus the orbit of c.
 
     Non-central elements with trace != +-2 are pinned down by their trace
     alone (eigenvalue pairs are distinct across a- and b-classes); trace
@@ -327,17 +327,11 @@ def _class_tables(q: int, max_enum: int):
     invariant separates, so membership in the precomputed conjugation
     orbit of c decides.
     """
-    a = rep_a(q)
-    b = find_b(q)
-    trace_a = {}
-    for l in range(1, (q - 3) // 2 + 1):
-        trace_a[(a ** l).trace] = l
-    trace_b = {}
-    for m in range(1, (q - 1) // 2 + 1):
-        trace_b[(b ** m).trace] = m
+    trace_label = {cls.representative.trace: cls.label
+                   for cls in representatives(q) if cls.label.kind in ("a", "b")}
     cg = rep_c(q)
     orbit_c = frozenset(cg.conjugate_by(h) for h in enumerate_group(q, max_enum))
-    return trace_a, trace_b, orbit_c
+    return trace_label, orbit_c
 
 
 def class_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> ClassLabel:
@@ -348,17 +342,14 @@ def class_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> ClassLabel:
             return ONE
         if g.a == q - 1:
             return Z
-    trace_a, trace_b, orbit_c = _class_tables(q, max_enum)
+    trace_label, orbit_c = _class_tables(q, max_enum)
     t = g.trace
     if t == 2:
         return C if g in orbit_c else D
     if t == q - 2:
         return ZC if (rep_z(q) * g) in orbit_c else ZD
-    if t in trace_a:
-        label = A(trace_a[t])
-    elif t in trace_b:
-        label = B(trace_b[t])
-    else:  # every non-central trace belongs to exactly one family
+    label = trace_label.get(t)
+    if label is None:  # every non-central trace belongs to exactly one family
         raise AssertionError(f"unclassifiable trace {t} mod {q}")
     # consistency: split classes have square discriminant, non-split don't
     disc = (t * t - 4) % q

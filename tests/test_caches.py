@@ -16,4 +16,4 @@ def test_every_lru_cache_is_bounded():
                 found.append(f"{name}.{attr}")
                 assert obj.cache_parameters()["maxsize"] is not None, found[-1]
     # the scan sees the caches it is meant to police
-    assert "sl2q.cyclo._power_rows" in found and "sl2q.fq.is_odd_prime" in found
+    assert "sl2q.cyclo.cyclotomic_polynomial" in found and "sl2q.fq.is_odd_prime" in found

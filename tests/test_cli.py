@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, JSON round-trips."""
 import csv
+import hashlib
 import io
 import json
 import os
@@ -227,8 +228,18 @@ def test_out_of_memory_is_a_message_not_a_traceback():
 
 @pytest.mark.parametrize("argv", [("char-table", "47"), ("fs", "53")])
 def test_tables_past_the_enumeration_bound_fit_in_500_mb(argv):
-    # neither command builds the reduction rows of N = lcm(q, q-1, q+1):
-    # at q = 53 those alone would be 74,412 * 22,464 ints (1.7 G)
+    # neither command promotes a value to N = lcm(q, q-1, q+1) = 74,412
+    # at q = 53, where phi(N) = 22,464
     proc = run_capped(500, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("char")
+
+
+def test_csv_table_at_the_working_conductor_fits_in_256_mb():
+    # csv promotes every cell to N = 14,880 for its approx columns, which
+    # must not cost memory in proportion to N * phi(N) (57 M ints); the
+    # digest was written by the code that kept such a table
+    proc = run_capped(256, "char-table", "31", "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "0599c1a43db3f4fd6819434ab8ee866d9ab9906e139d991cd9a4008fef77bbd2")

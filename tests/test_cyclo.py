@@ -14,7 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sl2q._kernel import mul_reduce
-from sl2q.cyclo import (CycNum, _high_rows, _phi, _power_rows, cyclotomic_polynomial,
+from sl2q.cyclo import (CycNum, _moduli, _phi, cyclotomic_polynomial,
                         nu, rational, root_of_unity, sqrt_eps_q,
                         working_conductor)
 
@@ -100,16 +100,46 @@ def test_geometric_sum_vanishes(n):
 def test_kernel_reduction_is_correct():
     # zeta_12^6 = -1: square the basis vector for zeta_12^3
     xs = [0, 0, 0, 1]
-    assert mul_reduce(xs, xs, _high_rows(12)) == [-1, 0, 0, 0]
+    assert mul_reduce(xs, xs, [(cyclotomic_polynomial(12), 1)]) == [-1, 0, 0, 0]
     z = root_of_unity(1092, 1)
     assert z ** 1092 == 1
+
+
+def _power_rows(N):
+    """x^k mod Phi_N for k in 0..N-1, each row from the last by one shift
+    and at most one subtraction of Phi_N."""
+    mod = cyclotomic_polynomial(N)
+    phi = len(mod) - 1
+    rows, cur = [], [1] + [0] * (phi - 1)
+    for _ in range(N):
+        rows.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        cur = [c - top * m for c, m in zip(cur, mod)]
+    return rows
+
+
+def test_moduli_are_multiples_of_phi_n_ending_in_it():
+    # cyclo reduces by each (mod, step), the polynomial mod(x^step), in
+    # turn: each must be a multiple of Phi_N (zero remainder under plain
+    # long division), and the last, of degree phi(N), is Phi_N itself
+    for N in list(range(1, 200)) + [1092, 3420, 12180]:
+        moduli = _moduli(N)
+        for mod, step in moduli:
+            poly = [0] * ((len(mod) - 1) * step + 1)
+            for t, c in enumerate(mod):
+                poly[t * step] = c
+            assert not any(_reduce(poly, N)), (N, step)
+        mod, step = moduli[-1]
+        assert (len(mod) - 1) * step == _phi(N)
 
 
 @pytest.mark.parametrize("N", [1, 12, 60, 1092])
 @pytest.mark.parametrize("magnitude", [50, 10 ** 30])
 def test_kernel_matches_power_row_sum(N, magnitude):
     # reference: zeta^i * zeta^j = zeta^((i+j) mod N), read off the power
-    # rows, so it shares no code with the kernel's high-row reduction
+    # rows, so it shares no code with the kernel's long division; the
+    # kernel runs with Phi_N alone and with the moduli cyclo passes it
     rows = _power_rows(N)
     phi = len(rows[0])
     rng = random.Random(N)
@@ -125,7 +155,8 @@ def test_kernel_matches_power_row_sum(N, magnitude):
             if c:
                 for t, r in enumerate(rows[k]):
                     expected[t] += c * r
-        assert mul_reduce(xs, ys, _high_rows(N)) == expected
+        assert mul_reduce(xs, ys, [(cyclotomic_polynomial(N), 1)]) == expected
+        assert mul_reduce(xs, ys, _moduli(N)) == expected
 
 
 def test_root_of_unity_basics():

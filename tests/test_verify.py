@@ -198,29 +198,28 @@ _RECORD_CONDUCTORS = """
 import json
 from sl2q import cyclo
 from sl2q.verify import verify_all
-seen = {}
-def recording(name):
-    cached = getattr(cyclo, name)
-    def wrapper(N):
-        seen.setdefault(name, set()).add(N)
-        return cached(N)
-    setattr(cyclo, name, wrapper)
-    return cached
-power_rows = recording("_power_rows")
-recording("_high_rows")
+conductors, keys = set(), set()
+moduli, phi_m = cyclo._moduli, cyclo.cyclotomic_polynomial
+def record_conductor(N):
+    conductors.add(N)
+    return moduli(N)
+def record_key(m):
+    keys.add(m)
+    return phi_m(m)
+cyclo._moduli, cyclo.cyclotomic_polynomial = record_conductor, record_key
 assert verify_all(13).overall
-info = power_rows.cache_info()
-print(json.dumps({"keys": {k: sorted(v) for k, v in seen.items()},
+info = phi_m.cache_info()
+print(json.dumps({"conductors": sorted(conductors), "keys": sorted(keys),
                   "misses": info.misses, "currsize": info.currsize}))
 """
 
 
 def test_verify_works_below_the_working_conductor():
-    # every value stays at its natural conductor (1, q-1, q or q+1), so the
-    # reduction rows verify_all builds are those of the lcm of two of them,
-    # at most q(q+1) = 182 at q = 13, never N = 1092; no row set is evicted
+    # every value stays at its natural conductor (1, q-1, q or q+1), so
+    # verify_all reduces only at the lcm of two of them, at most
+    # q(q+1) = 182 at q = 13, never at N = 1092; the cyclotomic
+    # polynomials those reductions divide by are built once each
     got = json.loads(_run_fresh(_RECORD_CONDUCTORS))
-    assert set(got["keys"]) == {"_power_rows", "_high_rows"}
-    for keys in got["keys"].values():
-        assert max(keys) <= 13 * 14
+    assert max(got["conductors"]) <= 13 * 14
+    assert max(got["keys"]) <= 13 * 14
     assert got["misses"] == got["currsize"]
