@@ -46,6 +46,7 @@ CAP_MB = 2048
 
 COMMANDS = [
     ["verify", "23"],
+    ["verify", "31"],
     ["verify", "47"],
     ["char-table", "47"],
     ["real-table", "47"],

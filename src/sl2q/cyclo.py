@@ -109,6 +109,12 @@ def _phi(N: int) -> int:
     return out
 
 
+@lru_cache(maxsize=_CONDUCTOR_CACHE)
+def _roots(N: int) -> tuple[complex, ...]:
+    """exp(2 pi i k / N) as floats for k < phi(N), for ``CycNum.approx``."""
+    return tuple(cmath.exp(2j * cmath.pi * k / N) for k in range(_phi(N)))
+
+
 def _moduli(N: int) -> list[tuple[tuple[int, ...], int]]:
     """Phi_N for the kernel, after sparse multiples of it that divide faster.
 
@@ -333,8 +339,8 @@ class CycNum:
 
     def approx(self) -> complex:
         """Floating shadow; advisory only, never used for decisions."""
-        N, den = self.conductor, self._den
-        return sum((complex(x / den) * cmath.exp(2j * cmath.pi * k / N)
+        roots, den = _roots(self.conductor), self._den
+        return sum((complex(x / den) * roots[k]
                     for k, x in enumerate(self._num) if x), 0j)
 
     # -- comparisons ------------------------------------------------------

@@ -258,9 +258,8 @@ def _lex_tuples(q: int):
                     yield (a, b, c, (1 + b * c) * inv_a % q)
 
 
-@lru_cache(maxsize=8)
-def enumerate_group(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tuple[GroupElem, ...]:
-    """Every element of SL2(q), exactly once, in a fixed deterministic order."""
+def _check_enumerable(q: int, max_enum: int) -> None:
+    """Raise ValueError unless q is an odd prime within the enumeration bound."""
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     if q > max_enum:
@@ -268,7 +267,53 @@ def enumerate_group(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tuple[GroupElem
             f"q={q} exceeds the enumeration bound {max_enum}; "
             f"raise it explicitly if you really want the full group "
             f"({q ** 3 - q} elements)")
+
+
+@lru_cache(maxsize=8)
+def enumerate_group(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tuple[GroupElem, ...]:
+    """Every element of SL2(q), exactly once, in a fixed deterministic order."""
+    _check_enumerable(q, max_enum)
     return tuple(GroupElem(q, *t) for t in _lex_tuples(q))
+
+
+def _generators(q: int) -> tuple[GroupElem, GroupElem]:
+    """s = [[1,1],[0,1]] and t = [[1,0],[1,1]], which generate SL2(q).
+
+    SL2(Z) is generated by these two matrices and reduction mod q maps it
+    onto SL2(q); the verification suite confirms it by closure.
+    """
+    return GroupElem(q, 1, 1, 0, 1), GroupElem(q, 1, 0, 1, 1)
+
+
+def _orbit(x: GroupElem, moves) -> frozenset:
+    """The closure of {x} under the maps in moves, breadth first.
+
+    Each element met is passed through every map exactly once (the
+    standard orbit algorithm).  In a finite group, closure under a map
+    built from the generators is closure under the group they generate.
+    """
+    orbit = {x}
+    queue = [x]
+    for y in queue:   # the loop also reaches what is appended meanwhile
+        for move in moves:
+            z = move(y)
+            if z not in orbit:
+                orbit.add(z)
+                queue.append(z)
+    return frozenset(orbit)
+
+
+def _conjugation_orbit(x: GroupElem) -> frozenset:
+    """The conjugacy class of x: its orbit under conjugation by s and t,
+    four group products per member."""
+    return _orbit(x, [lambda y, g=g, ginv=g.inverse(): g * y * ginv
+                      for g in _generators(x.q)])
+
+
+def _generated_group(q: int) -> frozenset:
+    """The subgroup generated by s and t: the orbit of 1 under right
+    multiplication by each, two group products per element."""
+    return _orbit(identity(q), [lambda y, g=g: y * g for g in _generators(q)])
 
 
 @lru_cache(maxsize=8)
@@ -324,14 +369,14 @@ def _class_tables(q: int, max_enum: int):
     Non-central elements with trace != +-2 are pinned down by their trace
     alone (eigenvalue pairs are distinct across a- and b-classes); trace
     +-2 splits into two classes of equal size which no polynomial
-    invariant separates, so membership in the precomputed conjugation
-    orbit of c decides.
+    invariant separates, so membership in the conjugation orbit of c,
+    computed once under the two generators (about 2(q^2-1) products),
+    decides.
     """
+    _check_enumerable(q, max_enum)
     trace_label = {cls.representative.trace: cls.label
                    for cls in representatives(q) if cls.label.kind in ("a", "b")}
-    cg = rep_c(q)
-    orbit_c = frozenset(cg.conjugate_by(h) for h in enumerate_group(q, max_enum))
-    return trace_label, orbit_c
+    return trace_label, _conjugation_orbit(rep_c(q))
 
 
 def class_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> ClassLabel:
@@ -359,14 +404,15 @@ def class_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> ClassLabel:
 
 @lru_cache(maxsize=8)
 def conjugacy_partition(q: int, max_enum: int = DEFAULT_MAX_ENUM):
-    """Orbit partition {label: frozenset of elements} by direct expansion."""
-    G = enumerate_group(q, max_enum)
-    pairs = [(h, h.inverse()) for h in G]
-    out = {}
-    for cls in representatives(q):
-        rep = cls.representative
-        out[cls.label] = frozenset(h * rep * hinv for h, hinv in pairs)
-    return out
+    """Orbit partition {label: frozenset of elements}.
+
+    Each class is the orbit of its representative under conjugation by
+    the generators s and t, about 4(q^3-q) products in all; G itself is
+    never built here.
+    """
+    _check_enumerable(q, max_enum)
+    return {cls.label: _conjugation_orbit(cls.representative)
+            for cls in representatives(q)}
 
 
 @lru_cache(maxsize=8)

@@ -6,8 +6,14 @@ crash-isolated: a failure (or an exception) is recorded and the rest of
 the suite still runs.  Checks 3 and 11 share the order of every element,
 computed once, on first use, by the same walk of the cyclic subgroups
 that check 10 makes; if that raises, each check that asks for it fails
-on its own.  The raw Frobenius-Schur sum in check 7 deliberately walks
-all q^3-q elements through the orbit partition rather than trusting the
+on its own.
+
+The orbit partition takes each class as the orbit of its representative
+under conjugation by the two generators s = [[1,1],[0,1]] and
+t = [[1,0],[1,1]]; check 2 confirms that s and t generate the enumerated
+group, and that the orbits are disjoint, cover it and have the
+closed-form sizes.  The raw Frobenius-Schur sum in check 7 deliberately
+walks all q^3-q elements through that partition rather than trusting the
 fast classifier; it is the ground-truth layer under the two closed
 computations.
 """
@@ -20,9 +26,9 @@ from math import gcd
 from .chars import CharLabel, ETA1, ETA2, XI1, XI2, complex_table
 from .fixdim import fixed_dim_closed, subgroup_key_of
 from .grp import (
-    class_label_lookup, class_labels, conjugacy_partition, element_order,
-    enumerate_group, find_b, rep_a, rep_z, rep_zc, rep_zd,
-    representatives, DEFAULT_MAX_ENUM,
+    ZC, ZD, _generated_group, class_label_lookup, class_labels,
+    conjugacy_partition, element_order, enumerate_group, find_b, rep_a,
+    rep_z, representatives, DEFAULT_MAX_ENUM,
 )
 from .realrep import (
     fs_indicator_brute, fs_indicator_closed, fs_indicator_raw,
@@ -115,19 +121,19 @@ def _cyclic_walks(G):
         count += 1
 
 
-def _order_2q_conjugates(q: int, G) -> set:
+def _order_2q_conjugates(part: dict) -> set:
     """The distinct subgroups h<r>h^-1 for r in {zc, zd} and h in G.
 
-    h<r>h^-1 = <h r h^-1>, and an element of order 2q that lies in a
-    cyclic subgroup of order 2q generates it, so a conjugate x = h r h^-1
+    h<r>h^-1 = <h r h^-1>, so these are the subgroups <x> for x in the
+    orbits of zc and zd in the partition ``part``.  An element of order
+    2q that lies in a cyclic subgroup of order 2q generates it, so an x
     inside a subgroup already found adds nothing; only the first x of
     each subgroup is walked.
     """
     target = set()
     covered = set()
-    for r in (rep_zc(q), rep_zd(q)):
-        for h in G:
-            x = h * r * h.inverse()
+    for label in (ZC, ZD):
+        for x in part[label]:
             if x not in covered:
                 S = frozenset(_cyclic_closure(x))
                 target.add(S)
@@ -173,11 +179,15 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         return ok, f"|SL2({q})| = {n}, expected {order}, distinct {ndist}"
     run("group_order", check_group_order)
 
-    # (2) conjugacy partition: q+4 classes, expected sizes and orders
+    # (2) conjugacy partition: q+4 classes, expected sizes and orders.
+    # The orbits are taken under the generators s and t only, so their
+    # closure must be all of G for the orbits to be the classes.
     def check_partition():
         part = conjugacy_partition(q, max_enum)
         reps = representatives(q)
         bad = []
+        if _generated_group(q) != set(G):
+            bad.append("s and t do not generate the enumerated group")
         if set(part) != set(class_labels(q)):
             bad.append("label set mismatch")
         if len(part) != q + 4:
@@ -414,7 +424,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     # (11) order-2q subgroups are conjugates of <zc> or <zd>
     def check_order_2q():
-        target = _order_2q_conjugates(q, G)
+        target = _order_2q_conjugates(conjugacy_partition(q, max_enum))
         n = 0
         bad = []
         for g, order_g in zip(G, element_orders()):

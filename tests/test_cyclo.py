@@ -4,6 +4,7 @@ The ring axioms run as hypothesis properties over random small operands;
 the named identities (vanishing geometric sums, nu symmetries, Gauss
 sums) pin down the values the character tables are built from.
 """
+import cmath
 import json
 import random
 from fractions import Fraction
@@ -380,6 +381,34 @@ def test_coeffs_are_memoized_fractions():
     # nu(12, 1) = sqrt(3) = 2*zeta_12 - zeta_12^3
     assert x.coeffs == (Fraction(2), Fraction(2, 3), Fraction(0), Fraction(-1, 3))
     assert x.coeffs is x.coeffs
+
+
+def _approx_reference(x):
+    """One cmath.exp per nonzero coefficient, summed in index order."""
+    N, den = x.conductor, x._den
+    return sum((complex(n / den) * cmath.exp(2j * cmath.pi * k / N)
+                for k, n in enumerate(x._num) if n), 0j)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(cyc_numbers())
+def test_approx_is_bit_identical_to_one_exp_per_coefficient(x):
+    assert _bits(x.approx()) == _bits(_approx_reference(x))
+
+
+def test_approx_from_cached_roots_at_a_working_conductor():
+    # N = 1092 at q = 13, where the csv approx columns read it
+    rng = random.Random(8)
+    N = 1092
+    for _ in range(20):
+        x = CycNum(N, [Fraction(rng.randint(-50, 50), rng.choice([1, 2, 7]))
+                       for _ in range(_phi(N))])
+        assert _bits(x.approx()) == _bits(_approx_reference(x))
 
 
 @pytest.mark.parametrize("value,text", [

@@ -1,11 +1,11 @@
 """SL2(q): elements, conjugacy classes, and the class-label machinery."""
 import pytest
 
-from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, GroupElem, class_label_lookup,
-                      class_labels, class_of, conjugacy_partition,
-                      element_order, enumerate_group, find_b, identity,
-                      parse_class_label, rep_a, rep_c, rep_d, rep_z, rep_zc,
-                      rep_zd, representatives)
+from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, GroupElem, _generated_group,
+                      class_label_lookup, class_labels, class_of,
+                      conjugacy_partition, element_order, enumerate_group,
+                      find_b, identity, parse_class_label, rep_a, rep_c, rep_d,
+                      rep_z, rep_zc, rep_zd, representatives)
 
 Q_SMALL = [3, 5, 7, 11, 13]
 
@@ -141,6 +141,39 @@ def test_partition_agrees_with_closed_sizes(q):
         assert seen.isdisjoint(members)
         seen.update(members)
     assert len(seen) == q ** 3 - q
+
+
+@pytest.mark.parametrize("q", Q_SMALL)
+def test_orbit_partition_equals_the_direct_expansion(q):
+    # the reference: each class as h rep h^-1 for every h in G
+    G = enumerate_group(q)
+    direct = {cls.label: frozenset(h * cls.representative * h.inverse()
+                                   for h in G)
+              for cls in representatives(q)}
+    assert conjugacy_partition(q) == direct
+
+
+@pytest.mark.parametrize("q", Q_SMALL)
+def test_s_and_t_generate_the_group(q):
+    assert _generated_group(q) == set(enumerate_group(q))
+
+
+def test_partition_and_class_of_keep_the_enumeration_bound():
+    messages = []
+    for call in (lambda: enumerate_group(53),
+                 lambda: conjugacy_partition(53),
+                 lambda: class_of(GroupElem(53, 1, 1, 0, 1))):
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == [messages[0]] * 3
+    assert messages[0] == ("q=53 exceeds the enumeration bound 50; raise it "
+                           "explicitly if you really want the full group "
+                           "(148824 elements)")
+    with pytest.raises(ValueError):
+        conjugacy_partition(7, max_enum=5)
+    with pytest.raises(ValueError):
+        conjugacy_partition(9)
 
 
 def test_class_of_central_elements():

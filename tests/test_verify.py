@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import sl2q
-from sl2q.grp import element_order, enumerate_group, rep_zc, rep_zd
+from sl2q.grp import (conjugacy_partition, element_order, enumerate_group,
+                      rep_zc, rep_zd)
 from sl2q.verify import (VerificationReport, _cyclic_closure, _cyclic_walks,
                          _order_2q_conjugates, verify_all)
 
@@ -132,7 +133,7 @@ def test_shared_subgroups_equal_the_full_expansion(q):
         for h in G:
             hinv = h.inverse()
             full.add(frozenset(h * x * hinv for x in S))
-    assert _order_2q_conjugates(q, G) == full
+    assert _order_2q_conjugates(conjugacy_partition(q)) == full
     # checks 3, 10 and 11: <g> as if walked from g itself, for every g
     walks = []
     seen = []
@@ -162,9 +163,11 @@ def test_subgroup_walk_crash_fails_only_its_checks(monkeypatch):
     assert [c.name for c in report.checks] == CHECK_NAMES
 
 
-_COUNT_PRODUCTS = """
+_COUNT_PRODUCTS_OF = """
+from sl2q import grp
 from sl2q.grp import GroupElem
 from sl2q.verify import verify_all
+{setup}
 calls = 0
 product = GroupElem.__mul__
 def counted(g, h):
@@ -172,9 +175,11 @@ def counted(g, h):
     calls += 1
     return product(g, h)
 GroupElem.__mul__ = counted
-assert verify_all(11).overall
+{work}
 print(calls)
 """
+_COUNT_PRODUCTS = _COUNT_PRODUCTS_OF.format(
+    setup="", work="assert verify_all(11).overall")
 
 
 def _run_fresh(program: str) -> str:
@@ -192,6 +197,58 @@ def test_group_product_budget_of_verify():
     # cold caches, in a fresh interpreter (197,422 before the oracle
     # stopped re-deriving orders and conjugate subgroups)
     assert int(_run_fresh(_COUNT_PRODUCTS)) <= 110_000
+
+
+def test_group_product_budget_of_conjugacy_partition():
+    # the orbits under conjugation by the two generators cost about
+    # 4(q^3-q) = 5,280 products at q = 11 (39,675 when every class was
+    # expanded by conjugating with all of G)
+    program = _COUNT_PRODUCTS_OF.format(
+        setup="", work="assert len(grp.conjugacy_partition(11)) == 15")
+    assert int(_run_fresh(program)) <= 6_000
+
+
+def test_group_product_budget_of_class_of_at_trace_two():
+    # deciding c against d builds the orbit of c, about 2(q^2-1) products
+    q = 13
+    program = _COUNT_PRODUCTS_OF.format(
+        setup=f"grp.representatives({q})",
+        work=f"assert grp.class_of(GroupElem({q}, 1, 1, 0, 1)) == grp.C")
+    assert int(_run_fresh(program)) <= 2 * (q * q - 1) + 50
+
+
+_S_ONLY_ORBITS = """
+import json
+from sl2q import grp
+from sl2q.verify import verify_all
+def s_only(x):
+    s = grp._generators(x.q)[0]
+    return grp._orbit(x, [lambda y: s * y * s.inverse()])
+grp._conjugation_orbit = s_only
+report = verify_all(7)
+print(json.dumps([[c.name, c.passed] for c in report.checks]))
+"""
+
+
+def test_partition_from_one_generator_fails_class_partition():
+    # conjugating by s alone gives orbits too small to be the classes;
+    # check 2 must catch it and the rest of the suite must still run
+    got = json.loads(_run_fresh(_S_ONLY_ORBITS))
+    assert [name for name, _ in got] == CHECK_NAMES
+    failed = [name for name, ok in got if not ok]
+    assert failed == ["class_partition", "square_inverse_maps",
+                      "fs_indicators", "fixed_dims", "order_2q_subgroups"]
+
+
+def test_partition_check_needs_s_and_t_to_generate_the_group(monkeypatch):
+    import sl2q.verify as verify
+
+    monkeypatch.setattr(verify, "_generated_group",
+                        lambda q: {verify.rep_z(q)})
+    report = verify_all(3)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["class_partition"]
+    assert failed[0].details == "s and t do not generate the enumerated group"
 
 
 _RECORD_CONDUCTORS = """
