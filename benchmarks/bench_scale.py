@@ -1,8 +1,8 @@
 """North-star scale rows: the large CLI commands that perfbench does not run.
 
 Usage (from the repository root):
-  python3 benchmarks/bench_scale.py --label change [--src src]
-         [--out BENCH_6.json]
+  python3 benchmarks/bench_scale.py --label change --out BENCH_<n>.json
+         [--src src]
 
 Each command runs once, in a fresh child interpreter that imports sl2q
 from --src, with a wall-clock budget (BUDGET_S; the child is killed past
@@ -18,6 +18,7 @@ a perfbench op).  Commands run one at a time.  Each row records:
   wall_s       spawn to exit, interpreter start-up included
   peak_rss_mb  the child's ru_maxrss, from wait4
   stdout_bytes, stdout_sha256   so two trees' outputs can be compared
+               (hashed in chunks: the JSON of char-table 47 is 632 MB)
   stderr_tail  the last stderr line, when there is one
 
 The rows go into --out under the key --label, next to the rows of other
@@ -43,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET_S = 120.0
 CAP_MB = 2048
+_CHUNK = 1 << 20   # stdout is hashed this many bytes at a time
 
 COMMANDS = [
     ["verify", "23"],
@@ -55,7 +57,10 @@ COMMANDS = [
     ["char-table", "31", "--format", "csv"],
     ["char-table", "47", "--format", "csv"],
     ["real-table", "23", "--format", "json"],
+    ["char-table", "31", "--format", "json"],
+    ["char-table", "47", "--format", "json"],
     ["fixed-points", "1009"],
+    ["fixed-points", "1009", "--format", "json"],
 ]
 
 _CHILD = "import sys; from sl2q.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -90,7 +95,10 @@ def run(argv: list[str], src: Path, budget: float, cap_mb: int) -> dict:
         wall = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
         out.seek(0)
-        stdout = out.read()
+        digest, stdout_bytes = hashlib.sha256(), 0
+        while chunk := out.read(_CHUNK):
+            digest.update(chunk)
+            stdout_bytes += len(chunk)
         err.seek(0)
         stderr = err.read().decode(errors="replace")
     code = None if timed_out else proc.returncode
@@ -111,8 +119,8 @@ def run(argv: list[str], src: Path, budget: float, cap_mb: int) -> dict:
         "exit": code,
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-        "stdout_bytes": len(stdout),
-        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+        "stdout_bytes": stdout_bytes,
+        "stdout_sha256": digest.hexdigest(),
         "stderr_tail": lines[-1] if lines else None,
     }
 
@@ -123,7 +131,8 @@ def main() -> int:
                     help="key of this run's rows in the output file")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory holding the sl2q package to run")
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
+    ap.add_argument("--out", type=Path, required=True,
+                    help="JSON file that receives the rows, e.g. BENCH_9.json")
     args = ap.parse_args()
 
     rows = []

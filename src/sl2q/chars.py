@@ -12,8 +12,8 @@ b-classes, q for the Gauss-sum values of xi and eta (in
 Q(sqrt(eps*q)) inside Q(zeta_q)).  The table's ``conductor`` is the
 working conductor N = lcm(q, q-1, q+1) that holds them all; a value is
 embedded there only where JSON and the csv approximations read it
-(``CharTable.serial_value``), so arithmetic at degree phi(N) happens
-for those two formats alone.
+(``CharTable.serial_map``, once per distinct value), so arithmetic at
+degree phi(N) happens for those two formats alone.
 
 The zc/zd columns follow from the central character of z:
 chi(zc) = chi(z)/chi(1) * chi(c), and chi(z)/chi(1) is always +-1.
@@ -215,8 +215,9 @@ class CharTable:
 
     ``values`` maps (row, ClassLabel) to a CycNum at its natural
     conductor, a divisor of ``conductor`` (every value of a table loaded
-    from JSON is at ``conductor`` itself); ``serial_value`` embeds it in
-    Q(zeta_conductor), where JSON and the csv approximations read it.
+    from JSON is at ``conductor`` itself); ``serial_map`` embeds each
+    distinct value in Q(zeta_conductor), where JSON and the csv
+    approximations read it.
     ``symbolic`` carries the display cells (None on tables rebuilt from
     JSON; the exact values are the record).  The complex table has
     CharLabel rows and ``source`` None.  The real table (see
@@ -240,9 +241,22 @@ class CharTable:
     def value(self, char, label: ClassLabel) -> CycNum:
         return self.values[(char, label)]
 
-    def serial_value(self, char, label: ClassLabel) -> CycNum:
-        """The value embedded in Q(zeta_conductor), as JSON and csv write it."""
-        return self.value(char, label).promote(self.conductor)
+    def serial_map(self, f: Callable[[CycNum], object]) -> dict:
+        """{(row, ClassLabel): f(value embedded in Q(zeta_conductor))}, as
+        JSON and the csv approximations read it.
+
+        The embedding and f run once per distinct value (``CycNum.key``),
+        and equal cells share that one result.
+        """
+        N = self.conductor
+        memo = {}
+        out = {}
+        for cell, v in self.values.items():
+            key = v.key()
+            if key not in memo:
+                memo[key] = f(v.promote(N))
+            out[cell] = memo[key]
+        return out
 
     def degree(self, char) -> int:
         return self.value(char, ONE).as_integer()
@@ -272,6 +286,13 @@ class CharTable:
         raise KeyError(str(label))
 
     def to_json(self) -> dict:
+        """The table as a JSON document, every value written at ``conductor``.
+
+        Equal values share one cell dict (``serial_map``), so the returned
+        document must not be mutated: a change to one cell would show in
+        every equal cell.
+        """
+        cells = self.serial_map(CycNum.to_json)
         obj = {
             "q": self.q,
             "epsilon": self.epsilon,
@@ -284,8 +305,7 @@ class CharTable:
             ],
             "chars": [str(ch) for ch in self.chars],
             "values": {
-                str(ch): {str(lab): self.serial_value(ch, lab).to_json()
-                          for lab in self.class_order}
+                str(ch): {str(lab): cells[(ch, lab)] for lab in self.class_order}
                 for ch in self.chars
             },
             "symbolic": None if self.symbolic is None else {

@@ -23,8 +23,11 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .chars import complex_table, sym_latex, sym_str
+from .cyclo import CycNum
 from .fixdim import full_report
 from .grp import DEFAULT_MAX_ENUM, representatives
 from .realrep import fs_indicator_closed, fs_indicator_raw, real_table
@@ -154,18 +157,120 @@ def _matrix_latex(g) -> str:
 
 
 # ---------------------------------------------------------------------------
+# json output
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_scalar(o) -> str:
+    """json.dumps(o) for a str, None, bool, int or float."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return float.__repr__(o) if isfinite(o) else json.dumps(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _shared_containers(obj) -> set:
+    """ids of the containers that occur more than once in obj."""
+    seen, shared = set(), set()
+    stack = [obj] if isinstance(obj, _CONTAINERS) else []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            shared.add(id(o))
+            continue
+        seen.add(id(o))
+        stack.extend(m for m in (o.values() if isinstance(o, dict) else o)
+                     if isinstance(m, _CONTAINERS))
+    return shared
+
+
+def _print_json(obj) -> None:
+    """Write json.dumps(obj, indent=2) and a newline to stdout, piece by piece.
+
+    The document and each of its members are written one member at a
+    time; anything nested deeper is encoded as one string per member, so
+    the whole document is never held at once.  A container that occurs
+    more than once (by identity) is encoded once per nesting level, as
+    the shared cells of ``CharTable.to_json`` are.  Keys must be str.
+    """
+    shared = _shared_containers(obj)
+    memo = {}   # (id, level) -> text of a shared container
+
+    def text(o, level: int) -> str:
+        """o nested ``level`` deep, as one string."""
+        if not isinstance(o, _CONTAINERS):
+            return _json_scalar(o)
+        key = (id(o), level)
+        out = memo.get(key)
+        if out is None:
+            out = "".join(pieces(o, level, 0))
+            if id(o) in shared:
+                memo[key] = out
+        return out
+
+    def pieces(o, level: int, split: int):
+        """o's text in pieces; members ``split`` levels down get their own."""
+        if not isinstance(o, _CONTAINERS):
+            yield _json_scalar(o)
+            return
+        if not o:
+            yield "{}" if isinstance(o, dict) else "[]"
+            return
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level + ("}" if isinstance(o, dict) else "]")
+        if isinstance(o, dict):
+            head = "{" + inner
+            members = ((encode_basestring_ascii(k) + ": ", v)
+                       for k, v in o.items())
+        else:
+            if isinstance(o[0], str):
+                try:
+                    body = ("," + inner).join(map(encode_basestring_ascii, o))
+                except TypeError:   # not all of them are str
+                    pass
+                else:
+                    yield "[" + inner + body + close
+                    return
+            head = "[" + inner
+            members = (("", v) for v in o)
+        for prefix, v in members:
+            if split and isinstance(v, _CONTAINERS) and v and id(v) not in shared:
+                yield head + prefix
+                yield from pieces(v, level + 1, split - 1)
+            else:
+                yield head + prefix + text(v, level + 1)
+            head = "," + inner
+        yield close
+
+    write = sys.stdout.write
+    for piece in pieces(obj, 0, 2):
+        write(piece)
+    write("\n")
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_classes(args) -> int:
     reps = representatives(args.q)
     if args.fmt == "json":
-        print(json.dumps({
+        _print_json({
             "q": args.q,
             "classes": [{"label": str(c.label),
                          "representative": list(c.representative.to_tuple()),
                          "order": c.element_order,
                          "size": c.size} for c in reps],
-        }, indent=2))
+        })
         return 0
     headers = ["label", "representative", "order", "size"]
     rows = [[str(c.label), _matrix_str(c.representative),
@@ -184,14 +289,15 @@ def _cmd_classes(args) -> int:
 def _cmd_table(table, fmt: str) -> int:
     """Both character tables, in all four formats."""
     if fmt == "json":
-        print(json.dumps(table.to_json(), indent=2))
+        _print_json(table.to_json())
         return 0
     labels = table.class_order
     if fmt == "csv":
+        approx = table.serial_map(CycNum.approx)
         rows = []
         for ch in table.chars:
             for lab in labels:
-                v = table.serial_value(ch, lab).approx()
+                v = approx[(ch, lab)]
                 rows.append([str(ch), str(lab),
                              sym_str(table.symbolic[(ch, lab)]),
                              f"{v.real:.9g}", f"{v.imag:.9g}"])
@@ -235,11 +341,11 @@ def _cmd_fs(args) -> int:
         rows.append((str(ch), closed, brute,
                      None if brute is None else closed == brute))
     if args.fmt == "json":
-        print(json.dumps({
+        _print_json({
             "q": args.q,
             "indicators": [{"char": c, "closed": cl, "brute": br, "match": m}
                            for c, cl, br, m in rows],
-        }, indent=2))
+        })
         return 0
     headers = ["char", "closed", "brute", "match"]
     disp = [[c, str(cl), "-" if br is None else str(br),
@@ -261,7 +367,7 @@ def _cmd_fs(args) -> int:
 def _cmd_fixed_points(args) -> int:
     report = full_report(args.q, args.max_enum)
     if args.fmt == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json())
         return 0
     chars = [str(ch) for ch in report.chars]
     keys = [str(k) for k in report.keys]
@@ -306,7 +412,7 @@ def _cmd_verify(args) -> int:
         return 1
     report = verify_all(args.q, args.max_enum)
     if args.fmt == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json())
     elif args.fmt == "csv":
         rows = [[c.name, str(c.passed).lower(), c.details]
                 for c in report.checks]

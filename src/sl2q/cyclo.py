@@ -355,6 +355,15 @@ class CycNum:
 
     __hash__ = None  # no canonical cross-conductor hash; use == only
 
+    def key(self) -> tuple:
+        """(conductor, denominator, numerators), hashable.
+
+        Two values at one conductor are equal iff their keys are, so a dict
+        keyed on it does work once per distinct value (equal values at two
+        conductors get two keys).
+        """
+        return (self.conductor, self._den, self._num)
+
     def __bool__(self):
         return any(self._num)
 

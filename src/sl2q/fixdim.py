@@ -345,13 +345,29 @@ class FixedDimTable:
         return all(e.match is not False for e in self.entries.values())
 
     def to_json(self) -> dict:
+        """The table as a JSON document.
+
+        Equal entries share one dict, one per distinct (closed, oracle,
+        match), so the returned document must not be mutated: a change to
+        one entry would show in every equal entry.
+        """
+        names = [str(k) for k in self.keys]
+        shared = {}
+
+        def cell(e: FixedDimEntry) -> dict:
+            key = (e.closed, e.oracle, e.match)
+            out = shared.get(key)
+            if out is None:
+                out = shared[key] = e.to_json()
+            return out
+
         return {
             "q": self.q,
             "chars": [str(c) for c in self.chars],
-            "subgroups": [{"key": str(k), "order": _closed_order(self.q, k)}
-                          for k in self.keys],
-            "entries": {str(c): {str(k): self.entry(c, k).to_json()
-                                 for k in self.keys}
+            "subgroups": [{"key": name, "order": _closed_order(self.q, k)}
+                          for name, k in zip(names, self.keys)],
+            "entries": {str(c): {name: cell(self.entry(c, k))
+                                 for name, k in zip(names, self.keys)}
                         for c in self.chars},
             "notes": list(self.notes),
         }

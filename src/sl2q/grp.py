@@ -269,10 +269,31 @@ def _check_enumerable(q: int, max_enum: int) -> None:
             f"({q ** 3 - q} elements)")
 
 
-@lru_cache(maxsize=8)
-def enumerate_group(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> tuple[GroupElem, ...]:
+def _cached_on_q(build):
+    """``build(q)`` behind an lru_cache keyed on q alone.
+
+    The function returned takes ``(q, max_enum=DEFAULT_MAX_ENUM)`` and
+    checks q against the bound on every call, outside the cache, so
+    ``f(7)``, ``f(7, 50)`` and ``f(q=7)`` share one entry.  It carries the
+    cache's ``cache_info``, ``cache_clear`` and ``cache_parameters``.
+    """
+    cached = lru_cache(maxsize=8)(build)
+
+    def call(q: int, max_enum: int = DEFAULT_MAX_ENUM):
+        _check_enumerable(q, max_enum)
+        return cached(q)
+
+    call.__name__, call.__qualname__ = build.__name__, build.__qualname__
+    call.__doc__ = build.__doc__
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    call.cache_parameters = cached.cache_parameters
+    return call
+
+
+@_cached_on_q
+def enumerate_group(q: int) -> tuple[GroupElem, ...]:
     """Every element of SL2(q), exactly once, in a fixed deterministic order."""
-    _check_enumerable(q, max_enum)
     return tuple(GroupElem(q, *t) for t in _lex_tuples(q))
 
 
@@ -362,8 +383,8 @@ def representatives(q: int) -> tuple[ConjClass, ...]:
 # ---------------------------------------------------------------------------
 # classification
 
-@lru_cache(maxsize=8)
-def _class_tables(q: int, max_enum: int):
+@_cached_on_q
+def _class_tables(q: int):
     """Trace lookup for the split/non-split families plus the orbit of c.
 
     Non-central elements with trace != +-2 are pinned down by their trace
@@ -373,7 +394,6 @@ def _class_tables(q: int, max_enum: int):
     computed once under the two generators (about 2(q^2-1) products),
     decides.
     """
-    _check_enumerable(q, max_enum)
     trace_label = {cls.representative.trace: cls.label
                    for cls in representatives(q) if cls.label.kind in ("a", "b")}
     return trace_label, _conjugation_orbit(rep_c(q))
@@ -402,22 +422,22 @@ def class_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> ClassLabel:
     return label
 
 
-@lru_cache(maxsize=8)
-def conjugacy_partition(q: int, max_enum: int = DEFAULT_MAX_ENUM):
+@_cached_on_q
+def conjugacy_partition(q: int):
     """Orbit partition {label: frozenset of elements}.
 
     Each class is the orbit of its representative under conjugation by
     the generators s and t, about 4(q^3-q) products in all; G itself is
     never built here.
     """
-    _check_enumerable(q, max_enum)
     return {cls.label: _conjugation_orbit(cls.representative)
             for cls in representatives(q)}
 
 
-@lru_cache(maxsize=8)
-def class_label_lookup(q: int, max_enum: int = DEFAULT_MAX_ENUM):
+@_cached_on_q
+def class_label_lookup(q: int):
     """Element -> label map derived from the brute-force partition."""
+    # the caller's bound was checked already; q itself passes for any q
     return {g: label
-            for label, orbit in conjugacy_partition(q, max_enum).items()
+            for label, orbit in conjugacy_partition(q, q).items()
             for g in orbit}

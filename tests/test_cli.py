@@ -1,4 +1,5 @@
 """Command-line interface: formats, exit codes, JSON round-trips."""
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,13 +7,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sl2q
+from sl2q import cli
 from sl2q.chars import CharTable, complex_table
-from sl2q.cli import main
+from sl2q.cli import _print_json, main
 from sl2q.fixdim import FixedDimTable
 from sl2q.realrep import real_table
 from sl2q.verify import VerificationReport
@@ -208,12 +213,18 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-def run_capped(cap_mb: int, *argv):
-    """The CLI in a fresh interpreter whose address space is capped."""
+def run_fresh(program: str, *argv, stdout=subprocess.PIPE):
+    """``program`` in a fresh interpreter on this sl2q, stdout to ``stdout``."""
     path = [str(Path(sl2q.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run([sys.executable, "-c", _CAPPED, str(cap_mb), *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", program, *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
+
+
+def run_capped(cap_mb: int, *argv, stdout=subprocess.PIPE):
+    """The CLI in a fresh interpreter whose address space is capped."""
+    return run_fresh(_CAPPED, str(cap_mb), *argv, stdout=stdout)
 
 
 def test_out_of_memory_is_a_message_not_a_traceback():
@@ -243,3 +254,94 @@ def test_csv_table_at_the_working_conductor_fits_in_256_mb():
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
         "0599c1a43db3f4fd6819434ab8ee866d9ab9906e139d991cd9a4008fef77bbd2")
+
+
+def test_json_table_at_the_working_conductor_fits_in_256_mb():
+    # JSON writes every cell at N = 14,880 (4.7 M coefficients); each
+    # distinct value is promoted and encoded once and the document is
+    # written piece by piece.  Built whole by json.dumps it peaked at
+    # 738 MB; the digest was written by that code
+    with tempfile.TemporaryFile() as out:
+        proc = run_capped(256, "char-table", "31", "--format", "json",
+                          stdout=out)
+        assert proc.returncode == 0, proc.stderr
+        out.seek(0)
+        digest = hashlib.file_digest(out, "sha256").hexdigest()
+    assert digest == (
+        "3880a84dc28b0341540e68e3689760c6583a7b634fae41d32712b1d86f6d0836")
+
+
+_COUNT_PROMOTIONS = """
+import contextlib, io
+from sl2q.chars import complex_table
+from sl2q.cli import main
+from sl2q.cyclo import CycNum
+promote, calls = CycNum.promote, []
+def counted(self, M):
+    calls.append(M)
+    return promote(self, M)
+CycNum.promote = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["char-table", "17", "--format", "json"]) == 0
+print(len(calls), len({v.key() for v in complex_table(17).values.values()}))
+"""
+
+
+def test_json_table_promotes_each_distinct_value_once():
+    # 441 cells, one promotion each when every cell was serialised on
+    # its own; the table has 29 distinct values
+    proc = run_fresh(_COUNT_PROMOTIONS)
+    assert proc.returncode == 0, proc.stderr
+    promotions, distinct = map(int, proc.stdout.split())
+    assert promotions <= distinct < 441
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(obj, indent=2) byte for byte
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text())
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.lists(st.text(max_size=3), max_size=4)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=24)
+
+
+def _printed(obj) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _print_json(obj)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_json_docs, sub=_json_docs)
+@example(doc=[-0.0, 1e-300, 1e22, None, True, False, "\u00e9\u2028\x00\x1f\"\\",
+              [], {}, [[]], {"": {}}],
+         sub={"coeffs": ["1", "-1/2"], "approx": {"re": 0.5, "im": -0.0}})
+def test_print_json_is_json_dumps(doc, sub):
+    # sub is shared: twice at one level, and once at each of two deeper ones
+    shared = {"doc": doc, "sub": sub, "again": sub,
+              "deeper": [sub, {"deepest": sub}]}
+    for obj in (doc, shared):
+        assert _printed(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("command", ["classes", "char-table", "real-table",
+                                     "fs", "fixed-points", "verify"])
+def test_json_output_is_json_dumps_of_its_document(monkeypatch, capsys,
+                                                    command, q):
+    docs = []
+
+    def record(obj):
+        docs.append(obj)
+        _print_json(obj)
+
+    monkeypatch.setattr(cli, "_print_json", record)
+    code, out, _ = run_cli(capsys, command, str(q), "--format", "json")
+    assert code == 0 and len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2) + "\n"

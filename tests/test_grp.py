@@ -162,11 +162,12 @@ def test_partition_and_class_of_keep_the_enumeration_bound():
     messages = []
     for call in (lambda: enumerate_group(53),
                  lambda: conjugacy_partition(53),
+                 lambda: class_label_lookup(53),
                  lambda: class_of(GroupElem(53, 1, 1, 0, 1))):
         with pytest.raises(ValueError) as info:
             call()
         messages.append(str(info.value))
-    assert messages == [messages[0]] * 3
+    assert messages == [messages[0]] * 4
     assert messages[0] == ("q=53 exceeds the enumeration bound 50; raise it "
                            "explicitly if you really want the full group "
                            "(148824 elements)")
