@@ -1,10 +1,11 @@
 """Every output byte of the table, indicator and verify commands, pinned.
 
-SHA-256 of stdout for ``char-table``, ``real-table`` and ``fs`` at
-q in {3, 5, 7, 11, 13} and of ``verify`` at q in {7, 11, 13}, each in
-text, json, csv and latex.  The digests were written before table values
-moved to their natural conductors; how a value is stored must not move a
-byte of any format.
+SHA-256 of stdout for ``char-table``, ``real-table``, ``fs``, ``classes``
+and ``fixed-points`` at q in {3, 5, 7, 11, 13} and of ``verify`` at q in
+{7, 11, 13}, each in text, json, csv and latex.  The table digests were
+written before table values moved to their natural conductors, and the
+``classes`` and ``fixed-points`` digests before the fixed-point table
+became columns; how a value is stored must not move a byte of any format.
 """
 import contextlib
 import hashlib
@@ -159,6 +160,86 @@ DIGESTS = {
         "741cc359408306800ab7d039c2be08740535b69cedc2dbc8d0fe0607218655ab",
     "verify 13 latex":
         "0335523d9e6ba734aa0fd2f6e5c446bede42a75c40359ed851e39e71f64c5851",
+    "classes 3 text":
+        "d14af6c31cb92d0b80e2b7c75ecd5d98d61b9fe606af40f4c5b560acec739d5d",
+    "classes 3 json":
+        "01ca56bc712b1ea94443efc33b380c4e72c9454d040d16b9656b52dfe0654ebb",
+    "classes 3 csv":
+        "c0d0e730adb5f4ababfc0c9c05b5fcf357a42dcf3a60373532a537911c6c57f3",
+    "classes 3 latex":
+        "52422f54bd975daf7b0fc24372aa1f62ecea976605fbd16a28cf267b56c85db0",
+    "classes 5 text":
+        "388827ba8b75e25c778afe42f9c55cc21b8f78227720383ff1aab799ad6716ce",
+    "classes 5 json":
+        "7318bc8034d800647ed81be480bc98f7855e7dedcde97a45a712e5c4f2122f4f",
+    "classes 5 csv":
+        "60fa63349f1c285dd520c600fc054c8c5d8b65aa7b4b2858f532278cad157859",
+    "classes 5 latex":
+        "ff6cd2444bc32c6e02ce1b7d95a4cba427b1f76888f547305e8ab1a9cae663c0",
+    "classes 7 text":
+        "a63f4db9c12d7c8e7f817994bd4dbcde346db968ae039847e843c55a531566bb",
+    "classes 7 json":
+        "86eba0fe7c5388982d7ae5fa1546c2579620a18f254a23a52639fa8a20022f88",
+    "classes 7 csv":
+        "11f00834752d49b97b52686e43844cd24889bb4d1fd1c0ee5a930dded561db6d",
+    "classes 7 latex":
+        "0324809891f8de21c509143611e44aa3c534f533093b79ff7af0b4fcaed44af3",
+    "classes 11 text":
+        "faee70898fc50c942d5f46e92c40509ef267cebe636f8849f9d2cf672c0cf509",
+    "classes 11 json":
+        "5442e01856e6a1bddede0086026c45d6970d1710e371474a8d08975baed88d44",
+    "classes 11 csv":
+        "ee2c17c9f730a35d87ddbc01b976eba8ffd047c7a2b38e210efbe4b2fd489469",
+    "classes 11 latex":
+        "b0f1b94c556c50773f7f3011c272aa4007fba256165d19eb9f5cfe4cd6580e66",
+    "classes 13 text":
+        "d2f568654a251e212dc4cf8363037975ac2956db79b0b3f32a706b1b348168be",
+    "classes 13 json":
+        "2c5cce0b30817569e7906c61b67fb1b8c50924289ed0c134b2b70f2b75162a15",
+    "classes 13 csv":
+        "781048f9d816ce1635b695085e90b00c9e00b679c0ac0d717c27fda935e66b6c",
+    "classes 13 latex":
+        "1f84e333e955ca858432d8371619dbc964d3efb711add8e8af79dc4218b34683",
+    "fixed-points 3 text":
+        "1c226c262597fc6c3f7e718dbdf7ae9e7bb58d04cc226fe62bd3df705944c7e6",
+    "fixed-points 3 json":
+        "afa01178f6cfa9dd3c1773ddb6a9c066a36f1c7f64dc8cdfa486b1282509c161",
+    "fixed-points 3 csv":
+        "2afab3197e98fe84d88f704c00574609b789b92fbbf58439f7f8b9c824ab9508",
+    "fixed-points 3 latex":
+        "a9a55fc082468572ab630f52642e50c4ccc444d784c6e49fad13602037fa4551",
+    "fixed-points 5 text":
+        "dae1298232399eb0f3f3c34b58a97324066775087b8efbbdd2b3205c67a5005e",
+    "fixed-points 5 json":
+        "86de6700c428238c258bfcd4e8cf73c3d301deec65887d355c265179226bb243",
+    "fixed-points 5 csv":
+        "12976bdce74f818e560ef553336f2fe68b926a55211bebe2edba77a0c27fc5c0",
+    "fixed-points 5 latex":
+        "17e451c67a554fd99b6ccade76330a4216aaec2840edacab8f82ce7d4e85da4c",
+    "fixed-points 7 text":
+        "900f5a4acbca80191896c57fa899d1a450b0ce33cbbbff636ee09152060d08f4",
+    "fixed-points 7 json":
+        "949dea9e7797ea3983b90977295da1e06de0a0894e43973deca82a23ca493171",
+    "fixed-points 7 csv":
+        "f058bf82492b1920439957229b80234d3b3177de7b9e334605d07f52a9a50472",
+    "fixed-points 7 latex":
+        "16406c7f44bdbc21835b7d94de266342fea7b0d0aa29b58f4e944557b98fbbab",
+    "fixed-points 11 text":
+        "4a956328c45727a9fcb053828fa8caae2f02c76d62584943344b6388ca05fc36",
+    "fixed-points 11 json":
+        "7ab79d65dfd413f13b2c2a5fc247678992bd635395f6248ad07a51fb715eb980",
+    "fixed-points 11 csv":
+        "3dcd3b9d346c6a0ce75852d386bea163482b75f0ba042d8946599e60cf3d78c4",
+    "fixed-points 11 latex":
+        "08281c9ae83f48f97f5ed64df246d8562917e8b482c5fff78c7ce5cb8bed3791",
+    "fixed-points 13 text":
+        "10c70d517ce48bc5faf4f2147bd77fef23b3978750a2edbf3acb375fa72ea3ab",
+    "fixed-points 13 json":
+        "a8f8e96f02c26b23e43c65b4a7538ec49132c143e0b9d580c1ffee0cf7247c87",
+    "fixed-points 13 csv":
+        "266d21c1ec5c0a8d9a5198a22da48f6cbe114e718b7029b406a09f8788beefa4",
+    "fixed-points 13 latex":
+        "db3ade6a4d51a18a235e70024cc537ae822db352b8fffb5b4b18ec0c8701bbc5",
 }
 
 
