@@ -61,6 +61,7 @@ COMMANDS = [
     ["char-table", "47", "--format", "json"],
     ["fixed-points", "1009"],
     ["fixed-points", "1009", "--format", "json"],
+    ["fixed-points", "1009", "--format", "csv"],
 ]
 
 _CHILD = "import sys; from sl2q.cli import main; sys.exit(main(sys.argv[1:]))"

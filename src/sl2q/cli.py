@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -90,14 +89,12 @@ def _text_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _csv_table(headers: list[str], rows: list[list], comment: str | None = None) -> str:
-    buf = io.StringIO()
+def _print_csv(headers: list[str], rows, comment: str | None = None) -> None:
     if comment:
-        buf.write(comment + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
+        print(comment)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(headers)
     writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
 
 
 def _latex_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -276,7 +273,7 @@ def _cmd_classes(args) -> int:
     rows = [[str(c.label), _matrix_str(c.representative),
              str(c.element_order), str(c.size)] for c in reps]
     if args.fmt == "csv":
-        print(_csv_table(headers, rows))
+        _print_csv(headers, rows)
     elif args.fmt == "latex":
         tex_rows = [[_class_latex(str(c.label)), _matrix_latex(c.representative),
                      str(c.element_order), str(c.size)] for c in reps]
@@ -301,8 +298,8 @@ def _cmd_table(table, fmt: str) -> int:
                 rows.append([str(ch), str(lab),
                              sym_str(table.symbolic[(ch, lab)]),
                              f"{v.real:.9g}", f"{v.imag:.9g}"])
-        print(_csv_table(["char", "class", "value", "approx_re", "approx_im"],
-                         rows, comment=_ADVISORY))
+        _print_csv(["char", "class", "value", "approx_re", "approx_im"],
+                   rows, comment=_ADVISORY)
         return 0
     if fmt == "latex":
         headers = [""] + [_class_latex(str(lab)) for lab in labels]
@@ -351,7 +348,7 @@ def _cmd_fs(args) -> int:
     disp = [[c, str(cl), "-" if br is None else str(br),
              "-" if m is None else str(m).lower()] for c, cl, br, m in rows]
     if args.fmt == "csv":
-        print(_csv_table(headers, disp))
+        _print_csv(headers, disp)
     elif args.fmt == "latex":
         tex = [[_char_latex(r[0])] + r[1:] for r in disp]
         print(_latex_table(headers, tex))
@@ -368,26 +365,24 @@ def _cmd_fixed_points(args) -> int:
     report = full_report(args.q, args.max_enum)
     if args.fmt == "json":
         _print_json(report.to_json())
-        return 0
-    chars = [str(ch) for ch in report.chars]
+        return 0 if report.all_match else 2
     keys = [str(k) for k in report.keys]
-    grid = [[report.entry(ch, k) for k in report.keys] for ch in report.chars]
+    rows = [(str(ch), closed, oracle) for ch, closed, oracle in report.rows()]
     if args.fmt == "csv":
-        long_rows = [[ch, key, e.closed, e.oracle, e.match]
-                     for ch, row in zip(chars, grid)
-                     for key, e in zip(keys, row)]
-        print(_csv_table(["char", "subgroup", "closed", "oracle", "match"],
-                         long_rows))
+        _print_csv(["char", "subgroup", "closed", "oracle", "match"],
+                   ((ch, key, c, o, None if o is None else c == o)
+                    for ch, closed, oracle in rows
+                    for key, c, o in zip(keys, closed, oracle)))
         return 0 if report.all_match else 2
     headers = ["char"] + keys
-    rows = [[ch] + [f"{e.closed}!={e.oracle}" if e.match is False
-                    else str(e.closed) for e in row]
-            for ch, row in zip(chars, grid)]
+    cells = [[ch] + [str(c) if o is None or c == o else f"{c}!={o}"
+                     for c, o in zip(closed, oracle)]
+             for ch, closed, oracle in rows]
     if args.fmt == "latex":
-        tex_rows = [[_char_latex(r[0])] + r[1:] for r in rows]
+        tex_rows = [[_char_latex(r[0])] + r[1:] for r in cells]
         print(_latex_table(headers, tex_rows))
     else:
-        print(_text_table(headers, rows))
+        print(_text_table(headers, cells))
         extras = []
         if args.q > args.max_enum:
             extras.append(f"oracle skipped: q={args.q} exceeds the "
@@ -416,7 +411,7 @@ def _cmd_verify(args) -> int:
     elif args.fmt == "csv":
         rows = [[c.name, str(c.passed).lower(), c.details]
                 for c in report.checks]
-        print(_csv_table(["check", "pass", "details"], rows))
+        _print_csv(["check", "pass", "details"], rows)
     elif args.fmt == "latex":
         rows = [[c.name.replace("_", "\\_"),
                  "PASS" if c.passed else "FAIL"] for c in report.checks]

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from math import gcd
 from types import MappingProxyType
 
@@ -38,7 +39,7 @@ from .chars import CharTable
 from .realrep import RealCharLabel, real_char_labels, real_table
 
 __all__ = [
-    "SubgroupKey", "SubgroupDesc", "FixedDimEntry", "FixedDimTable",
+    "SubgroupKey", "SubgroupDesc", "FixedDimTable",
     "TRIVIAL_H", "Z_H", "C_H", "ZC_H", "AH", "BH",
     "subgroup", "subgroup_keys", "subgroup_key_of", "parse_subgroup_key",
     "fixed_dim_average", "fixed_dim_closed", "full_report",
@@ -286,17 +287,10 @@ def fixed_dim_closed(q: int, char: RealCharLabel, kind, index: int = 0) -> int:
         raise ValueError(f"{char} is not a real character of SL2({q})")
     key = _as_key(kind, index)
     _check_key_range(q, key)
-    return _closed_dim(_column(q, key), char, key, _closed_order(q, key))[0]
-
-
-def _closed_dim(column, char: RealCharLabel, key: SubgroupKey,
-                n: int) -> tuple[int, int]:
-    """dim V^H and the resonance correction inside it, for a checked
-    char and key; ``column`` is ``_column(q, key)`` and n = |H|."""
-    res = _resonance(char, key, n)
-    val = column[char.kind] + res
+    n = _closed_order(q, key)
+    val = _column(q, key)[char.kind] + _resonance(char, key, n)
     assert val >= 0
-    return val, res
+    return val
 
 
 def fixed_dim_average(rt: CharTable, char: RealCharLabel, H: SubgroupDesc,
@@ -314,51 +308,50 @@ def fixed_dim_average(rt: CharTable, char: RealCharLabel, H: SubgroupDesc,
 # ---------------------------------------------------------------------------
 # report
 
-@dataclass(frozen=True, slots=True)
-class FixedDimEntry:
-    char: RealCharLabel
-    key: SubgroupKey
-    closed: int
-    oracle: int | None   # None when q exceeded the enumeration bound
-    match: bool | None
-
-    def to_json(self) -> dict:
-        return {"closed": self.closed, "oracle": self.oracle,
-                "match": self.match}
-
-
 class FixedDimTable:
-    """All fixed-point dimensions for one q, closed form vs oracle."""
+    """All fixed-point dimensions for one q, closed form vs oracle.
 
-    def __init__(self, q: int, chars, keys, entries: dict, notes):
+    ``closed[j][i]`` is dim V^H for V = ``chars[i]`` and H = ``keys[j]``:
+    one int tuple per subgroup key.  ``oracle`` has the same shape, or is
+    None when q exceeded the enumeration bound.  Whether an entry matches
+    is derived from the two, never stored.
+    """
+
+    def __init__(self, q: int, chars, keys, closed, oracle, notes):
         self.q = q
         self.chars = tuple(chars)
         self.keys = tuple(keys)
-        self.entries = entries   # (RealCharLabel, SubgroupKey) -> FixedDimEntry
+        self.closed = tuple(map(tuple, closed))
+        self.oracle = None if oracle is None else tuple(map(tuple, oracle))
         self.notes = tuple(notes)
 
-    def entry(self, char: RealCharLabel, key: SubgroupKey) -> FixedDimEntry:
-        return self.entries[(char, key)]
+    def rows(self):
+        """(char, closed row, oracle row) in table order; past the
+        enumeration bound the oracle row is all None."""
+        oracle = (repeat((None,) * len(self.keys)) if self.oracle is None
+                  else zip(*self.oracle))
+        return zip(self.chars, zip(*self.closed), oracle)
 
     @property
     def all_match(self) -> bool:
-        return all(e.match is not False for e in self.entries.values())
+        return self.oracle is None or self.oracle == self.closed
 
     def to_json(self) -> dict:
         """The table as a JSON document.
 
-        Equal entries share one dict, one per distinct (closed, oracle,
-        match), so the returned document must not be mutated: a change to
-        one entry would show in every equal entry.
+        Equal entries share one dict, one per distinct (closed, oracle),
+        so the returned document must not be mutated: a change to one
+        entry would show in every equal entry.
         """
         names = [str(k) for k in self.keys]
         shared = {}
 
-        def cell(e: FixedDimEntry) -> dict:
-            key = (e.closed, e.oracle, e.match)
-            out = shared.get(key)
+        def cell(closed: int, oracle: int | None) -> dict:
+            out = shared.get((closed, oracle))
             if out is None:
-                out = shared[key] = e.to_json()
+                out = shared[closed, oracle] = {
+                    "closed": closed, "oracle": oracle,
+                    "match": None if oracle is None else closed == oracle}
             return out
 
         return {
@@ -366,37 +359,43 @@ class FixedDimTable:
             "chars": [str(c) for c in self.chars],
             "subgroups": [{"key": name, "order": _closed_order(self.q, k)}
                           for name, k in zip(names, self.keys)],
-            "entries": {str(c): {name: cell(self.entry(c, k))
-                                 for name, k in zip(names, self.keys)}
-                        for c in self.chars},
+            "entries": {str(c): dict(zip(names, map(cell, closed, oracle)))
+                        for c, closed, oracle in self.rows()},
             "notes": list(self.notes),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "FixedDimTable":
         from .realrep import parse_real_char_label
-        chars = [parse_real_char_label(s) for s in obj["chars"]]
-        keys = [parse_subgroup_key(d["key"]) for d in obj["subgroups"]]
-        entries = {}
-        for c in chars:
-            for k in keys:
-                e = obj["entries"][str(c)][str(k)]
-                entries[(c, k)] = FixedDimEntry(c, k, e["closed"],
-                                                e["oracle"], e["match"])
-        return cls(obj["q"], chars, keys, entries, obj["notes"])
+        names = [d["key"] for d in obj["subgroups"]]
+        rows = [obj["entries"][s] for s in obj["chars"]]
+        columns = [[row[name] for row in rows] for name in names]
+        for e in chain.from_iterable(columns):
+            if e["match"] is not (None if e["oracle"] is None
+                                  else e["closed"] == e["oracle"]):
+                raise ValueError(f"entry {e} has a match that disagrees "
+                                 f"with its closed and oracle values")
+        oracle = [[e["oracle"] for e in column] for column in columns]
+        missing = {o is None for column in oracle for o in column}
+        if len(missing) > 1:
+            raise ValueError("the oracle column mixes null and integer entries")
+        return cls(obj["q"], map(parse_real_char_label, obj["chars"]),
+                   map(parse_subgroup_key, names),
+                   [[e["closed"] for e in column] for column in columns],
+                   None if True in missing else oracle, obj["notes"])
 
     def __eq__(self, other):
         if not isinstance(other, FixedDimTable):
             return NotImplemented
         return (self.q == other.q and self.chars == other.chars
-                and self.keys == other.keys and self.entries == other.entries
-                and self.notes == other.notes)
+                and self.keys == other.keys and self.closed == other.closed
+                and self.oracle == other.oracle and self.notes == other.notes)
 
 
 def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
     """Closed-form table with oracle column when q is enumerable.
 
-    Mismatches are recorded in the entries, never patched over.
+    Mismatches are recorded in the table, never patched over.
     """
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
@@ -404,23 +403,29 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
     keys = subgroup_keys(q)
     use_oracle = q <= max_enum
     rt = real_table(q) if use_oracle else None
-    entries = {}
+
+    def rows_of(*kinds):
+        return [(ci, c) for ci, c in enumerate(chars) if c.kind in kinds]
+
+    # only chi rows on AH keys and theta rows on BH keys can resonate
+    torus_rows = {"AH": rows_of("chi_even", "two_chi_odd"),
+                  "BH": rows_of("theta_even", "two_theta_odd")}
+    closed = []
+    oracle = [] if use_oracle else None
     resonant = []   # (char position, key position) of corrected entries
     for ki, key in enumerate(keys):
         column = _column(q, key)
+        values = [column[c.kind] for c in chars]
         n = _closed_order(q, key)
-        H = subgroup(q, key) if use_oracle else None
-        for ci, char in enumerate(chars):
-            closed, res = _closed_dim(column, char, key, n)
-            if res:
+        for ci, char in torus_rows.get(key.kind, ()):
+            if char.index % n == 0:
+                values[ci] += _resonance(char, key, n)
                 resonant.append((ci, ki))
-            if use_oracle:
-                oracle = fixed_dim_average(rt, char, H, max_enum)
-                entries[(char, key)] = FixedDimEntry(char, key, closed,
-                                                     oracle, closed == oracle)
-            else:
-                entries[(char, key)] = FixedDimEntry(char, key, closed,
-                                                     None, None)
+        assert min(values) >= 0
+        closed.append(values)
+        if use_oracle:
+            H = subgroup(q, key)
+            oracle.append([fixed_dim_average(rt, c, H, max_enum) for c in chars])
     notes = []
     if any(k.kind == "AH" and ((q - 1) // gcd(q - 1, k.index)) % 2 == 1
            for k in keys):
@@ -438,4 +443,4 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
             f"2 (doubled rows 4) and theta rows lose 2 (doubled rows 4) "
             f"relative to the generic closed form; the oracle confirms "
             f"the corrected values.")
-    return FixedDimTable(q, chars, keys, entries, notes)
+    return FixedDimTable(q, chars, keys, closed, oracle, notes)

@@ -190,6 +190,18 @@ def fs_indicator_closed(table: CharTable, char: CharLabel) -> int:
 # ---------------------------------------------------------------------------
 # real character labels
 
+# kind -> printed name, read both ways; the name of an indexed kind is
+# the prefix of its index
+_REAL_NAMES = {
+    "triv": "1", "psi": "psi",
+    "chi_even": "chi_", "two_chi_odd": "2chi_",
+    "theta_even": "theta_", "two_theta_odd": "2theta_",
+    "xi1": "xi_1", "xi2": "xi_2", "two_eta1": "2eta_1", "two_eta2": "2eta_2",
+    "two_re_xi1": "2Re(xi_1)", "two_re_eta1": "2Re(eta_1)",
+}
+_REAL_KINDS = {name: kind for kind, name in _REAL_NAMES.items()}
+
+
 @dataclass(frozen=True)
 class RealCharLabel:
     """Row name in the real table.
@@ -202,13 +214,8 @@ class RealCharLabel:
     kind: str
     index: int = 0
 
-    _KINDS = ("triv", "psi", "chi_even", "two_chi_odd",
-              "theta_even", "two_theta_odd",
-              "xi1", "xi2", "two_eta1", "two_eta2",
-              "two_re_xi1", "two_re_eta1")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in _REAL_NAMES:
             raise ValueError(f"unknown real character kind {self.kind!r}")
         if self.kind in ("chi_even", "theta_even"):
             if self.index < 2 or self.index % 2:
@@ -220,34 +227,18 @@ class RealCharLabel:
             raise ValueError(f"real character {self.kind!r} carries no index")
 
     def __str__(self):
-        return {
-            "triv": "1", "psi": "psi",
-            "chi_even": f"chi_{self.index}",
-            "two_chi_odd": f"2chi_{self.index}",
-            "theta_even": f"theta_{self.index}",
-            "two_theta_odd": f"2theta_{self.index}",
-            "xi1": "xi_1", "xi2": "xi_2",
-            "two_eta1": "2eta_1", "two_eta2": "2eta_2",
-            "two_re_xi1": "2Re(xi_1)", "two_re_eta1": "2Re(eta_1)",
-        }[self.kind]
+        name = _REAL_NAMES[self.kind]
+        return f"{name}{self.index}" if self.index else name
 
 
 def parse_real_char_label(s: str) -> RealCharLabel:
-    fixed = {"1": "triv", "psi": "psi", "xi_1": "xi1", "xi_2": "xi2",
-             "2eta_1": "two_eta1", "2eta_2": "two_eta2",
-             "2Re(xi_1)": "two_re_xi1", "2Re(eta_1)": "two_re_eta1"}
-    if s in fixed:
-        return RealCharLabel(fixed[s])
-    for prefix, even_kind, odd_kind in (
-            ("chi_", "chi_even", None), ("2chi_", None, "two_chi_odd"),
-            ("theta_", "theta_even", None), ("2theta_", None, "two_theta_odd")):
-        if s.startswith(prefix):
-            idx = int(s[len(prefix):])
-            kind = even_kind if idx % 2 == 0 else odd_kind
-            if kind is None:
-                raise ValueError(f"index parity does not match in {s!r}")
-            return RealCharLabel(kind, idx)
-    raise ValueError(f"cannot parse real character label {s!r}")
+    if not s.endswith("_") and s in _REAL_KINDS:
+        return RealCharLabel(_REAL_KINDS[s])
+    prefix = s.rstrip("0123456789")
+    if prefix == s or not prefix.endswith("_") or prefix not in _REAL_KINDS:
+        raise ValueError(f"cannot parse real character label {s!r}")
+    # the label checks the index's parity against its kind
+    return RealCharLabel(_REAL_KINDS[prefix], int(s[len(prefix):]))
 
 
 RTRIV = RealCharLabel("triv")

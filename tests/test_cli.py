@@ -18,8 +18,8 @@ import sl2q
 from sl2q import cli
 from sl2q.chars import CharTable, complex_table
 from sl2q.cli import _print_json, main
-from sl2q.fixdim import FixedDimTable
-from sl2q.realrep import real_table
+from sl2q.fixdim import Z_H, FixedDimTable, full_report
+from sl2q.realrep import RPSI, real_table
 from sl2q.verify import VerificationReport
 
 
@@ -154,6 +154,40 @@ def test_fixed_points_json_round_trip(capsys):
     assert code == 0
     clone = FixedDimTable.from_json(json.loads(out))
     assert clone.all_match and clone.q == 5
+
+
+def _forged_report(q):
+    """full_report(q) with the oracle one off on (psi, ZH)."""
+    rep = full_report(q)
+    ci, ki = rep.chars.index(RPSI), rep.keys.index(Z_H)
+    oracle = [list(column) for column in rep.oracle]
+    oracle[ki][ci] += 1
+    return FixedDimTable(q, rep.chars, rep.keys, rep.closed, oracle, rep.notes)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
+def test_fixed_points_mismatch(monkeypatch, capsys, fmt):
+    forged = _forged_report(5)
+    assert not forged.all_match
+    monkeypatch.setattr(cli, "full_report", lambda q, max_enum: forged)
+    code, out, _ = run_cli(capsys, "fixed-points", "5", "--format", fmt)
+    assert code == 2
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["char", "subgroup", "closed", "oracle", "match"]
+        assert {(r[0], r[1]) for r in rows[1:] if r[4] == "False"} == {
+            ("psi", "ZH")}
+        assert ["psi", "ZH", "5", "6", "False"] in rows
+    elif fmt == "json":
+        obj = json.loads(out)
+        assert obj["entries"]["psi"]["ZH"] == {
+            "closed": 5, "oracle": 6, "match": False}
+        assert sum(not e["match"] for row in obj["entries"].values()
+                   for e in row.values()) == 1
+        assert FixedDimTable.from_json(obj) == forged
+    else:
+        assert out.count("!=") == 1 and "5!=6" in out
+        assert "every entry confirmed" not in out
 
 
 def test_verify_exit_codes(capsys):

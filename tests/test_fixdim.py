@@ -1,4 +1,6 @@
 """Fixed-point dimensions: closed forms against the averaging oracle."""
+import json
+
 import pytest
 
 from sl2q.fixdim import (AH, BH, C_H, FixedDimTable, TRIVIAL_H, Z_H, ZC_H,
@@ -128,16 +130,25 @@ def test_xi_pair_balance_on_unipotent_subgroup():
 def test_full_report(q):
     rep = full_report(q)
     assert rep.all_match
-    entry = rep.entry(RPSI, Z_H)
-    assert entry.closed == q and entry.oracle == q and entry.match is True
-    assert len(rep.entries) == len(rep.chars) * len(rep.keys)
+    ci, ki = rep.chars.index(RPSI), rep.keys.index(Z_H)
+    assert rep.closed[ki][ci] == q and rep.oracle[ki][ci] == q
+    assert len(rep.closed) == len(rep.oracle) == len(rep.keys)
+    for column in rep.closed + rep.oracle:
+        assert len(column) == len(rep.chars)
 
 
 @pytest.mark.parametrize("q", [13, 53])
 def test_report_entries_equal_fixed_dim_closed(q):
     rep = full_report(q)
-    for (ch, k), e in rep.entries.items():
-        assert e.closed == fixed_dim_closed(q, ch, k)
+    for k, column in zip(rep.keys, rep.closed):
+        assert column == tuple(fixed_dim_closed(q, ch, k) for ch in rep.chars)
+    # rows() reads the same cells row by row, in table order; past the
+    # enumeration bound (q = 53) its oracle rows are all None
+    rows = list(rep.rows())
+    assert [ch for ch, _, _ in rows] == list(rep.chars)
+    for ch, closed, oracle in rows:
+        assert closed == tuple(fixed_dim_closed(q, ch, k) for k in rep.keys)
+        assert oracle == (closed if q <= 50 else (None,) * len(rep.keys))
     # the per-key column behind both is cached, so it must be read-only
     from sl2q.fixdim import _column
     with pytest.raises(TypeError):
@@ -155,10 +166,44 @@ def test_full_report_notes_flag_resonance():
 
 
 def test_report_json_round_trip():
-    rep = full_report(5)
-    clone = FixedDimTable.from_json(rep.to_json())
-    assert clone == rep
-    assert clone.all_match
+    # q = 101 is past the enumeration bound: the oracle is None
+    for q in (5, 101):
+        rep = full_report(q)
+        clone = FixedDimTable.from_json(rep.to_json())
+        assert clone == rep
+        assert clone.all_match
+        assert (clone.oracle is None) == (q > 50)
+
+
+def _fresh_json(q):
+    # to_json shares one dict per distinct value; a copy can be edited
+    return json.loads(json.dumps(full_report(q).to_json()))
+
+
+def test_from_json_rejects_a_match_that_disagrees():
+    doc = _fresh_json(5)
+    doc["entries"]["psi"]["ZH"]["match"] = False
+    with pytest.raises(ValueError, match="disagrees"):
+        FixedDimTable.from_json(doc)
+    doc = _fresh_json(5)
+    doc["entries"]["psi"]["ZH"]["oracle"] += 1   # match is left true
+    with pytest.raises(ValueError, match="disagrees"):
+        FixedDimTable.from_json(doc)
+    doc = _fresh_json(101)
+    doc["entries"]["psi"]["ZH"]["match"] = True  # no oracle to match
+    with pytest.raises(ValueError, match="disagrees"):
+        FixedDimTable.from_json(doc)
+
+
+def test_from_json_rejects_an_oracle_that_mixes_null_and_integers():
+    doc = _fresh_json(5)
+    doc["entries"]["psi"]["ZH"].update(oracle=None, match=None)
+    with pytest.raises(ValueError, match="mixes"):
+        FixedDimTable.from_json(doc)
+    doc = _fresh_json(101)
+    doc["entries"]["psi"]["ZH"].update(oracle=101, match=True)
+    with pytest.raises(ValueError, match="mixes"):
+        FixedDimTable.from_json(doc)
 
 
 def test_label_check_builds_the_labels_once(monkeypatch):
@@ -174,7 +219,8 @@ def test_label_check_builds_the_labels_once(monkeypatch):
 
     monkeypatch.setattr(fixdim, "real_char_labels", counting)
     rep = full_report(101)
-    assert len(rep.entries) == 105 * 103
+    assert len(rep.chars) * len(rep.keys) == 105 * 103
+    assert sum(map(len, rep.closed)) == 105 * 103
     assert len(calls) <= 2
     # the check still rejects labels that are not rows of the table
     with pytest.raises(ValueError):
