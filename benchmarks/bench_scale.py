@@ -18,7 +18,7 @@ a perfbench op).  Commands run one at a time.  Each row records:
   wall_s       spawn to exit, interpreter start-up included
   peak_rss_mb  the child's ru_maxrss, from wait4
   stdout_bytes, stdout_sha256   so two trees' outputs can be compared
-               (hashed in chunks: the JSON of char-table 47 is 632 MB)
+               (hashed in chunks: an output may be hundreds of MB)
   stderr_tail  the last stderr line, when there is one
 
 The rows go into --out under the key --label, next to the rows of other
@@ -62,6 +62,7 @@ COMMANDS = [
     ["fixed-points", "1009"],
     ["fixed-points", "1009", "--format", "json"],
     ["fixed-points", "1009", "--format", "csv"],
+    ["fixed-points", "1009", "--format", "latex"],
 ]
 
 _CHILD = "import sys; from sl2q.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -11,9 +11,10 @@ rational, q-1 for chi_i on the a-classes, q+1 for theta_j on the
 b-classes, q for the Gauss-sum values of xi and eta (in
 Q(sqrt(eps*q)) inside Q(zeta_q)).  The table's ``conductor`` is the
 working conductor N = lcm(q, q-1, q+1) that holds them all; a value is
-embedded there only where JSON and the csv approximations read it
+embedded there only where the csv approximation columns read it
 (``CharTable.serial_map``, once per distinct value), so arithmetic at
-degree phi(N) happens for those two formats alone.
+degree phi(N) happens for that format alone.  JSON writes each value at
+its natural conductor.
 
 The zc/zd columns follow from the central character of z:
 chi(zc) = chi(z)/chi(1) * chi(c), and chi(z)/chi(1) is always +-1.
@@ -214,10 +215,9 @@ class CharTable:
     """Exact character table: columns ClassLabel, rows character labels.
 
     ``values`` maps (row, ClassLabel) to a CycNum at its natural
-    conductor, a divisor of ``conductor`` (every value of a table loaded
-    from JSON is at ``conductor`` itself); ``serial_map`` embeds each
-    distinct value in Q(zeta_conductor), where JSON and the csv
-    approximations read it.
+    conductor, a divisor of ``conductor`` (a table loaded from a schema-1
+    JSON document holds every value at ``conductor`` itself);
+    ``serial_map`` takes the csv approximations at ``conductor``.
     ``symbolic`` carries the display cells (None on tables rebuilt from
     JSON; the exact values are the record).  The complex table has
     CharLabel rows and ``source`` None.  The real table (see
@@ -241,12 +241,12 @@ class CharTable:
     def value(self, char, label: ClassLabel) -> CycNum:
         return self.values[(char, label)]
 
-    def serial_map(self, f: Callable[[CycNum], object]) -> dict:
-        """{(row, ClassLabel): f(value embedded in Q(zeta_conductor))}, as
-        JSON and the csv approximations read it.
+    def serial_map(self) -> dict:
+        """{(row, ClassLabel): approx() of the value embedded in
+        Q(zeta_conductor)}, as the csv approximation columns read it.
 
-        The embedding and f run once per distinct value (``CycNum.key``),
-        and equal cells share that one result.
+        The embedding and ``approx`` run once per distinct value
+        (``CycNum.key``), and equal cells share that one result.
         """
         N = self.conductor
         memo = {}
@@ -254,7 +254,7 @@ class CharTable:
         for cell, v in self.values.items():
             key = v.key()
             if key not in memo:
-                memo[key] = f(v.promote(N))
+                memo[key] = v.promote(N).approx()
             out[cell] = memo[key]
         return out
 
@@ -286,14 +286,10 @@ class CharTable:
         raise KeyError(str(label))
 
     def to_json(self) -> dict:
-        """The table as a JSON document, every value written at ``conductor``.
-
-        Equal values share one cell dict (``serial_map``), so the returned
-        document must not be mutated: a change to one cell would show in
-        every equal cell.
-        """
-        cells = self.serial_map(CycNum.to_json)
+        """The table as a JSON document (schema 2), each value at its own
+        conductor."""
         obj = {
+            "schema": 2,
             "q": self.q,
             "epsilon": self.epsilon,
             "conductor": self.conductor,
@@ -305,7 +301,8 @@ class CharTable:
             ],
             "chars": [str(ch) for ch in self.chars],
             "values": {
-                str(ch): {str(lab): cells[(ch, lab)] for lab in self.class_order}
+                str(ch): {str(lab): self.values[(ch, lab)].to_json()
+                          for lab in self.class_order}
                 for ch in self.chars
             },
             "symbolic": None if self.symbolic is None else {
@@ -321,7 +318,11 @@ class CharTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CharTable":
-        """Load either table; a "source" entry marks the real one."""
+        """Load either table; a "source" entry marks the real one.
+
+        Reads schema 1 (every value at ``conductor``) and schema 2 (each
+        value at its own conductor, a divisor of ``conductor``) alike.
+        """
         from .grp import parse_class_label
         from .realrep import parse_real_char_label
         q = obj["q"]
@@ -333,16 +334,21 @@ class CharTable:
         source = obj.get("source")
         parse_row = parse_char_label if source is None else parse_real_char_label
         chars = tuple(parse_row(s) for s in obj["chars"])
-        values = {
-            (ch, cls.label): CycNum.from_json(obj["values"][str(ch)][str(cls.label)])
-            for ch in chars for cls in classes
-        }
+        N = obj["conductor"]
+        values = {}
+        for ch in chars:
+            row = obj["values"][str(ch)]
+            for c in classes:
+                v = values[ch, c.label] = CycNum.from_json(row[str(c.label)])
+                if N % v.conductor:
+                    raise ValueError(f"the value at ({ch}, {c.label}) has "
+                                     f"conductor {v.conductor}, which does "
+                                     f"not divide the table's {N}")
         if source is not None:
             source = {ch: tuple((parse_char_label(c), m)
                                 for c, m in source[str(ch)])
                       for ch in chars}
-        return cls(q, obj["epsilon"], obj["conductor"], classes, chars,
-                   values, None, source)
+        return cls(q, obj["epsilon"], N, classes, chars, values, None, source)
 
     def __eq__(self, other):
         if not isinstance(other, CharTable):

@@ -2,8 +2,10 @@
 
 Subcommands: classes, char-table, real-table, fs, fixed-points, verify.
 Formats: text (symbolic cells plus an advisory decimal legend), json
-(exact coefficient vectors, round-trippable), csv (long form, quoted),
-latex (tabular in the classical layout).
+(one compact line of ``json.dumps``, schema 2: each exact value as a
+coefficient vector at its natural conductor, round-trippable through
+the library loaders), csv (long form, quoted), latex (tabular in the
+classical layout).
 
 Text and csv modes render cells in a small stable grammar:
 
@@ -22,11 +24,9 @@ import argparse
 import csv
 import json
 import sys
-from json.encoder import encode_basestring_ascii
-from math import isfinite
+from itertools import repeat
 
 from .chars import complex_table, sym_latex, sym_str
-from .cyclo import CycNum
 from .fixdim import full_report
 from .grp import DEFAULT_MAX_ENUM, representatives
 from .realrep import fs_indicator_closed, fs_indicator_raw, real_table
@@ -77,16 +77,23 @@ def _build_parser() -> _Parser:
 _ADVISORY = "# decimal approximations are advisory; exact values live in json mode"
 
 
-def _text_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+def _print_text_table(headers: list[str], rows,
+                      widths: list[int] | None = None) -> None:
+    """Print rows under headers in left-aligned columns, line by line.
+
+    ``widths`` holds the widest cell of each column; without it the
+    widths are read off ``rows``, which must then be a list.
+    """
+    if widths is None:
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    else:
+        widths = [max(w, len(h)) for w, h in zip(widths, headers)]
     def fmt(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
+    print(fmt(headers))
+    print(fmt(["-" * w for w in widths]))
+    for row in rows:
+        print(fmt(row))
 
 
 def _print_csv(headers: list[str], rows, comment: str | None = None) -> None:
@@ -97,16 +104,15 @@ def _print_csv(headers: list[str], rows, comment: str | None = None) -> None:
     writer.writerows(rows)
 
 
-def _latex_table(headers: list[str], rows: list[list[str]]) -> str:
-    colspec = "l" + "r" * (len(headers) - 1)
-    lines = [f"\\begin{{tabular}}{{{colspec}}}", "\\hline"]
-    lines.append(" & ".join(headers) + " \\\\")
-    lines.append("\\hline")
+def _print_latex_table(headers: list[str], rows) -> None:
+    print(f"\\begin{{tabular}}{{l{'r' * (len(headers) - 1)}}}")
+    print("\\hline")
+    print(" & ".join(headers) + " \\\\")
+    print("\\hline")
     for row in rows:
-        lines.append(" & ".join(row) + " \\\\")
-    lines.append("\\hline")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines)
+        print(" & ".join(row) + " \\\\")
+    print("\\hline")
+    print("\\end{tabular}")
 
 
 def _fmt_complex(z: complex) -> str:
@@ -154,120 +160,19 @@ def _matrix_latex(g) -> str:
 
 
 # ---------------------------------------------------------------------------
-# json output
-
-_CONTAINERS = (dict, list, tuple)
-
-
-def _json_scalar(o) -> str:
-    """json.dumps(o) for a str, None, bool, int or float."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return float.__repr__(o) if isfinite(o) else json.dumps(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _shared_containers(obj) -> set:
-    """ids of the containers that occur more than once in obj."""
-    seen, shared = set(), set()
-    stack = [obj] if isinstance(obj, _CONTAINERS) else []
-    while stack:
-        o = stack.pop()
-        if id(o) in seen:
-            shared.add(id(o))
-            continue
-        seen.add(id(o))
-        stack.extend(m for m in (o.values() if isinstance(o, dict) else o)
-                     if isinstance(m, _CONTAINERS))
-    return shared
-
-
-def _print_json(obj) -> None:
-    """Write json.dumps(obj, indent=2) and a newline to stdout, piece by piece.
-
-    The document and each of its members are written one member at a
-    time; anything nested deeper is encoded as one string per member, so
-    the whole document is never held at once.  A container that occurs
-    more than once (by identity) is encoded once per nesting level, as
-    the shared cells of ``CharTable.to_json`` are.  Keys must be str.
-    """
-    shared = _shared_containers(obj)
-    memo = {}   # (id, level) -> text of a shared container
-
-    def text(o, level: int) -> str:
-        """o nested ``level`` deep, as one string."""
-        if not isinstance(o, _CONTAINERS):
-            return _json_scalar(o)
-        key = (id(o), level)
-        out = memo.get(key)
-        if out is None:
-            out = "".join(pieces(o, level, 0))
-            if id(o) in shared:
-                memo[key] = out
-        return out
-
-    def pieces(o, level: int, split: int):
-        """o's text in pieces; members ``split`` levels down get their own."""
-        if not isinstance(o, _CONTAINERS):
-            yield _json_scalar(o)
-            return
-        if not o:
-            yield "{}" if isinstance(o, dict) else "[]"
-            return
-        inner = "\n" + "  " * (level + 1)
-        close = "\n" + "  " * level + ("}" if isinstance(o, dict) else "]")
-        if isinstance(o, dict):
-            head = "{" + inner
-            members = ((encode_basestring_ascii(k) + ": ", v)
-                       for k, v in o.items())
-        else:
-            if isinstance(o[0], str):
-                try:
-                    body = ("," + inner).join(map(encode_basestring_ascii, o))
-                except TypeError:   # not all of them are str
-                    pass
-                else:
-                    yield "[" + inner + body + close
-                    return
-            head = "[" + inner
-            members = (("", v) for v in o)
-        for prefix, v in members:
-            if split and isinstance(v, _CONTAINERS) and v and id(v) not in shared:
-                yield head + prefix
-                yield from pieces(v, level + 1, split - 1)
-            else:
-                yield head + prefix + text(v, level + 1)
-            head = "," + inner
-        yield close
-
-    write = sys.stdout.write
-    for piece in pieces(obj, 0, 2):
-        write(piece)
-    write("\n")
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_classes(args) -> int:
     reps = representatives(args.q)
     if args.fmt == "json":
-        _print_json({
+        print(json.dumps({
+            "schema": 2,
             "q": args.q,
             "classes": [{"label": str(c.label),
                          "representative": list(c.representative.to_tuple()),
                          "order": c.element_order,
                          "size": c.size} for c in reps],
-        })
+        }))
         return 0
     headers = ["label", "representative", "order", "size"]
     rows = [[str(c.label), _matrix_str(c.representative),
@@ -277,20 +182,20 @@ def _cmd_classes(args) -> int:
     elif args.fmt == "latex":
         tex_rows = [[_class_latex(str(c.label)), _matrix_latex(c.representative),
                      str(c.element_order), str(c.size)] for c in reps]
-        print(_latex_table(headers, tex_rows))
+        _print_latex_table(headers, tex_rows)
     else:
-        print(_text_table(headers, rows))
+        _print_text_table(headers, rows)
     return 0
 
 
 def _cmd_table(table, fmt: str) -> int:
     """Both character tables, in all four formats."""
     if fmt == "json":
-        _print_json(table.to_json())
+        print(json.dumps(table.to_json()))
         return 0
     labels = table.class_order
     if fmt == "csv":
-        approx = table.serial_map(CycNum.approx)
+        approx = table.serial_map()
         rows = []
         for ch in table.chars:
             for lab in labels:
@@ -306,7 +211,7 @@ def _cmd_table(table, fmt: str) -> int:
         rows = [[_char_latex(str(ch))]
                 + [f"${sym_latex(table.symbolic[(ch, lab)])}$" for lab in labels]
                 for ch in table.chars]
-        print(_latex_table(headers, rows))
+        _print_latex_table(headers, rows)
         return 0
     headers = ["char"] + [str(lab) for lab in labels]
     rows = []
@@ -319,7 +224,7 @@ def _cmd_table(table, fmt: str) -> int:
             if table.symbolic[(ch, lab)][0] != "rat" and s not in legend:
                 legend[s] = table.value(ch, lab).approx()
         rows.append(cells)
-    print(_text_table(headers, rows))
+    _print_text_table(headers, rows)
     if legend:
         print()
         print("decimal approximations (advisory):")
@@ -338,11 +243,12 @@ def _cmd_fs(args) -> int:
         rows.append((str(ch), closed, brute,
                      None if brute is None else closed == brute))
     if args.fmt == "json":
-        _print_json({
+        print(json.dumps({
+            "schema": 2,
             "q": args.q,
             "indicators": [{"char": c, "closed": cl, "brute": br, "match": m}
                            for c, cl, br, m in rows],
-        })
+        }))
         return 0
     headers = ["char", "closed", "brute", "match"]
     disp = [[c, str(cl), "-" if br is None else str(br),
@@ -351,9 +257,9 @@ def _cmd_fs(args) -> int:
         _print_csv(headers, disp)
     elif args.fmt == "latex":
         tex = [[_char_latex(r[0])] + r[1:] for r in disp]
-        print(_latex_table(headers, tex))
+        _print_latex_table(headers, tex)
     else:
-        print(_text_table(headers, disp))
+        _print_text_table(headers, disp)
         if not within:
             print(f"\n(q={args.q} exceeds the enumeration bound "
                   f"{args.max_enum}; brute column skipped, raise --max-enum "
@@ -361,10 +267,22 @@ def _cmd_fs(args) -> int:
     return 0
 
 
+def _fixed_point_widths(report) -> list[int]:
+    """The widest text cell of each column, read off the int columns."""
+    widths = [max(len(str(ch)) for ch in report.chars)]
+    for closed, oracle in zip(report.closed, report.oracle or repeat(None)):
+        width = max(len(str(min(closed))), len(str(max(closed))))
+        if oracle is not None:
+            width = max([width] + [len(f"{c}!={o}")
+                                   for c, o in zip(closed, oracle) if c != o])
+        widths.append(width)
+    return widths
+
+
 def _cmd_fixed_points(args) -> int:
     report = full_report(args.q, args.max_enum)
     if args.fmt == "json":
-        _print_json(report.to_json())
+        print(json.dumps(report.to_json()))
         return 0 if report.all_match else 2
     keys = [str(k) for k in report.keys]
     rows = [(str(ch), closed, oracle) for ch, closed, oracle in report.rows()]
@@ -375,14 +293,18 @@ def _cmd_fixed_points(args) -> int:
                     for key, c, o in zip(keys, closed, oracle)))
         return 0 if report.all_match else 2
     headers = ["char"] + keys
-    cells = [[ch] + [str(c) if o is None or c == o else f"{c}!={o}"
-                     for c, o in zip(closed, oracle)]
-             for ch, closed, oracle in rows]
+
+    def cells(closed, oracle) -> list[str]:
+        return [str(c) if o is None or c == o else f"{c}!={o}"
+                for c, o in zip(closed, oracle)]
+
     if args.fmt == "latex":
-        tex_rows = [[_char_latex(r[0])] + r[1:] for r in cells]
-        print(_latex_table(headers, tex_rows))
+        _print_latex_table(headers, ([_char_latex(ch)] + cells(closed, oracle)
+                                     for ch, closed, oracle in rows))
     else:
-        print(_text_table(headers, cells))
+        _print_text_table(headers, ([ch] + cells(closed, oracle)
+                                    for ch, closed, oracle in rows),
+                          _fixed_point_widths(report))
         extras = []
         if args.q > args.max_enum:
             extras.append(f"oracle skipped: q={args.q} exceeds the "
@@ -407,7 +329,7 @@ def _cmd_verify(args) -> int:
         return 1
     report = verify_all(args.q, args.max_enum)
     if args.fmt == "json":
-        _print_json(report.to_json())
+        print(json.dumps(report.to_json()))
     elif args.fmt == "csv":
         rows = [[c.name, str(c.passed).lower(), c.details]
                 for c in report.checks]
@@ -415,7 +337,7 @@ def _cmd_verify(args) -> int:
     elif args.fmt == "latex":
         rows = [[c.name.replace("_", "\\_"),
                  "PASS" if c.passed else "FAIL"] for c in report.checks]
-        print(_latex_table(["check", "status"], rows))
+        _print_latex_table(["check", "status"], rows)
     else:
         print(report.to_text())
     return 0 if report.overall else 2

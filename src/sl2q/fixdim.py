@@ -337,51 +337,61 @@ class FixedDimTable:
         return self.oracle is None or self.oracle == self.closed
 
     def to_json(self) -> dict:
-        """The table as a JSON document.
-
-        Equal entries share one dict, one per distinct (closed, oracle),
-        so the returned document must not be mutated: a change to one
-        entry would show in every equal entry.
-        """
-        names = [str(k) for k in self.keys]
-        shared = {}
-
-        def cell(closed: int, oracle: int | None) -> dict:
-            out = shared.get((closed, oracle))
-            if out is None:
-                out = shared[closed, oracle] = {
-                    "closed": closed, "oracle": oracle,
-                    "match": None if oracle is None else closed == oracle}
-            return out
-
+        """The table as a JSON document (schema 2): the subgroup keys once,
+        then one row per character with its closed and oracle values in
+        key order; a row's ``oracle`` is null past the enumeration bound."""
         return {
+            "schema": 2,
             "q": self.q,
-            "chars": [str(c) for c in self.chars],
-            "subgroups": [{"key": name, "order": _closed_order(self.q, k)}
-                          for name, k in zip(names, self.keys)],
-            "entries": {str(c): dict(zip(names, map(cell, closed, oracle)))
-                        for c, closed, oracle in self.rows()},
+            "subgroups": [{"key": str(k), "order": _closed_order(self.q, k)}
+                          for k in self.keys],
+            "rows": [{"char": str(c), "closed": list(closed),
+                      "oracle": None if self.oracle is None else list(oracle)}
+                     for c, closed, oracle in self.rows()],
             "notes": list(self.notes),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "FixedDimTable":
+        """Load a document of schema 2 (``to_json``) or of schema 1, which
+        has no "schema" key and one {"closed", "oracle", "match"} dict per
+        entry under "entries"."""
         from .realrep import parse_real_char_label
         names = [d["key"] for d in obj["subgroups"]]
-        rows = [obj["entries"][s] for s in obj["chars"]]
-        columns = [[row[name] for row in rows] for name in names]
-        for e in chain.from_iterable(columns):
-            if e["match"] is not (None if e["oracle"] is None
-                                  else e["closed"] == e["oracle"]):
-                raise ValueError(f"entry {e} has a match that disagrees "
-                                 f"with its closed and oracle values")
-        oracle = [[e["oracle"] for e in column] for column in columns]
-        missing = {o is None for column in oracle for o in column}
+        schema = obj.get("schema", 1)
+        if schema == 1:
+            chars = obj["chars"]
+            rows = [obj["entries"][s] for s in chars]
+            columns = [[row[name] for row in rows] for name in names]
+            for e in chain.from_iterable(columns):
+                if e["match"] is not (None if e["oracle"] is None
+                                      else e["closed"] == e["oracle"]):
+                    raise ValueError(f"entry {e} has a match that disagrees "
+                                     f"with its closed and oracle values")
+            closed = [[e["closed"] for e in column] for column in columns]
+            oracle = [[e["oracle"] for e in column] for column in columns]
+            missing = {o is None for column in oracle for o in column}
+        elif schema == 2:
+            rows = obj["rows"]
+            for row in rows:
+                lengths = {len(row["closed"])}
+                if row["oracle"] is not None:
+                    lengths.add(len(row["oracle"]))
+                if lengths != {len(names)}:
+                    raise ValueError(f"row {row['char']} does not have one "
+                                     f"entry per subgroup ({len(names)})")
+            chars = [row["char"] for row in rows]
+            closed = list(zip(*(row["closed"] for row in rows)))
+            oracles = [row["oracle"] for row in rows]
+            missing = {o is None for o in oracles}
+            oracle = None if True in missing else list(zip(*oracles))
+        else:
+            raise ValueError(f"unknown fixed-point table schema {schema!r}; "
+                             f"schemas 1 and 2 can be read")
         if len(missing) > 1:
-            raise ValueError("the oracle column mixes null and integer entries")
-        return cls(obj["q"], map(parse_real_char_label, obj["chars"]),
-                   map(parse_subgroup_key, names),
-                   [[e["closed"] for e in column] for column in columns],
+            raise ValueError("the oracle mixes null and non-null entries")
+        return cls(obj["q"], map(parse_real_char_label, chars),
+                   map(parse_subgroup_key, names), closed,
                    None if True in missing else oracle, obj["notes"])
 
     def __eq__(self, other):

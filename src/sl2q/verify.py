@@ -56,6 +56,7 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         return {
+            "schema": 2,
             "q": self.q,
             "checks": [{"name": c.name, "pass": c.passed, "details": c.details}
                        for c in self.checks],

@@ -1,12 +1,15 @@
 """The complex irreducible character table."""
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sl2q.chars import (Chi, ETA1, ETA2, PSI, TRIV, Theta, XI1, XI2, CharLabel,
                         CharTable, char_labels, complex_table,
                         parse_char_label, sym_latex, sym_str)
-from sl2q.cyclo import nu, rational, sqrt_eps_q, working_conductor
+from sl2q.cyclo import (nu, rational, root_of_unity, sqrt_eps_q,
+                        working_conductor)
 from sl2q.grp import A, B, C, D, ONE, Z, ZC, ZD, rep_a, rep_c, rep_z
 from sl2q.realrep import parse_real_char_label, real_table
 
@@ -192,13 +195,33 @@ def test_json_round_trip():
     assert clone.symbolic is None
     assert clone.degree(PSI) == 5
     assert clone.value(ETA2, B(2)) == ct.value(ETA2, B(2))
-    # every cell is written at the table's conductor N, whatever the
-    # conductor it is stored at
+    # schema 2: every cell is written at the conductor it is stored at,
+    # under the table's working conductor N
     for table in (ct, real_table(5)):
         obj = table.to_json()
-        assert {cell["conductor"] for row in obj["values"].values()
-                for cell in row.values()} == {table.conductor}
+        assert obj["schema"] == 2 and obj["conductor"] == table.conductor
+        assert all(obj["values"][str(ch)][str(lab)]
+                   == table.value(ch, lab).to_json()
+                   for ch in table.chars for lab in table.class_order)
         assert CharTable.from_json(obj) == table
+
+
+def test_schema_1_document_loads():
+    # `char-table 3 --format json` as written before schema 2: no
+    # "schema" key, every cell at N = 12
+    obj = json.loads((Path(__file__).parent / "data"
+                      / "char-table-3.schema1.json").read_text())
+    assert "schema" not in obj
+    assert {cell["conductor"] for row in obj["values"].values()
+            for cell in row.values()} == {12}
+    assert CharTable.from_json(obj) == complex_table(3)
+
+
+def test_from_json_rejects_a_value_outside_the_working_field():
+    obj = complex_table(5).to_json()
+    obj["values"]["psi"]["c"] = root_of_unity(7, 1).to_json()
+    with pytest.raises(ValueError, match="does not divide"):
+        CharTable.from_json(obj)
 
 
 def test_class_sum_is_the_inner_product_with_the_trivial_row():

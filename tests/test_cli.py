@@ -11,13 +11,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import sl2q
 from sl2q import cli
 from sl2q.chars import CharTable, complex_table
-from sl2q.cli import _print_json, main
+from sl2q.cli import main
 from sl2q.fixdim import Z_H, FixedDimTable, full_report
 from sl2q.realrep import RPSI, real_table
 from sl2q.verify import VerificationReport
@@ -180,10 +178,11 @@ def test_fixed_points_mismatch(monkeypatch, capsys, fmt):
         assert ["psi", "ZH", "5", "6", "False"] in rows
     elif fmt == "json":
         obj = json.loads(out)
-        assert obj["entries"]["psi"]["ZH"] == {
-            "closed": 5, "oracle": 6, "match": False}
-        assert sum(not e["match"] for row in obj["entries"].values()
-                   for e in row.values()) == 1
+        keys = [s["key"] for s in obj["subgroups"]]
+        mismatches = [(row["char"], key, c, o) for row in obj["rows"]
+                      for key, c, o in zip(keys, row["closed"], row["oracle"])
+                      if c != o]
+        assert mismatches == [("psi", "ZH", 5, 6)]
         assert FixedDimTable.from_json(obj) == forged
     else:
         assert out.count("!=") == 1 and "5!=6" in out
@@ -290,23 +289,23 @@ def test_csv_table_at_the_working_conductor_fits_in_256_mb():
         "0599c1a43db3f4fd6819434ab8ee866d9ab9906e139d991cd9a4008fef77bbd2")
 
 
-def test_json_table_at_the_working_conductor_fits_in_256_mb():
-    # JSON writes every cell at N = 14,880 (4.7 M coefficients); each
-    # distinct value is promoted and encoded once and the document is
-    # written piece by piece.  Built whole by json.dumps it peaked at
-    # 738 MB; the digest was written by that code
+def test_json_table_at_q_47_fits_in_64_mb():
+    # JSON writes each value at its natural conductor, not at
+    # N = 51,888 (phi(N) = 16,192 coefficients a cell), where the document
+    # was 632 MB and its writer peaked at about 100 MB
     with tempfile.TemporaryFile() as out:
-        proc = run_capped(256, "char-table", "31", "--format", "json",
+        proc = run_capped(64, "char-table", "47", "--format", "json",
                           stdout=out)
         assert proc.returncode == 0, proc.stderr
         out.seek(0)
         digest = hashlib.file_digest(out, "sha256").hexdigest()
+        assert out.tell() < 1 << 20
     assert digest == (
-        "3880a84dc28b0341540e68e3689760c6583a7b634fae41d32712b1d86f6d0836")
+        "9ddcd025e217e0256f1a351fdd3497f37a84ecba1246dcbe4bb3bec5d1ca137b")
 
 
 _COUNT_PROMOTIONS = """
-import contextlib, io
+import contextlib, io, sys
 from sl2q.chars import complex_table
 from sl2q.cli import main
 from sl2q.cyclo import CycNum
@@ -316,66 +315,31 @@ def counted(self, M):
     return promote(self, M)
 CycNum.promote = counted
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["char-table", "17", "--format", "json"]) == 0
+    assert main(["char-table", "17", "--format", sys.argv[1]]) == 0
 print(len(calls), len({v.key() for v in complex_table(17).values.values()}))
 """
 
 
-def test_json_table_promotes_each_distinct_value_once():
-    # 441 cells, one promotion each when every cell was serialised on
-    # its own; the table has 29 distinct values
-    proc = run_fresh(_COUNT_PROMOTIONS)
-    assert proc.returncode == 0, proc.stderr
-    promotions, distinct = map(int, proc.stdout.split())
+def test_csv_promotes_each_distinct_value_once_and_json_none():
+    # csv takes its approx columns at N, once per distinct value: 29 of
+    # the 441 cells; JSON writes every value at its natural conductor
+    counts = {}
+    for fmt in ("csv", "json"):
+        proc = run_fresh(_COUNT_PROMOTIONS, fmt)
+        assert proc.returncode == 0, proc.stderr
+        counts[fmt] = tuple(map(int, proc.stdout.split()))
+    promotions, distinct = counts["csv"]
     assert promotions <= distinct < 441
-
-
-# ---------------------------------------------------------------------------
-# the JSON writer: json.dumps(obj, indent=2) byte for byte
-
-_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
-                 | st.text())
-_json_docs = st.recursive(
-    _json_scalars,
-    lambda kids: (st.lists(kids, max_size=4)
-                  | st.lists(kids, max_size=3).map(tuple)
-                  | st.lists(st.text(max_size=3), max_size=4)
-                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
-    max_leaves=24)
-
-
-def _printed(obj) -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _print_json(obj)
-    return buf.getvalue()
-
-
-@settings(max_examples=300, deadline=None)
-@given(doc=_json_docs, sub=_json_docs)
-@example(doc=[-0.0, 1e-300, 1e22, None, True, False, "\u00e9\u2028\x00\x1f\"\\",
-              [], {}, [[]], {"": {}}],
-         sub={"coeffs": ["1", "-1/2"], "approx": {"re": 0.5, "im": -0.0}})
-def test_print_json_is_json_dumps(doc, sub):
-    # sub is shared: twice at one level, and once at each of two deeper ones
-    shared = {"doc": doc, "sub": sub, "again": sub,
-              "deeper": [sub, {"deepest": sub}]}
-    for obj in (doc, shared):
-        assert _printed(obj) == json.dumps(obj, indent=2) + "\n"
+    assert counts["json"] == (0, distinct)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("command", ["classes", "char-table", "real-table",
                                      "fs", "fixed-points", "verify"])
-def test_json_output_is_json_dumps_of_its_document(monkeypatch, capsys,
-                                                    command, q):
-    docs = []
-
-    def record(obj):
-        docs.append(obj)
-        _print_json(obj)
-
-    monkeypatch.setattr(cli, "_print_json", record)
+def test_json_output_is_json_dumps_of_its_document(capsys, command, q):
+    # one compact line, schema 2, as json.dumps writes the document
     code, out, _ = run_cli(capsys, command, str(q), "--format", "json")
-    assert code == 0 and len(docs) == 1
-    assert out == json.dumps(docs[0], indent=2) + "\n"
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == 2
+    assert out == json.dumps(doc) + "\n"

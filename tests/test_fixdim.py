@@ -1,5 +1,6 @@
 """Fixed-point dimensions: closed forms against the averaging oracle."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,34 +176,90 @@ def test_report_json_round_trip():
         assert (clone.oracle is None) == (q > 50)
 
 
-def _fresh_json(q):
-    # to_json shares one dict per distinct value; a copy can be edited
-    return json.loads(json.dumps(full_report(q).to_json()))
+# schema-1 documents, as `fixed-points 5 --format json` wrote them before
+# schema 2, with and without the oracle (--max-enum 3)
+SCHEMA_1 = Path(__file__).parent / "data" / "fixed-points-5.schema1.json"
+SCHEMA_1_NO_ORACLE = (Path(__file__).parent / "data"
+                      / "fixed-points-5-max-enum-3.schema1.json")
+
+
+def _schema_1(path):
+    """A fresh copy of a schema-1 document, free to edit."""
+    return json.loads(path.read_text())
+
+
+def test_schema_1_documents_load():
+    assert "schema" not in _schema_1(SCHEMA_1)
+    assert FixedDimTable.from_json(_schema_1(SCHEMA_1)) == full_report(5)
+    clone = FixedDimTable.from_json(_schema_1(SCHEMA_1_NO_ORACLE))
+    assert clone == full_report(5, 3) and clone.oracle is None
 
 
 def test_from_json_rejects_a_match_that_disagrees():
-    doc = _fresh_json(5)
+    doc = _schema_1(SCHEMA_1)
     doc["entries"]["psi"]["ZH"]["match"] = False
     with pytest.raises(ValueError, match="disagrees"):
         FixedDimTable.from_json(doc)
-    doc = _fresh_json(5)
+    doc = _schema_1(SCHEMA_1)
     doc["entries"]["psi"]["ZH"]["oracle"] += 1   # match is left true
     with pytest.raises(ValueError, match="disagrees"):
         FixedDimTable.from_json(doc)
-    doc = _fresh_json(101)
+    doc = _schema_1(SCHEMA_1_NO_ORACLE)
     doc["entries"]["psi"]["ZH"]["match"] = True  # no oracle to match
     with pytest.raises(ValueError, match="disagrees"):
         FixedDimTable.from_json(doc)
 
 
 def test_from_json_rejects_an_oracle_that_mixes_null_and_integers():
-    doc = _fresh_json(5)
+    doc = _schema_1(SCHEMA_1)
     doc["entries"]["psi"]["ZH"].update(oracle=None, match=None)
     with pytest.raises(ValueError, match="mixes"):
         FixedDimTable.from_json(doc)
-    doc = _fresh_json(101)
-    doc["entries"]["psi"]["ZH"].update(oracle=101, match=True)
+    doc = _schema_1(SCHEMA_1_NO_ORACLE)
+    doc["entries"]["psi"]["ZH"].update(oracle=5, match=True)
     with pytest.raises(ValueError, match="mixes"):
+        FixedDimTable.from_json(doc)
+
+
+def test_schema_2_rows_list_each_subgroup_once():
+    doc = full_report(5).to_json()
+    assert doc["schema"] == 2
+    assert [s["key"] for s in doc["subgroups"]] == [
+        "TrivialH", "ZH", "CH", "ZCH", "AH(1)", "BH(1)", "BH(2)"]
+    psi = doc["rows"][1]
+    assert psi == {"char": "psi", "closed": [5, 5, 1, 1, 3, 1, 1],
+                   "oracle": [5, 5, 1, 1, 3, 1, 1]}
+    rows = full_report(5, 3).to_json()["rows"]
+    assert all(row["oracle"] is None for row in rows)
+
+
+@pytest.mark.parametrize("max_enum, part", [(50, "closed"), (50, "oracle"),
+                                             (3, "closed")])
+def test_from_json_rejects_a_row_of_the_wrong_length(max_enum, part):
+    # zip would silently drop the surplus or the missing subgroups
+    for edit in (list.pop, lambda row: row.append(1)):
+        doc = full_report(5, max_enum).to_json()
+        edit(doc["rows"][2][part])
+        with pytest.raises(ValueError, match="one entry per subgroup"):
+            FixedDimTable.from_json(doc)
+
+
+def test_from_json_rejects_oracle_rows_that_mix_null_and_lists():
+    doc = full_report(5).to_json()
+    doc["rows"][1]["oracle"] = None
+    with pytest.raises(ValueError, match="mixes"):
+        FixedDimTable.from_json(doc)
+    doc = full_report(5, 3).to_json()
+    doc["rows"][1]["oracle"] = doc["rows"][1]["closed"]
+    with pytest.raises(ValueError, match="mixes"):
+        FixedDimTable.from_json(doc)
+
+
+@pytest.mark.parametrize("schema", [0, 3, "2", None])
+def test_from_json_rejects_an_unknown_schema(schema):
+    doc = full_report(5).to_json()
+    doc["schema"] = schema
+    with pytest.raises(ValueError, match="schema"):
         FixedDimTable.from_json(doc)
 
 

@@ -34,8 +34,8 @@ def test_everything_passes(q):
 def test_report_json_schema_and_round_trip():
     report = verify_all(3)
     obj = report.to_json()
-    assert set(obj) == {"q", "checks", "overall"}
-    assert obj["q"] == 3 and obj["overall"] is True
+    assert set(obj) == {"schema", "q", "checks", "overall"}
+    assert obj["schema"] == 2 and obj["q"] == 3 and obj["overall"] is True
     for entry in obj["checks"]:
         assert set(entry) == {"name", "pass", "details"}
         assert isinstance(entry["details"], str)
