@@ -2,10 +2,12 @@
 
 SHA-256 of stdout for ``char-table``, ``real-table``, ``fs``, ``classes``
 and ``fixed-points`` at q in {3, 5, 7, 11, 13} and of ``verify`` at q in
-{7, 11, 13}, each in text, json, csv and latex.  The table digests were
-written before table values moved to their natural conductors, and the
-``classes`` and ``fixed-points`` digests before the fixed-point table
-became columns; how a value is stored must not move a byte of any format.
+{7, 11, 13}, each in text, json, csv and latex.  The text, csv and latex
+table digests were written before table values moved to their natural
+conductors, and the ``classes`` and ``fixed-points`` ones before the
+fixed-point table became columns; how a value is stored must not move a
+byte of those formats.  The json digests are of schema 2, one compact
+line of ``json.dumps``.
 """
 import contextlib
 import hashlib
@@ -19,7 +21,7 @@ DIGESTS = {
     "char-table 3 text":
         "61ba342372aad127675515baa853d69b9b2488a7fb432969f4cff464b7a47577",
     "char-table 3 json":
-        "9ec50d3f9dc46fd57d6b3bbb2a2970b78ced81e31c231f2126cb946d3a4b72cb",
+        "976b5634293635f5964ad07ee370d1ad6d742394ee2ac220d818a050c8bba353",
     "char-table 3 csv":
         "ce5220b0a755a677ebe1db998f3ea17b2c42a7137f90531612b36f56f11c6588",
     "char-table 3 latex":
@@ -27,7 +29,7 @@ DIGESTS = {
     "char-table 5 text":
         "8862324f48481c1a9a9e8d552fe24764e581dba27eaf3a9cf5d0fc6a4926cf10",
     "char-table 5 json":
-        "a3477b61ad297824aa30b0db68a72ea300d3658cf0692a0e8c1bf5f7e3e904f9",
+        "7569c63acc83e052550f82920c04ada4c95223819aa72097aba422467377d05a",
     "char-table 5 csv":
         "b255b34855f9fa867a3d47c78792c5c4cd54cbdfc6c7bb3f6cc4ef1ee0d8b871",
     "char-table 5 latex":
@@ -35,7 +37,7 @@ DIGESTS = {
     "char-table 7 text":
         "75d3fa89ef619080453f97ed9881e043204177b691524f44d68e598e3a84ddbe",
     "char-table 7 json":
-        "945bedff920565f8e0b6d14fa2516ec7bc214dbdf5978bc1858bf9809fb7d7c7",
+        "1f9d29b408af6087f3d8e23ed11255fd417bb7c50c03ddd0dd52e7ede0e3cfb1",
     "char-table 7 csv":
         "054ab544557a91ccc91c5ca303a5368cab4d3ba3c41ce290e4283f2098a70c32",
     "char-table 7 latex":
@@ -43,7 +45,7 @@ DIGESTS = {
     "char-table 11 text":
         "ff0237a1f5659e7dbad10038ea0893b88759d984043a38c1af1160af40560a56",
     "char-table 11 json":
-        "0c67202a682de7129780deaa2567b96dbc10ee9830b42cebba24a8d7f943c17e",
+        "132e48653df04b9df05ad0044247c52bb721f52c271d7a6ccf9674b704e0c166",
     "char-table 11 csv":
         "035be88e6ed3d71569ee385825feaad7c69810902c23fd87f3f794bfe6c3c972",
     "char-table 11 latex":
@@ -51,7 +53,7 @@ DIGESTS = {
     "char-table 13 text":
         "5635233d2a998bb08ec6ee799ef4cfc638aa3cc0bfcced68a7644a91a1ad52c8",
     "char-table 13 json":
-        "bd5d70788e9a639493aa807d0e6072936279d1404fa7cd64f8609d793e9d5abf",
+        "e2dfc84b8bd96c201e94adb8011def49fcb46a345dc4f8fc7ebdcab3beb078ad",
     "char-table 13 csv":
         "ece576fb4fe2f01515d42324bf924a74538ea9fdbf46e4a1839da248fd3d3f1c",
     "char-table 13 latex":
@@ -59,7 +61,7 @@ DIGESTS = {
     "real-table 3 text":
         "c23db6e514b306d362e46e60a5529ca0a652c6e2a7733068a3e903391f5224f6",
     "real-table 3 json":
-        "a9ba37a07ee56075217d100510876fb7651ed6d0d659c963a761105b277733ce",
+        "19e31c852307803465ccef820418b20b12cb6b5f9967699706ba62ce035f2300",
     "real-table 3 csv":
         "6999ce674ae1380478c33649b9aad1cd6f3ccc6e089d6872b593b5444cd50c92",
     "real-table 3 latex":
@@ -67,7 +69,7 @@ DIGESTS = {
     "real-table 5 text":
         "91698edb06dc2a2f89348259c851d7d4177477bc54c6536dbdd8ea2000cc14ca",
     "real-table 5 json":
-        "175d74923846e0f279e5ba817c39a241a45cb841c428b5707e40b0c7ef8a58ff",
+        "c2e63307b1682b80ab3c4db904671b1ab904b6de0c60829cb48ccf5534b2924a",
     "real-table 5 csv":
         "2ecd2de1ff916a59686086bf6d6389ee70bf21c10e4323638e2818d42d2948de",
     "real-table 5 latex":
@@ -75,7 +77,7 @@ DIGESTS = {
     "real-table 7 text":
         "a08334935190f8a8547f4ca7915e1e2acbe80bd0a57564c41876f03697af1399",
     "real-table 7 json":
-        "4d2f4e8e793529e28675a9a00206875127a66ba48c2ad5374c6b11542a1c4c7c",
+        "4700b0cbd9da22de58bcbee1be372e6fabca6c0ebe62b9fa71687c2d46efceb4",
     "real-table 7 csv":
         "05d8319a96557758f37126e04e14e869418d8e67511bb6e6255b1c4a73bf89c8",
     "real-table 7 latex":
@@ -83,7 +85,7 @@ DIGESTS = {
     "real-table 11 text":
         "0a015fe62475af811cec85cb61693eeab244f1b757cc6da727bf02fb020ab2f5",
     "real-table 11 json":
-        "b4f39c4d848416a31e37a472863c1e96644fdef8189ff198068b192b86b5653e",
+        "d7f3eef5efef3e1263d95e4f241bc383ced2a9eb9811d53983316916c0f93ea9",
     "real-table 11 csv":
         "a43cf2dea2e85a3721e4f144f44715a5705880a628708c6191d34f31eedc2aac",
     "real-table 11 latex":
@@ -91,7 +93,7 @@ DIGESTS = {
     "real-table 13 text":
         "55567a28d075e9eaafc5a86b68ef0af0b64af84ab391b27b253c86ccb6d85c17",
     "real-table 13 json":
-        "c0b3ea6e5c07405325305c601eff919dd75ae78c1fd497416d3c029ba709e303",
+        "071dd85dab7dcb82cb6644e4cd7a5b4c332859f37f7480365912d6f9bfb66187",
     "real-table 13 csv":
         "c27c7e575c149326ffe7a36b375600777201e61ce5b6d2e866127e51dd138bab",
     "real-table 13 latex":
@@ -99,7 +101,7 @@ DIGESTS = {
     "fs 3 text":
         "929f766ab4ec2ace337d9000bb204befac900a3df3b230646ff4675f8067fdf4",
     "fs 3 json":
-        "be672a42860ad79df93af44487f4912cda422192bfcddb2148d93491e2a64320",
+        "cd5587e3d3a1d7837ad23b66c41eaa0791848296d283d56d0b65ec9061c8d7fa",
     "fs 3 csv":
         "1edee2a74e92153314cbc840b4f48442c31399057807bee024def139e2cfd699",
     "fs 3 latex":
@@ -107,7 +109,7 @@ DIGESTS = {
     "fs 5 text":
         "17801e818f7f0db1bde3b51ee316b873c2bdf3edc74e94580c170fc7a7ad18d1",
     "fs 5 json":
-        "6cda96d552ff76107773e0074b7bb4df2923678fe07a4387ecae5889f4111ade",
+        "08159828d7617b67e001ace30c3dd7db09010e1b7fb3cf7826e76cfef2116b86",
     "fs 5 csv":
         "9122a46e017d6e9cd4b0227ab10dfaca7174b387ab3a70c118d6fb29a72bccf6",
     "fs 5 latex":
@@ -115,7 +117,7 @@ DIGESTS = {
     "fs 7 text":
         "5bbdcd4f98ace7167e7ed8079012a0ac266619b2f57730fef84d8e057f4eb0c3",
     "fs 7 json":
-        "4bb161525df748c6982322b9afc3becc19400ef62eefd44f07b3cb7e29851fc8",
+        "718603a4ff31403f07c2917c64891ba276204c87ad0fd0e90c39a8c7330c02fe",
     "fs 7 csv":
         "adc0f764b4d47ec009b0526d07a2f21695610b14eba1fc5d697ad53cc0381dc7",
     "fs 7 latex":
@@ -123,7 +125,7 @@ DIGESTS = {
     "fs 11 text":
         "b18e4ad2a0633b7dc652d102d91e8e19250d530460e963bbd2451e7ffb6e443f",
     "fs 11 json":
-        "2203790216657d5f8f3e5442ff237b0453fcc709411d0d1a4b54506add7be87c",
+        "08b7743b4062ad73d5dfa23bd319228598c2056ac5084376a58e548b53172f8e",
     "fs 11 csv":
         "fce86280fdedb0ef19d86569e2b520d3ae89d3a247c106649048cc4706209909",
     "fs 11 latex":
@@ -131,7 +133,7 @@ DIGESTS = {
     "fs 13 text":
         "edc08ef8a82fdb047fbdb7d9575bbb70fe185f679115e39241e7f170808053c7",
     "fs 13 json":
-        "d80c29762bf40f3bcb7b46686374f6dab59371265756357c4698da2f93e2643c",
+        "a16adb49f639982e71918274e83bec988ef5e4825196cdae2b769d9209793d24",
     "fs 13 csv":
         "0b32ce4a7f577f1e1b5108d96420fd832841adcbbe9a409f17e6c9cfe7de8fce",
     "fs 13 latex":
@@ -139,7 +141,7 @@ DIGESTS = {
     "verify 7 text":
         "444bab218860be9e693a89e5563e43e5d704514f2d985ce51d158cdf14aabba0",
     "verify 7 json":
-        "3cfa8a64013bc53fa0e38c084d562b52a620b0a489537ea31d83eeff1450eec3",
+        "322cac1d394df60a0be9f25a8d12b4b4af949f447186146b88b68f3a10d18f32",
     "verify 7 csv":
         "1d327ec006ceea8461d5f49bc76b9eed0e87988582ee30b31f8c207852c1104f",
     "verify 7 latex":
@@ -147,7 +149,7 @@ DIGESTS = {
     "verify 11 text":
         "8c3fb2feea66a8831dc582bb997ffb8fa5fa3e787fcc990a72e93a5b6c3182ce",
     "verify 11 json":
-        "7f3fb4c46478f85cea75094e1ced1b6d869eb1a292f671ec26c0c9974113af2a",
+        "2aa806575aaadb7ff9b1d80b73e6ba7785d8a2016bd5b02c7eb402e55540ea23",
     "verify 11 csv":
         "42c76e7ef8c645bbd4765caf6f124ca79711729e3b020bea64bc2c15475b57a4",
     "verify 11 latex":
@@ -155,7 +157,7 @@ DIGESTS = {
     "verify 13 text":
         "f046813735df741079eb50f8d2ee7a4769f1943d321db31bf6d6fac6e577a2e9",
     "verify 13 json":
-        "7d646d2f69aea5a95f9d83e6dcbe7ce1719f6405b2f3b5ba1c82cc9338122b65",
+        "540251672fee081a738f2a12b5151f9e8e3aa8d690855b764a9524270f46a403",
     "verify 13 csv":
         "741cc359408306800ab7d039c2be08740535b69cedc2dbc8d0fe0607218655ab",
     "verify 13 latex":
@@ -163,7 +165,7 @@ DIGESTS = {
     "classes 3 text":
         "d14af6c31cb92d0b80e2b7c75ecd5d98d61b9fe606af40f4c5b560acec739d5d",
     "classes 3 json":
-        "01ca56bc712b1ea94443efc33b380c4e72c9454d040d16b9656b52dfe0654ebb",
+        "d8c95e3e05bbf0b19b18baf81d0adbd31002b8a24722addf35661813148375a4",
     "classes 3 csv":
         "c0d0e730adb5f4ababfc0c9c05b5fcf357a42dcf3a60373532a537911c6c57f3",
     "classes 3 latex":
@@ -171,7 +173,7 @@ DIGESTS = {
     "classes 5 text":
         "388827ba8b75e25c778afe42f9c55cc21b8f78227720383ff1aab799ad6716ce",
     "classes 5 json":
-        "7318bc8034d800647ed81be480bc98f7855e7dedcde97a45a712e5c4f2122f4f",
+        "e1f928817c3b804436e9b2b4d8a073f469c462f5e8ac7f4255eea9ea03a7fb46",
     "classes 5 csv":
         "60fa63349f1c285dd520c600fc054c8c5d8b65aa7b4b2858f532278cad157859",
     "classes 5 latex":
@@ -179,7 +181,7 @@ DIGESTS = {
     "classes 7 text":
         "a63f4db9c12d7c8e7f817994bd4dbcde346db968ae039847e843c55a531566bb",
     "classes 7 json":
-        "86eba0fe7c5388982d7ae5fa1546c2579620a18f254a23a52639fa8a20022f88",
+        "a0932f5cdc2971781453e5b1f60d106fcfe48f70c93701f4aaae53a761d9a609",
     "classes 7 csv":
         "11f00834752d49b97b52686e43844cd24889bb4d1fd1c0ee5a930dded561db6d",
     "classes 7 latex":
@@ -187,7 +189,7 @@ DIGESTS = {
     "classes 11 text":
         "faee70898fc50c942d5f46e92c40509ef267cebe636f8849f9d2cf672c0cf509",
     "classes 11 json":
-        "5442e01856e6a1bddede0086026c45d6970d1710e371474a8d08975baed88d44",
+        "a06da5974b5fee35f5399d8540ce804f348e1cc6e924461018c6006c20fa1194",
     "classes 11 csv":
         "ee2c17c9f730a35d87ddbc01b976eba8ffd047c7a2b38e210efbe4b2fd489469",
     "classes 11 latex":
@@ -195,7 +197,7 @@ DIGESTS = {
     "classes 13 text":
         "d2f568654a251e212dc4cf8363037975ac2956db79b0b3f32a706b1b348168be",
     "classes 13 json":
-        "2c5cce0b30817569e7906c61b67fb1b8c50924289ed0c134b2b70f2b75162a15",
+        "1bea2034fda5226026e5ab2b2e089a374e238e3d1e464a84f605719a5cce3651",
     "classes 13 csv":
         "781048f9d816ce1635b695085e90b00c9e00b679c0ac0d717c27fda935e66b6c",
     "classes 13 latex":
@@ -203,7 +205,7 @@ DIGESTS = {
     "fixed-points 3 text":
         "1c226c262597fc6c3f7e718dbdf7ae9e7bb58d04cc226fe62bd3df705944c7e6",
     "fixed-points 3 json":
-        "afa01178f6cfa9dd3c1773ddb6a9c066a36f1c7f64dc8cdfa486b1282509c161",
+        "427e31af8a82adfd382866cc094143e1815af28441b1d507350291a7f8225cf8",
     "fixed-points 3 csv":
         "2afab3197e98fe84d88f704c00574609b789b92fbbf58439f7f8b9c824ab9508",
     "fixed-points 3 latex":
@@ -211,7 +213,7 @@ DIGESTS = {
     "fixed-points 5 text":
         "dae1298232399eb0f3f3c34b58a97324066775087b8efbbdd2b3205c67a5005e",
     "fixed-points 5 json":
-        "86de6700c428238c258bfcd4e8cf73c3d301deec65887d355c265179226bb243",
+        "5f0f7b462b92ebecb52fe3cf58a5c323884bb7c3bb5e8efb8d5031b7048f433d",
     "fixed-points 5 csv":
         "12976bdce74f818e560ef553336f2fe68b926a55211bebe2edba77a0c27fc5c0",
     "fixed-points 5 latex":
@@ -219,7 +221,7 @@ DIGESTS = {
     "fixed-points 7 text":
         "900f5a4acbca80191896c57fa899d1a450b0ce33cbbbff636ee09152060d08f4",
     "fixed-points 7 json":
-        "949dea9e7797ea3983b90977295da1e06de0a0894e43973deca82a23ca493171",
+        "546ed197eb601b034197cc4816ef0fb02afacc4111b1788ad52a6c0265e9ffae",
     "fixed-points 7 csv":
         "f058bf82492b1920439957229b80234d3b3177de7b9e334605d07f52a9a50472",
     "fixed-points 7 latex":
@@ -227,7 +229,7 @@ DIGESTS = {
     "fixed-points 11 text":
         "4a956328c45727a9fcb053828fa8caae2f02c76d62584943344b6388ca05fc36",
     "fixed-points 11 json":
-        "7ab79d65dfd413f13b2c2a5fc247678992bd635395f6248ad07a51fb715eb980",
+        "7896830c9c48279b7ac1c8ca4b280ba473372680010b4a63aa75b59bd3e97411",
     "fixed-points 11 csv":
         "3dcd3b9d346c6a0ce75852d386bea163482b75f0ba042d8946599e60cf3d78c4",
     "fixed-points 11 latex":
@@ -235,7 +237,7 @@ DIGESTS = {
     "fixed-points 13 text":
         "10c70d517ce48bc5faf4f2147bd77fef23b3978750a2edbf3acb375fa72ea3ab",
     "fixed-points 13 json":
-        "a8f8e96f02c26b23e43c65b4a7538ec49132c143e0b9d580c1ffee0cf7247c87",
+        "15ab372260d231a4a9688fe2ece3fe6b3410ebf8b947a3d5d2194fd49264eecc",
     "fixed-points 13 csv":
         "266d21c1ec5c0a8d9a5198a22da48f6cbe114e718b7029b406a09f8788beefa4",
     "fixed-points 13 latex":
