@@ -105,7 +105,8 @@ def _print_csv(headers: list[str], rows, comment: str | None = None) -> None:
 
 
 def _print_latex_table(headers: list[str], rows) -> None:
-    print(f"\\begin{{tabular}}{{l{'r' * (len(headers) - 1)}}}")
+    colspec = "l" + "r" * (len(headers) - 1)
+    print(f"\\begin{{tabular}}{{{colspec}}}")
     print("\\hline")
     print(" & ".join(headers) + " \\\\")
     print("\\hline")
@@ -271,7 +272,7 @@ def _fixed_point_widths(report) -> list[int]:
     """The widest text cell of each column, read off the int columns."""
     widths = [max(len(str(ch)) for ch in report.chars)]
     for closed, oracle in zip(report.closed, report.oracle or repeat(None)):
-        width = max(len(str(min(closed))), len(str(max(closed))))
+        width = len(str(max(closed)))   # full_report's values are >= 0
         if oracle is not None:
             width = max([width] + [len(f"{c}!={o}")
                                    for c, o in zip(closed, oracle) if c != o])

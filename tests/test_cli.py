@@ -187,6 +187,11 @@ def test_fixed_points_mismatch(monkeypatch, capsys, fmt):
     else:
         assert out.count("!=") == 1 and "5!=6" in out
         assert "every entry confirmed" not in out
+    if fmt == "text":
+        # the mismatched cell widens its column, header included
+        header, psi = out.splitlines()[0], out.splitlines()[3]
+        start, end = header.index("ZH"), header.index("CH")
+        assert psi.startswith("psi") and psi[start:end] == "5!=6  "
 
 
 def test_verify_exit_codes(capsys):
