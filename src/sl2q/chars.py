@@ -40,13 +40,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .cyclo import CycNum, nu, rational, root_of_unity, sqrt_eps_q, working_conductor
+from .cyclo import CycNum, nu, rational, sqrt_eps_q, working_conductor
 from .fq import is_odd_prime
 from .grp import (
     A, B, C, D, ONE, Z, ZC, ZD,
     ClassLabel, ConjClass, GroupElem, class_labels, class_of, representatives,
     DEFAULT_MAX_ENUM,
 )
+from .labels import _Label
 
 __all__ = [
     "CharLabel", "CharTable", "complex_table",
@@ -56,39 +57,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CharLabel:
+class CharLabel(_Label):
     """Row name: one of 1, psi, chi_i, theta_j, xi_1, xi_2, eta_1, eta_2."""
-    kind: str
-    index: int = 0
-
-    _KINDS = ("1", "psi", "chi", "theta", "xi1", "xi2", "eta1", "eta2")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown character kind {self.kind!r}")
-        if self.kind in ("chi", "theta"):
-            if self.index < 1:
-                raise ValueError(f"{self.kind} index must be >= 1")
-        elif self.index:
-            raise ValueError(f"character {self.kind!r} carries no index")
-
-    def __str__(self):
-        if self.kind in ("chi", "theta"):
-            return f"{self.kind}_{self.index}"
-        if self.kind in ("xi1", "xi2", "eta1", "eta2"):
-            return f"{self.kind[:-1]}_{self.kind[-1]}"
-        return self.kind
-
-
-def parse_char_label(s: str) -> CharLabel:
-    if s in ("1", "psi"):
-        return CharLabel(s)
-    base, _, idx = s.partition("_")
-    if base in ("chi", "theta"):
-        return CharLabel(base, int(idx))
-    if base in ("xi", "eta"):
-        return CharLabel(base + idx)
-    raise ValueError(f"cannot parse character label {s!r}")
+    _NAMES = {
+        "1": ("1", r"\mathbf{{1}}", None), "psi": ("psi", r"\psi", None),
+        "chi": ("chi_{}", r"\chi_{{{}}}", 1),
+        "theta": ("theta_{}", r"\theta_{{{}}}", 1),
+        "xi1": ("xi_1", r"\xi_{{1}}", None), "xi2": ("xi_2", r"\xi_{{2}}", None),
+        "eta1": ("eta_1", r"\eta_{{1}}", None), "eta2": ("eta_2", r"\eta_{{2}}", None),
+    }
 
 
 TRIV = CharLabel("1")
@@ -97,6 +74,7 @@ XI1 = CharLabel("xi1")
 XI2 = CharLabel("xi2")
 ETA1 = CharLabel("eta1")
 ETA2 = CharLabel("eta2")
+parse_char_label = CharLabel.parse
 
 
 def Chi(i: int) -> CharLabel:
@@ -323,17 +301,16 @@ class CharTable:
         Reads schema 1 (every value at ``conductor``) and schema 2 (each
         value at its own conductor, a divisor of ``conductor``) alike.
         """
-        from .grp import parse_class_label
-        from .realrep import parse_real_char_label
+        from .realrep import RealCharLabel
         q = obj["q"]
         classes = tuple(
-            ConjClass(parse_class_label(c["label"]),
+            ConjClass(ClassLabel.parse(c["label"]),
                       GroupElem(q, *c["representative"]),
                       c["size"], c["order"])
             for c in obj["classes"])
         source = obj.get("source")
-        parse_row = parse_char_label if source is None else parse_real_char_label
-        chars = tuple(parse_row(s) for s in obj["chars"])
+        row_label = CharLabel if source is None else RealCharLabel
+        chars = tuple(map(row_label.parse, obj["chars"]))
         N = obj["conductor"]
         values = {}
         for ch in chars:
@@ -345,7 +322,7 @@ class CharTable:
                                      f"conductor {v.conductor}, which does "
                                      f"not divide the table's {N}")
         if source is not None:
-            source = {ch: tuple((parse_char_label(c), m)
+            source = {ch: tuple((CharLabel.parse(c), m)
                                 for c, m in source[str(ch)])
                       for ch in chars}
         return cls(q, obj["epsilon"], N, classes, chars, values, None, source)

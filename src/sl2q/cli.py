@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from itertools import repeat
+from itertools import islice, repeat
+from operator import methodcaller
 
 from .chars import complex_table, sym_latex, sym_str
 from .fixdim import full_report
@@ -74,6 +76,8 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # shared renderers
 
+_CSV_BLOCK = 4096
+
 _ADVISORY = "# decimal approximations are advisory; exact values live in json mode"
 
 
@@ -97,11 +101,22 @@ def _print_text_table(headers: list[str], rows,
 
 
 def _print_csv(headers: list[str], rows, comment: str | None = None) -> None:
+    """Write rows as csv, handing stdout one block of _CSV_BLOCK rows at a
+    time: with an unbuffered stdout each write is a system call."""
+    buf = io.StringIO()
     if comment:
-        print(comment)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+        buf.write(comment + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
-    writer.writerows(rows)
+    rows = iter(rows)
+    while True:
+        block = list(islice(rows, _CSV_BLOCK))
+        writer.writerows(block)
+        sys.stdout.write(buf.getvalue())
+        if len(block) < _CSV_BLOCK:
+            return
+        buf.seek(0)
+        buf.truncate()
 
 
 def _print_latex_table(headers: list[str], rows) -> None:
@@ -120,33 +135,6 @@ def _fmt_complex(z: complex) -> str:
     if abs(z.imag) < 1e-9:
         return f"{z.real:.6f}"
     return f"{z.real:.6f}{z.imag:+.6f}i"
-
-
-def _class_latex(s: str) -> str:
-    if "^" in s:
-        base, _, exp = s.partition("^")
-        return f"${base}^{{{exp}}}$"
-    if s == "1":
-        return "$1$"
-    return f"${s}$"
-
-
-def _char_latex(s: str) -> str:
-    greek = {"psi": "\\psi", "chi": "\\chi", "theta": "\\theta",
-             "xi": "\\xi", "eta": "\\eta"}
-    if s == "1":
-        return "$\\mathbf{1}$"
-    for plain, tex in greek.items():
-        if s == plain:
-            return f"${tex}$"
-        if s.startswith(plain + "_"):
-            return f"${tex}_{{{s[len(plain) + 1:]}}}$"
-        if s.startswith("2" + plain + "_"):
-            return f"$2{tex}_{{{s[len(plain) + 2:]}}}$"
-        if s.startswith("2Re(" + plain):
-            inner = s[4:-1]
-            return f"$2\\mathrm{{Re}}\\,{greek[plain]}_{{{inner.partition('_')[2]}}}$"
-    return f"${s}$"
 
 
 def _matrix_str(g) -> str:
@@ -176,14 +164,14 @@ def _cmd_classes(args) -> int:
         }))
         return 0
     headers = ["label", "representative", "order", "size"]
-    rows = [[str(c.label), _matrix_str(c.representative),
+    name, matrix = ((methodcaller("latex"), _matrix_latex) if args.fmt == "latex"
+                    else (str, _matrix_str))
+    rows = [[name(c.label), matrix(c.representative),
              str(c.element_order), str(c.size)] for c in reps]
     if args.fmt == "csv":
         _print_csv(headers, rows)
     elif args.fmt == "latex":
-        tex_rows = [[_class_latex(str(c.label)), _matrix_latex(c.representative),
-                     str(c.element_order), str(c.size)] for c in reps]
-        _print_latex_table(headers, tex_rows)
+        _print_latex_table(headers, rows)
     else:
         _print_text_table(headers, rows)
     return 0
@@ -208,8 +196,8 @@ def _cmd_table(table, fmt: str) -> int:
                    rows, comment=_ADVISORY)
         return 0
     if fmt == "latex":
-        headers = [""] + [_class_latex(str(lab)) for lab in labels]
-        rows = [[_char_latex(str(ch))]
+        headers = [""] + [lab.latex() for lab in labels]
+        rows = [[ch.latex()]
                 + [f"${sym_latex(table.symbolic[(ch, lab)])}$" for lab in labels]
                 for ch in table.chars]
         _print_latex_table(headers, rows)
@@ -241,24 +229,24 @@ def _cmd_fs(args) -> int:
     for ch in ct.chars:
         closed = fs_indicator_closed(ct, ch)
         brute = fs_indicator_raw(ct, ch, args.max_enum) if within else None
-        rows.append((str(ch), closed, brute,
+        rows.append((ch, closed, brute,
                      None if brute is None else closed == brute))
     if args.fmt == "json":
         print(json.dumps({
             "schema": 2,
             "q": args.q,
-            "indicators": [{"char": c, "closed": cl, "brute": br, "match": m}
+            "indicators": [{"char": str(c), "closed": cl, "brute": br, "match": m}
                            for c, cl, br, m in rows],
         }))
         return 0
     headers = ["char", "closed", "brute", "match"]
-    disp = [[c, str(cl), "-" if br is None else str(br),
+    name = methodcaller("latex") if args.fmt == "latex" else str
+    disp = [[name(c), str(cl), "-" if br is None else str(br),
              "-" if m is None else str(m).lower()] for c, cl, br, m in rows]
     if args.fmt == "csv":
         _print_csv(headers, disp)
     elif args.fmt == "latex":
-        tex = [[_char_latex(r[0])] + r[1:] for r in disp]
-        _print_latex_table(headers, tex)
+        _print_latex_table(headers, disp)
     else:
         _print_text_table(headers, disp)
         if not within:
@@ -286,26 +274,22 @@ def _cmd_fixed_points(args) -> int:
         print(json.dumps(report.to_json()))
         return 0 if report.all_match else 2
     keys = [str(k) for k in report.keys]
-    rows = [(str(ch), closed, oracle) for ch, closed, oracle in report.rows()]
     if args.fmt == "csv":
         _print_csv(["char", "subgroup", "closed", "oracle", "match"],
-                   ((ch, key, c, o, None if o is None else c == o)
-                    for ch, closed, oracle in rows
+                   ((name, key, c, o, None if o is None else c == o)
+                    for ch, closed, oracle in report.rows()
+                    for name in [str(ch)]
                     for key, c, o in zip(keys, closed, oracle)))
         return 0 if report.all_match else 2
     headers = ["char"] + keys
-
-    def cells(closed, oracle) -> list[str]:
-        return [str(c) if o is None or c == o else f"{c}!={o}"
-                for c, o in zip(closed, oracle)]
-
+    name = methodcaller("latex") if args.fmt == "latex" else str
+    rows = ([name(ch)] + [str(c) if o is None or c == o else f"{c}!={o}"
+                          for c, o in zip(closed, oracle)]
+            for ch, closed, oracle in report.rows())
     if args.fmt == "latex":
-        _print_latex_table(headers, ([_char_latex(ch)] + cells(closed, oracle)
-                                     for ch, closed, oracle in rows))
+        _print_latex_table(headers, rows)
     else:
-        _print_text_table(headers, ([ch] + cells(closed, oracle)
-                                    for ch, closed, oracle in rows),
-                          _fixed_point_widths(report))
+        _print_text_table(headers, rows, _fixed_point_widths(report))
         extras = []
         if args.q > args.max_enum:
             extras.append(f"oracle skipped: q={args.q} exceeds the "

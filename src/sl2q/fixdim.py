@@ -32,10 +32,11 @@ from types import MappingProxyType
 
 from .fq import is_odd_prime
 from .grp import (
-    ClassLabel, GroupElem, class_of, find_b, identity,
+    GroupElem, class_of, find_b, identity,
     rep_a, rep_c, rep_z, rep_zc, DEFAULT_MAX_ENUM,
 )
 from .chars import CharTable
+from .labels import _Label
 from .realrep import RealCharLabel, real_char_labels, real_table
 
 __all__ = [
@@ -47,39 +48,23 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SubgroupKey:
+class SubgroupKey(_Label):
     """Canonical name of a cyclic subgroup up to conjugacy."""
-    kind: str
-    index: int = 0
-
-    _KINDS = ("TrivialH", "ZH", "CH", "ZCH", "AH", "BH")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown subgroup kind {self.kind!r}")
-        if self.kind in ("AH", "BH"):
-            if self.index < 1:
-                raise ValueError(f"{self.kind} index must be >= 1")
-        elif self.index:
-            raise ValueError(f"subgroup kind {self.kind!r} carries no index")
-
-    def __str__(self):
-        if self.kind in ("AH", "BH"):
-            return f"{self.kind}({self.index})"
-        return self.kind
-
-
-def parse_subgroup_key(s: str) -> SubgroupKey:
-    if s.endswith(")") and "(" in s:
-        kind, _, idx = s[:-1].partition("(")
-        return SubgroupKey(kind, int(idx))
-    return SubgroupKey(s)
+    _NAMES = {
+        "TrivialH": ("TrivialH", r"\{{1\}}", None),
+        "ZH": ("ZH", r"\langle z\rangle", None),
+        "CH": ("CH", r"\langle c\rangle", None),
+        "ZCH": ("ZCH", r"\langle zc\rangle", None),
+        "AH": ("AH({})", r"\langle a^{{{}}}\rangle", 1),
+        "BH": ("BH({})", r"\langle b^{{{}}}\rangle", 1),
+    }
 
 
 TRIVIAL_H = SubgroupKey("TrivialH")
 Z_H = SubgroupKey("ZH")
 C_H = SubgroupKey("CH")
 ZC_H = SubgroupKey("ZCH")
+parse_subgroup_key = SubgroupKey.parse
 
 
 def AH(l: int) -> SubgroupKey:
@@ -164,20 +149,16 @@ def subgroup(q: int, kind, index: int = 0) -> SubgroupDesc:
     return SubgroupDesc(q, key, len(elements), g, tuple(elements))
 
 
+# class kind of a generator -> subgroup kind; <c> is the whole unipotent
+# subgroup, so <d> = <c>, and likewise <zd> = <zc>
+_SUBGROUP_OF_CLASS = {"1": "TrivialH", "z": "ZH", "c": "CH", "d": "CH",
+                      "zc": "ZCH", "zd": "ZCH", "a": "AH", "b": "BH"}
+
+
 def subgroup_key_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> SubgroupKey:
     """Canonical kind/index of <g>, via the class of the generator."""
     lab = class_of(g, max_enum)
-    if lab.kind == "1":
-        return TRIVIAL_H
-    if lab.kind == "z":
-        return Z_H
-    if lab.kind in ("c", "d"):
-        return C_H
-    if lab.kind in ("zc", "zd"):
-        return ZC_H
-    if lab.kind == "a":
-        return AH(lab.index)
-    return BH(lab.index)
+    return SubgroupKey(_SUBGROUP_OF_CLASS[lab.kind], lab.index)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +337,6 @@ class FixedDimTable:
         """Load a document of schema 2 (``to_json``) or of schema 1, which
         has no "schema" key and one {"closed", "oracle", "match"} dict per
         entry under "entries"."""
-        from .realrep import parse_real_char_label
         names = [d["key"] for d in obj["subgroups"]]
         schema = obj.get("schema", 1)
         if schema == 1:
@@ -390,8 +370,8 @@ class FixedDimTable:
                              f"schemas 1 and 2 can be read")
         if len(missing) > 1:
             raise ValueError("the oracle mixes null and non-null entries")
-        return cls(obj["q"], map(parse_real_char_label, chars),
-                   map(parse_subgroup_key, names), closed,
+        return cls(obj["q"], map(RealCharLabel.parse, chars),
+                   map(SubgroupKey.parse, names), closed,
                    None if True in missing else oracle, obj["notes"])
 
     def __eq__(self, other):

@@ -29,6 +29,7 @@ from math import gcd
 from operator import itemgetter
 
 from .fq import FqElem, inverse, is_odd_prime, is_quadratic_residue, primitive_root
+from .labels import _Label
 
 __all__ = [
     "GroupElem", "ClassLabel", "ConjClass",
@@ -136,33 +137,10 @@ class GroupElem(tuple):
 
 
 @dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(_Label):
     """Conjugacy-class name: one of 1, z, c, d, zc, zd, a^l, b^m."""
-    kind: str
-    index: int = 0
-
-    _KINDS = ("1", "z", "c", "d", "zc", "zd", "a", "b")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        if self.kind in ("a", "b"):
-            if self.index < 1:
-                raise ValueError(f"{self.kind}-class index must be >= 1")
-        elif self.index:
-            raise ValueError(f"class {self.kind!r} carries no index")
-
-    def __str__(self):
-        if self.kind in ("a", "b"):
-            return f"{self.kind}^{self.index}"
-        return self.kind
-
-
-def parse_class_label(s: str) -> ClassLabel:
-    if "^" in s:
-        kind, _, idx = s.partition("^")
-        return ClassLabel(kind, int(idx))
-    return ClassLabel(s)
+    _NAMES = {k: (k, k, None) for k in ("1", "z", "c", "d", "zc", "zd")} | {
+        "a": ("a^{}", "a^{{{}}}", 1), "b": ("b^{}", "b^{{{}}}", 1)}
 
 
 ONE = ClassLabel("1")
@@ -171,6 +149,7 @@ C = ClassLabel("c")
 D = ClassLabel("d")
 ZC = ClassLabel("zc")
 ZD = ClassLabel("zd")
+parse_class_label = ClassLabel.parse
 
 
 def A(l: int) -> ClassLabel:

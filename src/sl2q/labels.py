@@ -1,0 +1,70 @@
+"""One label type for every name the tables are indexed by.
+
+A label is a frozen ``(kind, index)`` pair.  Each family, the classes
+(``grp.ClassLabel``), complex characters (``chars.CharLabel``), real
+characters (``realrep.RealCharLabel``) and cyclic subgroups
+(``fixdim.SubgroupKey``), subclasses ``_Label`` and declares only its
+name table ``_NAMES = {kind: (text, latex, first index)}``.  ``text``
+and ``latex`` are format strings whose ``{}`` takes the index, so literal
+braces are doubled.  ``first`` is None for a kind without an index; an
+indexed kind takes first, first + _STEP, first + 2*_STEP, ...  Labels of
+different families never compare equal, whatever their kind and index.
+
+>>> from sl2q.grp import ClassLabel
+>>> ClassLabel.parse("a^3"), str(ClassLabel("a", 3)), ClassLabel("a", 3).latex()
+(ClassLabel(kind='a', index=3), 'a^3', '$a^{3}$')
+"""
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+# an indexed name: the text before the index, the index (no sign, no
+# leading zero) and a tail without digits
+_INDEXED = re.compile(r"(.*?)(0|[1-9][0-9]*)(\D*)")
+
+
+@dataclass(frozen=True)
+class _Label:
+    kind: str
+    index: int = 0
+
+    _NAMES = {}   # kind -> (text, latex, first index or None)
+    _STEP = 1
+
+    def __init_subclass__(cls):
+        # the name table read backwards: a kind without an index by its
+        # text, an indexed kind by the text around its index
+        cls._PARSE = {text if first is None else tuple(text.split("{}")): kind
+                      for kind, (text, _, first) in cls._NAMES.items()}
+
+    def __post_init__(self):
+        name = self._NAMES.get(self.kind)
+        if name is None:
+            raise ValueError(f"unknown {type(self).__name__} kind {self.kind!r}")
+        first = name[2]
+        if first is None:
+            if self.index:
+                raise ValueError(f"{self!r}: kind {self.kind!r} takes no index")
+        elif self.index < first or (self.index - first) % self._STEP:
+            raise ValueError(f"{self!r}: kind {self.kind!r} takes the index "
+                             f"{first}, {first + self._STEP}, ...")
+
+    def __str__(self):
+        return self._NAMES[self.kind][0].format(self.index)
+
+    def latex(self) -> str:
+        """The name in LaTeX math mode, dollars included."""
+        return f"${self._NAMES[self.kind][1].format(self.index)}$"
+
+    @classmethod
+    def parse(cls, s: str):
+        """The label whose ``str`` is ``s``; ValueError for any other string."""
+        kind = cls._PARSE.get(s)
+        if kind is not None:
+            return cls(kind)
+        m = _INDEXED.fullmatch(s)
+        kind = m and cls._PARSE.get((m[1], m[3]))
+        if kind is None:
+            raise ValueError(f"cannot parse {cls.__name__} {s!r}")
+        return cls(kind, int(m[2]))   # which checks the index

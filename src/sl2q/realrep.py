@@ -35,6 +35,7 @@ from .cyclo import CycNum
 from .grp import (
     A, B, C, D, ONE, Z, ZC, ZD, ClassLabel, class_labels, DEFAULT_MAX_ENUM,
 )
+from .labels import _Label
 
 __all__ = [
     "RealCharLabel", "RealCharTable", "RealClassPartition",
@@ -190,55 +191,23 @@ def fs_indicator_closed(table: CharTable, char: CharLabel) -> int:
 # ---------------------------------------------------------------------------
 # real character labels
 
-# kind -> printed name, read both ways; the name of an indexed kind is
-# the prefix of its index
-_REAL_NAMES = {
-    "triv": "1", "psi": "psi",
-    "chi_even": "chi_", "two_chi_odd": "2chi_",
-    "theta_even": "theta_", "two_theta_odd": "2theta_",
-    "xi1": "xi_1", "xi2": "xi_2", "two_eta1": "2eta_1", "two_eta2": "2eta_2",
-    "two_re_xi1": "2Re(xi_1)", "two_re_eta1": "2Re(eta_1)",
-}
-_REAL_KINDS = {name: kind for kind, name in _REAL_NAMES.items()}
-
-
 @dataclass(frozen=True)
-class RealCharLabel:
-    """Row name in the real table.
-
-    Kinds: "triv", "psi", "chi_even", "two_chi_odd", "theta_even",
-    "two_theta_odd", "xi1", "xi2", "two_eta1", "two_eta2",
-    "two_re_xi1", "two_re_eta1".  For the chi/theta kinds ``index`` is
-    the index of the underlying complex character.
-    """
-    kind: str
-    index: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _REAL_NAMES:
-            raise ValueError(f"unknown real character kind {self.kind!r}")
-        if self.kind in ("chi_even", "theta_even"):
-            if self.index < 2 or self.index % 2:
-                raise ValueError(f"{self.kind} needs an even index >= 2")
-        elif self.kind in ("two_chi_odd", "two_theta_odd"):
-            if self.index < 1 or self.index % 2 == 0:
-                raise ValueError(f"{self.kind} needs an odd index >= 1")
-        elif self.index:
-            raise ValueError(f"real character {self.kind!r} carries no index")
-
-    def __str__(self):
-        name = _REAL_NAMES[self.kind]
-        return f"{name}{self.index}" if self.index else name
-
-
-def parse_real_char_label(s: str) -> RealCharLabel:
-    if not s.endswith("_") and s in _REAL_KINDS:
-        return RealCharLabel(_REAL_KINDS[s])
-    prefix = s.rstrip("0123456789")
-    if prefix == s or not prefix.endswith("_") or prefix not in _REAL_KINDS:
-        raise ValueError(f"cannot parse real character label {s!r}")
-    # the label checks the index's parity against its kind
-    return RealCharLabel(_REAL_KINDS[prefix], int(s[len(prefix):]))
+class RealCharLabel(_Label):
+    """Row name in the real table; a chi/theta kind carries the index of
+    its complex character, even on chi_i, theta_j and odd on 2chi_i, 2theta_j."""
+    _NAMES = {
+        "triv": ("1", r"\mathbf{{1}}", None), "psi": ("psi", r"\psi", None),
+        "chi_even": ("chi_{}", r"\chi_{{{}}}", 2),
+        "two_chi_odd": ("2chi_{}", r"2\chi_{{{}}}", 1),
+        "theta_even": ("theta_{}", r"\theta_{{{}}}", 2),
+        "two_theta_odd": ("2theta_{}", r"2\theta_{{{}}}", 1),
+        "xi1": ("xi_1", r"\xi_{{1}}", None), "xi2": ("xi_2", r"\xi_{{2}}", None),
+        "two_eta1": ("2eta_1", r"2\eta_{{1}}", None),
+        "two_eta2": ("2eta_2", r"2\eta_{{2}}", None),
+        "two_re_xi1": ("2Re(xi_1)", r"2\mathrm{{Re}}\,\xi_{{1}}", None),
+        "two_re_eta1": ("2Re(eta_1)", r"2\mathrm{{Re}}\,\eta_{{1}}", None),
+    }
+    _STEP = 2
 
 
 RTRIV = RealCharLabel("triv")
@@ -249,6 +218,7 @@ RTWO_ETA1 = RealCharLabel("two_eta1")
 RTWO_ETA2 = RealCharLabel("two_eta2")
 RTWO_RE_XI1 = RealCharLabel("two_re_xi1")
 RTWO_RE_ETA1 = RealCharLabel("two_re_eta1")
+parse_real_char_label = RealCharLabel.parse
 
 
 def RChiEven(i: int) -> RealCharLabel:

@@ -194,6 +194,35 @@ def test_fixed_points_mismatch(monkeypatch, capsys, fmt):
         assert psi.startswith("psi") and psi[start:end] == "5!=6  "
 
 
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+def test_fixed_points_csv_writes_blocks_of_rows(monkeypatch):
+    # 105 real rows x 103 subgroup keys: two full blocks of 4096 rows and
+    # a partial one, each handed to stdout in one write, not one per row
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["fixed-points", "101", "--format", "csv"]) == 0
+    report = full_report(101)
+    rows = [(str(ch), str(key), c, o, None if o is None else c == o)
+            for ch, closed, oracle in report.rows()
+            for key, c, o in zip(report.keys, closed, oracle)]
+    assert len(rows) == 10815
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["char", "subgroup", "closed", "oracle", "match"])
+    writer.writerows(rows)
+    assert out.getvalue() == expected.getvalue()
+    assert out.writes <= -(-len(rows) // 4096) + 2
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "3")
     assert code == 0
