@@ -189,6 +189,17 @@ def sym_latex(sym: tuple) -> str:
 
 # ---------------------------------------------------------------------------
 
+def _json_schema(obj: dict, what: str) -> int:
+    """The schema of a JSON document, 1 when it has none; every loader
+    reads schemas 1 and 2 and rejects any other."""
+    schema = obj.get("schema", 1)
+    # the type test, because JSON true and 2.0 compare equal to 1 and 2
+    if type(schema) is not int or schema not in (1, 2):
+        raise ValueError(f"unknown {what} schema {schema!r}; "
+                         f"schemas 1 and 2 can be read")
+    return schema
+
+
 class CharTable:
     """Exact character table: columns ClassLabel, rows character labels.
 
@@ -302,6 +313,7 @@ class CharTable:
         value at its own conductor, a divisor of ``conductor``) alike.
         """
         from .realrep import RealCharLabel
+        _json_schema(obj, "character table")
         q = obj["q"]
         classes = tuple(
             ConjClass(ClassLabel.parse(c["label"]),

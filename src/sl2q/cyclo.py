@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .fq import FqElem, legendre_symbol
+from .fq import FqElem, _prime_factors, legendre_symbol
 from ._kernel import mul_reduce, reduce_mod
 
 __all__ = [
@@ -46,20 +46,6 @@ _CONDUCTOR_CACHE = 8
 
 # ---------------------------------------------------------------------------
 # integer polynomials, dense lists, index = degree
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
 
 @lru_cache(maxsize=_CONDUCTOR_CACHE)
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ case.  For the torus subgroups the answer depends on
 gamma = gcd(q-1, l) (resp. delta = gcd(q+1, m)), on whether the
 quotient (q-1)/gamma (resp. (q+1)/delta) is odd or even, and - for the
 chi and theta rows - on whether that quotient divides the character
-index (the resonance correction, see ``_resonance``); in the even case
+index (the resonance correction, see ``_closed_column``); in the even case
 the xi and 2Re(eta_1) rows additionally see the parity of l (resp. m).
 The closed forms here were fixed against the averaging oracle;
 ``full_report`` recomputes both sides and records any mismatch rather
@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd
-from types import MappingProxyType
 
 from .fq import is_odd_prime
 from .grp import (
-    GroupElem, class_of, find_b, identity,
-    rep_a, rep_c, rep_z, rep_zc, DEFAULT_MAX_ENUM,
+    ClassLabel, GroupElem, class_labels, class_of, class_order, find_b,
+    identity, powers, rep_a, rep_c, rep_z, rep_zc, DEFAULT_MAX_ENUM,
 )
-from .chars import CharTable
+from .chars import CharTable, _json_schema
 from .labels import _Label
 from .realrep import RealCharLabel, real_char_labels, real_table
 
@@ -83,11 +82,23 @@ def _as_key(kind, index: int = 0) -> SubgroupKey:
     return SubgroupKey(kind, index)
 
 
+# subgroup kind -> the class kind of its standard generator, and the
+# function that makes the element that generator is a power of
+_GENERATOR = {"TrivialH": ("1", identity), "ZH": ("z", rep_z),
+              "CH": ("c", rep_c), "ZCH": ("zc", rep_zc),
+              "AH": ("a", rep_a), "BH": ("b", find_b)}
+
+# class kind of a generator -> subgroup kind; <c> is the whole unipotent
+# subgroup, so <d> = <c>, and likewise <zd> = <zc>
+_SUBGROUP_OF_CLASS = ({cls: kind for kind, (cls, _) in _GENERATOR.items()}
+                      | {"d": "CH", "zd": "ZCH"})
+
+
 def subgroup_keys(q: int) -> list[SubgroupKey]:
-    """All subgroup kinds/indices for SL2(q), in report order."""
-    return ([TRIVIAL_H, Z_H, C_H, ZC_H]
-            + [AH(l) for l in range(1, (q - 3) // 2 + 1)]
-            + [BH(m) for m in range(1, (q - 1) // 2 + 1)])
+    """All subgroup kinds/indices for SL2(q), in report order: one per
+    class of standard generators, so d and zd give none."""
+    return [SubgroupKey(_SUBGROUP_OF_CLASS[lab.kind], lab.index)
+            for lab in class_labels(q) if lab.kind not in ("d", "zd")]
 
 
 def _check_key_range(q: int, key: SubgroupKey) -> None:
@@ -104,24 +115,14 @@ class SubgroupDesc:
     key: SubgroupKey
     order: int
     generator: GroupElem
-    elements: tuple  # tuple[GroupElem, ...], the powers of the generator
+    elements: tuple  # tuple[GroupElem, ...]: g, g^2, ..., 1 for g the generator
 
     def __str__(self):
         return f"{self.key} (order {self.order}) in SL2({self.q})"
 
 
 def _closed_order(q: int, key: SubgroupKey) -> int:
-    if key.kind == "TrivialH":
-        return 1
-    if key.kind == "ZH":
-        return 2
-    if key.kind == "CH":
-        return q
-    if key.kind == "ZCH":
-        return 2 * q
-    if key.kind == "AH":
-        return (q - 1) // gcd(q - 1, key.index)
-    return (q + 1) // gcd(q + 1, key.index)
+    return class_order(q, ClassLabel(_GENERATOR[key.kind][0], key.index))
 
 
 def subgroup(q: int, kind, index: int = 0) -> SubgroupDesc:
@@ -130,29 +131,12 @@ def subgroup(q: int, kind, index: int = 0) -> SubgroupDesc:
         raise ValueError(f"q must be an odd prime, got {q}")
     key = _as_key(kind, index)
     _check_key_range(q, key)
-    gen = {
-        "TrivialH": identity,
-        "ZH": rep_z,
-        "CH": rep_c,
-        "ZCH": rep_zc,
-    }.get(key.kind)
-    if gen is not None:
-        g = gen(q)
-    elif key.kind == "AH":
-        g = rep_a(q) ** key.index
-    else:
-        g = find_b(q) ** key.index
-    elements = [identity(q)]
-    while (h := elements[-1] * g) != elements[0]:
-        elements.append(h)
+    g = _GENERATOR[key.kind][1](q)
+    if key.index:
+        g = g ** key.index
+    elements = powers(g)
     assert len(elements) == _closed_order(q, key)
     return SubgroupDesc(q, key, len(elements), g, tuple(elements))
-
-
-# class kind of a generator -> subgroup kind; <c> is the whole unipotent
-# subgroup, so <d> = <c>, and likewise <zd> = <zc>
-_SUBGROUP_OF_CLASS = {"1": "TrivialH", "z": "ZH", "c": "CH", "d": "CH",
-                      "zc": "ZCH", "zd": "ZCH", "a": "AH", "b": "BH"}
 
 
 def subgroup_key_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> SubgroupKey:
@@ -163,13 +147,6 @@ def subgroup_key_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> SubgroupK
 
 # ---------------------------------------------------------------------------
 # closed forms
-
-@lru_cache(maxsize=8)
-def _column(q: int, key: SubgroupKey) -> MappingProxyType:
-    """char.kind -> dim V^H for the given subgroup, before the resonance
-    correction; built once per (q, key) and read-only."""
-    return MappingProxyType(_generic_column(q, key))
-
 
 def _generic_column(q: int, key: SubgroupKey) -> dict:
     if key.kind == "TrivialH":
@@ -226,11 +203,30 @@ def _generic_column(q: int, key: SubgroupKey) -> dict:
             "two_re_xi1": 0, "two_re_eta1": re_eta}
 
 
-def _resonance(char: RealCharLabel, key: SubgroupKey, n: int) -> int:
-    """The boundary correction on torus restrictions of chi and theta.
+# real row kind -> (the torus subgroup kind it resonates on, its correction)
+_RESONANT = {"chi_even": ("AH", 2), "two_chi_odd": ("AH", 4),
+             "theta_even": ("BH", -2), "two_theta_odd": ("BH", -4)}
 
-    Restricting chi_i to AH(l), the eigenvalue-character sum over the
-    subgroup is a geometric sum that collapses to |H| instead of 0
+
+@lru_cache(maxsize=8)
+def _rows(q: int) -> tuple[dict, dict]:
+    """The real characters of SL2(q): each one's position in
+    ``real_char_labels(q)``, and each row kind's (position, index) pairs."""
+    positions = {char: ci for ci, char in enumerate(real_char_labels(q))}
+    by_kind = {}
+    for char, ci in positions.items():
+        by_kind.setdefault(char.kind, []).append((ci, char.index))
+    return positions, by_kind
+
+
+@lru_cache(maxsize=8)
+def _closed_column(q: int, key: SubgroupKey) -> tuple[tuple, tuple]:
+    """dim V^H for every real row V in table order, and the positions of
+    the rows the resonance correction moved.
+
+    The correction is a boundary effect on torus restrictions of chi and
+    theta.  Restricting chi_i to AH(l), the eigenvalue-character sum over
+    the subgroup is a geometric sum that collapses to |H| instead of 0
     exactly when n = (q-1)/gcd(q-1,l) divides i; each of the two
     eigenvalue lines then contributes a full fixed vector, adding 2 to
     the generic dimension (4 on a doubled row).  Dually theta_j on
@@ -240,38 +236,34 @@ def _resonance(char: RealCharLabel, key: SubgroupKey, n: int) -> int:
     theta_4 on BH(3) at q = 11 and chi_4 on AH(3) at q = 13, and the
     averaging oracle confirms the corrected values.
     """
-    if key.kind == "AH" and char.kind in ("chi_even", "two_chi_odd"):
-        pass
-    elif key.kind == "BH" and char.kind in ("theta_even", "two_theta_odd"):
-        pass
-    else:
-        return 0
-    if char.index % n:
-        return 0
-    # an even n cannot divide the odd index of a doubled odd row
-    assert n % 2 or char.kind not in ("two_chi_odd", "two_theta_odd")
-    per_copy = 2 if char.kind in ("chi_even", "two_chi_odd") else -2
-    copies = 2 if char.kind.startswith("two_") else 1
-    return per_copy * copies
-
-
-@lru_cache(maxsize=8)
-def _real_char_set(q: int) -> frozenset:
-    return frozenset(real_char_labels(q))
+    column = _generic_column(q, key)
+    n = _closed_order(q, key)
+    positions, by_kind = _rows(q)
+    values = [column[char.kind] for char in positions]
+    moved = []
+    for kind, (torus, shift) in _RESONANT.items():
+        if torus != key.kind:
+            continue
+        for ci, index in by_kind.get(kind, ()):
+            if index % n == 0:
+                # an even n cannot divide the odd index of a doubled odd row
+                assert n % 2 or not kind.startswith("two_")
+                values[ci] += shift
+                moved.append(ci)
+    assert min(values) >= 0
+    return tuple(values), tuple(moved)
 
 
 def fixed_dim_closed(q: int, char: RealCharLabel, kind, index: int = 0) -> int:
     """Closed-form dim V^H; raises on a (char, q) or (kind, q) mismatch."""
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-    if char not in _real_char_set(q):
+    ci = _rows(q)[0].get(char)
+    if ci is None:
         raise ValueError(f"{char} is not a real character of SL2({q})")
     key = _as_key(kind, index)
     _check_key_range(q, key)
-    n = _closed_order(q, key)
-    val = _column(q, key)[char.kind] + _resonance(char, key, n)
-    assert val >= 0
-    return val
+    return _closed_column(q, key)[0][ci]
 
 
 def fixed_dim_average(rt: CharTable, char: RealCharLabel, H: SubgroupDesc,
@@ -338,8 +330,7 @@ class FixedDimTable:
         has no "schema" key and one {"closed", "oracle", "match"} dict per
         entry under "entries"."""
         names = [d["key"] for d in obj["subgroups"]]
-        schema = obj.get("schema", 1)
-        if schema == 1:
+        if _json_schema(obj, "fixed-point table") == 1:
             chars = obj["chars"]
             rows = [obj["entries"][s] for s in chars]
             columns = [[row[name] for row in rows] for name in names]
@@ -351,7 +342,7 @@ class FixedDimTable:
             closed = [[e["closed"] for e in column] for column in columns]
             oracle = [[e["oracle"] for e in column] for column in columns]
             missing = {o is None for column in oracle for o in column}
-        elif schema == 2:
+        else:
             rows = obj["rows"]
             for row in rows:
                 lengths = {len(row["closed"])}
@@ -365,9 +356,6 @@ class FixedDimTable:
             oracles = [row["oracle"] for row in rows]
             missing = {o is None for o in oracles}
             oracle = None if True in missing else list(zip(*oracles))
-        else:
-            raise ValueError(f"unknown fixed-point table schema {schema!r}; "
-                             f"schemas 1 and 2 can be read")
         if len(missing) > 1:
             raise ValueError("the oracle mixes null and non-null entries")
         return cls(obj["q"], map(RealCharLabel.parse, chars),
@@ -389,36 +377,23 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
     """
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-    chars = real_char_labels(q)
+    chars = tuple(_rows(q)[0])   # real_char_labels(q), from the row map
     keys = subgroup_keys(q)
     use_oracle = q <= max_enum
     rt = real_table(q) if use_oracle else None
 
-    def rows_of(*kinds):
-        return [(ci, c) for ci, c in enumerate(chars) if c.kind in kinds]
-
-    # only chi rows on AH keys and theta rows on BH keys can resonate
-    torus_rows = {"AH": rows_of("chi_even", "two_chi_odd"),
-                  "BH": rows_of("theta_even", "two_theta_odd")}
     closed = []
     oracle = [] if use_oracle else None
     resonant = []   # (char position, key position) of corrected entries
     for ki, key in enumerate(keys):
-        column = _column(q, key)
-        values = [column[c.kind] for c in chars]
-        n = _closed_order(q, key)
-        for ci, char in torus_rows.get(key.kind, ()):
-            if char.index % n == 0:
-                values[ci] += _resonance(char, key, n)
-                resonant.append((ci, ki))
-        assert min(values) >= 0
+        values, moved = _closed_column(q, key)
         closed.append(values)
+        resonant += [(ci, ki) for ci in moved]
         if use_oracle:
             H = subgroup(q, key)
             oracle.append([fixed_dim_average(rt, c, H, max_enum) for c in chars])
     notes = []
-    if any(k.kind == "AH" and ((q - 1) // gcd(q - 1, k.index)) % 2 == 1
-           for k in keys):
+    if any(k.kind == "AH" and _closed_order(q, k) % 2 for k in keys):
         notes.append(
             "psi on odd-quotient AH(l): the averaged value is "
             "gcd(q-1,l)+1; some classical write-ups carry gcd(q-1,l) "

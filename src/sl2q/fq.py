@@ -133,6 +133,21 @@ def legendre_symbol(a: FqElem) -> int:
     return 1 if is_quadratic_residue(a) else -1
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=8)
 def primitive_root(q: int) -> FqElem:
     """Smallest generator >= 2 of the multiplicative group of F_q.
@@ -142,16 +157,7 @@ def primitive_root(q: int) -> FqElem:
     _check_modulus(q)
     # It suffices that g^((q-1)/p) != 1 for every prime p | q-1.
     n = q - 1
-    prime_factors = []
-    m, f = n, 2
-    while f * f <= m:
-        if m % f == 0:
-            prime_factors.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        prime_factors.append(m)
+    prime_factors = _prime_factors(n)
     for g in range(2, q):
         if all(pow(g, n // p, q) != 1 for p in prime_factors):
             return FqElem(g, q)

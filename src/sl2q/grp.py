@@ -35,7 +35,8 @@ __all__ = [
     "GroupElem", "ClassLabel", "ConjClass",
     "ONE", "Z", "C", "D", "ZC", "ZD", "A", "B",
     "identity", "rep_z", "rep_c", "rep_d", "rep_zc", "rep_zd", "rep_a",
-    "find_b", "element_order", "enumerate_group", "representatives",
+    "find_b", "powers", "element_order", "class_order", "enumerate_group",
+    "representatives",
     "class_of", "conjugacy_partition", "class_label_lookup",
     "parse_class_label", "DEFAULT_MAX_ENUM",
 ]
@@ -124,11 +125,6 @@ class GroupElem(tuple):
         q, a, _, _, d = self
         return (a + d) % q
 
-    def entries(self) -> tuple[FqElem, FqElem, FqElem, FqElem]:
-        q = self.q
-        return (FqElem(self.a, q), FqElem(self.b, q),
-                FqElem(self.c, q), FqElem(self.d, q))
-
     def to_tuple(self) -> tuple[int, int, int, int]:
         return self[1:]
 
@@ -208,14 +204,27 @@ def rep_a(q: int) -> GroupElem:
     return GroupElem(q, nu.value, 0, 0, inverse(nu).value)
 
 
+def powers(g: GroupElem) -> list[GroupElem]:
+    """g, g^2, ..., g^n = 1: the elements of <g>, n the order of g."""
+    one = identity(g.q)
+    walk = [g]
+    while walk[-1] != one:
+        walk.append(walk[-1] * g)
+    return walk
+
+
 def element_order(g: GroupElem) -> int:
-    n = 1
-    e = identity(g.q)
-    h = g
-    while h != e:
-        h = h * g
-        n += 1
-    return n
+    return len(powers(g))
+
+
+def class_order(q: int, label: ClassLabel) -> int:
+    """The order of every element of the class ``label``, in closed form:
+    |a^l| = (q-1)/gcd(q-1, l) and |b^m| = (q+1)/gcd(q+1, m)."""
+    if label.kind == "a":
+        return (q - 1) // gcd(q - 1, label.index)
+    if label.kind == "b":
+        return (q + 1) // gcd(q + 1, label.index)
+    return {"1": 1, "z": 2, "c": q, "d": q, "zc": 2 * q, "zd": 2 * q}[label.kind]
 
 
 def _lex_tuples(q: int):
@@ -335,28 +344,22 @@ def find_b(q: int) -> GroupElem:
 def representatives(q: int) -> tuple[ConjClass, ...]:
     """The q+4 conjugacy classes: label, representative, size, element order.
 
-    Sizes come from the classical closed forms; orders are computed from
-    the actual representatives (and double-checked against the closed
-    forms by the verification suite).
+    Sizes and orders are the classical closed forms (orders from
+    ``class_order``); the verification suite checks both against the
+    orbits and against ``element_order`` of each representative.
     """
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-    half = (q * q - 1) // 2
     a = rep_a(q)
     b = find_b(q)
-    out = [
-        ConjClass(ONE, identity(q), 1, 1),
-        ConjClass(Z, rep_z(q), 1, 2),
-        ConjClass(C, rep_c(q), half, q),
-        ConjClass(D, rep_d(q), half, q),
-        ConjClass(ZC, rep_zc(q), half, 2 * q),
-        ConjClass(ZD, rep_zd(q), half, 2 * q),
-    ]
-    for l in range(1, (q - 3) // 2 + 1):
-        out.append(ConjClass(A(l), a ** l, q * (q + 1), (q - 1) // gcd(l, q - 1)))
-    for m in range(1, (q - 1) // 2 + 1):
-        out.append(ConjClass(B(m), b ** m, q * (q - 1), (q + 1) // gcd(m, q + 1)))
-    return tuple(out)
+    reps = [identity(q), rep_z(q), rep_c(q), rep_d(q), rep_zc(q), rep_zd(q)]
+    reps += [a ** l for l in range(1, (q - 3) // 2 + 1)]
+    reps += [b ** m for m in range(1, (q - 1) // 2 + 1)]
+    sizes = {"1": 1, "z": 1, "a": q * (q + 1), "b": q * (q - 1)}
+    half = (q * q - 1) // 2
+    return tuple(ConjClass(label, g, sizes.get(label.kind, half),
+                           class_order(q, label))
+                 for label, g in zip(class_labels(q), reps))
 
 
 # ---------------------------------------------------------------------------

@@ -52,23 +52,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # class-level square and inverse maps
 
-def _fold_a(q: int, k: int) -> ClassLabel:
-    # exponent k on the torus generator a, |a| = q-1, a^{(q-1)/2} = z
-    k %= q - 1
+def _power_class(q: int, kind: str, k: int) -> ClassLabel:
+    """The class of t^k for the torus generator t = a (kind "a", order
+    q-1) or t = b (kind "b", order q+1); t^(n/2) = z for n the order."""
+    n = q - 1 if kind == "a" else q + 1
+    k %= n
     if k == 0:
         return ONE
-    if 2 * k == q - 1:
+    if 2 * k == n:
         return Z
-    return A(min(k, q - 1 - k))
-
-
-def _fold_b(q: int, k: int) -> ClassLabel:
-    k %= q + 1
-    if k == 0:
-        return ONE
-    if 2 * k == q + 1:
-        return Z
-    return B(min(k, q + 1 - k))
+    return ClassLabel(kind, min(k, n - k))
 
 
 @lru_cache(maxsize=8)
@@ -84,9 +77,9 @@ def square_class_map(q: int) -> dict:
     sq[ZC] = sq[C]
     sq[ZD] = sq[D]
     for l in range(1, (q - 3) // 2 + 1):
-        sq[A(l)] = _fold_a(q, 2 * l)
+        sq[A(l)] = _power_class(q, "a", 2 * l)
     for m in range(1, (q - 1) // 2 + 1):
-        sq[B(m)] = _fold_b(q, 2 * m)
+        sq[B(m)] = _power_class(q, "b", 2 * m)
     return sq
 
 

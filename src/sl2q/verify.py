@@ -23,12 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .chars import CharLabel, ETA1, ETA2, XI1, XI2, complex_table
+from .chars import CharLabel, ETA1, ETA2, XI1, XI2, _json_schema, complex_table
 from .fixdim import fixed_dim_closed, subgroup_key_of
 from .grp import (
     ZC, ZD, _generated_group, class_label_lookup, class_labels,
-    conjugacy_partition, element_order, enumerate_group, find_b, rep_a,
-    rep_z, representatives, DEFAULT_MAX_ENUM,
+    conjugacy_partition, element_order, enumerate_group, find_b, powers,
+    rep_a, rep_z, representatives, DEFAULT_MAX_ENUM,
 )
 from .realrep import (
     fs_indicator_brute, fs_indicator_closed, fs_indicator_raw,
@@ -65,6 +65,7 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerificationReport":
+        _json_schema(obj, "verification report")
         return cls(obj["q"],
                    tuple(VerificationCheck(c["name"], c["pass"], c["details"])
                          for c in obj["checks"]))
@@ -87,16 +88,6 @@ def _fail_list(bad: list, limit: int = 4) -> str:
     return shown + more
 
 
-def _cyclic_closure(g) -> list:
-    """The elements g, g^2, ..., 1 of the cyclic subgroup <g>."""
-    elts = [g]
-    h = g * g
-    while h != g:
-        elts.append(h)
-        h = h * g
-    return elts
-
-
 def _cyclic_walks(G):
     """Yield (g, i, walk) for each g of G, in order.
 
@@ -113,7 +104,7 @@ def _cyclic_walks(G):
         if i is not None:
             yield g, i, None
             continue
-        walk = _cyclic_closure(g)
+        walk = powers(g)
         n = len(walk)
         for k in range(2, n):
             if gcd(k, n) == 1:
@@ -136,7 +127,7 @@ def _order_2q_conjugates(part: dict) -> set:
     for label in (ZC, ZD):
         for x in part[label]:
             if x not in covered:
-                S = frozenset(_cyclic_closure(x))
+                S = frozenset(powers(x))
                 target.add(S)
                 covered |= S
     return target
@@ -432,7 +423,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
             if order_g != 2 * q:
                 continue
             n += 1
-            if frozenset(_cyclic_closure(g)) not in target:
+            if frozenset(powers(g)) not in target:
                 bad.append(f"<{g!r}> not conjugate to <zc> or <zd>")
         if bad:
             return False, _fail_list(bad)

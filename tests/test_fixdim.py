@@ -1,17 +1,25 @@
 """Fixed-point dimensions: closed forms against the averaging oracle."""
 import json
+import re
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+from sl2q.chars import CharTable, complex_table
 from sl2q.fixdim import (AH, BH, C_H, FixedDimTable, TRIVIAL_H, Z_H, ZC_H,
-                         SubgroupKey, fixed_dim_average, fixed_dim_closed,
-                         full_report, parse_subgroup_key, subgroup,
-                         subgroup_key_of, subgroup_keys)
+                         SubgroupKey, _closed_order, _generic_column,
+                         fixed_dim_average, fixed_dim_closed, full_report,
+                         parse_subgroup_key, subgroup, subgroup_key_of,
+                         subgroup_keys)
+from sl2q.fq import is_odd_prime
 from sl2q.grp import identity, rep_a, rep_c, rep_z, rep_zd
 from sl2q.realrep import (RChiEven, RPSI, RTRIV, RThetaEven, RTwoChiOdd,
                           RTwoThetaOdd, RXI1, RXI2, parse_real_char_label,
                           real_char_labels, real_table)
+from sl2q.verify import VerificationReport, verify_all
+
+PRIMES_TO_211 = [q for q in range(3, 212) if is_odd_prime(q)]
 
 
 def test_subgroup_keys_listing():
@@ -151,9 +159,12 @@ def test_report_entries_equal_fixed_dim_closed(q):
         assert closed == tuple(fixed_dim_closed(q, ch, k) for k in rep.keys)
         assert oracle == (closed if q <= 50 else (None,) * len(rep.keys))
     # the per-key column behind both is cached, so it must be read-only
-    from sl2q.fixdim import _column
+    from sl2q.fixdim import _closed_column
+    values, moved = _closed_column(q, Z_H)
     with pytest.raises(TypeError):
-        _column(q, Z_H)["psi"] = 0
+        values[1] = 0
+    with pytest.raises(TypeError):
+        moved[0:0] = [1]
 
 
 def test_full_report_notes_flag_resonance():
@@ -255,17 +266,21 @@ def test_from_json_rejects_oracle_rows_that_mix_null_and_lists():
         FixedDimTable.from_json(doc)
 
 
-@pytest.mark.parametrize("schema", [0, 3, "2", None])
+@pytest.mark.parametrize("schema", [0, 3, "2", None, True, 2.0])
 def test_from_json_rejects_an_unknown_schema(schema):
-    doc = full_report(5).to_json()
-    doc["schema"] = schema
-    with pytest.raises(ValueError, match="schema"):
-        FixedDimTable.from_json(doc)
+    # every loader reads an absent schema (1), 1 or 2, and nothing else
+    message = re.escape(f" schema {schema!r}; schemas 1 and 2 can be read")
+    for cls, doc in [(FixedDimTable, full_report(5).to_json()),
+                     (CharTable, complex_table(5).to_json()),
+                     (VerificationReport, verify_all(3).to_json())]:
+        doc["schema"] = schema
+        with pytest.raises(ValueError, match="^unknown .*" + message):
+            cls.from_json(doc)
 
 
 def test_label_check_builds_the_labels_once(monkeypatch):
     # fixed_dim_closed checks its label on every call against a cached
-    # set; full_report(101) fills 10,815 entries and must not rebuild the
+    # row map; full_report(101) fills 10,815 entries and must not rebuild the
     # label list for each
     import sl2q.fixdim as fixdim
     calls = []
@@ -284,3 +299,52 @@ def test_label_check_builds_the_labels_once(monkeypatch):
         fixed_dim_closed(7, RXI1, Z_H)  # xi_1 is a real row only for q = 1 mod 4
     with pytest.raises(ValueError):
         fixed_dim_closed(7, RChiEven(4), Z_H)  # chi index past (q-3)/2
+
+
+# ---------------------------------------------------------------------------
+# one closed path: the column per subgroup against the per-entry path it
+# replaced, and the subgroup kinds read off the generator classes
+
+def _per_entry_closed(q, char, key, column):
+    """dim V^H the per-entry way: the generic value of the row's kind,
+    then the resonance correction as a chain of cases."""
+    value = column[char.kind]
+    if key.kind == "AH" and char.kind in ("chi_even", "two_chi_odd"):
+        n = (q - 1) // gcd(q - 1, key.index)
+    elif key.kind == "BH" and char.kind in ("theta_even", "two_theta_odd"):
+        n = (q + 1) // gcd(q + 1, key.index)
+    else:
+        return value
+    if char.index % n:
+        return value
+    per_copy = 2 if char.kind in ("chi_even", "two_chi_odd") else -2
+    copies = 2 if char.kind.startswith("two_") else 1
+    return value + per_copy * copies
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_211)
+def test_closed_column_equals_the_per_entry_path(q):
+    chars = real_char_labels(q)
+    report = full_report(q, 0)   # closed values only
+    assert report.keys == tuple(subgroup_keys(q))
+    for key, column in zip(report.keys, report.closed):
+        generic = _generic_column(q, key)
+        want = tuple(_per_entry_closed(q, ch, key, generic) for ch in chars)
+        assert column == want, key
+        assert tuple(fixed_dim_closed(q, ch, key) for ch in chars) == want, key
+
+
+@pytest.mark.parametrize("q", [q for q in PRIMES_TO_211 if q <= 101])
+def test_subgroup_keys_are_the_explicit_list(q):
+    assert subgroup_keys(q) == (
+        [TRIVIAL_H, Z_H, C_H, ZC_H]
+        + [AH(l) for l in range(1, (q - 3) // 2 + 1)]
+        + [BH(m) for m in range(1, (q - 1) // 2 + 1)])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_subgroup_order_is_its_closed_order(q):
+    for key in subgroup_keys(q):
+        H = subgroup(q, key)
+        assert H.order == len(set(H.elements)) == _closed_order(q, key), key
+        assert H.elements[0] == H.generator and H.elements[-1] == (q, 1, 0, 0, 1)

@@ -3,9 +3,10 @@ import pytest
 
 from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, GroupElem, _generated_group,
                       class_label_lookup, class_labels, class_of,
-                      conjugacy_partition, element_order, enumerate_group,
-                      find_b, identity, parse_class_label, rep_a, rep_c, rep_d,
-                      rep_z, rep_zc, rep_zd, representatives)
+                      class_order, conjugacy_partition, element_order,
+                      enumerate_group, find_b, identity, parse_class_label,
+                      powers, rep_a, rep_c, rep_d, rep_z, rep_zc, rep_zd,
+                      representatives)
 
 Q_SMALL = [3, 5, 7, 11, 13]
 
@@ -114,6 +115,16 @@ def test_standard_representative_orders():
         assert element_order(rep_zd(q)) == 2 * q
         assert element_order(rep_a(q)) == q - 1
         assert element_order(find_b(q)) == q + 1
+
+
+@pytest.mark.parametrize("q", Q_SMALL)
+def test_powers_walk_from_g_to_one(q):
+    for c in representatives(q):
+        g = c.representative
+        walk = powers(g)
+        assert walk == [g ** k for k in range(1, len(walk) + 1)]
+        assert walk[-1] == identity(q) and identity(q) not in walk[:-1]
+        assert len(walk) == element_order(g) == class_order(q, c.label)
 
 
 @pytest.mark.parametrize("q", Q_SMALL)

@@ -1,8 +1,13 @@
-"""Every sl2q module uses each name it imports.
+"""Every sl2q module uses each name it imports, and every private
+module-level name is used somewhere in the package.
 
-No linter runs with the test suite, so this is the unused-import check:
-a name counts as used when the module reads it anywhere or lists it in
-``__all__`` (a re-export); ``from __future__`` imports are not names.
+No linter runs with the test suite, so these are the unused-import and
+dead-code checks.  For imports, a name counts as used when the module
+reads it anywhere or lists it in ``__all__`` (a re-export);
+``from __future__`` imports are not names.  A private name (``_x``, not
+a dunder) that a module defines at top level, as a function, class or
+assignment, counts as used when some other top-level statement of the
+package reads it, as a name, an attribute or an import.
 """
 import ast
 from pathlib import Path
@@ -43,3 +48,55 @@ def test_the_check_sees_unused_imports():
     assert unused_imports(source) == ["gcd", "regex"]
     # a read inside a function, an annotation or __all__ is a use
     assert unused_imports("import re\ndef f(x: re.Pattern): pass\n") == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def dead_private_names(sources: dict) -> list[str]:
+    """``module.name`` for each private top-level definition in
+    ``sources`` (module -> source text) that no other top-level statement
+    reads."""
+    defined = []   # (module, name, defining statement)
+    reads = []     # (statement, names it reads)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n, stmt) for n in names if _private(n)]
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read |= {a.name for a in node.names}
+            reads.append((stmt, read))
+    return [f"{module}.{name}" for module, name, stmt in defined
+            if not any(name in read for other, read in reads if other is not stmt)]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({p.stem: p.read_text() for p in SOURCES}) == []
+
+
+def test_the_check_sees_dead_private_names():
+    sources = {
+        "m": ("_A = 1\n_B: int = 2\n__all__ = []\n"
+              "def _f(n):\n    return _f(n - 1) if n else _A\n"
+              "class _K:\n    pass\n"
+              "def _g():\n    return _K\n"),
+        "n": "from .m import _g\nimport m\nx = m._B\n",
+    }
+    # _f reads itself only from its own body, and nothing reads _f
+    assert dead_private_names(sources) == ["m._f"]
+    sources["n"] += "y = m._f\n"
+    assert dead_private_names(sources) == []

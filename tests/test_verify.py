@@ -9,8 +9,8 @@ import pytest
 
 import sl2q
 from sl2q.grp import (conjugacy_partition, element_order, enumerate_group,
-                      rep_zc, rep_zd)
-from sl2q.verify import (VerificationReport, _cyclic_closure, _cyclic_walks,
+                      powers, rep_zc, rep_zd)
+from sl2q.verify import (VerificationReport, _cyclic_walks,
                          _order_2q_conjugates, verify_all)
 
 CHECK_NAMES = [
@@ -129,7 +129,7 @@ def test_shared_subgroups_equal_the_full_expansion(q):
     # check 11: every conjugate of <zc> and <zd>, with no de-duplication
     full = set()
     for r in (rep_zc(q), rep_zd(q)):
-        S = _cyclic_closure(r)
+        S = powers(r)
         for h in G:
             hinv = h.inverse()
             full.add(frozenset(h * x * hinv for x in S))
@@ -142,10 +142,10 @@ def test_shared_subgroups_equal_the_full_expansion(q):
         if walk is not None:
             assert i == len(walks)
             walks.append(frozenset(walk))
-        assert walks[i] == frozenset(_cyclic_closure(g))
+        assert walks[i] == frozenset(powers(g))
         assert len(walks[i]) == element_order(g)
     assert seen == list(G)
-    assert len(walks) == len({frozenset(_cyclic_closure(g)) for g in G})
+    assert len(walks) == len({frozenset(powers(g)) for g in G})
 
 
 def test_subgroup_walk_crash_fails_only_its_checks(monkeypatch):
