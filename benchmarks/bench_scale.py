@@ -63,6 +63,7 @@ COMMANDS = [
     ["fixed-points", "1009", "--format", "json"],
     ["fixed-points", "1009", "--format", "csv"],
     ["fixed-points", "1009", "--format", "latex"],
+    ["classes", "100003"],
 ]
 
 _CHILD = "import sys; from sl2q.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -45,7 +45,7 @@ from .fq import is_odd_prime
 from .grp import (
     A, B, C, D, ONE, Z, ZC, ZD,
     ClassLabel, ConjClass, GroupElem, class_labels, class_of, representatives,
-    DEFAULT_MAX_ENUM,
+    torus_indices, DEFAULT_MAX_ENUM,
 )
 from .labels import _Label
 
@@ -88,8 +88,8 @@ def Theta(j: int) -> CharLabel:
 def char_labels(q: int) -> list[CharLabel]:
     """All q+4 row labels in table order."""
     return ([TRIV, PSI]
-            + [Chi(i) for i in range(1, (q - 3) // 2 + 1)]
-            + [Theta(j) for j in range(1, (q - 1) // 2 + 1)]
+            + [Chi(i) for i in torus_indices(q, "a")]
+            + [Theta(j) for j in torus_indices(q, "b")]
             + [XI1, XI2, ETA1, ETA2])
 
 
@@ -366,8 +366,7 @@ def complex_table(q: int) -> CharTable:
     disc = eps * q
     gauss = sqrt_eps_q(q)
     classes = representatives(q)
-    a_range = range(1, (q - 3) // 2 + 1)
-    b_range = range(1, (q - 1) // 2 + 1)
+    ls, ms = torus_indices(q, "a"), torus_indices(q, "b")
 
     # each cell at its natural conductor: 1, r = q-1 or q+1, or q
     def rat_cell(v):
@@ -394,23 +393,21 @@ def complex_table(q: int) -> CharTable:
         assert sz in (1, -1)
         row[ZC] = (c[0] * sz, sym_scale(c[1], sz))
         row[ZD] = (d[0] * sz, sym_scale(d[1], sz))
-        for l in a_range:
-            row[A(l)] = a_of(l)
-        for m in b_range:
-            row[B(m)] = b_of(m)
+        row |= {A(l): a_of(l) for l in ls}
+        row |= {B(m): b_of(m) for m in ms}
         rows[char] = row
 
     fill(TRIV, rat_cell(1), rat_cell(1), rat_cell(1), rat_cell(1),
          lambda l: rat_cell(1), lambda m: rat_cell(1))
     fill(PSI, rat_cell(q), rat_cell(q), rat_cell(0), rat_cell(0),
          lambda l: rat_cell(1), lambda m: rat_cell(-1))
-    for i in a_range:
+    for i in ls:
         sign = (-1) ** i
         fill(Chi(i), rat_cell(q + 1), rat_cell(sign * (q + 1)),
              rat_cell(1), rat_cell(1),
              lambda l, i=i: nu_cell(q - 1, i * l),
              lambda m: rat_cell(0))
-    for j in b_range:
+    for j in ms:
         sign = (-1) ** j
         fill(Theta(j), rat_cell(q - 1), rat_cell(sign * (q - 1)),
              rat_cell(-1), rat_cell(-1),

@@ -32,7 +32,8 @@ from math import gcd
 from .fq import is_odd_prime
 from .grp import (
     ClassLabel, GroupElem, class_labels, class_of, class_order, find_b,
-    identity, powers, rep_a, rep_c, rep_z, rep_zc, DEFAULT_MAX_ENUM,
+    identity, powers, rep_a, rep_c, rep_z, rep_zc, torus_indices,
+    DEFAULT_MAX_ENUM,
 )
 from .chars import CharTable, _json_schema
 from .labels import _Label
@@ -102,10 +103,9 @@ def subgroup_keys(q: int) -> list[SubgroupKey]:
 
 
 def _check_key_range(q: int, key: SubgroupKey) -> None:
-    if key.kind == "AH" and not 1 <= key.index <= (q - 3) // 2:
-        raise ValueError(f"AH index {key.index} out of range for q={q}")
-    if key.kind == "BH" and not 1 <= key.index <= (q - 1) // 2:
-        raise ValueError(f"BH index {key.index} out of range for q={q}")
+    torus = _GENERATOR[key.kind][0]
+    if torus in ("a", "b") and key.index not in torus_indices(q, torus):
+        raise ValueError(f"{key.kind} index {key.index} out of range for q={q}")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .fq import FqElem, inverse, is_odd_prime, is_quadratic_residue, primitive_root
 from .labels import _Label
@@ -35,8 +36,8 @@ __all__ = [
     "GroupElem", "ClassLabel", "ConjClass",
     "ONE", "Z", "C", "D", "ZC", "ZD", "A", "B",
     "identity", "rep_z", "rep_c", "rep_d", "rep_zc", "rep_zd", "rep_a",
-    "find_b", "powers", "element_order", "class_order", "enumerate_group",
-    "representatives",
+    "find_b", "powers", "element_order", "torus_order", "torus_indices",
+    "class_order", "enumerate_group", "representatives",
     "class_of", "conjugacy_partition", "class_label_lookup",
     "parse_class_label", "DEFAULT_MAX_ENUM",
 ]
@@ -156,11 +157,25 @@ def B(m: int) -> ClassLabel:
     return ClassLabel("b", m)
 
 
+def torus_order(q: int, kind: str) -> int:
+    """The order of the torus generator a (kind "a") or b (kind "b")."""
+    return q - 1 if kind == "a" else q + 1
+
+
+def torus_indices(q: int, kind: str) -> range:
+    """The k of the classes t^k, 0 < k < n/2 for t = a or b of order n;
+    chi_k, theta_k, their real rows and AH(k), BH(k) take the same k.
+
+    >>> torus_indices(7, "a"), torus_indices(7, "b")
+    (range(1, 3), range(1, 4))
+    """
+    return range(1, torus_order(q, kind) // 2)
+
+
 def class_labels(q: int) -> list[ClassLabel]:
     """All q+4 labels, in table order."""
-    return ([ONE, Z, C, D, ZC, ZD]
-            + [A(l) for l in range(1, (q - 3) // 2 + 1)]
-            + [B(m) for m in range(1, (q - 1) // 2 + 1)])
+    return [ONE, Z, C, D, ZC, ZD] + [ClassLabel(kind, k) for kind in "ab"
+                                     for k in torus_indices(q, kind)]
 
 
 @dataclass(frozen=True)
@@ -220,10 +235,9 @@ def element_order(g: GroupElem) -> int:
 def class_order(q: int, label: ClassLabel) -> int:
     """The order of every element of the class ``label``, in closed form:
     |a^l| = (q-1)/gcd(q-1, l) and |b^m| = (q+1)/gcd(q+1, m)."""
-    if label.kind == "a":
-        return (q - 1) // gcd(q - 1, label.index)
-    if label.kind == "b":
-        return (q + 1) // gcd(q + 1, label.index)
+    if label.kind in ("a", "b"):
+        n = torus_order(q, label.kind)
+        return n // gcd(n, label.index)
     return {"1": 1, "z": 2, "c": q, "d": q, "zc": 2 * q, "zd": 2 * q}[label.kind]
 
 
@@ -350,11 +364,10 @@ def representatives(q: int) -> tuple[ConjClass, ...]:
     """
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-    a = rep_a(q)
-    b = find_b(q)
     reps = [identity(q), rep_z(q), rep_c(q), rep_d(q), rep_zc(q), rep_zd(q)]
-    reps += [a ** l for l in range(1, (q - 3) // 2 + 1)]
-    reps += [b ** m for m in range(1, (q - 1) // 2 + 1)]
+    for kind, t in (("a", rep_a(q)), ("b", find_b(q))):
+        # t, t^2, t^3, ...: one group product per class
+        reps += accumulate(repeat(t, len(torus_indices(q, kind))), mul)
     sizes = {"1": 1, "z": 1, "a": q * (q + 1), "b": q * (q - 1)}
     half = (q * q - 1) // 2
     return tuple(ConjClass(label, g, sizes.get(label.kind, half),

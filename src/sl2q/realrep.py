@@ -33,7 +33,8 @@ from functools import lru_cache
 from .chars import CharLabel, CharTable, complex_table, sym_add, sym_scale
 from .cyclo import CycNum
 from .grp import (
-    A, B, C, D, ONE, Z, ZC, ZD, ClassLabel, class_labels, DEFAULT_MAX_ENUM,
+    C, D, ONE, Z, ZC, ZD, ClassLabel, class_labels, torus_indices, torus_order,
+    DEFAULT_MAX_ENUM,
 )
 from .labels import _Label
 
@@ -53,9 +54,8 @@ __all__ = [
 # class-level square and inverse maps
 
 def _power_class(q: int, kind: str, k: int) -> ClassLabel:
-    """The class of t^k for the torus generator t = a (kind "a", order
-    q-1) or t = b (kind "b", order q+1); t^(n/2) = z for n the order."""
-    n = q - 1 if kind == "a" else q + 1
+    """The class of t^k for t = a or b (``kind``) of order n; t^(n/2) = z."""
+    n = torus_order(q, kind)
     k %= n
     if k == 0:
         return ONE
@@ -76,10 +76,8 @@ def square_class_map(q: int) -> dict:
     sq[D] = D if two_qr else C
     sq[ZC] = sq[C]
     sq[ZD] = sq[D]
-    for l in range(1, (q - 3) // 2 + 1):
-        sq[A(l)] = _power_class(q, "a", 2 * l)
-    for m in range(1, (q - 1) // 2 + 1):
-        sq[B(m)] = _power_class(q, "b", 2 * m)
+    sq |= {lab: _power_class(q, lab.kind, 2 * lab.index)
+           for lab in class_labels(q) if lab.kind in ("a", "b")}
     return sq
 
 
@@ -174,10 +172,9 @@ def fs_indicator_closed(table: CharTable, char: CharLabel) -> int:
     val = table.value
     acc = (val(char, ONE) * 2 + val(char, Z) * K
            + (val(char, C) + val(char, D)) * (q * q - 1))
-    for l in range(1, (q - 3) // 4 + 1):
-        acc = acc + val(char, A(2 * l)) * (2 * q * (q + 1))
-    for m in range(1, (q - 1) // 4 + 1):
-        acc = acc + val(char, B(2 * m)) * (2 * q * (q - 1))
+    for kind, weight in (("a", 2 * q * (q + 1)), ("b", 2 * q * (q - 1))):
+        for k in torus_indices(q, kind)[1::2]:   # the even indices
+            acc = acc + val(char, ClassLabel(kind, k)) * weight
     return _indicator_from_total(acc, q ** 3 - q)
 
 
@@ -232,13 +229,10 @@ def RTwoThetaOdd(j: int) -> RealCharLabel:
 
 def real_char_labels(q: int) -> list[RealCharLabel]:
     """Row labels of the real table, in table order."""
-    chi_max = (q - 3) // 2
-    theta_max = (q - 1) // 2
-    rows = [RTRIV, RPSI]
-    rows += [RChiEven(i) for i in range(2, chi_max + 1, 2)]
-    rows += [RTwoChiOdd(i) for i in range(1, chi_max + 1, 2)]
-    rows += [RThetaEven(j) for j in range(2, theta_max + 1, 2)]
-    rows += [RTwoThetaOdd(j) for j in range(1, theta_max + 1, 2)]
+    ls, ms = torus_indices(q, "a"), torus_indices(q, "b")
+    # even indices are [1::2] of a range from 1, odd ones [::2]
+    rows = [RTRIV, RPSI, *map(RChiEven, ls[1::2]), *map(RTwoChiOdd, ls[::2]),
+            *map(RThetaEven, ms[1::2]), *map(RTwoThetaOdd, ms[::2])]
     if q % 4 == 1:
         rows += [RXI1, RXI2, RTWO_ETA1, RTWO_ETA2]
     else:

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .chars import CharLabel, ETA1, ETA2, XI1, XI2, _json_schema, complex_table
+from .chars import ETA1, ETA2, XI1, XI2, _json_schema, complex_table
 from .fixdim import fixed_dim_closed, subgroup_key_of
 from .grp import (
     ZC, ZD, _generated_group, class_label_lookup, class_labels,
@@ -293,17 +293,12 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
             if not (closed == grouped == raw):
                 bad.append(f"{ch}: closed {closed}, grouped {grouped}, raw {raw}")
             got[ch] = closed
-        expect_plus = {CharLabel("1"), CharLabel("psi")}
-        expect_minus = set()
-        for i in range(1, (q - 3) // 2 + 1):
-            (expect_plus if i % 2 == 0 else expect_minus).add(CharLabel("chi", i))
-        for j in range(1, (q - 1) // 2 + 1):
-            (expect_plus if j % 2 == 0 else expect_minus).add(CharLabel("theta", j))
-        if q % 4 == 1:
-            expect_plus |= {XI1, XI2}
-            expect_minus |= {ETA1, ETA2}
+        # chi_i, theta_j by index parity; xi, eta complex for q = 3 mod 4
+        pair = 1 if q % 4 == 1 else 0
+        expect = {"1": 1, "psi": 1, "xi1": pair, "xi2": pair,
+                  "eta1": -pair, "eta2": -pair}
         for ch in ct.chars:
-            want = 1 if ch in expect_plus else -1 if ch in expect_minus else 0
+            want = expect[ch.kind] if ch.kind in expect else (-1) ** ch.index
             if got[ch] != want:
                 bad.append(f"{ch}: indicator {got[ch]}, expected {want}")
         if bad:
