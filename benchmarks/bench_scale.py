@@ -50,6 +50,7 @@ COMMANDS = [
     ["verify", "23"],
     ["verify", "31"],
     ["verify", "47"],
+    ["verify", "71", "--max-enum", "71"],
     ["char-table", "47"],
     ["real-table", "47"],
     ["fs", "37"],

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .cyclo import CycNum, nu, rational, sqrt_eps_q, working_conductor
+from .cyclo import CycNum, dot, nu, rational, sqrt_eps_q, working_conductor
 from .fq import is_odd_prime
 from .grp import (
     A, B, C, D, ONE, Z, ZC, ZD,
@@ -257,12 +257,9 @@ class CharTable:
         return self.value(char, class_of(g, max_enum))
 
     def class_sum(self, char, counts: dict) -> CycNum:
-        """Sum of count * chi(label) over a {ClassLabel: count} map."""
-        acc = None
-        for lab, cnt in counts.items():
-            term = self.value(char, lab) * cnt
-            acc = term if acc is None else acc + term
-        return acc
+        """Sum of count * chi(label) over a {ClassLabel: count} map (0 for
+        an empty map), reduced once (``cyclo.dot``)."""
+        return dot((self.value(char, lab), cnt) for lab, cnt in counts.items())
 
     @property
     def class_order(self) -> list[ClassLabel]:

@@ -10,8 +10,10 @@ embedded into the least common conductor automatically.  All arithmetic
 runs on Python ints; ``coeffs`` gives the rational coefficients on
 request.  There is one reduction, exact long division by the monic Phi_N
 after a few sparse multiples of it (``_moduli``, ``_kernel.reduce_mod``):
-a product reduces its convolution, and an embedding, a conjugate or a
-root of unity reduces its exponents scattered into one vector.
+a product reduces its convolution, an embedding, a conjugate or a root
+of unity reduces its exponents scattered into one vector, and ``dot``
+reduces a whole sum of products once, gathered over the L-th roots of
+unity.
 
 Everything any character-table entry needs lives here: roots of unity,
 nu(r, s) = zeta_r^s + zeta_r^(-s), and the quadratic Gauss sum, which is
@@ -32,14 +34,14 @@ from ._kernel import mul_reduce, reduce_mod
 
 __all__ = [
     "CycNum", "cyclotomic_polynomial", "root_of_unity", "nu",
-    "sqrt_eps_q", "working_conductor", "rational",
+    "sqrt_eps_q", "working_conductor", "rational", "dot",
 ]
 
 # Conductor-keyed caches (phi(N), and Phi_m for the squarefree m that
 # reduction uses, at most phi(m) + 1 ints an entry) should hold every key
 # one command touches, or products rebuild Phi_m.  Table values live at
-# 1, q-1, q or q+1; verify's sums and products of two of them reach
-# q(q-1), q(q+1) and (q^2-1)/2; N = lcm(q, q-1, q+1) is touched only when
+# 1, q-1, q or q+1; verify's inner products and class sums (``dot``)
+# reach q(q-1), q(q+1) and (q^2-1)/2; N = lcm(q, q-1, q+1) is touched only when
 # JSON or the csv approximations serialize a table.
 _CONDUCTOR_CACHE = 8
 
@@ -391,6 +393,59 @@ def _add_vectors(a: CycNum, b: CycNum) -> CycNum:
     ka, kb = db // g, da // g
     return _make(a.conductor, [x * ka + y * kb for x, y in zip(a._num, b._num)],
                  da * ka)
+
+
+def _parts(v) -> tuple[int, tuple, int]:
+    """(conductor, numerators, denominator) of a CycNum or an int; a
+    rational value is taken at conductor 1."""
+    if type(v) is int:
+        return 1, (v,), 1
+    if v._is_rational():
+        return 1, v._num[:1], v._den
+    return v.conductor, v._num, v._den
+
+
+def dot(pairs) -> CycNum:
+    """The exact sum of x * y over the (x, y) pairs, reduced once.
+
+    x is a CycNum, y a CycNum or an int.  Each term's numerator products
+    are scattered by exponent, j*(L/N_x) + k*(L/N_y), into one vector over
+    the L-th roots of unity, L the lcm of the irrational operands'
+    conductors, at the common denominator D = lcm(den_x * den_y); a
+    product of two rationals lands on exponent 0.  Z[x]/(x^L - 1) maps
+    onto Z[zeta_L] because Phi_L divides x^L - 1, so the vector is reduced
+    mod Phi_L and brought to lowest terms once, not once per term.
+
+    >>> dot([]) == 0
+    True
+    >>> i = root_of_unity(4, 1)
+    >>> w = root_of_unity(3, 1)
+    >>> dot([(i, i), (rational(Fraction(1, 2)), 2), (w, 2)]) == w * 2
+    True
+    """
+    terms = []
+    L = D = 1
+    for x, y in pairs:
+        nx, ax, dx = _parts(x)
+        ny, ay, dy = _parts(y)
+        if ax[0] or nx > 1:
+            if ay[0] or ny > 1:
+                terms.append((nx, ax, ny, ay, dx * dy))
+                L = lcm(L, nx, ny)
+                D = lcm(D, dx * dy)
+    # exponents below 2L - 1; the upper half folds onto the lower
+    poly = [0] * (2 * L)
+    for nx, ax, ny, ay, d in terms:
+        f = D // d
+        sx, sy = L // nx, L // ny
+        ys = [(k * sy, c * f) for k, c in enumerate(ay) if c]
+        for j, c in enumerate(ax):
+            if c:
+                e = j * sx
+                for k, cy in ys:
+                    poly[e + k] += c * cy
+    poly = [a + b for a, b in zip(poly, poly[L:])]
+    return _make(L, reduce_mod(poly, _moduli(L)), D)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,10 @@ from itertools import accumulate, repeat
 from math import gcd
 from operator import itemgetter, mul
 
-from .fq import FqElem, inverse, is_odd_prime, is_quadratic_residue, primitive_root
+from .fq import (
+    FqElem, _prime_factors, inverse, is_odd_prime, is_quadratic_residue,
+    primitive_root,
+)
 from .labels import _Label
 
 __all__ = [
@@ -344,12 +347,16 @@ def find_b(q: int) -> GroupElem:
     """First element of order q+1 in the lexicographic scan.
 
     The scan is lazy, so this works far beyond the enumeration bound.
+    g has order n = q+1 exactly when g^n = 1 and g^(n/p) != 1 for every
+    prime p dividing n, a few dozen products per candidate.
     """
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
+    n, one = q + 1, identity(q)
+    cofactors = [n // p for p in _prime_factors(n)]
     for t in _lex_tuples(q):
         g = GroupElem(q, *t)
-        if element_order(g) == q + 1:
+        if g ** n == one and all(g ** k != one for k in cofactors):
             return g
     raise AssertionError(f"no element of order {q + 1} in SL2({q})")  # unreachable
 

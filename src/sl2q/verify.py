@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .chars import ETA1, ETA2, XI1, XI2, _json_schema, complex_table
+from .cyclo import dot
 from .fixdim import fixed_dim_closed, subgroup_key_of
 from .grp import (
     ZC, ZD, _generated_group, class_label_lookup, class_labels,
@@ -239,36 +240,33 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     ct = complex_table(q)
     labels = ct.class_order
-    sizes = {cls.label: cls.size for cls in ct.classes}
-    # each value at its natural conductor (1, q-1, q or q+1): a product or
-    # sum below embeds its operands only into the lcm of the two, at most
-    # q(q+1), never into the working conductor N
-    val = ct.values
-    conj_val = {key: v.conjugate() for key, v in val.items()}
-    conj_sized = {(ch, lab): conj_val[(ch, lab)] * sizes[lab]
-                  for ch in ct.chars for lab in labels}
+    sizes = [cls.size for cls in ct.classes]
+    # each value at its natural conductor (1, q-1, q or q+1): an inner
+    # product below gathers its terms at the lcm of the conductors it
+    # meets, at most q(q+1), never at the working conductor N
+    rows = {ch: tuple(ct.value(ch, lab) for lab in labels) for ch in ct.chars}
+    conj_rows = {ch: tuple(v.conjugate() for v in row)
+                 for ch, row in rows.items()}
+    conj_sized = {ch: tuple(v * n for v, n in zip(row, sizes))
+                  for ch, row in conj_rows.items()}
 
     # (5) orthogonality, rows and columns, exact
     def check_orthogonality():
         bad = []
         for i, ch1 in enumerate(ct.chars):
             for ch2 in ct.chars[i:]:
-                acc = None
-                for lab in labels:
-                    term = val[(ch1, lab)] * conj_sized[(ch2, lab)]
-                    acc = term if acc is None else acc + term
+                acc = dot(zip(rows[ch1], conj_sized[ch2]))
                 want = order if ch1 == ch2 else 0
                 if acc != want:
                     bad.append(f"<{ch1},{ch2}> != {want}")
+        cols = list(zip(*rows.values()))
+        conj_cols = list(zip(*conj_rows.values()))
         for i, l1 in enumerate(labels):
-            for l2 in labels[i:]:
-                acc = None
-                for ch in ct.chars:
-                    term = val[(ch, l1)] * conj_val[(ch, l2)]
-                    acc = term if acc is None else acc + term
-                want = order // sizes[l1] if l1 == l2 else 0
+            for j in range(i, len(labels)):
+                acc = dot(zip(cols[i], conj_cols[j]))
+                want = order // sizes[i] if i == j else 0
                 if acc != want:
-                    bad.append(f"column <{l1},{l2}> != {want}")
+                    bad.append(f"column <{l1},{labels[j]}> != {want}")
         if bad:
             return False, _fail_list(bad)
         return True, (f"{len(ct.chars)} rows and {len(labels)} columns "
@@ -312,11 +310,9 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     # (8) conjugation permutation on rows: trace q+4 or q
     def check_conjugation_trace():
-        rows = {ch: tuple(ct.value(ch, lab) for lab in labels) for ch in ct.chars}
         perm = {}
         for ch in ct.chars:
-            conj_row = tuple(conj_val[(ch, lab)] for lab in labels)
-            matches = [ch2 for ch2 in ct.chars if rows[ch2] == conj_row]
+            matches = [ch2 for ch2 in ct.chars if rows[ch2] == conj_rows[ch]]
             if len(matches) != 1:
                 return False, f"conjugate of {ch} matches {len(matches)} rows"
             perm[ch] = matches[0]

@@ -231,6 +231,12 @@ def test_class_sum_is_the_inner_product_with_the_trivial_row():
         assert ct.class_sum(ch, sizes) == (7 ** 3 - 7 if ch == TRIV else 0)
 
 
+def test_class_sum_of_no_classes_is_zero():
+    for table in (complex_table(7), real_table(7)):
+        for ch in table.chars:
+            assert table.class_sum(ch, {}) == rational(0)
+
+
 def test_table_is_cached():
     assert complex_table(7) is complex_table(7)
     assert real_table(7) is real_table(7)

@@ -8,6 +8,7 @@ import cmath
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import pytest
@@ -15,9 +16,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sl2q._kernel import mul_reduce
-from sl2q.cyclo import (CycNum, _moduli, _phi, cyclotomic_polynomial,
+from sl2q.chars import complex_table
+from sl2q.cyclo import (CycNum, _moduli, _phi, cyclotomic_polynomial, dot,
                         nu, rational, root_of_unity, sqrt_eps_q,
                         working_conductor)
+from sl2q.realrep import real_table
 
 # small conductors with interesting lcm structure; lcm of any three is
 # at most 2520, so even the worst promotion stays cheap
@@ -435,3 +438,78 @@ def test_json_strings_are_stable(value, text):
     assert json.dumps(x.to_json()) == text
     assert repr(x) == f"CycNum({x.conductor}, {tuple(json.loads(text)['coeffs'])})"
     assert CycNum.from_json(json.loads(text)) == x
+
+
+# ---------------------------------------------------------------------------
+# dot: one reduction for a whole sum of products
+
+@lru_cache(maxsize=None)
+def _table_values(q):
+    """The distinct values of the complex and real tables at q: conductors
+    1, q-1, q and q+1, so two of them meet at up to lcm(q-1, q, q+1)."""
+    out = {}
+    for table in (complex_table(q), real_table(q)):
+        for v in table.values.values():
+            out.setdefault(v.key(), v)
+    return list(out.values())
+
+
+def _rationals(max_denominator):
+    return st.fractions(min_value=-4, max_value=4,
+                        max_denominator=max_denominator).map(rational)
+
+
+@st.composite
+def dot_pairs(draw):
+    """(x, y) pairs over one q <= 13: table values, the same halved (a
+    denominator 2 on either side), rationals, and int weights."""
+    q = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    value = st.sampled_from(_table_values(q))
+    halved = value.map(lambda v: v * Fraction(1, 2))
+    ratio = _rationals(max_denominator=2)
+    weight = st.integers(-30, 30)
+    x = st.one_of(value, halved, ratio)
+    y = st.one_of(value, halved, ratio, weight)
+    return draw(st.lists(st.tuples(x, y), max_size=12))
+
+
+def _term_by_term(pairs):
+    acc = rational(0)
+    for x, y in pairs:
+        acc = acc + x * y
+    return acc
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(pairs=dot_pairs())
+def test_dot_equals_the_term_by_term_sum(pairs):
+    got = dot(pairs)
+    assert got == _term_by_term(pairs)
+    _assert_normal(got)
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(
+    _rationals(6), st.one_of(st.integers(-9, 9), _rationals(6))), max_size=8))
+def test_dot_of_rationals_is_their_sum_at_conductor_1(pairs):
+    got = dot(pairs)
+    assert got.conductor == 1
+    assert got.as_rational() == sum((x.as_rational() * y for x, y in pairs),
+                                    Fraction(0))
+    _assert_normal(got)
+
+
+def test_dot_of_nothing_is_zero():
+    assert dot([]) == rational(0)
+    assert dot(iter([])).as_rational() == 0
+    # terms with a zero operand are dropped before the conductor is chosen
+    assert dot([(root_of_unity(7, 1), 0), (rational(0), nu(13, 1))]) == 0
+
+
+def test_dot_at_the_working_conductor_of_13():
+    # zeta_12 * zeta_13 * zeta_7: every exponent pair wraps past L = 1092
+    x, y = root_of_unity(12, 11), root_of_unity(91, 90)
+    assert dot([(x, y), (x, y)]) == x * y * 2
+    assert dot([(x, y)]).conductor == 1092

@@ -1,8 +1,9 @@
 """SL2(q): elements, conjugacy classes, and the class-label machinery."""
 import pytest
 
+from sl2q.fq import is_odd_prime
 from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, GroupElem, _generated_group,
-                      class_label_lookup, class_labels, class_of,
+                      _lex_tuples, class_label_lookup, class_labels, class_of,
                       class_order, conjugacy_partition, element_order,
                       enumerate_group, find_b, identity, parse_class_label,
                       powers, rep_a, rep_c, rep_d, rep_z, rep_zc, rep_zd,
@@ -115,6 +116,19 @@ def test_standard_representative_orders():
         assert element_order(rep_zd(q)) == 2 * q
         assert element_order(rep_a(q)) == q - 1
         assert element_order(find_b(q)) == q + 1
+
+
+def _find_b_by_element_order(q):
+    """The scan as first written: the whole power list of each candidate."""
+    for t in _lex_tuples(q):
+        g = GroupElem(q, *t)
+        if element_order(g) == q + 1:
+            return g
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, 212) if is_odd_prime(q)])
+def test_find_b_is_the_first_element_of_order_q_plus_1(q):
+    assert find_b(q) == _find_b_by_element_order(q)
 
 
 @pytest.mark.parametrize("q", Q_SMALL)
