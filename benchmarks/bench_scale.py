@@ -64,6 +64,9 @@ COMMANDS = [
     ["fixed-points", "1009", "--format", "json"],
     ["fixed-points", "1009", "--format", "csv"],
     ["fixed-points", "1009", "--format", "latex"],
+    ["fixed-points", "47", "--max-enum", "47"],
+    ["fixed-points", "101", "--max-enum", "101"],
+    ["fixed-points", "211", "--max-enum", "211"],
     ["classes", "100003"],
 ]
 

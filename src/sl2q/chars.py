@@ -45,7 +45,7 @@ from .fq import is_odd_prime
 from .grp import (
     A, B, C, D, ONE, Z, ZC, ZD,
     ClassLabel, ConjClass, GroupElem, class_labels, class_of, representatives,
-    torus_indices, DEFAULT_MAX_ENUM,
+    torus_indices,
 )
 from .labels import _Label
 
@@ -250,11 +250,10 @@ class CharTable:
     def degree(self, char) -> int:
         return self.value(char, ONE).as_integer()
 
-    def value_at(self, char, g: GroupElem,
-                 max_enum: int = DEFAULT_MAX_ENUM) -> CycNum:
+    def value_at(self, char, g: GroupElem) -> CycNum:
         if g.q != self.q:
             raise ValueError(f"element of SL2({g.q}) in a table for SL2({self.q})")
-        return self.value(char, class_of(g, max_enum))
+        return self.value(char, class_of(g))
 
     def class_sum(self, char, counts: dict) -> CycNum:
         """Sum of count * chi(label) over a {ClassLabel: count} map (0 for

@@ -293,7 +293,7 @@ class CycNum:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = rational(1, self.conductor)
+        out = rational(1, conductor=self.conductor)
         base = self
         while n:
             if n & 1:
@@ -451,7 +451,7 @@ def dot(pairs) -> CycNum:
 # ---------------------------------------------------------------------------
 # constructors
 
-def rational(r, conductor: int = 1) -> CycNum:
+def rational(r, *, conductor: int = 1) -> CycNum:
     """A rational number as a CycNum (at conductor 1 unless asked otherwise)."""
     r = Fraction(r)
     return _raw(conductor, (r.numerator,) + (0,) * (_phi(conductor) - 1),
@@ -463,7 +463,7 @@ def root_of_unity(N: int, k: int) -> CycNum:
 
     >>> root_of_unity(2, 1) == -1
     True
-    >>> sum((root_of_unity(5, k) for k in range(1, 5)), rational(0, 5)) == -1
+    >>> sum((root_of_unity(5, k) for k in range(1, 5)), rational(0, conductor=5)) == -1
     True
     """
     if N < 1:
@@ -489,7 +489,7 @@ def sqrt_eps_q(q: int) -> CycNum:
     Squares to eps*q with eps = (-1)^((q-1)/2): an exact square root of
     +-q, real for q = 1 mod 4 and purely imaginary for q = 3 mod 4.
     """
-    total = rational(0, q)
+    total = rational(0, conductor=q)
     for k in range(1, q):
         ls = legendre_symbol(FqElem(k, q))
         term = root_of_unity(q, k)

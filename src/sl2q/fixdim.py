@@ -139,9 +139,9 @@ def subgroup(q: int, kind, index: int = 0) -> SubgroupDesc:
     return SubgroupDesc(q, key, len(elements), g, tuple(elements))
 
 
-def subgroup_key_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> SubgroupKey:
+def subgroup_key_of(g: GroupElem) -> SubgroupKey:
     """Canonical kind/index of <g>, via the class of the generator."""
-    lab = class_of(g, max_enum)
+    lab = class_of(g)
     return SubgroupKey(_SUBGROUP_OF_CLASS[lab.kind], lab.index)
 
 
@@ -266,16 +266,19 @@ def fixed_dim_closed(q: int, char: RealCharLabel, kind, index: int = 0) -> int:
     return _closed_column(q, key)[0][ci]
 
 
-def fixed_dim_average(rt: CharTable, char: RealCharLabel, H: SubgroupDesc,
-                      max_enum: int = DEFAULT_MAX_ENUM) -> int:
-    """Oracle: (1/|H|) sum of character values over H, reduced exactly."""
-    counts = Counter(class_of(h, max_enum) for h in H.elements)
-    v = (rt.class_sum(char, counts) / len(H.elements)).as_rational()
-    if v is None or v.denominator != 1 or v < 0:
-        raise ValueError(
-            f"average of {char} over {H.key} is {v!r}, not a nonnegative "
-            f"integer; the table data is inconsistent")
-    return int(v)
+def fixed_dim_average(rt: CharTable, H: SubgroupDesc) -> dict:
+    """Oracle: {char: (1/|H|) sum of char over H} for every row of ``rt``,
+    exactly, from one count of the classes of H's elements."""
+    counts = Counter(map(class_of, H.elements))
+    out = {}
+    for char in rt.chars:
+        v = (rt.class_sum(char, counts) / len(H.elements)).as_rational()
+        if v is None or v.denominator != 1 or v < 0:
+            raise ValueError(
+                f"average of {char} over {H.key} is {v!r}, not a nonnegative "
+                f"integer; the table data is inconsistent")
+        out[char] = int(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +374,7 @@ class FixedDimTable:
 
 
 def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
-    """Closed-form table with oracle column when q is enumerable.
+    """Closed-form table, with the oracle column when q <= max_enum.
 
     Mismatches are recorded in the table, never patched over.
     """
@@ -390,8 +393,8 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
         closed.append(values)
         resonant += [(ci, ki) for ci in moved]
         if use_oracle:
-            H = subgroup(q, key)
-            oracle.append([fixed_dim_average(rt, c, H, max_enum) for c in chars])
+            avg = fixed_dim_average(rt, subgroup(q, key))
+            oracle.append([avg[c] for c in chars])
     notes = []
     if any(k.kind == "AH" and _closed_order(q, k) % 2 for k in keys):
         notes.append(

@@ -385,37 +385,33 @@ def representatives(q: int) -> tuple[ConjClass, ...]:
 # ---------------------------------------------------------------------------
 # classification
 
-@_cached_on_q
-def _class_tables(q: int):
-    """Trace lookup for the split/non-split families plus the orbit of c.
-
-    Non-central elements with trace != +-2 are pinned down by their trace
-    alone (eigenvalue pairs are distinct across a- and b-classes); trace
-    +-2 splits into two classes of equal size which no polynomial
-    invariant separates, so membership in the conjugation orbit of c,
-    computed once under the two generators (about 2(q^2-1) products),
-    decides.
-    """
-    trace_label = {cls.representative.trace: cls.label
-                   for cls in representatives(q) if cls.label.kind in ("a", "b")}
-    return trace_label, _conjugation_orbit(rep_c(q))
+@lru_cache(maxsize=8)
+def _trace_labels(q: int) -> dict:
+    """Trace -> label of the a- and b-classes, each pinned down by its
+    trace alone: eigenvalue pairs are distinct across the two families."""
+    return {cls.representative.trace: cls.label
+            for cls in representatives(q) if cls.label.kind in ("a", "b")}
 
 
-def class_of(g: GroupElem, max_enum: int = DEFAULT_MAX_ENUM) -> ClassLabel:
-    """The label of the conjugacy class containing g."""
+def class_of(g: GroupElem) -> ClassLabel:
+    """The label of the conjugacy class containing g, in closed form."""
     q = g.q
     if g.b == 0 and g.c == 0:
         if g.a == 1:
             return ONE
         if g.a == q - 1:
             return Z
-    trace_label, orbit_c = _class_tables(q, max_enum)
     t = g.trace
-    if t == 2:
-        return C if g in orbit_c else D
-    if t == q - 2:
-        return ZC if (rep_z(q) * g) in orbit_c else ZD
-    label = trace_label.get(t)
+    if t == 2 or t == q - 2:
+        # u = g or z*g is unipotent and not 1.  It is conjugate to c exactly
+        # when its lower-left entry is a nonzero square; when that entry is
+        # 0, u = [[1, b], [0, 1]] is conjugate to [[1, 0], [-b, 1]], so -b
+        # decides.  Diagonal conjugation scales both entries by squares
+        # (Dornhoff §38; Bonnafé, Representations of SL2(F_q), ch. 1).
+        u = g if t == 2 else rep_z(q) * g
+        is_c = is_quadratic_residue(FqElem(u.c if u.c else -u.b, q))
+        return (C if is_c else D) if t == 2 else (ZC if is_c else ZD)
+    label = _trace_labels(q).get(t)
     if label is None:  # every non-central trace belongs to exactly one family
         raise AssertionError(f"unclassifiable trace {t} mod {q}")
     # consistency: split classes have square discriminant, non-split don't

@@ -143,10 +143,12 @@ def fs_indicator_brute(table: CharTable, char: CharLabel) -> int:
 
 @lru_cache(maxsize=8)
 def _square_label_counts(q: int, max_enum: int):
-    """How many g in the whole group have g^2 in each class."""
-    from .grp import class_label_lookup, enumerate_group
+    """How many g in the whole group have g^2 in each class: a sum over
+    every element of the orbit partition, read from its lookup's keys."""
+    from .grp import class_label_lookup
     lookup = class_label_lookup(q, max_enum)
-    return dict(Counter(lookup[g * g] for g in enumerate_group(q, max_enum)))
+    assert len(lookup) == q ** 3 - q
+    return dict(Counter(lookup[g * g] for g in lookup))
 
 
 def fs_indicator_raw(table: CharTable, char: CharLabel,

@@ -387,7 +387,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
                         avgs[ch] = int(v)
                     avg_cache[sig] = avgs
             sig = profiles[i]
-            skey = subgroup_key_of(g, max_enum)
+            skey = subgroup_key_of(g)
             wrong = wrong_cache.get((sig, skey))
             if wrong is None:
                 avgs = avg_cache[sig]

@@ -319,7 +319,7 @@ def test_criterion_8_kernel_properties(criterion):
                 problems.append(f"nu({r},{r - s}) != nu({r},{s})")
     for n in [2, 3, 5, 7, 12]:
         for k in range(1, n):
-            total = rational(0, n)
+            total = rational(0, conductor=n)
             for i in range(1, n):
                 total = total + root_of_unity(n, i * k)
             if total != -1:

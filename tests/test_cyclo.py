@@ -95,7 +95,7 @@ def test_geometric_sum_vanishes(n):
     # starting at i = 1 is -1; this is the engine behind every
     # fixed-point average over a cyclic subgroup
     for k in range(1, n):
-        total = rational(0, n)
+        total = rational(0, conductor=n)
         for i in range(1, n):
             total = total + root_of_unity(n, i * k)
         assert total == -1
@@ -222,16 +222,24 @@ def test_conjugate_inverts_roots():
 
 
 def test_as_rational_and_as_integer():
-    assert rational(Fraction(3, 2), 12).as_rational() == Fraction(3, 2)
+    assert rational(Fraction(3, 2), conductor=12).as_rational() == Fraction(3, 2)
     assert root_of_unity(5, 1).as_rational() is None
     assert (root_of_unity(5, 1) * 0).as_rational() == 0
-    assert rational(4, 7).as_integer() == 4
+    assert rational(4, conductor=7).as_integer() == 4
     with pytest.raises(ValueError):
         rational(Fraction(1, 2)).as_integer()
     with pytest.raises(ValueError):
         root_of_unity(5, 1).as_integer()
     # an irrational-looking combination that collapses to an integer
     assert (nu(5, 1) + nu(5, 2)).as_integer() == -1
+
+
+def test_rational_takes_the_conductor_by_keyword():
+    # rational(1, 3) reads like the fraction 1/3, so it is refused rather
+    # than taken as 1 in Q(zeta_3)
+    with pytest.raises(TypeError):
+        rational(1, 3)
+    assert rational(1, conductor=3) == 1 == rational(1)
 
 
 def test_division_rules():
@@ -245,7 +253,7 @@ def test_division_rules():
 
 
 def test_mixed_conductor_equality():
-    assert rational(5, 1) == rational(5, 12)
+    assert rational(5, conductor=1) == rational(5, conductor=12)
     assert root_of_unity(6, 1) == nu(6, 1) - root_of_unity(6, -1)
     assert nu(6, 1) == 1
 
@@ -372,7 +380,7 @@ def test_normal_form():
     half = (x + x.conjugate()) * Fraction(1, 2)
     _assert_normal(half)
     # zero has one form at each conductor, whatever built it
-    for zero in [x - x, x * 0, rational(0, 12), x * Fraction(3, 7) - x * Fraction(3, 7),
+    for zero in [x - x, x * 0, rational(0, conductor=12), x * Fraction(3, 7) - x * Fraction(3, 7),
                  CycNum(12, [Fraction(0, 5)] * 4)]:
         assert (zero._num, zero._den) == ((0, 0, 0, 0), 1)
     assert CycNum(12, [Fraction(1, 2), 0, Fraction(-1, 3), 2])._den == 6
@@ -425,10 +433,10 @@ def test_approx_from_cached_roots_at_a_working_conductor():
      + root_of_unity(12, 2) * Fraction(2, 3) - 7,
      '{"conductor": 12, "coeffs": ["-7", "1/6", "2/3", "0"], '
      '"approx": {"re": -6.52232909936926, "im": 0.660683602522959}}'),
-    (lambda: rational(Fraction(-5, 6), 12),
+    (lambda: rational(Fraction(-5, 6), conductor=12),
      '{"conductor": 12, "coeffs": ["-5/6", "0", "0", "0"], '
      '"approx": {"re": -0.8333333333333334, "im": 0.0}}'),
-    (lambda: rational(0, 5),
+    (lambda: rational(0, conductor=5),
      '{"conductor": 5, "coeffs": ["0", "0", "0", "0"], '
      '"approx": {"re": 0.0, "im": 0.0}}'),
 ])

@@ -75,9 +75,10 @@ def test_first_table_spot_values():
 def test_closed_equals_average_everywhere_small(q):
     rt = real_table(q)
     for key in subgroup_keys(q):
-        H = subgroup(q, key)
+        avg = fixed_dim_average(rt, subgroup(q, key))
+        assert set(avg) == set(rt.chars)
         for ch in rt.chars:
-            assert fixed_dim_closed(q, ch, key) == fixed_dim_average(rt, ch, H)
+            assert fixed_dim_closed(q, ch, key) == avg[ch]
 
 
 def test_resonant_entries_match_oracle():
@@ -86,20 +87,20 @@ def test_resonant_entries_match_oracle():
     rt11 = real_table(11)
     H = subgroup(11, BH(3))          # order 4, divides j = 4
     assert fixed_dim_closed(11, RThetaEven(4), BH(3)) == 4
-    assert fixed_dim_average(rt11, RThetaEven(4), H) == 4
+    assert fixed_dim_average(rt11, H)[RThetaEven(4)] == 4
     rt13 = real_table(13)
     H = subgroup(13, AH(3))          # order 4, divides i = 4
     assert fixed_dim_closed(13, RChiEven(4), AH(3)) == 8
-    assert fixed_dim_average(rt13, RChiEven(4), H) == 8
+    assert fixed_dim_average(rt13, H)[RChiEven(4)] == 8
     # doubled rows shift by 4: BH(4) at q = 11 has order 3, dividing j = 3,
     # so 2theta_3 drops from the generic 2*gcd(12,4) = 8 to 4
     H = subgroup(11, BH(4))
     closed = fixed_dim_closed(11, RTwoThetaOdd(3), BH(4))
-    assert closed == fixed_dim_average(rt11, RTwoThetaOdd(3), H) == 4
+    assert closed == fixed_dim_average(rt11, H)[RTwoThetaOdd(3)] == 4
     # and 2chi_3 on the order-3 subgroup AH(4) at q = 13 gains 4
     H = subgroup(13, AH(4))
     closed = fixed_dim_closed(13, RTwoChiOdd(3), AH(4))
-    assert closed == fixed_dim_average(rt13, RTwoChiOdd(3), H) == 12
+    assert closed == fixed_dim_average(rt13, H)[RTwoChiOdd(3)] == 12
 
 
 def test_non_resonant_torus_entries():

@@ -1,4 +1,6 @@
 """SL2(q): elements, conjugacy classes, and the class-label machinery."""
+import random
+
 import pytest
 
 from sl2q.fq import is_odd_prime
@@ -183,16 +185,15 @@ def test_s_and_t_generate_the_group(q):
     assert _generated_group(q) == set(enumerate_group(q))
 
 
-def test_partition_and_class_of_keep_the_enumeration_bound():
+def test_partition_and_lookup_keep_the_enumeration_bound():
     messages = []
     for call in (lambda: enumerate_group(53),
                  lambda: conjugacy_partition(53),
-                 lambda: class_label_lookup(53),
-                 lambda: class_of(GroupElem(53, 1, 1, 0, 1))):
+                 lambda: class_label_lookup(53)):
         with pytest.raises(ValueError) as info:
             call()
         messages.append(str(info.value))
-    assert messages == [messages[0]] * 4
+    assert messages == [messages[0]] * 3
     assert messages[0] == ("q=53 exceeds the enumeration bound 50; raise it "
                            "explicitly if you really want the full group "
                            "(148824 elements)")
@@ -235,14 +236,27 @@ def test_inverse_power_folds_back():
         assert class_of(b ** (q + 1 - m)) == B(m)
 
 
-def test_class_label_lookup_matches_class_of():
-    q = 5
+@pytest.mark.parametrize("q", [q for q in range(3, 32) if is_odd_prime(q)])
+def test_class_label_lookup_matches_class_of(q):
+    # the closed classifier against the orbit partition, element by
+    # element; only q = 3 mod 4, where -1 is not a square, can tell the
+    # upper-right entry from minus it
     lookup = class_label_lookup(q)
-    assert len(lookup) == 120
+    assert len(lookup) == q ** 3 - q
     for g in enumerate_group(q):
         assert lookup[g] == class_of(g)
 
 
-def test_class_of_rejects_oversized_q():
-    with pytest.raises(ValueError):
-        class_of(GroupElem(101, 1, 1, 0, 1))
+def test_class_of_past_the_enumeration_bound():
+    # class_of enumerates nothing, so it classifies at any q: a conjugate
+    # of each representative keeps the representative's label
+    q = 1009
+    rng = random.Random(16)
+    conjugators = []
+    while len(conjugators) < 3:
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        if a:
+            conjugators.append(GroupElem(q, a, b, c, (1 + b * c) * pow(a, -1, q)))
+    for cls in representatives(q):
+        for h in conjugators:
+            assert class_of(cls.representative.conjugate_by(h)) == cls.label

@@ -209,12 +209,14 @@ def test_group_product_budget_of_conjugacy_partition():
 
 
 def test_group_product_budget_of_class_of_at_trace_two():
-    # deciding c against d builds the orbit of c, about 2(q^2-1) products
+    # c against d is a Legendre symbol of one entry, and zc against zd the
+    # same test on z*g, one product (the orbit of c took about 2(q^2-1))
     q = 13
-    program = _COUNT_PRODUCTS_OF.format(
-        setup=f"grp.representatives({q})",
-        work=f"assert grp.class_of(GroupElem({q}, 1, 1, 0, 1)) == grp.C")
-    assert int(_run_fresh(program)) <= 2 * (q * q - 1) + 50
+    for entries, label in (((1, 1, 0, 1), "C"), ((-1, -1, 0, -1), "ZC")):
+        program = _COUNT_PRODUCTS_OF.format(
+            setup=f"grp.representatives({q})",
+            work=f"assert grp.class_of(GroupElem({q}, *{entries})) == grp.{label}")
+        assert int(_run_fresh(program)) <= 2
 
 
 _S_ONLY_ORBITS = """
