@@ -64,10 +64,13 @@ COMMANDS = [
     ["fixed-points", "1009", "--format", "json"],
     ["fixed-points", "1009", "--format", "csv"],
     ["fixed-points", "1009", "--format", "latex"],
+    ["fixed-points", "2003"],
+    ["fixed-points", "2003", "--format", "csv"],
     ["fixed-points", "47", "--max-enum", "47"],
     ["fixed-points", "101", "--max-enum", "101"],
     ["fixed-points", "211", "--max-enum", "211"],
     ["classes", "100003"],
+    ["classes", "100003", "--format", "latex"],
 ]
 
 _CHILD = "import sys; from sl2q.cli import main; sys.exit(main(sys.argv[1:]))"

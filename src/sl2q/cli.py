@@ -16,7 +16,8 @@ Text and csv modes render cells in a small stable grammar:
                   is eps*q = (-1)^((q-1)/2) * q
 
 Exit codes: 0 success (verify: all checks passed), 1 usage error (or,
-as a last resort, running out of memory), 2 verification failure.
+as a last resort, running out of memory; or a reader that closed the
+output pipe early), 2 verification failure.
 """
 from __future__ import annotations
 
@@ -24,8 +25,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from itertools import islice, repeat
+from itertools import chain, repeat
 from operator import methodcaller
 
 from .chars import complex_table, sym_latex, sym_str
@@ -76,59 +78,76 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # shared renderers
 
-_CSV_BLOCK = 4096
+# characters handed to stdout in one write: unbuffered, each write is a
+# system call.  A bound by characters, not lines, keeps a block of long
+# lines (thousands of columns) small.
+_BLOCK = 1 << 16
 
 _ADVISORY = "# decimal approximations are advisory; exact values live in json mode"
 
 
-def _print_text_table(headers: list[str], rows,
-                      widths: list[int] | None = None) -> None:
-    """Print rows under headers in left-aligned columns, line by line.
+def _write_lines(lines) -> None:
+    """Write each string of ``lines`` and a newline to stdout, in writes
+    of about _BLOCK characters."""
+    write = sys.stdout.write
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line) + 1
+        if size >= _BLOCK:
+            block.append("")
+            write("\n".join(block))
+            block, size = [], 0
+    if block:
+        block.append("")
+        write("\n".join(block))
 
-    ``widths`` holds the widest cell of each column; without it the
-    widths are read off ``rows``, which must then be a list.
-    """
-    if widths is None:
-        widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    else:
-        widths = [max(w, len(h)) for w, h in zip(widths, headers)]
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    print(fmt(headers))
-    print(fmt(["-" * w for w in widths]))
-    for row in rows:
-        print(fmt(row))
+
+def _text_line(cells, widths: list[int]) -> str:
+    return "  ".join(map(str.ljust, cells, widths)).rstrip()
+
+
+def _text_layout(headers: list[str], widths: list[int]):
+    """The header line and its rule of dashes, and the column widths
+    widened to the headers."""
+    widths = [max(w, len(h)) for w, h in zip(widths, headers)]
+    return ([_text_line(headers, widths),
+             _text_line(["-" * w for w in widths], widths)], widths)
+
+
+def _print_text_table(headers: list[str], rows: list) -> None:
+    """Print rows under headers in left-aligned columns, each as wide as
+    its widest cell."""
+    head, widths = _text_layout(
+        headers, [max(map(len, column)) for column in zip(headers, *rows)])
+    _write_lines(chain(head, (_text_line(row, widths) for row in rows)))
 
 
 def _print_csv(headers: list[str], rows, comment: str | None = None) -> None:
-    """Write rows as csv, handing stdout one block of _CSV_BLOCK rows at a
-    time: with an unbuffered stdout each write is a system call."""
+    """Write rows as csv, handing stdout about _BLOCK characters at a
+    time."""
     buf = io.StringIO()
     if comment:
         buf.write(comment + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
-    rows = iter(rows)
-    while True:
-        block = list(islice(rows, _CSV_BLOCK))
-        writer.writerows(block)
+    for row in rows:
+        writer.writerow(row)
+        if buf.tell() >= _BLOCK:
+            sys.stdout.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+    if buf.tell():
         sys.stdout.write(buf.getvalue())
-        if len(block) < _CSV_BLOCK:
-            return
-        buf.seek(0)
-        buf.truncate()
 
 
 def _print_latex_table(headers: list[str], rows) -> None:
     colspec = "l" + "r" * (len(headers) - 1)
-    print(f"\\begin{{tabular}}{{{colspec}}}")
-    print("\\hline")
-    print(" & ".join(headers) + " \\\\")
-    print("\\hline")
-    for row in rows:
-        print(" & ".join(row) + " \\\\")
-    print("\\hline")
-    print("\\end{tabular}")
+    _write_lines(chain(
+        (f"\\begin{{tabular}}{{{colspec}}}", "\\hline",
+         " & ".join(headers) + " \\\\", "\\hline"),
+        (" & ".join(row) + " \\\\" for row in rows),
+        ("\\hline", "\\end{tabular}")))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -215,10 +234,9 @@ def _cmd_table(table, fmt: str) -> int:
         rows.append(cells)
     _print_text_table(headers, rows)
     if legend:
-        print()
-        print("decimal approximations (advisory):")
-        for s, z in legend.items():
-            print(f"  {s} = {_fmt_complex(z)}")
+        _write_lines(["", "decimal approximations (advisory):",
+                      *(f"  {s} = {_fmt_complex(z)}"
+                        for s, z in legend.items())])
     return 0
 
 
@@ -268,40 +286,82 @@ def _fixed_point_widths(report) -> list[int]:
     return widths
 
 
+def _fixed_point_csv(report):
+    """The report as csv, joined by hand: labels, keys and ints never need
+    csv quoting.  After the header, one string per character, its rows
+    joined."""
+    yield "char,subgroup,closed,oracle,match"
+    keys = [str(k) for k in report.keys]
+    for ch, closed, oracle in report.rows():
+        name = str(ch)
+        if report.oracle is None:
+            yield "\n".join([f"{name},{key},{c},,"
+                              for key, c in zip(keys, closed)])
+        else:
+            yield "\n".join([f"{name},{key},{c},{o},{c == o}"
+                              for key, c, o in zip(keys, closed, oracle)])
+
+
+def _checked_rows(report, name):
+    """Rows next to the oracle: each character's name, then its cells,
+    a mismatch shown as closed!=oracle."""
+    return ([name(ch)] + [str(c) if c == o else f"{c}!={o}"
+                          for c, o in zip(closed, oracle)]
+            for ch, closed, oracle in report.rows())
+
+
+def _closed_rows(report, name, widths: list[int]):
+    """Rows past the enumeration bound: each character's name, then its
+    cells left-justified to ``widths``.  A cell is read from a dict of the
+    distinct values of all columns of its width, so there are a handful of
+    dicts, not one per column."""
+    values = {}
+    for column, w in zip(report.closed, widths):
+        values.setdefault(w, set()).update(column)
+    cells = {w: {v: str(v).ljust(w) for v in vs} for w, vs in values.items()}
+    tables = [cells[w] for w in widths]
+    for ch, closed in zip(report.chars, zip(*report.closed)):
+        yield chain([name(ch)], map(dict.__getitem__, tables, closed))
+
+
+def _print_fixed_point_text(report) -> None:
+    # the key strings (2,007 at q = 2003) are freed before the rows stream
+    head, widths = _text_layout(["char", *map(str, report.keys)],
+                                _fixed_point_widths(report))
+    if report.oracle is None:
+        # the last column is left unpadded, so no line ends in blanks
+        rows = map("  ".join, _closed_rows(
+            report, lambda ch: str(ch).ljust(widths[0]), widths[1:-1] + [0]))
+    else:
+        rows = (_text_line(row, widths) for row in _checked_rows(report, str))
+    _write_lines(chain(head, rows))
+
+
 def _cmd_fixed_points(args) -> int:
     report = full_report(args.q, args.max_enum)
     if args.fmt == "json":
         print(json.dumps(report.to_json()))
         return 0 if report.all_match else 2
-    keys = [str(k) for k in report.keys]
     if args.fmt == "csv":
-        _print_csv(["char", "subgroup", "closed", "oracle", "match"],
-                   ((name, key, c, o, None if o is None else c == o)
-                    for ch, closed, oracle in report.rows()
-                    for name in [str(ch)]
-                    for key, c, o in zip(keys, closed, oracle)))
+        _write_lines(_fixed_point_csv(report))
         return 0 if report.all_match else 2
-    headers = ["char"] + keys
-    name = methodcaller("latex") if args.fmt == "latex" else str
-    rows = ([name(ch)] + [str(c) if o is None or c == o else f"{c}!={o}"
-                          for c, o in zip(closed, oracle)]
-            for ch, closed, oracle in report.rows())
     if args.fmt == "latex":
-        _print_latex_table(headers, rows)
-    else:
-        _print_text_table(headers, rows, _fixed_point_widths(report))
-        extras = []
-        if args.q > args.max_enum:
-            extras.append(f"oracle skipped: q={args.q} exceeds the "
-                          f"enumeration bound {args.max_enum} "
-                          f"(raise --max-enum to verify)")
-        elif report.all_match:
-            extras.append("every entry confirmed by character averaging")
-        extras.extend(report.notes)
-        if extras:
-            print()
-            for line in extras:
-                print(f"note: {line}")
+        latex = methodcaller("latex")
+        _print_latex_table(["char", *map(str, report.keys)], (
+            _closed_rows(report, latex, [0] * len(report.keys))
+            if report.oracle is None else _checked_rows(report, latex)))
+        return 0 if report.all_match else 2
+    _print_fixed_point_text(report)
+    extras = []
+    if args.q > args.max_enum:
+        extras.append(f"oracle skipped: q={args.q} exceeds the "
+                      f"enumeration bound {args.max_enum} "
+                      f"(raise --max-enum to verify)")
+    elif report.all_match:
+        extras.append("every entry confirmed by character averaging")
+    extras.extend(report.notes)
+    if extras:
+        _write_lines(["", *(f"note: {line}" for line in extras)])
     return 0 if report.all_match else 2
 
 
@@ -341,7 +401,17 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (``sl2q ... | head``); point stdout at devnull
+        # so that the flush at exit has nowhere to fail, as the "Note on
+        # SIGPIPE" in the signal module's documentation advises
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ValueError as exc:
         print(f"sl2q: error: {exc}", file=sys.stderr)
         return 1

@@ -205,8 +205,8 @@ class _CountingStdout(io.StringIO):
 
 
 def test_fixed_points_csv_writes_blocks_of_rows(monkeypatch):
-    # 105 real rows x 103 subgroup keys: two full blocks of 4096 rows and
-    # a partial one, each handed to stdout in one write, not one per row
+    # 105 real rows x 103 subgroup keys, about 206K characters, handed
+    # to stdout in a few large writes, not one per row
     out = _CountingStdout()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["fixed-points", "101", "--format", "csv"]) == 0
@@ -221,6 +221,55 @@ def test_fixed_points_csv_writes_blocks_of_rows(monkeypatch):
     writer.writerows(rows)
     assert out.getvalue() == expected.getvalue()
     assert out.writes <= -(-len(rows) // 4096) + 2
+
+
+@pytest.mark.parametrize("argv", [["3"], ["13"], ["53"],
+                                  ["13", "--max-enum", "11"], None])
+def test_fixed_point_csv_is_what_the_csv_module_writes(monkeypatch, capsys,
+                                                       argv):
+    # the rows are joined by hand, with no quoting; csv.writer must give
+    # the same bytes back (None: the forged report of a mismatch)
+    if argv is None:
+        forged = _forged_report(5)
+        monkeypatch.setattr(cli, "full_report", lambda q, max_enum: forged)
+        argv = ["5"]
+    code, out, _ = run_cli(capsys, "fixed-points", *argv, "--format", "csv")
+    assert code in (0, 2) and out.count("\n") > 1
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(out)))
+    assert again.getvalue() == out
+
+
+@pytest.mark.parametrize("argv", [["classes", "1009", "--format", "latex"],
+                                  ["fixed-points", "211"]])
+def test_tables_are_written_in_blocks(monkeypatch, argv):
+    # unbuffered, each write is a system call; printing made two per line
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    assert out.writes <= -(-len(out.getvalue()) // cli._BLOCK) + 4
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_pipe_exits_one_without_a_traceback(unbuffered):
+    # ``sl2q fixed-points 211 | head -1``: the output is several pipe
+    # buffers long, so the writer meets the closed pipe mid-table
+    path = [str(Path(sl2q.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-c",
+                             "import sys; from sl2q.cli import main; "
+                             "sys.exit(main(sys.argv[1:]))",
+                             "fixed-points", "211"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.readline().startswith(b"char")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_verify_exit_codes(capsys):

@@ -7,7 +7,10 @@ table digests were written before table values moved to their natural
 conductors, and the ``classes`` and ``fixed-points`` ones before the
 fixed-point table became columns; how a value is stored must not move a
 byte of those formats.  The json digests are of schema 2, one compact
-line of ``json.dumps``.
+line of ``json.dumps``.  ``fixed-points 17`` and ``fixed-points 13
+--max-enum 11`` pin the text, csv and latex tables without an oracle
+column; their digests were written before those tables were rendered
+from per-width tables of padded cells.
 """
 import contextlib
 import hashlib
@@ -242,14 +245,26 @@ DIGESTS = {
         "266d21c1ec5c0a8d9a5198a22da48f6cbe114e718b7029b406a09f8788beefa4",
     "fixed-points 13 latex":
         "db3ade6a4d51a18a235e70024cc537ae822db352b8fffb5b4b18ec0c8701bbc5",
+    "fixed-points 17 text":
+        "3f193af814b35b9a583813ff68d763ecd2efc520b8de165bf4a274a689a2221f",
+    "fixed-points 17 csv":
+        "69c63a03aa0d645839ea3f17f36121125639a6d3bbce3bbe5c9552a5ab8f0ce5",
+    "fixed-points 17 latex":
+        "dad317c3a52d8f1ebceb13e59365b236e490b5acb6ae951c98f8d83895224bf5",
+    "fixed-points 13 --max-enum 11 text":
+        "3a41ded609f12177726536cf7fa85a82ed2c111607bda845421f31bcd8c6bf4a",
+    "fixed-points 13 --max-enum 11 csv":
+        "59aa8c1f5e350989e1f14b77c6cd1c3c9f893e84932a3fe5568291ba934f7bb3",
+    "fixed-points 13 --max-enum 11 latex":
+        "db3ade6a4d51a18a235e70024cc537ae822db352b8fffb5b4b18ec0c8701bbc5",
 }
 
 
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_stdout_digest(case):
-    cmd, q, fmt = case.split()
+    *argv, fmt = case.split()
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main([cmd, q, "--format", fmt])
+        code = main([*argv, "--format", fmt])
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS[case]
