@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
   python3 benchmarks/bench_scale.py --label change --out BENCH_<n>.json
-         [--src src]
+         [--src src] [--parent <parent checkout>/src]
 
 Each command runs once, in a fresh child interpreter that imports sl2q
 from --src, with a wall-clock budget (BUDGET_S; the child is killed past
@@ -22,10 +22,11 @@ a perfbench op).  Commands run one at a time.  Each row records:
   stderr_tail  the last stderr line, when there is one
 
 The rows go into --out under the key --label, next to the rows of other
-labels already there, so running the script once on a checkout of the
-parent commit (``--src <parent>/src --label parent``) and once on the
-change gives both sides in one file.  Only the standard library is used;
-the script is not a test and pytest does not collect it.
+labels already there.  With --parent, every command also runs on that
+second tree, whose rows go under the key "parent"; the two sides run
+one after the other, and which side goes first alternates row by row,
+so a drift in host speed does not read as a change.  Only the standard
+library is used; the script is not a test and pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -71,6 +72,10 @@ COMMANDS = [
     ["fixed-points", "211", "--max-enum", "211"],
     ["classes", "100003"],
     ["classes", "100003", "--format", "latex"],
+    ["char-table", "499"],
+    ["real-table", "499"],
+    ["fs", "499"],
+    ["char-table", "1009"],
 ]
 
 _CHILD = "import sys; from sl2q.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -143,23 +148,30 @@ def main() -> int:
                     help="directory holding the sl2q package to run")
     ap.add_argument("--out", type=Path, required=True,
                     help="JSON file that receives the rows, e.g. BENCH_9.json")
+    ap.add_argument("--parent", type=Path,
+                    help="sl2q package directory of the parent commit: run "
+                         "every command on it too, under the label parent")
     args = ap.parse_args()
 
-    rows = []
-    for argv in COMMANDS:
-        row = run(argv, args.src.resolve(), BUDGET_S, CAP_MB)
-        print(json.dumps(row), flush=True)
-        rows.append(row)
+    sides = [("parent", args.parent.resolve())] if args.parent else []
+    sides.append((args.label, args.src.resolve()))
+    rows = {label: [] for label, _ in sides}
+    for i, argv in enumerate(COMMANDS):
+        for label, src in sides[::-1] if i % 2 else sides:
+            row = run(argv, src, BUDGET_S, CAP_MB)
+            print(json.dumps({"label": label, **row}), flush=True)
+            rows[label].append(row)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "nproc": os.cpu_count(),
-        "budget_s": BUDGET_S,
-        "cap_mb": CAP_MB,
-        "rows": rows,
-    }
+    for label, side_rows in rows.items():
+        doc.setdefault("runs", {})[label] = {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+            "budget_s": BUDGET_S,
+            "cap_mb": CAP_MB,
+            "rows": side_rows,
+        }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

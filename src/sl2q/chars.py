@@ -43,8 +43,7 @@ from typing import Callable, NamedTuple
 from .cyclo import CycNum, dot, nu, rational, sqrt_eps_q, working_conductor
 from .fq import is_odd_prime
 from .grp import (
-    A, B, C, D, ONE, Z, ZC, ZD,
-    ClassLabel, ConjClass, GroupElem, class_labels, class_of, representatives,
+    ONE, ClassLabel, ConjClass, GroupElem, class_of, representatives,
     torus_indices,
 )
 from .labels import _Label
@@ -203,49 +202,56 @@ def _json_schema(obj: dict, what: str) -> int:
 class CharTable:
     """Exact character table: columns ClassLabel, rows character labels.
 
-    ``values`` maps (row, ClassLabel) to a CycNum at its natural
-    conductor, a divisor of ``conductor`` (a table loaded from a schema-1
-    JSON document holds every value at ``conductor`` itself);
-    ``serial_map`` takes the csv approximations at ``conductor``.
-    ``symbolic`` carries the display cells (None on tables rebuilt from
-    JSON; the exact values are the record).  The complex table has
-    CharLabel rows and ``source`` None.  The real table (see
-    ``realrep.real_table``) has RealCharLabel rows, and ``source`` maps
-    each of them to the (CharLabel, multiplicity) pairs it is the sum of.
+    ``rows`` maps each row label to its values in class order (the order
+    of ``classes``), each a CycNum at its natural conductor, a divisor of
+    ``conductor`` (a table loaded from a schema-1 JSON document holds
+    every value at ``conductor`` itself); ``serial_map`` takes the csv
+    approximations at ``conductor``.  ``cells`` has the same shape and
+    carries the display cells (None on tables rebuilt from JSON; the
+    exact values are the record).  Equal cells may share one object.
+    The complex table has CharLabel rows and ``source`` None.  The real
+    table (see ``realrep.real_table``) has RealCharLabel rows, and
+    ``source`` maps each of them to the (CharLabel, multiplicity) pairs
+    it is the sum of.
     """
 
     def __init__(self, q: int, epsilon: int, conductor: int,
-                 classes: tuple[ConjClass, ...], chars: tuple,
-                 values: dict, symbolic: dict | None,
-                 source: dict | None = None):
+                 classes: tuple[ConjClass, ...], rows: dict,
+                 cells: dict | None, source: dict | None = None):
         self.q = q
         self.epsilon = epsilon
         self.conductor = conductor
         self.classes = classes
-        self.chars = chars
-        self.values = values
-        self.symbolic = symbolic
+        self.chars = tuple(rows)
+        self.rows = rows
+        self.cells = cells
         self.source = source
+        self.class_order = [cls.label for cls in classes]
+        self._column = {lab: i for i, lab in enumerate(self.class_order)}
 
     def value(self, char, label: ClassLabel) -> CycNum:
-        return self.values[(char, label)]
+        return self.rows[char][self._column[label]]
+
+    def cell(self, char, label: ClassLabel) -> tuple:
+        """The display cell of ``value(char, label)``."""
+        return self.cells[char][self._column[label]]
 
     def serial_map(self) -> dict:
-        """{(row, ClassLabel): approx() of the value embedded in
-        Q(zeta_conductor)}, as the csv approximation columns read it.
+        """{row: approx() of each value embedded in Q(zeta_conductor), in
+        class order}, as the csv approximation columns read it.
 
         The embedding and ``approx`` run once per distinct value
         (``CycNum.key``), and equal cells share that one result.
         """
         N = self.conductor
         memo = {}
-        out = {}
-        for cell, v in self.values.items():
+
+        def approx(v):
             key = v.key()
             if key not in memo:
                 memo[key] = v.promote(N).approx()
-            out[cell] = memo[key]
-        return out
+            return memo[key]
+        return {ch: tuple(map(approx, row)) for ch, row in self.rows.items()}
 
     def degree(self, char) -> int:
         return self.value(char, ONE).as_integer()
@@ -258,42 +264,35 @@ class CharTable:
     def class_sum(self, char, counts: dict) -> CycNum:
         """Sum of count * chi(label) over a {ClassLabel: count} map (0 for
         an empty map), reduced once (``cyclo.dot``)."""
-        return dot((self.value(char, lab), cnt) for lab, cnt in counts.items())
-
-    @property
-    def class_order(self) -> list[ClassLabel]:
-        return [cls.label for cls in self.classes]
+        row, column = self.rows[char], self._column
+        return dot((row[column[lab]], cnt) for lab, cnt in counts.items())
 
     def size(self, label: ClassLabel) -> int:
-        for cls in self.classes:
-            if cls.label == label:
-                return cls.size
-        raise KeyError(str(label))
+        return self.classes[self._column[label]].size
 
     def to_json(self) -> dict:
         """The table as a JSON document (schema 2), each value at its own
         conductor."""
+        names = [str(lab) for lab in self.class_order]
         obj = {
             "schema": 2,
             "q": self.q,
             "epsilon": self.epsilon,
             "conductor": self.conductor,
             "classes": [
-                {"label": str(c.label),
+                {"label": name,
                  "representative": list(c.representative.to_tuple()),
                  "size": c.size, "order": c.element_order}
-                for c in self.classes
+                for name, c in zip(names, self.classes)
             ],
             "chars": [str(ch) for ch in self.chars],
             "values": {
-                str(ch): {str(lab): self.values[(ch, lab)].to_json()
-                          for lab in self.class_order}
-                for ch in self.chars
+                str(ch): {name: v.to_json() for name, v in zip(names, row)}
+                for ch, row in self.rows.items()
             },
-            "symbolic": None if self.symbolic is None else {
-                str(ch): {str(lab): sym_str(self.symbolic[(ch, lab)])
-                          for lab in self.class_order}
-                for ch in self.chars
+            "symbolic": None if self.cells is None else {
+                str(ch): dict(zip(names, map(sym_str, row)))
+                for ch, row in self.cells.items()
             },
         }
         if self.source is not None:
@@ -316,24 +315,25 @@ class CharTable:
                       GroupElem(q, *c["representative"]),
                       c["size"], c["order"])
             for c in obj["classes"])
+        names = [str(c.label) for c in classes]
         source = obj.get("source")
         row_label = CharLabel if source is None else RealCharLabel
         chars = tuple(map(row_label.parse, obj["chars"]))
         N = obj["conductor"]
-        values = {}
+        rows = {}
         for ch in chars:
             row = obj["values"][str(ch)]
-            for c in classes:
-                v = values[ch, c.label] = CycNum.from_json(row[str(c.label)])
+            rows[ch] = tuple(CycNum.from_json(row[name]) for name in names)
+            for name, v in zip(names, rows[ch]):
                 if N % v.conductor:
-                    raise ValueError(f"the value at ({ch}, {c.label}) has "
+                    raise ValueError(f"the value at ({ch}, {name}) has "
                                      f"conductor {v.conductor}, which does "
                                      f"not divide the table's {N}")
         if source is not None:
             source = {ch: tuple((CharLabel.parse(c), m)
                                 for c, m in source[str(ch)])
                       for ch in chars}
-        return cls(q, obj["epsilon"], N, classes, chars, values, None, source)
+        return cls(q, obj["epsilon"], N, classes, rows, None, source)
 
     def __eq__(self, other):
         if not isinstance(other, CharTable):
@@ -343,8 +343,7 @@ class CharTable:
                 and self.classes == other.classes
                 and self.chars == other.chars
                 and self.source == other.source
-                and all(self.value(ch, lab) == other.value(ch, lab)
-                        for ch in self.chars for lab in self.class_order))
+                and self.rows == other.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -364,69 +363,61 @@ def complex_table(q: int) -> CharTable:
     classes = representatives(q)
     ls, ms = torus_indices(q, "a"), torus_indices(q, "b")
 
-    # each cell at its natural conductor: 1, r = q-1 or q+1, or q
+    # each cell a (value, display cell) pair, the value at its natural
+    # conductor: 1, r = q-1 or q+1, or q
     def rat_cell(v):
         v = Fraction(v)
         return (rational(v), sym_rat(v))
 
-    def nu_cell(r, s, coef=1):
-        val = nu(r, s) * coef
-        rv = val.as_rational()
-        if rv is not None:
-            return rat_cell(rv)
-        return (val, ("nu", Fraction(coef), r, _fold_exponent(r, s)))
+    def nu_cells(r, coef):
+        """coef*nu(r, s) for each folded exponent 0 <= s <= r/2, built
+        once and shared by every cell that reads it."""
+        vals = [nu(r, s) * coef for s in range(r // 2 + 1)]
+        return [(v, ("nu", Fraction(coef), r, s)) if v.as_rational() is None
+                else rat_cell(v.as_rational()) for s, v in enumerate(vals)]
 
     def gauss_cell(a, b):
         a, b = Fraction(a), Fraction(b)
         return (gauss * b + a, ("gauss", a, b, disc))
 
-    rows: dict[CharLabel, dict[ClassLabel, tuple]] = {}
+    a_nu, b_nu = nu_cells(q - 1, 1), nu_cells(q + 1, -1)
+    zero, one, minus_one = rat_cell(0), rat_cell(1), rat_cell(-1)
+    rows, cells = {}, {}
 
-    def fill(char, one, z, c, d, a_of, b_of):
-        """Assemble one row; the zc/zd columns follow from the z-ratio."""
-        row = {ONE: one, Z: z, C: c, D: d}
-        sz = z[0].as_rational() / one[0].as_rational()
+    def fill(char, deg, z, c, d, a_row, b_row):
+        """Assemble one row in class order; the zc/zd columns follow from
+        the z-ratio."""
+        sz = z[0].as_rational() / deg[0].as_rational()
         assert sz in (1, -1)
-        row[ZC] = (c[0] * sz, sym_scale(c[1], sz))
-        row[ZD] = (d[0] * sz, sym_scale(d[1], sz))
-        row |= {A(l): a_of(l) for l in ls}
-        row |= {B(m): b_of(m) for m in ms}
-        rows[char] = row
+        zc = (c[0] * sz, sym_scale(c[1], sz))
+        zd = (d[0] * sz, sym_scale(d[1], sz))
+        row = (deg, z, c, d, zc, zd, *a_row, *b_row)
+        rows[char] = tuple(v for v, _ in row)
+        cells[char] = tuple(cell for _, cell in row)
 
-    fill(TRIV, rat_cell(1), rat_cell(1), rat_cell(1), rat_cell(1),
-         lambda l: rat_cell(1), lambda m: rat_cell(1))
-    fill(PSI, rat_cell(q), rat_cell(q), rat_cell(0), rat_cell(0),
-         lambda l: rat_cell(1), lambda m: rat_cell(-1))
+    fill(TRIV, one, one, one, one, [one] * len(ls), [one] * len(ms))
+    fill(PSI, rat_cell(q), rat_cell(q), zero, zero,
+         [one] * len(ls), [minus_one] * len(ms))
     for i in ls:
-        sign = (-1) ** i
-        fill(Chi(i), rat_cell(q + 1), rat_cell(sign * (q + 1)),
-             rat_cell(1), rat_cell(1),
-             lambda l, i=i: nu_cell(q - 1, i * l),
-             lambda m: rat_cell(0))
+        fill(Chi(i), rat_cell(q + 1), rat_cell((-1) ** i * (q + 1)), one, one,
+             [a_nu[_fold_exponent(q - 1, i * l)] for l in ls],
+             [zero] * len(ms))
     for j in ms:
-        sign = (-1) ** j
-        fill(Theta(j), rat_cell(q - 1), rat_cell(sign * (q - 1)),
-             rat_cell(-1), rat_cell(-1),
-             lambda l: rat_cell(0),
-             lambda m, j=j: nu_cell(q + 1, j * m, coef=-1))
+        fill(Theta(j), rat_cell(q - 1), rat_cell((-1) ** j * (q - 1)),
+             minus_one, minus_one, [zero] * len(ls),
+             [b_nu[_fold_exponent(q + 1, j * m)] for m in ms])
     half = Fraction(1, 2)
-    fill(XI1, rat_cell(Fraction(q + 1, 2)), rat_cell(Fraction(eps * (q + 1), 2)),
-         gauss_cell(half, half), gauss_cell(half, -half),
-         lambda l: rat_cell((-1) ** l), lambda m: rat_cell(0))
-    fill(XI2, rat_cell(Fraction(q + 1, 2)), rat_cell(Fraction(eps * (q + 1), 2)),
-         gauss_cell(half, -half), gauss_cell(half, half),
-         lambda l: rat_cell((-1) ** l), lambda m: rat_cell(0))
-    fill(ETA1, rat_cell(Fraction(q - 1, 2)), rat_cell(Fraction(-eps * (q - 1), 2)),
-         gauss_cell(-half, half), gauss_cell(-half, -half),
-         lambda l: rat_cell(0), lambda m: rat_cell((-1) ** (m + 1)))
-    fill(ETA2, rat_cell(Fraction(q - 1, 2)), rat_cell(Fraction(-eps * (q - 1), 2)),
-         gauss_cell(-half, -half), gauss_cell(-half, half),
-         lambda l: rat_cell(0), lambda m: rat_cell((-1) ** (m + 1)))
-
-    chars = tuple(char_labels(q))
-    values = {(ch, lab): rows[ch][lab][0]
-              for ch in chars for lab in class_labels(q)}
-    symbolic = {(ch, lab): rows[ch][lab][1]
-                for ch in chars for lab in class_labels(q)}
-    return CharTable(q, eps, working_conductor(q), classes, chars, values,
-                     symbolic)
+    # (-1)^l on the a-classes, -(-1)^m on the b-classes
+    a_signs = [(one, minus_one)[l % 2] for l in ls]
+    b_signs = [(minus_one, one)[m % 2] for m in ms]
+    for char, g in ((XI1, half), (XI2, -half)):
+        fill(char, rat_cell(Fraction(q + 1, 2)),
+             rat_cell(Fraction(eps * (q + 1), 2)),
+             gauss_cell(half, g), gauss_cell(half, -g),
+             a_signs, [zero] * len(ms))
+    for char, g in ((ETA1, half), (ETA2, -half)):
+        fill(char, rat_cell(Fraction(q - 1, 2)),
+             rat_cell(Fraction(-eps * (q - 1), 2)),
+             gauss_cell(-half, g), gauss_cell(-half, -g),
+             [zero] * len(ls), b_signs)
+    return CharTable(q, eps, working_conductor(q), classes, rows, cells)

@@ -201,38 +201,31 @@ def _cmd_table(table, fmt: str) -> int:
     if fmt == "json":
         print(json.dumps(table.to_json()))
         return 0
-    labels = table.class_order
+    names = [str(lab) for lab in table.class_order]
     if fmt == "csv":
         approx = table.serial_map()
-        rows = []
-        for ch in table.chars:
-            for lab in labels:
-                v = approx[(ch, lab)]
-                rows.append([str(ch), str(lab),
-                             sym_str(table.symbolic[(ch, lab)]),
-                             f"{v.real:.9g}", f"{v.imag:.9g}"])
+        rows = ([str(ch), name, sym_str(cell), f"{v.real:.9g}", f"{v.imag:.9g}"]
+                for ch in table.chars
+                for name, cell, v in zip(names, table.cells[ch], approx[ch]))
         _print_csv(["char", "class", "value", "approx_re", "approx_im"],
                    rows, comment=_ADVISORY)
         return 0
     if fmt == "latex":
-        headers = [""] + [lab.latex() for lab in labels]
-        rows = [[ch.latex()]
-                + [f"${sym_latex(table.symbolic[(ch, lab)])}$" for lab in labels]
-                for ch in table.chars]
+        headers = [""] + [lab.latex() for lab in table.class_order]
+        rows = [[ch.latex()] + [f"${sym_latex(cell)}$" for cell in cells]
+                for ch, cells in table.cells.items()]
         _print_latex_table(headers, rows)
         return 0
-    headers = ["char"] + [str(lab) for lab in labels]
     rows = []
     legend = {}
     for ch in table.chars:
-        cells = [str(ch)]
-        for lab in labels:
-            s = sym_str(table.symbolic[(ch, lab)])
-            cells.append(s)
-            if table.symbolic[(ch, lab)][0] != "rat" and s not in legend:
-                legend[s] = table.value(ch, lab).approx()
-        rows.append(cells)
-    _print_text_table(headers, rows)
+        cells = table.cells[ch]
+        strs = list(map(sym_str, cells))
+        for s, cell, v in zip(strs, cells, table.rows[ch]):
+            if cell[0] != "rat" and s not in legend:
+                legend[s] = v.approx()
+        rows.append([str(ch), *strs])
+    _print_text_table(["char", *names], rows)
     if legend:
         _write_lines(["", "decimal approximations (advisory):",
                       *(f"  {s} = {_fmt_complex(z)}"

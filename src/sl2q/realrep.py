@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul
 
 from .chars import CharLabel, CharTable, complex_table, sym_add, sym_scale
 from .cyclo import CycNum
@@ -171,13 +172,11 @@ def fs_indicator_closed(table: CharTable, char: CharLabel) -> int:
     """
     q = table.q
     K = q * q + q if q % 4 == 1 else q * q - q
-    val = table.value
-    acc = (val(char, ONE) * 2 + val(char, Z) * K
-           + (val(char, C) + val(char, D)) * (q * q - 1))
+    weights = {ONE: 2, Z: K, C: q * q - 1, D: q * q - 1}
     for kind, weight in (("a", 2 * q * (q + 1)), ("b", 2 * q * (q - 1))):
         for k in torus_indices(q, kind)[1::2]:   # the even indices
-            acc = acc + val(char, ClassLabel(kind, k)) * weight
-    return _indicator_from_total(acc, q ** 3 - q)
+            weights[ClassLabel(kind, k)] = weight
+    return _indicator_from_total(table.class_sum(char, weights), q ** 3 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +260,42 @@ _SOURCE = {
 }
 
 
+def _scaled_once(scale, key):
+    """``scale(x, mult)``, computed once per distinct (key(x), mult): a
+    table has about q distinct values in its (q+4)^2 cells."""
+    memo = {}
+
+    def scaled(x, mult):
+        k = (key(x), mult)
+        if k not in memo:
+            memo[k] = scale(x, mult)
+        return memo[k]
+    return scaled
+
+
+def _row_sum(rows: dict, recipe: tuple, scale, add) -> tuple:
+    """The sum of mult * rows[src] over the (src, mult) pairs of
+    ``recipe``, element by element."""
+    total = None
+    for src, mult in recipe:
+        row = rows[src] if mult == 1 else [scale(x, mult) for x in rows[src]]
+        total = row if total is None else list(map(add, total, row))
+    return tuple(total)
+
+
 @lru_cache(maxsize=8)
 def real_table(q: int) -> CharTable:
     ct = complex_table(q)
-    labels = tuple(real_char_labels(q))
+    labels = real_char_labels(q)
     # each real row = sum of complex rows with multiplicity
     recipe = {lab: tuple((CharLabel(kind, lab.index), mult)
                          for kind, mult in _SOURCE[lab.kind])
               for lab in labels}
-
-    values = {}
-    symbolic = {}
-    for lab in labels:
-        for cls_lab in class_labels(q):
-            acc_v = None
-            acc_s = None
-            for src, mult in recipe[lab]:
-                v = ct.value(src, cls_lab) * mult
-                s = sym_scale(ct.symbolic[(src, cls_lab)], mult)
-                acc_v = v if acc_v is None else acc_v + v
-                acc_s = s if acc_s is None else sym_add(acc_s, s)
-            values[(lab, cls_lab)] = acc_v
-            symbolic[(lab, cls_lab)] = acc_s
-
-    return CharTable(q, ct.epsilon, ct.conductor, ct.classes, labels,
-                     values, symbolic, recipe)
+    scale_value = _scaled_once(mul, CycNum.key)
+    scale_cell = _scaled_once(sym_scale, lambda cell: cell)
+    rows = {lab: _row_sum(ct.rows, recipe[lab], scale_value, add)
+            for lab in labels}
+    cells = {lab: _row_sum(ct.cells, recipe[lab], scale_cell, sym_add)
+             for lab in labels}
+    return CharTable(q, ct.epsilon, ct.conductor, ct.classes, rows, cells,
+                     recipe)

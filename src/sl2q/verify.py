@@ -244,7 +244,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     # each value at its natural conductor (1, q-1, q or q+1): an inner
     # product below gathers its terms at the lcm of the conductors it
     # meets, at most q(q+1), never at the working conductor N
-    rows = {ch: tuple(ct.value(ch, lab) for lab in labels) for ch in ct.chars}
+    rows = ct.rows
     conj_rows = {ch: tuple(v.conjugate() for v in row)
                  for ch, row in rows.items()}
     conj_sized = {ch: tuple(v * n for v, n in zip(row, sizes))

@@ -116,34 +116,34 @@ def test_value_at_resolves_arbitrary_elements():
 
 def test_symbolic_cells_render():
     ct5 = complex_table(5)
-    sym = {(str(ch), str(lab)): sym_str(cell)
-           for (ch, lab), cell in ct5.symbolic.items()}
+    sym = {(str(ch), str(lab)): sym_str(ct5.cell(ch, lab))
+           for ch in ct5.chars for lab in ct5.class_order}
     assert sym[("xi_1", "c")] == "(1+sqrt(5))/2"
     assert sym[("eta_1", "d")] == "(-1-sqrt(5))/2"
     assert sym[("psi", "z")] == "5"
     ct7 = complex_table(7)
-    assert sym_str(ct7.symbolic[(XI1, C)]) == "(1+sqrt(-7))/2"
+    assert sym_str(ct7.cell(XI1, C)) == "(1+sqrt(-7))/2"
     ct13 = complex_table(13)
-    assert sym_str(ct13.symbolic[(Chi(1), A(1))]) == "nu(12,1)"
-    assert sym_str(ct13.symbolic[(Theta(2), B(1))]) == "-nu(14,2)"
+    assert sym_str(ct13.cell(Chi(1), A(1))) == "nu(12,1)"
+    assert sym_str(ct13.cell(Theta(2), B(1))) == "-nu(14,2)"
     # nu(12,3) = 2cos(pi/2) collapses to an exact zero and renders as one
-    assert sym_str(ct13.symbolic[(Chi(1), A(3))]) == "0"
+    assert sym_str(ct13.cell(Chi(1), A(3))) == "0"
     # the same cells in LaTeX
-    assert sym_latex(ct5.symbolic[(XI1, C)]) == "\\tfrac{1+\\sqrt{5}}{2}"
-    assert sym_latex(ct5.symbolic[(ETA1, D)]) == "\\tfrac{-1-\\sqrt{5}}{2}"
-    assert sym_latex(ct5.symbolic[(PSI, Z)]) == "5"
-    assert sym_latex(ct7.symbolic[(XI1, C)]) == "\\tfrac{1+\\sqrt{-7}}{2}"
-    assert sym_latex(ct13.symbolic[(Chi(1), A(1))]) == "\\nu_{12}^{1}"
-    assert sym_latex(ct13.symbolic[(Theta(2), B(1))]) == "-\\nu_{14}^{2}"
-    assert sym_latex(ct13.symbolic[(Chi(1), A(3))]) == "0"
+    assert sym_latex(ct5.cell(XI1, C)) == "\\tfrac{1+\\sqrt{5}}{2}"
+    assert sym_latex(ct5.cell(ETA1, D)) == "\\tfrac{-1-\\sqrt{5}}{2}"
+    assert sym_latex(ct5.cell(PSI, Z)) == "5"
+    assert sym_latex(ct7.cell(XI1, C)) == "\\tfrac{1+\\sqrt{-7}}{2}"
+    assert sym_latex(ct13.cell(Chi(1), A(1))) == "\\nu_{12}^{1}"
+    assert sym_latex(ct13.cell(Theta(2), B(1))) == "-\\nu_{14}^{2}"
+    assert sym_latex(ct13.cell(Chi(1), A(3))) == "0"
     # a gauss cell off the halves: real q=5 2eta_1 = -1+sqrt(5) at c
     rt5 = real_table(5)
-    cell = rt5.symbolic[(parse_real_char_label("2eta_1"), C)]
+    cell = rt5.cell(parse_real_char_label("2eta_1"), C)
     assert (sym_str(cell), sym_latex(cell)) == ("-1+sqrt(5)", "-1+\\sqrt{5}")
     # unit and scaled nu terms
-    cell = ct7.symbolic[(Theta(1), B(1))]
+    cell = ct7.cell(Theta(1), B(1))
     assert (sym_str(cell), sym_latex(cell)) == ("-nu(8,1)", "-\\nu_{8}^{1}")
-    cell = real_table(7).symbolic[(parse_real_char_label("2theta_1"), B(1))]
+    cell = real_table(7).cell(parse_real_char_label("2theta_1"), B(1))
     assert (sym_str(cell), sym_latex(cell)) == ("-2*nu(8,1)", "-2\\nu_{8}^{1}")
     # branches no table reaches: fractional and non-unit coefficients
     half = Fraction(1, 2)
@@ -164,18 +164,19 @@ def test_symbolic_matches_exact_values():
     # the display layer must agree with the arithmetic layer everywhere
     for q in [5, 7]:
         ct = complex_table(q)
-        for key, cell in ct.symbolic.items():
-            exact = ct.values[key].approx()
-            kind = cell[0]
-            if kind == "rat":
-                shown = complex(cell[1])
-            elif kind == "nu":
-                shown = complex(cell[1]) * nu(cell[2], cell[3]).approx()
-            else:
-                _, a, b, dd = cell
-                shown = complex(a) + complex(b) * (abs(dd) ** 0.5
-                                                   * (1j if dd < 0 else 1))
-            assert abs(exact - shown) < 1e-9
+        for ch in ct.chars:
+            for value, cell in zip(ct.rows[ch], ct.cells[ch]):
+                exact = value.approx()
+                kind = cell[0]
+                if kind == "rat":
+                    shown = complex(cell[1])
+                elif kind == "nu":
+                    shown = complex(cell[1]) * nu(cell[2], cell[3]).approx()
+                else:
+                    _, a, b, dd = cell
+                    shown = complex(a) + complex(b) * (abs(dd) ** 0.5
+                                                       * (1j if dd < 0 else 1))
+                assert abs(exact - shown) < 1e-9
 
 
 def test_conjugation_symmetry_of_borel_rows():
@@ -192,7 +193,7 @@ def test_json_round_trip():
     ct = complex_table(5)
     clone = CharTable.from_json(ct.to_json())
     assert clone == ct
-    assert clone.symbolic is None
+    assert clone.cells is None
     assert clone.degree(PSI) == 5
     assert clone.value(ETA2, B(2)) == ct.value(ETA2, B(2))
     # schema 2: every cell is written at the conductor it is stored at,
@@ -251,7 +252,8 @@ def test_values_stay_at_their_natural_conductor(q):
     natural = {1, q - 1, q, q + 1}
     for table in (complex_table(q), real_table(q)):
         assert table.conductor == working_conductor(q)
-        assert {v.conductor for v in table.values.values()} <= natural
+        assert {v.conductor for row in table.rows.values()
+                for v in row} <= natural
     # every rational cell of the complex table, nu values included, at 1
-    assert all(v.conductor == 1 for v in complex_table(q).values.values()
-               if v.as_rational() is not None)
+    assert all(v.conductor == 1 for row in complex_table(q).rows.values()
+               for v in row if v.as_rational() is not None)

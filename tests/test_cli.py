@@ -399,7 +399,8 @@ def counted(self, M):
 CycNum.promote = counted
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["char-table", "17", "--format", sys.argv[1]]) == 0
-print(len(calls), len({v.key() for v in complex_table(17).values.values()}))
+print(len(calls), len({v.key() for row in complex_table(17).rows.values()
+                        for v in row}))
 """
 
 

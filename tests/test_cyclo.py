@@ -457,8 +457,9 @@ def _table_values(q):
     1, q-1, q and q+1, so two of them meet at up to lcm(q-1, q, q+1)."""
     out = {}
     for table in (complex_table(q), real_table(q)):
-        for v in table.values.values():
-            out.setdefault(v.key(), v)
+        for row in table.rows.values():
+            for v in row:
+                out.setdefault(v.key(), v)
     return list(out.values())
 
 

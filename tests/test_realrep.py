@@ -191,7 +191,7 @@ def test_real_json_round_trip():
     clone = RealCharTable.from_json(rt.to_json())
     assert clone == rt
     assert clone.source == rt.source
-    assert clone.symbolic is None
+    assert clone.cells is None
     # one loader for both tables: "source" marks the real one
     assert RealCharTable is CharTable
     assert list(rt.to_json())[-1] == "source"
