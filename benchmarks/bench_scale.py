@@ -52,6 +52,7 @@ COMMANDS = [
     ["verify", "31"],
     ["verify", "47"],
     ["verify", "71", "--max-enum", "71"],
+    ["verify", "101", "--max-enum", "101"],
     ["char-table", "47"],
     ["real-table", "47"],
     ["fs", "37"],

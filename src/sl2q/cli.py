@@ -196,31 +196,45 @@ def _cmd_classes(args) -> int:
     return 0
 
 
+class _Rendered(dict):
+    """cell -> ``render(cell)``, each distinct cell rendered once."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, cell):
+        text = self[cell] = self.render(cell)
+        return text
+
+
 def _cmd_table(table, fmt: str) -> int:
     """Both character tables, in all four formats."""
     if fmt == "json":
         print(json.dumps(table.to_json()))
         return 0
     names = [str(lab) for lab in table.class_order]
+    if fmt == "latex":
+        latex = _Rendered(lambda cell: f"${sym_latex(cell)}$")
+        headers = [""] + [lab.latex() for lab in table.class_order]
+        rows = [[ch.latex(), *map(latex.__getitem__, cells)]
+                for ch, cells in table.cells.items()]
+        _print_latex_table(headers, rows)
+        return 0
+    text = _Rendered(sym_str)
     if fmt == "csv":
         approx = table.serial_map()
-        rows = ([str(ch), name, sym_str(cell), f"{v.real:.9g}", f"{v.imag:.9g}"]
+        rows = ([str(ch), name, text[cell], f"{v.real:.9g}", f"{v.imag:.9g}"]
                 for ch in table.chars
                 for name, cell, v in zip(names, table.cells[ch], approx[ch]))
         _print_csv(["char", "class", "value", "approx_re", "approx_im"],
                    rows, comment=_ADVISORY)
         return 0
-    if fmt == "latex":
-        headers = [""] + [lab.latex() for lab in table.class_order]
-        rows = [[ch.latex()] + [f"${sym_latex(cell)}$" for cell in cells]
-                for ch, cells in table.cells.items()]
-        _print_latex_table(headers, rows)
-        return 0
     rows = []
     legend = {}
     for ch in table.chars:
         cells = table.cells[ch]
-        strs = list(map(sym_str, cells))
+        strs = list(map(text.__getitem__, cells))
         for s, cell, v in zip(strs, cells, table.rows[ch]):
             if cell[0] != "rat" and s not in legend:
                 legend[s] = v.approx()

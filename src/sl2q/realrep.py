@@ -34,8 +34,8 @@ from operator import add, mul
 from .chars import CharLabel, CharTable, complex_table, sym_add, sym_scale
 from .cyclo import CycNum
 from .grp import (
-    C, D, ONE, Z, ZC, ZD, ClassLabel, class_labels, torus_indices, torus_order,
-    DEFAULT_MAX_ENUM,
+    C, D, ONE, Z, ZC, ZD, ClassLabel, class_labels, representatives,
+    torus_indices, torus_order, DEFAULT_MAX_ENUM,
 )
 from .labels import _Label
 
@@ -131,15 +131,23 @@ def _indicator_from_total(total: CycNum, order: int) -> int:
     return int(v)
 
 
+@lru_cache(maxsize=8)
+def _square_class_counts(q: int) -> dict:
+    """How many g have g^2 in each class, summed class by class through
+    the square map."""
+    sq = square_class_map(q)
+    counts = Counter()
+    for cls in representatives(q):
+        counts[sq[cls.label]] += cls.size
+    return dict(counts)
+
+
 def fs_indicator_brute(table: CharTable, char: CharLabel) -> int:
     """Indicator via the square map on classes:
     sum over classes of |class| * chi(square of the class)."""
     q = table.q
-    sq = square_class_map(q)
-    counts = Counter()
-    for cls in table.classes:
-        counts[sq[cls.label]] += cls.size
-    return _indicator_from_total(table.class_sum(char, counts), q ** 3 - q)
+    return _indicator_from_total(
+        table.class_sum(char, _square_class_counts(q)), q ** 3 - q)
 
 
 @lru_cache(maxsize=8)
@@ -171,12 +179,20 @@ def fs_indicator_closed(table: CharTable, char: CharLabel) -> int:
     with K = q^2+q for q = 1 mod 4 and K = q^2-q for q = 3 mod 4.
     """
     q = table.q
+    return _indicator_from_total(
+        table.class_sum(char, _closed_fs_weights(q)), q ** 3 - q)
+
+
+@lru_cache(maxsize=8)
+def _closed_fs_weights(q: int) -> dict:
+    """The closed form's weight on each class, as ``fs_indicator_closed``
+    states it."""
     K = q * q + q if q % 4 == 1 else q * q - q
     weights = {ONE: 2, Z: K, C: q * q - 1, D: q * q - 1}
     for kind, weight in (("a", 2 * q * (q + 1)), ("b", 2 * q * (q - 1))):
         for k in torus_indices(q, kind)[1::2]:   # the even indices
             weights[ClassLabel(kind, k)] = weight
-    return _indicator_from_total(table.class_sum(char, weights), q ** 3 - q)
+    return weights
 
 
 # ---------------------------------------------------------------------------

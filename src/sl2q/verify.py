@@ -3,10 +3,12 @@
 ``verify_all(q)`` enumerates SL2(q) and runs eleven independent checks,
 from the group order up through fixed-point dimensions.  Each check is
 crash-isolated: a failure (or an exception) is recorded and the rest of
-the suite still runs.  Checks 3 and 11 share the order of every element,
-computed once, on first use, by the same walk of the cyclic subgroups
-that check 10 makes; if that raises, each check that asks for it fails
-on its own.
+the suite still runs.  Checks 3, 10 and 11 read one walk of the cyclic
+subgroups, made on first use: each element's subgroup, and each
+subgroup's order, first generator, class-label counts and (at order 2q)
+element set.  If the walk raises, each check that asks for it fails on
+its own; the class lookup it counts labels with is fetched in a guarded
+step, so a lookup that fails fails check 10 alone.
 
 The orbit partition takes each class as the orbit of its representative
 under conjugation by the two generators s = [[1,1],[0,1]] and
@@ -22,17 +24,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .chars import ETA1, ETA2, XI1, XI2, _json_schema, complex_table
 from .cyclo import dot
-from .fixdim import fixed_dim_closed, subgroup_key_of
+from .fixdim import _SUBGROUP_OF_CLASS, SubgroupKey, fixed_dim_closed
 from .grp import (
-    ZC, ZD, _generated_group, class_label_lookup, class_labels,
-    conjugacy_partition, element_order, enumerate_group, find_b, powers,
-    rep_a, rep_z, representatives, DEFAULT_MAX_ENUM,
+    ZC, ZD, GroupElem, _generated_group, class_label_lookup, class_labels,
+    class_of, conjugacy_partition, element_order, enumerate_group, find_b,
+    powers, rep_a, rep_z, representatives, DEFAULT_MAX_ENUM,
 )
 from .realrep import (
-    fs_indicator_brute, fs_indicator_closed, fs_indicator_raw,
+    _power_class, fs_indicator_brute, fs_indicator_closed, fs_indicator_raw,
     inverse_class_map, real_classes, real_table, square_class_map,
 )
 
@@ -114,6 +117,64 @@ def _cyclic_walks(G):
         count += 1
 
 
+class _Subgroup(NamedTuple):
+    order: int
+    generator: GroupElem   # the first element of G that generates it
+    counts: Counter        # class label (None off the lookup) -> elements
+    elements: frozenset | None   # kept at order 2q only, for check 11
+
+
+def _walk_subgroups(G, label, q: int) -> tuple[list, list]:
+    """The number of each element's cyclic subgroup, in G's order, and the
+    subgroups by number, their labels counted by ``label``."""
+    number, subgroups = [], []
+    for g, i, walk in _cyclic_walks(G):
+        if walk is not None:
+            n = len(walk)
+            subgroups.append(_Subgroup(n, g, Counter(map(label, walk)),
+                                       frozenset(walk) if n == 2 * q else None))
+        number.append(i)
+    return number, subgroups
+
+
+def _generator_keys(q: int, lab, n: int) -> dict:
+    """{subgroup key: k} over the generators g^k of <g>, gcd(k, n) = 1,
+    for g of class ``lab`` and order n; k is the least power with the key.
+
+    On a torus g^k lies in the class of t^(lk) (``_power_class``); the
+    other generator classes give one key whatever k is.
+    """
+    if lab.kind not in ("a", "b"):
+        return {SubgroupKey(_SUBGROUP_OF_CLASS[lab.kind], lab.index): 1}
+    keys = {}
+    for k in range(1, n + 1):
+        if gcd(k, n) == 1:
+            power = _power_class(q, lab.kind, lab.index * k)
+            keys.setdefault(
+                SubgroupKey(_SUBGROUP_OF_CLASS[power.kind], power.index), k)
+    return keys
+
+
+def _profile_key_pairs(q: int, subgroups):
+    """Each distinct (class profile, subgroup key) pair once, as
+    (profile, key, subgroup, k): the first subgroup with the pair, whose
+    generator's k-th power has the key.  A profile is the class-label
+    counts as sorted (name, count) pairs; class_of runs once per subgroup.
+    """
+    keys_of = {}   # (class of a generator, its order) -> _generator_keys
+    seen = set()
+    for sub in subgroups:
+        sig = tuple(sorted((str(lab), cnt) for lab, cnt in sub.counts.items()))
+        lab = class_of(sub.generator)
+        keys = keys_of.get((lab, sub.order))
+        if keys is None:
+            keys = keys_of[lab, sub.order] = _generator_keys(q, lab, sub.order)
+        for key, k in keys.items():
+            if (sig, key) not in seen:
+                seen.add((sig, key))
+                yield sig, key, sub, k
+
+
 def _order_2q_conjugates(part: dict) -> set:
     """The distinct subgroups h<r>h^-1 for r in {zc, zd} and h in G.
 
@@ -144,19 +205,19 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     order = q ** 3 - q
     checks: list[VerificationCheck] = []
 
-    orders = None
+    walked = None
 
-    def element_orders() -> list:
-        nonlocal orders
-        if orders is None:
-            sizes = []   # order of each cyclic subgroup, by number
-            found = []
-            for _, i, walk in _cyclic_walks(G):
-                if walk is not None:
-                    sizes.append(len(walk))
-                found.append(sizes[i])
-            orders = found   # only once complete: a failed walk sets nothing
-        return orders
+    def subgroups() -> tuple:
+        """(element -> subgroup number, subgroups, lookup error), from one
+        walk on first use, kept only once complete."""
+        nonlocal walked
+        if walked is None:
+            try:
+                label, error = class_label_lookup(q, max_enum).get, None
+            except Exception as exc:  # for check 10 to raise, and no other
+                label, error = (lambda h: None), exc
+            walked = (*_walk_subgroups(G, label, q), error)
+        return walked
 
     def run(name, fn):
         try:
@@ -210,7 +271,8 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     # (3) unique involution, and where it sits in the torus chains
     def check_involution():
         z = rep_z(q)
-        invs = [g for g, n in zip(G, element_orders()) if n == 2]
+        number, subs, _ = subgroups()
+        invs = [g for g, i in zip(G, number) if subs[i].order == 2]
         ok = invs == [z] or set(invs) == {z}
         ok = ok and len(invs) == 1
         ok = ok and rep_a(q) ** ((q - 1) // 2) == z
@@ -358,48 +420,41 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         return True, f"{len(rt.chars)} real rows = {blocks.count} real classes{note}"
     run("real_table_rows", check_real_table)
 
-    # (10) fixed dims: closed = average for <g> over every group element
+    # (10) fixed dims: closed = average for every cyclic subgroup, under
+    # the key of each of its generators
     def check_fixed_dims():
+        _, subs, error = subgroups()
+        if error is not None:
+            raise error
         rt = real_table(q)
-        lookup = class_label_lookup(q, max_enum)
         degrees = {ch: rt.degree(ch) for ch in rt.chars}
         # the average depends on <g> only through its class-label counts,
         # so conjugate subgroups share one exact computation
         avg_cache: dict[tuple, dict] = {}
-        profiles = []   # class-label counts of each cyclic subgroup, by number
-        # (counts, subgroup key) -> the chars whose closed form and
-        # average disagree; both sides are fixed by the pair
-        wrong_cache: dict[tuple, list] = {}
         bad = []
-        for g, i, walk in _cyclic_walks(G):
-            if walk is not None:
-                counts = Counter(lookup[h] for h in walk)
-                sig = tuple(sorted((str(lab), cnt) for lab, cnt in counts.items()))
-                profiles.append(sig)
-                if sig not in avg_cache:
-                    avgs = {}
-                    for ch in rt.chars:
-                        v = (rt.class_sum(ch, counts) / len(walk)).as_rational()
-                        if (v is None or v.denominator != 1
-                                or not 0 <= v <= degrees[ch]):
-                            bad.append(f"average of {ch} over <{g!r}> is {v!r}")
-                            v = -1
-                        avgs[ch] = int(v)
-                    avg_cache[sig] = avgs
-            sig = profiles[i]
-            skey = subgroup_key_of(g)
-            wrong = wrong_cache.get((sig, skey))
-            if wrong is None:
-                avgs = avg_cache[sig]
-                wrong = wrong_cache[(sig, skey)] = [
-                    (ch, closed, avgs[ch]) for ch in rt.chars
-                    if (closed := fixed_dim_closed(q, ch, skey)) != avgs[ch]]
-            for ch, closed, avg in wrong:
-                bad.append(f"dim {ch}^{skey}: closed {closed}, "
-                           f"average {avg} (generator {g!r})")
+        for sig, skey, sub, k in _profile_key_pairs(q, subs):
+            avgs = avg_cache.get(sig)
+            if avgs is None:
+                avgs = avg_cache[sig] = {}
+                if None in sub.counts:
+                    bad.append(f"<{sub.generator!r}> meets an element "
+                               f"outside every orbit")
+                    continue   # avgs stays empty: nothing to compare
+                for ch in rt.chars:
+                    v = (rt.class_sum(ch, sub.counts) / sub.order).as_rational()
+                    if (v is None or v.denominator != 1
+                            or not 0 <= v <= degrees[ch]):
+                        bad.append(f"average of {ch} over <{sub.generator!r}> "
+                                   f"is {v!r}")
+                        v = -1
+                    avgs[ch] = int(v)
+            for ch, avg in avgs.items():
+                if (closed := fixed_dim_closed(q, ch, skey)) != avg:
+                    bad.append(f"dim {ch}^{skey}: closed {closed}, average "
+                               f"{avg} (generator {sub.generator ** k!r})")
         if bad:
             return False, _fail_list(bad)
-        return True, (f"{len(profiles)} distinct cyclic subgroups from "
+        return True, (f"{len(subs)} distinct cyclic subgroups from "
                       f"{order} generators ({len(avg_cache)} class profiles); "
                       f"every average integral, in range, and equal to the "
                       f"closed form")
@@ -408,13 +463,14 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     # (11) order-2q subgroups are conjugates of <zc> or <zd>
     def check_order_2q():
         target = _order_2q_conjugates(conjugacy_partition(q, max_enum))
+        number, subs, _ = subgroups()
         n = 0
         bad = []
-        for g, order_g in zip(G, element_orders()):
-            if order_g != 2 * q:
+        for g, i in zip(G, number):
+            if subs[i].order != 2 * q:
                 continue
             n += 1
-            if frozenset(powers(g)) not in target:
+            if subs[i].elements not in target:
                 bad.append(f"<{g!r}> not conjugate to <zc> or <zd>")
         if bad:
             return False, _fail_list(bad)

@@ -427,3 +427,21 @@ def test_json_output_is_json_dumps_of_its_document(capsys, command, q):
     doc = json.loads(out)
     assert doc["schema"] == 2
     assert out == json.dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "latex"])
+@pytest.mark.parametrize("command, build", [("char-table", complex_table),
+                                            ("real-table", real_table)])
+def test_table_renders_each_distinct_cell_once(monkeypatch, capsys, command,
+                                               build, fmt):
+    # a table of (q+4)^2 cells holds far fewer distinct display cells
+    table = build(13)
+    distinct = {cell for cells in table.cells.values() for cell in cells}
+    calls = []
+    name = "sym_latex" if fmt == "latex" else "sym_str"
+    render = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda cell: calls.append(cell) or render(cell))
+    code, _, _ = run_cli(capsys, command, "13", "--format", fmt)
+    assert code == 0
+    assert sorted(map(repr, calls)) == sorted(map(repr, distinct))
+    assert len(distinct) < 17 * 17

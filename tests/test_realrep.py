@@ -203,3 +203,15 @@ def test_real_json_round_trip():
     complex_clone = CharTable.from_json(ct.to_json())
     assert complex_clone.source is None
     assert complex_clone == ct and complex_clone != clone
+
+
+def test_indicator_class_maps_are_built_once_per_q():
+    from sl2q import realrep
+    ct = complex_table(23)
+    realrep._closed_fs_weights.cache_clear()
+    realrep._square_class_counts.cache_clear()
+    for ch in ct.chars:
+        fs_indicator_closed(ct, ch)
+        fs_indicator_brute(ct, ch)
+    assert realrep._closed_fs_weights.cache_info().misses == 1
+    assert realrep._square_class_counts.cache_info().misses == 1

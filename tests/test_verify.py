@@ -1,6 +1,8 @@
 """The self-verification suite on small q."""
 import json
 import os
+from collections import Counter
+from math import gcd
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import sl2q
-from sl2q.grp import (conjugacy_partition, element_order, enumerate_group,
-                      powers, rep_zc, rep_zd)
+from sl2q.fixdim import subgroup_key_of
+from sl2q.grp import (class_label_lookup, class_of, conjugacy_partition,
+                      element_order, enumerate_group, powers, rep_zc, rep_zd)
 from sl2q.verify import (VerificationReport, _cyclic_walks,
-                         _order_2q_conjugates, verify_all)
+                         _generator_keys, _order_2q_conjugates,
+                         _profile_key_pairs, _walk_subgroups, verify_all)
 
 CHECK_NAMES = [
     "group_order", "class_partition", "unique_involution",
@@ -148,6 +152,57 @@ def test_shared_subgroups_equal_the_full_expansion(q):
     assert len(walks) == len({frozenset(powers(g)) for g in G})
 
 
+def _profile(counts) -> tuple:
+    return tuple(sorted((str(lab), cnt) for lab, cnt in counts.items()))
+
+
+@pytest.mark.parametrize("q", [7, 11, 13, 17])
+def test_fixed_dims_tests_every_profile_key_pair_of_the_elements(q):
+    # check 10 takes the keys of a subgroup's generators from the class of
+    # its first generator; the pairs it tests must be those that walking
+    # <g> and classifying g give over every element g
+    G = enumerate_group(q)
+    lookup = class_label_lookup(q)
+    want = {(_profile(Counter(lookup[h] for h in powers(g))),
+             subgroup_key_of(g)) for g in G}
+    number, subgroups = _walk_subgroups(G, lookup.get, q)
+    assert len(number) == len(G)
+    got = []
+    for sig, key, sub, k in _profile_key_pairs(q, subgroups):
+        got.append((sig, key))
+        assert subgroup_key_of(sub.generator ** k) == key
+        assert _profile(sub.counts) == sig
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    # and per subgroup, the keys of all its generators
+    for sub in subgroups:
+        walk = powers(sub.generator)
+        n = len(walk)
+        keys = {subgroup_key_of(walk[k - 1])
+                for k in range(1, n + 1) if gcd(k, n) == 1}
+        assert set(_generator_keys(q, class_of(sub.generator), n)) == keys
+
+
+def test_class_lookup_crash_fails_only_the_checks_that_read_it(monkeypatch):
+    import sl2q.grp as grp
+    import sl2q.realrep as realrep
+    import sl2q.verify as verify
+
+    def broken(q, max_enum=50):
+        raise RuntimeError("no lookup")
+
+    monkeypatch.setattr(grp, "class_label_lookup", broken)
+    monkeypatch.setattr(verify, "class_label_lookup", broken)
+    # the raw indicator reads the lookup through a per-q cache
+    realrep._square_label_counts.cache_clear()
+    report = verify_all(5)
+    realrep._square_label_counts.cache_clear()
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == ["square_inverse_maps", "fs_indicators", "fixed_dims"]
+    assert all(c.details == "crashed: RuntimeError('no lookup')"
+               for c in report.checks if not c.passed)
+
+
 def test_subgroup_walk_crash_fails_only_its_checks(monkeypatch):
     import sl2q.verify as verify
 
@@ -195,8 +250,10 @@ def _run_fresh(program: str) -> str:
 def test_group_product_budget_of_verify():
     # a count, not a timing: the group products verify_all(11) makes from
     # cold caches, in a fresh interpreter (197,422 before the oracle
-    # stopped re-deriving orders and conjugate subgroups)
-    assert int(_run_fresh(_COUNT_PRODUCTS)) <= 110_000
+    # stopped re-deriving orders and conjugate subgroups; 18,423 while
+    # the cyclic subgroups were walked twice and each order-2q subgroup
+    # again per element; 13,409 with one walk)
+    assert int(_run_fresh(_COUNT_PRODUCTS)) <= 14_000
 
 
 def test_group_product_budget_of_conjugacy_partition():
