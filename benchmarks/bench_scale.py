@@ -71,6 +71,7 @@ COMMANDS = [
     ["fixed-points", "47", "--max-enum", "47"],
     ["fixed-points", "101", "--max-enum", "101"],
     ["fixed-points", "211", "--max-enum", "211"],
+    ["fixed-points", "1009", "--max-enum", "1009"],
     ["classes", "100003"],
     ["classes", "100003", "--format", "latex"],
     ["char-table", "499"],

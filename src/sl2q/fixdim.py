@@ -13,9 +13,9 @@ quotient (q-1)/gamma (resp. (q+1)/delta) is odd or even, and - for the
 chi and theta rows - on whether that quotient divides the character
 index (the resonance correction, see ``_closed_column``); in the even case
 the xi and 2Re(eta_1) rows additionally see the parity of l (resp. m).
-The closed forms here were fixed against the averaging oracle;
-``full_report`` recomputes both sides and records any mismatch rather
-than resolving it.
+The closed forms were fixed against the averaging oracle, one average
+per class profile (``_averages``, shared by ``full_report`` and check 10
+of ``verify_all``); ``full_report`` records any mismatch, never fixes it.
 
 A note on one entry: for psi on an odd-quotient AH(l) the averaged
 value is gcd(q-1, l) + 1; classical write-ups sometimes carry
@@ -266,19 +266,32 @@ def fixed_dim_closed(q: int, char: RealCharLabel, kind, index: int = 0) -> int:
     return _closed_column(q, key)[0][ci]
 
 
+def _profile(counts: dict) -> frozenset:
+    """A subgroup's class profile: its (class label, element count) pairs."""
+    return frozenset(counts.items())
+
+
+def _averages(rt: CharTable, counts: dict, memo: dict) -> tuple:
+    """Every row's exact average over a subgroup of class counts ``counts``,
+    in row order, made once per class profile and kept in ``memo``; raises
+    unless each is an integer from 0 to its row's degree."""
+    profile = _profile(counts)
+    if profile not in memo:
+        n = sum(counts.values())
+        avgs = [(rt.class_sum(ch, counts) / n).as_rational() for ch in rt.chars]
+        for ch, v in zip(rt.chars, avgs):
+            if v is None or v.denominator != 1 or not 0 <= v <= rt.degree(ch):
+                raise ValueError(f"average of {ch} over a subgroup of order "
+                                 f"{n} is {v!r}, not an integer in [0, deg]")
+        memo[profile] = tuple(map(int, avgs))
+    return memo[profile]
+
+
 def fixed_dim_average(rt: CharTable, H: SubgroupDesc) -> dict:
     """Oracle: {char: (1/|H|) sum of char over H} for every row of ``rt``,
     exactly, from one count of the classes of H's elements."""
-    counts = Counter(map(class_of, H.elements))
-    out = {}
-    for char in rt.chars:
-        v = (rt.class_sum(char, counts) / len(H.elements)).as_rational()
-        if v is None or v.denominator != 1 or v < 0:
-            raise ValueError(
-                f"average of {char} over {H.key} is {v!r}, not a nonnegative "
-                f"integer; the table data is inconsistent")
-        out[char] = int(v)
-    return out
+    return dict(zip(rt.chars,
+                    _averages(rt, Counter(map(class_of, H.elements)), {})))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +381,7 @@ class FixedDimTable:
     def __eq__(self, other):
         if not isinstance(other, FixedDimTable):
             return NotImplemented
-        return (self.q == other.q and self.chars == other.chars
-                and self.keys == other.keys and self.closed == other.closed
-                and self.oracle == other.oracle and self.notes == other.notes)
+        return vars(self) == vars(other)
 
 
 def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
@@ -382,19 +393,19 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
         raise ValueError(f"q must be an odd prime, got {q}")
     chars = tuple(_rows(q)[0])   # real_char_labels(q), from the row map
     keys = subgroup_keys(q)
-    use_oracle = q <= max_enum
-    rt = real_table(q) if use_oracle else None
+    rt = real_table(q) if q <= max_enum else None
 
     closed = []
-    oracle = [] if use_oracle else None
+    oracle = None if rt is None else []
+    memo = {}   # class profile -> oracle column; most keys share one
     resonant = []   # (char position, key position) of corrected entries
     for ki, key in enumerate(keys):
         values, moved = _closed_column(q, key)
         closed.append(values)
         resonant += [(ci, ki) for ci in moved]
-        if use_oracle:
-            avg = fixed_dim_average(rt, subgroup(q, key))
-            oracle.append([avg[c] for c in chars])
+        if rt is not None:   # rt's rows are in the order of chars
+            counts = Counter(map(class_of, subgroup(q, key).elements))
+            oracle.append(_averages(rt, counts, memo))
     notes = []
     if any(k.kind == "AH" and _closed_order(q, k) % 2 for k in keys):
         notes.append(

@@ -6,9 +6,10 @@ crash-isolated: a failure (or an exception) is recorded and the rest of
 the suite still runs.  Checks 3, 10 and 11 read one walk of the cyclic
 subgroups, made on first use: each element's subgroup, and each
 subgroup's order, first generator, class-label counts and (at order 2q)
-element set.  If the walk raises, each check that asks for it fails on
-its own; the class lookup it counts labels with is fetched in a guarded
-step, so a lookup that fails fails check 10 alone.
+element set; check 10 averages once per class profile, with the function
+``full_report`` uses.  If the walk raises, each check that asks for it
+fails on its own; the class lookup it counts labels with is fetched in a
+guarded step, so a lookup that fails fails check 10 alone.
 
 The orbit partition takes each class as the orbit of its representative
 under conjugation by the two generators s = [[1,1],[0,1]] and
@@ -28,7 +29,8 @@ from typing import NamedTuple
 
 from .chars import ETA1, ETA2, XI1, XI2, _json_schema, complex_table
 from .cyclo import dot
-from .fixdim import _SUBGROUP_OF_CLASS, SubgroupKey, fixed_dim_closed
+from .fixdim import (_SUBGROUP_OF_CLASS, SubgroupKey, _averages, _profile,
+                     fixed_dim_closed)
 from .grp import (
     ZC, ZD, GroupElem, _generated_group, class_label_lookup, class_labels,
     class_of, conjugacy_partition, element_order, enumerate_group, find_b,
@@ -158,13 +160,13 @@ def _generator_keys(q: int, lab, n: int) -> dict:
 def _profile_key_pairs(q: int, subgroups):
     """Each distinct (class profile, subgroup key) pair once, as
     (profile, key, subgroup, k): the first subgroup with the pair, whose
-    generator's k-th power has the key.  A profile is the class-label
-    counts as sorted (name, count) pairs; class_of runs once per subgroup.
+    generator's k-th power has the key.  A profile is ``fixdim._profile``
+    of the class-label counts; class_of runs once per subgroup.
     """
     keys_of = {}   # (class of a generator, its order) -> _generator_keys
     seen = set()
     for sub in subgroups:
-        sig = tuple(sorted((str(lab), cnt) for lab, cnt in sub.counts.items()))
+        sig = _profile(sub.counts)
         lab = class_of(sub.generator)
         keys = keys_of.get((lab, sub.order))
         if keys is None:
@@ -273,8 +275,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         z = rep_z(q)
         number, subs, _ = subgroups()
         invs = [g for g, i in zip(G, number) if subs[i].order == 2]
-        ok = invs == [z] or set(invs) == {z}
-        ok = ok and len(invs) == 1
+        ok = invs == [z]
         ok = ok and rep_a(q) ** ((q - 1) // 2) == z
         ok = ok and find_b(q) ** ((q + 1) // 2) == z
         side = ("a^((q-1)/2) = z (z lies in the split torus chain)"
@@ -363,11 +364,9 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
                 bad.append(f"{ch}: indicator {got[ch]}, expected {want}")
         if bad:
             return False, _fail_list(bad)
-        n1 = sum(1 for v in got.values() if v == 1)
-        n_1 = sum(1 for v in got.values() if v == -1)
-        n0 = sum(1 for v in got.values() if v == 0)
+        n = Counter(got.values())
         return True, (f"closed = grouped = raw for all {len(got)} characters; "
-                      f"{n1} orthogonal, {n_1} quaternionic, {n0} complex")
+                      f"{n[1]} orthogonal, {n[-1]} quaternionic, {n[0]} complex")
     run("fs_indicators", check_fs)
 
     # (8) conjugation permutation on rows: trace q+4 or q
@@ -427,35 +426,24 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         if error is not None:
             raise error
         rt = real_table(q)
-        degrees = {ch: rt.degree(ch) for ch in rt.chars}
-        # the average depends on <g> only through its class-label counts,
-        # so conjugate subgroups share one exact computation
-        avg_cache: dict[tuple, dict] = {}
+        memo = {}   # class profile -> averages, shared by conjugate subgroups
         bad = []
-        for sig, skey, sub, k in _profile_key_pairs(q, subs):
-            avgs = avg_cache.get(sig)
-            if avgs is None:
-                avgs = avg_cache[sig] = {}
+        for _, skey, sub, k in _profile_key_pairs(q, subs):
+            try:
                 if None in sub.counts:
-                    bad.append(f"<{sub.generator!r}> meets an element "
-                               f"outside every orbit")
-                    continue   # avgs stays empty: nothing to compare
-                for ch in rt.chars:
-                    v = (rt.class_sum(ch, sub.counts) / sub.order).as_rational()
-                    if (v is None or v.denominator != 1
-                            or not 0 <= v <= degrees[ch]):
-                        bad.append(f"average of {ch} over <{sub.generator!r}> "
-                                   f"is {v!r}")
-                        v = -1
-                    avgs[ch] = int(v)
-            for ch, avg in avgs.items():
+                    raise ValueError("meets an element outside every orbit")
+                avgs = _averages(rt, sub.counts, memo)
+            except ValueError as exc:
+                bad.append(f"<{sub.generator!r}> under {skey}: {exc}")
+                continue
+            for ch, avg in zip(rt.chars, avgs):
                 if (closed := fixed_dim_closed(q, ch, skey)) != avg:
                     bad.append(f"dim {ch}^{skey}: closed {closed}, average "
                                f"{avg} (generator {sub.generator ** k!r})")
         if bad:
             return False, _fail_list(bad)
         return True, (f"{len(subs)} distinct cyclic subgroups from "
-                      f"{order} generators ({len(avg_cache)} class profiles); "
+                      f"{order} generators ({len(memo)} class profiles); "
                       f"every average integral, in range, and equal to the "
                       f"closed form")
     run("fixed_dims", check_fixed_dims)

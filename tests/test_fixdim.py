@@ -12,8 +12,9 @@ from sl2q.fixdim import (AH, BH, C_H, FixedDimTable, TRIVIAL_H, Z_H, ZC_H,
                          fixed_dim_average, fixed_dim_closed, full_report,
                          parse_subgroup_key, subgroup, subgroup_key_of,
                          subgroup_keys)
+from sl2q.cyclo import rational
 from sl2q.fq import is_odd_prime
-from sl2q.grp import identity, rep_a, rep_c, rep_z, rep_zd
+from sl2q.grp import Z, identity, rep_a, rep_c, rep_z, rep_zd
 from sl2q.realrep import (RChiEven, RPSI, RTRIV, RThetaEven, RTwoChiOdd,
                           RTwoThetaOdd, RXI1, RXI2, parse_real_char_label,
                           real_char_labels, real_table)
@@ -349,3 +350,64 @@ def test_subgroup_order_is_its_closed_order(q):
         H = subgroup(q, key)
         assert H.order == len(set(H.elements)) == _closed_order(q, key), key
         assert H.elements[0] == H.generator and H.elements[-1] == (q, 1, 0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# one averaging function: fixed_dim_average, full_report and check 10 of
+# verify_all all average through fixdim._averages, once per class profile
+
+def _doctored_real_table(q):
+    """real_table(q) with triv's value at z raised to 3, so the average of
+    triv over <z> is (1 + 3)/2 = 2, an integer above its degree 1."""
+    rt = real_table(q)
+    rows = dict(rt.rows)
+    row = list(rows[RTRIV])
+    row[rt.class_order.index(Z)] = rational(3)
+    rows[RTRIV] = tuple(row)
+    return CharTable(q, rt.epsilon, rt.conductor, rt.classes, rows, None,
+                     rt.source)
+
+
+def test_an_average_above_the_degree_is_rejected(monkeypatch):
+    doctored = _doctored_real_table(5)
+    with pytest.raises(ValueError, match=r"average of 1 over a subgroup of "
+                                         r"order 2 is Fraction\(2, 1\)"):
+        fixed_dim_average(doctored, subgroup(5, Z_H))
+    # the untouched rows and subgroups still average
+    assert fixed_dim_average(doctored, subgroup(5, C_H))[RPSI] == 1
+    # check 10 applies the same test (the other subgroups through z now
+    # average to fractions)
+    import sl2q.verify as verify
+    monkeypatch.setattr(verify, "real_table", lambda q: doctored)
+    failed = [c for c in verify_all(5).checks if not c.passed]
+    assert [c.name for c in failed] == ["fixed_dims"]
+    assert ("<GroupElem(5, 4, 0, 0, 4)> under ZH: average of 1 over a "
+            "subgroup of order 2 is Fraction(2, 1), not an integer in "
+            "[0, deg]") in failed[0].details
+
+
+@pytest.mark.parametrize("q", [q for q in PRIMES_TO_211 if q <= 47] + [101])
+def test_report_oracle_is_the_per_key_average(q):
+    # full_report shares one average among the keys of a class profile;
+    # each key's column must still be that key's own average
+    rt = real_table(q)
+    want = tuple(tuple(fixed_dim_average(rt, subgroup(q, key)).values())
+                 for key in subgroup_keys(q))
+    assert full_report(q, q).oracle == want
+
+
+def test_report_averages_once_per_class_profile(monkeypatch):
+    # 103 subgroup keys at q = 101 have 17 class profiles; each profile's
+    # 105 rows are summed once (one sum per row and key was 10,815)
+    calls = []
+    class_sum = CharTable.class_sum
+
+    def counting(self, char, counts):
+        calls.append(char)
+        return class_sum(self, char, counts)
+
+    monkeypatch.setattr(CharTable, "class_sum", counting)
+    report = full_report(101, 101)
+    assert len(report.keys) == 103 and len(report.chars) == 105
+    assert len(calls) <= 17 * 105
+    assert report.all_match

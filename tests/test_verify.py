@@ -152,8 +152,8 @@ def test_shared_subgroups_equal_the_full_expansion(q):
     assert len(walks) == len({frozenset(powers(g)) for g in G})
 
 
-def _profile(counts) -> tuple:
-    return tuple(sorted((str(lab), cnt) for lab, cnt in counts.items()))
+def _profile(counts) -> frozenset:
+    return frozenset(counts.items())
 
 
 @pytest.mark.parametrize("q", [7, 11, 13, 17])
