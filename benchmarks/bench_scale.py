@@ -4,29 +4,34 @@ Usage (from the repository root):
   python3 benchmarks/bench_scale.py --label change --out BENCH_<n>.json
          [--src src] [--parent <parent checkout>/src]
 
-Each command runs once, in a fresh child interpreter that imports sl2q
-from --src, with a wall-clock budget (BUDGET_S; the child is killed past
-it) and an address-space cap (CAP_MB, RLIMIT_AS in the child; the cap of
-a perfbench op).  Commands run one at a time.  Each row records:
+Each command runs REPEATS times, each in a fresh child interpreter that
+imports sl2q from --src, with a wall-clock budget (BUDGET_S; the child is
+killed past it) and an address-space cap (CAP_MB, RLIMIT_AS in the child;
+the cap of a perfbench op).  Commands run one at a time.  A row is the
+run of median wall time, and records:
 
   argv         the CLI arguments
   status       "ok" (exit 0), "timeout" (killed at the budget), "oom"
                (exit 1 and MemoryError or "out of memory" on stderr),
-               "refused" (exit 1 with an "sl2q: error:" message) or
-               "error" (anything else)
+               "refused" (exit 1 with an "sl2q: error:" message),
+               "error" (anything else) or "unstable" (the runs differ
+               in status or stdout)
   exit         the child's exit code (null after a timeout)
-  wall_s       spawn to exit, interpreter start-up included
-  peak_rss_mb  the child's ru_maxrss, from wait4
+  wall_s       spawn to exit, interpreter start-up included: the median
+               of the runs
+  wall_runs_s  the wall time of each run, in the order they ran
+  peak_rss_mb  the child's ru_maxrss, from wait4 (of the median run)
   stdout_bytes, stdout_sha256   so two trees' outputs can be compared
                (hashed in chunks: an output may be hundreds of MB)
   stderr_tail  the last stderr line, when there is one
 
 The rows go into --out under the key --label, next to the rows of other
 labels already there.  With --parent, every command also runs on that
-second tree, whose rows go under the key "parent"; the two sides run
-one after the other, and which side goes first alternates row by row,
-so a drift in host speed does not read as a change.  Only the standard
-library is used; the script is not a test and pytest does not collect it.
+second tree, whose rows go under the key "parent"; the two sides take
+turns, one run each, and which side goes first alternates from turn to
+turn, so a drift in host speed does not read as a change.  Only the
+standard library is used; the script is not a test and pytest does not
+collect it.
 """
 from __future__ import annotations
 
@@ -45,9 +50,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BUDGET_S = 120.0
 CAP_MB = 2048
+REPEATS = 3        # runs of each command per side; single runs drift ±40%
 _CHUNK = 1 << 20   # stdout is hashed this many bytes at a time
 
 COMMANDS = [
+    ["classes", "3"],   # interpreter start-up and argument parsing alone
     ["verify", "23"],
     ["verify", "31"],
     ["verify", "47"],
@@ -78,6 +85,7 @@ COMMANDS = [
     ["real-table", "499"],
     ["fs", "499"],
     ["char-table", "1009"],
+    ["char-table", "2003"],
 ]
 
 _CHILD = "import sys; from sl2q.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -142,6 +150,16 @@ def run(argv: list[str], src: Path, budget: float, cap_mb: int) -> dict:
     }
 
 
+def median_row(runs: list[dict]) -> dict:
+    """The run of median wall time, with the wall time of every run."""
+    row = dict(sorted(runs, key=lambda r: r["wall_s"])[len(runs) // 2])
+    row["wall_runs_s"] = [r["wall_s"] for r in runs]
+    if any((r["status"], r["stdout_sha256"])
+           != (row["status"], row["stdout_sha256"]) for r in runs):
+        row["status"] = "unstable"
+    return row
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True,
@@ -159,10 +177,14 @@ def main() -> int:
     sides.append((args.label, args.src.resolve()))
     rows = {label: [] for label, _ in sides}
     for i, argv in enumerate(COMMANDS):
-        for label, src in sides[::-1] if i % 2 else sides:
-            row = run(argv, src, BUDGET_S, CAP_MB)
-            print(json.dumps({"label": label, **row}), flush=True)
-            rows[label].append(row)
+        runs = {label: [] for label, _ in sides}
+        for turn in range(i * REPEATS, (i + 1) * REPEATS):
+            for label, src in sides[::-1] if turn % 2 else sides:
+                row = run(argv, src, BUDGET_S, CAP_MB)
+                print(json.dumps({"label": label, **row}), flush=True)
+                runs[label].append(row)
+        for label, side_runs in runs.items():
+            rows[label].append(median_row(side_runs))
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     for label, side_rows in rows.items():
@@ -172,6 +194,7 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "budget_s": BUDGET_S,
             "cap_mb": CAP_MB,
+            "repeats": REPEATS,
             "rows": side_rows,
         }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -1,6 +1,8 @@
 """Command-line front end: exact SL2(q) tables in four output formats.
 
-Subcommands: classes, char-table, real-table, fs, fixed-points, verify.
+Usage: sl2q <command> q [--format F] [--max-enum N], the commands being
+classes, char-table, real-table, fs, fixed-points and verify; -h prints
+help, and _parse lists the spellings it accepts.
 Formats: text (symbolic cells plus an advisory decimal legend), json
 (one compact line of ``json.dumps``, schema 2: each exact value as a
 coefficient vector at its natural conductor, round-trippable through
@@ -15,20 +17,21 @@ Text and csv modes render cells in a small stable grammar:
     square roots  "(1+sqrt(5))/2", "-1+sqrt(-7)"  where the radicand
                   is eps*q = (-1)^((q-1)/2) * q
 
-Exit codes: 0 success (verify: all checks passed), 1 usage error (or,
-as a last resort, running out of memory; or a reader that closed the
-output pipe early), 2 verification failure.
+Exit codes: 0 success (verify: all checks passed) or help, 1 usage error
+(or, as a last resort, running out of memory; or a reader that closed
+the output pipe early), 2 verification failure.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain, repeat
 from operator import methodcaller
+from types import SimpleNamespace
 
 from .chars import complex_table, sym_latex, sym_str
 from .fixdim import full_report
@@ -37,42 +40,6 @@ from .realrep import fs_indicator_closed, fs_indicator_raw, real_table
 from .verify import verify_all
 
 __all__ = ["main"]
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad arguments; reserve 2 for
-    # verification failures and report usage problems as 1 instead
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="sl2q",
-        description="Exact conjugacy classes, character tables, "
-                    "Frobenius-Schur indicators and fixed-point dimensions "
-                    "for SL2(q), q an odd prime.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    specs = [
-        ("classes", "conjugacy classes: label, representative, order, size"),
-        ("char-table", "complex irreducible character table"),
-        ("real-table", "real irreducible character table"),
-        ("fs", "Frobenius-Schur indicators"),
-        ("fixed-points", "fixed-point dimensions for cyclic subgroups"),
-        ("verify", "run the brute-force verification suite"),
-    ]
-    for name, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("q", type=int, help="an odd prime")
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=["text", "json", "csv", "latex"],
-                       help="output format (default: text)")
-        p.add_argument("--max-enum", dest="max_enum", type=int,
-                       default=DEFAULT_MAX_ENUM,
-                       help="largest q for which the group is enumerated "
-                            f"(default: {DEFAULT_MAX_ENUM})")
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +163,6 @@ def _cmd_classes(args) -> int:
     return 0
 
 
-class _Rendered(dict):
-    """cell -> ``render(cell)``, each distinct cell rendered once."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, cell):
-        text = self[cell] = self.render(cell)
-        return text
-
-
 def _cmd_table(table, fmt: str) -> int:
     """Both character tables, in all four formats."""
     if fmt == "json":
@@ -215,35 +170,39 @@ def _cmd_table(table, fmt: str) -> int:
         return 0
     names = [str(lab) for lab in table.class_order]
     if fmt == "latex":
-        latex = _Rendered(lambda cell: f"${sym_latex(cell)}$")
+        latex = cache(lambda cell: f"${sym_latex(cell)}$")
         headers = [""] + [lab.latex() for lab in table.class_order]
-        rows = [[ch.latex(), *map(latex.__getitem__, cells)]
-                for ch, cells in table.cells.items()]
+        rows = ([ch.latex(), *map(latex, cells)]
+                for ch, cells in table.cells.items())
         _print_latex_table(headers, rows)
         return 0
-    text = _Rendered(sym_str)
+    text = cache(sym_str)
     if fmt == "csv":
         approx = table.serial_map()
-        rows = ([str(ch), name, text[cell], f"{v.real:.9g}", f"{v.imag:.9g}"]
+        rows = ([str(ch), name, text(cell), f"{v.real:.9g}", f"{v.imag:.9g}"]
                 for ch in table.chars
                 for name, cell, v in zip(names, table.cells[ch], approx[ch]))
         _print_csv(["char", "class", "value", "approx_re", "approx_im"],
                    rows, comment=_ADVISORY)
         return 0
-    rows = []
-    legend = {}
-    for ch in table.chars:
-        cells = table.cells[ch]
-        strs = list(map(text.__getitem__, cells))
-        for s, cell, v in zip(strs, cells, table.rows[ch]):
-            if cell[0] != "rat" and s not in legend:
-                legend[s] = v.approx()
-        rows.append([str(ch), *strs])
-    _print_text_table(["char", *names], rows)
-    if legend:
-        _write_lines(["", "decimal approximations (advisory):",
-                      *(f"  {s} = {_fmt_complex(z)}"
-                        for s, z in legend.items())])
+    # the rows share a few cell objects, and an id hashes far faster than
+    # a cell; a display cell is exact, so equal strings hold equal values
+    flat = chain.from_iterable
+    objects = dict(zip(map(id, flat(table.cells.values())),
+                       zip(flat(table.cells.values()),
+                           flat(table.rows.values()))))
+    shown = {i: text(cell) for i, (cell, _) in objects.items()}
+    legend = {shown[i]: v for i, (cell, v) in objects.items()
+              if cell[0] != "rat"}
+    head, widths = _text_layout(["char", *names], [
+        max(len(str(ch)) for ch in table.chars),
+        *(max(len(shown[i]) for i in set(map(id, column)))
+          for column in zip(*table.cells.values()))])
+    _write_lines(chain(head, (
+        _text_line([str(ch), *map(shown.__getitem__, map(id, cells))], widths)
+        for ch, cells in table.cells.items()),
+        ["", "decimal approximations (advisory):"] if legend else [],
+        (f"  {s} = {_fmt_complex(v.approx())}" for s, v in legend.items())))
     return 0
 
 
@@ -395,20 +354,86 @@ def _cmd_verify(args) -> int:
     return 0 if report.overall else 2
 
 
-_DISPATCH = {
-    "classes": _cmd_classes,
-    "char-table": lambda args: _cmd_table(complex_table(args.q), args.fmt),
-    "real-table": lambda args: _cmd_table(real_table(args.q), args.fmt),
-    "fs": _cmd_fs,
-    "fixed-points": _cmd_fixed_points,
-    "verify": _cmd_verify,
+# command -> (help line, handler); the help text is generated from it
+_COMMANDS = {
+    "classes": ("conjugacy classes: label, representative, order, size",
+                _cmd_classes),
+    "char-table": ("complex irreducible character table",
+                   lambda args: _cmd_table(complex_table(args.q), args.fmt)),
+    "real-table": ("real irreducible character table",
+                   lambda args: _cmd_table(real_table(args.q), args.fmt)),
+    "fs": ("Frobenius-Schur indicators", _cmd_fs),
+    "fixed-points": ("fixed-point dimensions for cyclic subgroups",
+                     _cmd_fixed_points),
+    "verify": ("run the brute-force verification suite", _cmd_verify),
 }
+_FORMATS = ("text", "json", "csv", "latex")
+_OPTIONS = ("--format", "--max-enum", "--help")
+_USAGE = "usage: sl2q {} q [--format F] [--max-enum N]"
+
+
+def _exit(command: str, error: str | None = None):
+    """Exit 1 after writing the usage line of ``command`` and ``error`` to
+    stderr, or, with no error, 0 after printing its help."""
+    if error:
+        print(_USAGE.format(command), f"sl2q: error: {error}", sep="\n",
+              file=sys.stderr)
+        raise SystemExit(1)
+    about = (["commands:", *(f"  {name:<14}{text}"
+                             for name, (text, _) in _COMMANDS.items())]
+             if command == "<command>" else [_COMMANDS[command][0]])
+    print(_USAGE.format(command), "", *about, "", "options:",
+          f"  --format F    {', '.join(_FORMATS)} (default: text)",
+          "  --max-enum N  largest q for which the group is enumerated "
+          f"(default: {DEFAULT_MAX_ENUM})", "  -h, --help    show this help",
+          sep="\n")
+    raise SystemExit(0)
+
+
+def _parse(argv) -> SimpleNamespace:
+    """``argv`` read as ``<command> q [--format F] [--max-enum N]``.  An
+    option may be abbreviated, written --format=F, and come before or after
+    q; a repeated option keeps its last value, and every argument after
+    "--" is positional."""
+    command, positional, rest = "<command>", [], iter(argv)
+    opts = {"--format": "text", "--max-enum": str(DEFAULT_MAX_ENUM)}
+    for arg in rest:
+        name, eq, text = arg.partition("=")
+        found = [o for o in _OPTIONS if len(name) > 2 and o.startswith(name)]
+        if arg == "-h" or found == ["--help"]:
+            _exit(command)
+        elif len(found) == 1:
+            opts[found[0]] = text if eq else next(rest, None)
+            if opts[found[0]] is None:
+                _exit(command, f"{found[0]} expects a value")
+        elif arg == "--" and command in _COMMANDS:
+            positional += rest
+        elif arg.startswith("-") and not arg[1:].isdigit():
+            _exit(command, f"unrecognized option {arg!r}")
+        elif command in _COMMANDS:
+            positional.append(arg)
+        elif arg in _COMMANDS:
+            command = arg
+        else:
+            _exit(command, f"expected a command ({', '.join(_COMMANDS)}), "
+                           f"got {arg!r}")
+    if len(positional) != 1:
+        _exit(command, f"expected a command and one q, got {argv}")
+    if opts["--format"] not in _FORMATS:
+        _exit(command, f"--format takes one of {', '.join(_FORMATS)}, "
+                       f"not {opts['--format']!r}")
+    try:
+        q, max_enum = int(positional[0]), int(opts["--max-enum"])
+    except ValueError as exc:
+        _exit(command, f"q and --max-enum take integers: {exc}")
+    return SimpleNamespace(command=command, q=q, fmt=opts["--format"],
+                           max_enum=max_enum)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = _DISPATCH[args.command](args)
+        code = _COMMANDS[args.command][1](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -308,6 +308,116 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == 1
 
 
+# each spelling next to its long form: the same parsed arguments and stdout
+SPELLINGS = [
+    (["classes", "5", "--format=json"], ["classes", "5", "--format", "json"]),
+    (["classes", "5", "--form", "json"], ["classes", "5", "--format", "json"]),
+    (["classes", "5", "--f=csv"], ["classes", "5", "--format", "csv"]),
+    (["fs", "7", "--max", "5"], ["fs", "7", "--max-enum", "5"]),
+    (["fs", "7", "--max-enum=5"], ["fs", "7", "--max-enum", "5"]),
+    (["fs", "--max-enum", "5", "7"], ["fs", "7", "--max-enum", "5"]),
+    (["fs", "--format", "latex", "7", "--m", "5"],
+     ["fs", "7", "--format", "latex", "--max-enum", "5"]),
+    (["fs", "7", "--max-enum=-1"], ["fs", "7", "--max-enum", "-1"]),
+    (["classes", " 5"], ["classes", "5"]),
+    (["classes", "+5"], ["classes", "5"]),
+    (["fs", "7", "--max-enum", "0_5"], ["fs", "7", "--max-enum", "5"]),
+    (["classes", "5", "--format", "json", "--format", "csv"],
+     ["classes", "5", "--format", "csv"]),
+    (["fs", "7", "--max-enum", "3", "--max", "11"],
+     ["fs", "7", "--max-enum", "11"]),
+    (["classes", "--", "3"], ["classes", "3"]),
+    (["classes", "3", "--"], ["classes", "3"]),
+    (["classes", "--format", "csv", "--", "5"],
+     ["classes", "5", "--format", "csv"]),
+]
+
+
+@pytest.mark.parametrize("argv, long_form", SPELLINGS,
+                         ids=[" ".join(argv) for argv, _ in SPELLINGS])
+def test_every_spelling_reads_as_its_long_form(capsys, argv, long_form):
+    assert vars(cli._parse(argv)) == vars(cli._parse(long_form))
+    assert run_cli(capsys, *argv) == run_cli(capsys, *long_form)
+
+
+def test_parsed_arguments_and_defaults():
+    args = cli._parse(["fs", "7", "--max-enum", "-1"])
+    assert vars(args) == {"command": "fs", "q": 7, "fmt": "text",
+                          "max_enum": -1}
+    assert cli._parse(["classes", "3"]).max_enum == sl2q.DEFAULT_MAX_ENUM
+
+
+def test_a_negative_q_reaches_the_prime_check(capsys):
+    code, out, err = run_cli(capsys, "classes", "-5")
+    assert (code, out) == (1, "")
+    assert err == "sl2q: error: q must be an odd prime, got -5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                        # no command
+    ["bogus", "3"],                            # unknown command
+    ["--", "classes", "3"],                    # no command before "--"
+    ["classes"],                               # missing q
+    ["classes", "x"],                          # q not an int
+    ["classes", "3.0"],
+    ["classes", "3", "--format", "yaml"],      # bad --format
+    ["classes", "3", "--format=", "json"],
+    ["classes", "3", "--format"],              # option without a value
+    ["classes", "3", "--max-enum"],
+    ["classes", "3", "--max-enum", "x"],
+    ["classes", "3", "--bogus"],               # unknown option
+    ["classes", "3", "-x"],
+    ["classes", "3", "4"],                     # extra positional
+    ["classes", "3", "--", "4"],
+])
+def test_usage_errors_print_usage_and_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: sl2q ")
+    assert error.startswith("sl2q: error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    *([command, "3", "--help"] for command in cli._COMMANDS),
+])
+def test_help_exits_zero_and_lists_what_can_be_asked(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    command = argv[0] if argv[0] in cli._COMMANDS else "<command>"
+    assert out.startswith(f"usage: sl2q {command} q ")
+    assert "--format F    text, json, csv, latex (default: text)" in out
+    assert f"(default: {sl2q.DEFAULT_MAX_ENUM})" in out
+    if command == "<command>":
+        for name, (text, _) in cli._COMMANDS.items():
+            assert f"  {name:<14}{text}\n" in out
+        assert len(cli._COMMANDS) == 6
+    else:
+        assert cli._COMMANDS[command][0] in out
+
+
+def test_the_cli_imports_no_argparse():
+    # argparse's set-up (gettext lookups, importing locale, compiling its
+    # regexes) cost more than the whole of a small command
+    proc = run_fresh("import contextlib, io, sys\n"
+                     "import sl2q.cli\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    assert sl2q.cli.main(['classes', '3']) == 0\n"
+                     "print(sorted({'argparse', 'gettext'}"
+                     " & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_console_script_wiring():
     # the child imports the same sl2q as this process, installed or not
     path = [str(Path(sl2q.__file__).parents[1]), os.environ.get("PYTHONPATH")]
