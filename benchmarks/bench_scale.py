@@ -7,8 +7,11 @@ Usage (from the repository root):
 Each command runs REPEATS times, each in a fresh child interpreter that
 imports sl2q from --src, with a wall-clock budget (BUDGET_S; the child is
 killed past it) and an address-space cap (CAP_MB, RLIMIT_AS in the child;
-the cap of a perfbench op).  Commands run one at a time.  A row is the
-run of median wall time, and records:
+the cap of a perfbench op).  A command whose first REPEATS runs all
+finish under SHORT_S runs SHORT_REPEATS times instead: whole-process
+wall time under a second spreads too widely for three runs to tell two
+trees apart.  Commands run one at a time.  A row is the run of median
+wall time, and records:
 
   argv         the CLI arguments
   status       "ok" (exit 0), "timeout" (killed at the budget), "oom"
@@ -51,17 +54,22 @@ ROOT = Path(__file__).resolve().parents[1]
 BUDGET_S = 120.0
 CAP_MB = 2048
 REPEATS = 3        # runs of each command per side; single runs drift ±40%
+SHORT_S = 1.0      # a command whose first runs all finish under this ...
+SHORT_REPEATS = 9  # ... runs this many times per side
 _CHUNK = 1 << 20   # stdout is hashed this many bytes at a time
 
 COMMANDS = [
     ["classes", "3"],   # interpreter start-up and argument parsing alone
+    ["verify", "13"],
     ["verify", "23"],
     ["verify", "31"],
     ["verify", "47"],
     ["verify", "71", "--max-enum", "71"],
     ["verify", "101", "--max-enum", "101"],
+    ["verify", "149", "--max-enum", "149"],
     ["char-table", "47"],
     ["real-table", "47"],
+    ["fs", "23"],
     ["fs", "37"],
     ["fs", "53"],
     ["char-table", "31", "--format", "csv"],
@@ -178,11 +186,16 @@ def main() -> int:
     rows = {label: [] for label, _ in sides}
     for i, argv in enumerate(COMMANDS):
         runs = {label: [] for label, _ in sides}
-        for turn in range(i * REPEATS, (i + 1) * REPEATS):
-            for label, src in sides[::-1] if turn % 2 else sides:
+        turn, turns = 0, REPEATS
+        while turn < turns:
+            for label, src in sides[::-1] if (i + turn) % 2 else sides:
                 row = run(argv, src, BUDGET_S, CAP_MB)
                 print(json.dumps({"label": label, **row}), flush=True)
                 runs[label].append(row)
+            turn += 1
+            if turn == REPEATS and all(r["wall_s"] < SHORT_S
+                                       for side in runs.values() for r in side):
+                turns = SHORT_REPEATS
         for label, side_runs in runs.items():
             rows[label].append(median_row(side_runs))
 
@@ -195,6 +208,8 @@ def main() -> int:
             "budget_s": BUDGET_S,
             "cap_mb": CAP_MB,
             "repeats": REPEATS,
+            "short_repeats": SHORT_REPEATS,
+            "short_s": SHORT_S,
             "rows": side_rows,
         }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

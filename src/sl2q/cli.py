@@ -53,9 +53,9 @@ _BLOCK = 1 << 16
 _ADVISORY = "# decimal approximations are advisory; exact values live in json mode"
 
 
-def _write_lines(lines) -> None:
-    """Write each string of ``lines`` and a newline to stdout, in writes
-    of about _BLOCK characters."""
+def _write_lines(lines, end: str = "\n") -> None:
+    """Write each string of ``lines`` and ``end`` to stdout, in writes of
+    about _BLOCK characters."""
     write = sys.stdout.write
     block, size = [], 0
     for line in lines:
@@ -63,11 +63,27 @@ def _write_lines(lines) -> None:
         size += len(line) + 1
         if size >= _BLOCK:
             block.append("")
-            write("\n".join(block))
+            write(end.join(block))
             block, size = [], 0
     if block:
         block.append("")
-        write("\n".join(block))
+        write(end.join(block))
+
+
+def _json_chunks(doc: dict):
+    """json.dumps(doc) in pieces: each item of a top-level list is
+    encoded on its own, so the document is never one string."""
+    encode = json.JSONEncoder().encode
+    for i, (key, value) in enumerate(doc.items()):
+        yield f"{', ' if i else '{'}{encode(key)}: "
+        if isinstance(value, list):
+            yield "["
+            for j, item in enumerate(value):
+                yield f"{', ' if j else ''}{encode(item)}"
+            yield "]"
+        else:
+            yield encode(value)
+    yield "}"
 
 
 def _text_line(cells, widths: list[int]) -> str:
@@ -306,7 +322,8 @@ def _print_fixed_point_text(report) -> None:
 def _cmd_fixed_points(args) -> int:
     report = full_report(args.q, args.max_enum)
     if args.fmt == "json":
-        print(json.dumps(report.to_json()))
+        # streamed: the whole document as one string doubled the peak
+        _write_lines(chain(_json_chunks(report.to_json()), ["\n"]), end="")
         return 0 if report.all_match else 2
     if args.fmt == "csv":
         _write_lines(_fixed_point_csv(report))

@@ -19,10 +19,14 @@ A group element is a ``GroupElem``: an immutable tuple ``(q, a, b, c, d)``
 with its entries reduced mod q.  It compares and hashes as that plain
 tuple, so ``GroupElem(7, 1, 2, 3, 0) == (7, 1, 2, 3, 0)``.  A product
 builds its result directly, without the constructor's primality check,
-but still checks the determinant.
+but still checks the determinant.  The brute-force oracle works on plain
+``(a, b, c, d)`` tuples instead and keys its |G|-sized arrays by rank
+(see "the brute-force oracle on rank-coded elements" below).
 """
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -302,46 +306,6 @@ def enumerate_group(q: int) -> tuple[GroupElem, ...]:
     return tuple(GroupElem(q, *t) for t in _lex_tuples(q))
 
 
-def _generators(q: int) -> tuple[GroupElem, GroupElem]:
-    """s = [[1,1],[0,1]] and t = [[1,0],[1,1]], which generate SL2(q).
-
-    SL2(Z) is generated by these two matrices and reduction mod q maps it
-    onto SL2(q); the verification suite confirms it by closure.
-    """
-    return GroupElem(q, 1, 1, 0, 1), GroupElem(q, 1, 0, 1, 1)
-
-
-def _orbit(x: GroupElem, moves) -> frozenset:
-    """The closure of {x} under the maps in moves, breadth first.
-
-    Each element met is passed through every map exactly once (the
-    standard orbit algorithm).  In a finite group, closure under a map
-    built from the generators is closure under the group they generate.
-    """
-    orbit = {x}
-    queue = [x]
-    for y in queue:   # the loop also reaches what is appended meanwhile
-        for move in moves:
-            z = move(y)
-            if z not in orbit:
-                orbit.add(z)
-                queue.append(z)
-    return frozenset(orbit)
-
-
-def _conjugation_orbit(x: GroupElem) -> frozenset:
-    """The conjugacy class of x: its orbit under conjugation by s and t,
-    four group products per member."""
-    return _orbit(x, [lambda y, g=g, ginv=g.inverse(): g * y * ginv
-                      for g in _generators(x.q)])
-
-
-def _generated_group(q: int) -> frozenset:
-    """The subgroup generated by s and t: the orbit of 1 under right
-    multiplication by each, two group products per element."""
-    return _orbit(identity(q), [lambda y, g=g: y * g for g in _generators(q)])
-
-
 @lru_cache(maxsize=8)
 def find_b(q: int) -> GroupElem:
     """First element of order q+1 in the lexicographic scan.
@@ -420,16 +384,125 @@ def class_of(g: GroupElem) -> ClassLabel:
     return label
 
 
+# ---------------------------------------------------------------------------
+# the brute-force oracle on rank-coded elements
+#
+# The oracle works on plain (a, b, c, d) tuples, trusted to have
+# determinant 1, and indexes every |G|-sized container by the rank of an
+# element in the _lex_tuples order.  s = [[1,1],[0,1]] and t = [[1,0],[1,1]]
+# generate SL2(Z), which maps onto SL2(q); the verification suite
+# confirms it by closure.
+
+_FREE = 0xFFFF   # the class index of a rank no orbit has reached
+
+# products made on tuples, added in bulk by each pass (a per-product
+# increment would cost a tenth of the product); the budget tests read it
+_tuple_products = [0]
+
+
+def _rank(q: int, g: tuple) -> int:
+    """(b-1)q + d when a = 0, q(q-1) + ((a-1)q + b)q + c otherwise."""
+    a, b, c, d = g
+    return (a * q + b) * q + (c if a else d) - q
+
+
+def _entries(q: int, r: int) -> tuple:
+    """The element of rank r, as (a, b, c, d)."""
+    ab, x = divmod(r + q, q)
+    a, b = divmod(ab, q)
+    if a:
+        return a, b, x, (1 + b * x) * pow(a, -1, q) % q
+    return 0, b, -pow(b, -1, q) % q, x
+
+
+def _elem(q: int, g: tuple) -> GroupElem:
+    """The GroupElem of a trusted tuple."""
+    return _new_tuple(GroupElem, (q, *g))
+
+
+def _mul(q: int, g: tuple, h: tuple) -> tuple:
+    """The product of two trusted tuples, with no determinant check."""
+    a, b, c, d = g
+    e, f, x, y = h
+    return ((a * e + b * x) % q, (a * f + b * y) % q,
+            (c * e + d * x) % q, (c * f + d * y) % q)
+
+
+def _power_ranks(q: int, g: tuple) -> list[int]:
+    """The ranks of g, g^2, ..., g^n = 1, n the order of g."""
+    h, walk, one = g, [_rank(q, g)], q * q - q   # one: the rank of 1
+    while walk[-1] != one:
+        h = _mul(q, h, g)
+        walk.append(_rank(q, h))
+    _tuple_products[0] += len(walk) - 1
+    return walk
+
+
+def _conjugates(q: int, g: tuple) -> tuple:
+    """s g s^-1 and t g t^-1, written out entry by entry."""
+    a, b, c, d = g
+    return (((a + c) % q, (b + d - a - c) % q, c, (d - c) % q),
+            ((a - b) % q, b, (a + c - b - d) % q, (b + d) % q))
+
+
+def _right_products(q: int, g: tuple) -> tuple:
+    """g s and g t."""
+    return _mul(q, g, (1, 1, 0, 1)), _mul(q, g, (1, 0, 1, 1))
+
+
+def _grow(q: int, marks, g: tuple, mark: int, moves) -> int:
+    """Set ``marks`` to ``mark`` at the rank of each element of the orbit
+    of g under ``moves`` (an element -> its images), breadth first; the
+    orbit's size.  Each element met passes through the moves once (the
+    standard orbit algorithm); in a finite group, closure under maps built
+    from the generators is closure under the group they generate."""
+    marks[_rank(q, g)] = mark
+    queue, size = deque([g]), 1
+    while queue:
+        for h in moves(q, queue.popleft()):
+            r = _rank(q, h)
+            if marks[r] != mark:
+                marks[r] = mark
+                queue.append(h)
+                size += 1
+    return size
+
+
+def _generated_ranks(q: int) -> bytearray:
+    """The subgroup generated by s and t, marked by rank: the orbit of 1
+    under right multiplication by each, two products per element."""
+    seen = bytearray(q ** 3 - q)
+    _tuple_products[0] += 2 * _grow(q, seen, (1, 0, 0, 1), 1, _right_products)
+    return seen
+
+
+@_cached_on_q
+def _class_indices(q: int) -> array:
+    """The index in ``representatives(q)`` of the class of each rank
+    (_FREE where no orbit reaches).
+
+    Each class is the orbit of its representative under conjugation by s
+    and t, four products per member; an orbit whose representative an
+    earlier orbit holds stays empty.
+    """
+    cls = array("H", [_FREE]) * (q ** 3 - q)
+    for i, rep in enumerate(representatives(q)):
+        g = rep.representative[1:]
+        if cls[_rank(q, g)] == _FREE:
+            _tuple_products[0] += 4 * _grow(q, cls, g, i, _conjugates)
+    return cls
+
+
 @_cached_on_q
 def conjugacy_partition(q: int):
-    """Orbit partition {label: frozenset of elements}.
-
-    Each class is the orbit of its representative under conjugation by
-    the generators s and t, about 4(q^3-q) products in all; G itself is
-    never built here.
-    """
-    return {cls.label: _conjugation_orbit(cls.representative)
-            for cls in representatives(q)}
+    """Orbit partition {label: frozenset of elements}, built from the
+    class of each rank; G itself is never built here."""
+    reps = representatives(q)
+    orbits = [[] for _ in reps]
+    for i, g in zip(_class_indices(q, q), _lex_tuples(q)):
+        if i != _FREE:
+            orbits[i].append(_elem(q, g))
+    return {cls.label: frozenset(orbit) for cls, orbit in zip(reps, orbits)}
 
 
 @_cached_on_q

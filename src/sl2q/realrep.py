@@ -34,8 +34,9 @@ from operator import add, mul
 from .chars import CharLabel, CharTable, complex_table, sym_add, sym_scale
 from .cyclo import CycNum
 from .grp import (
-    C, D, ONE, Z, ZC, ZD, ClassLabel, class_labels, representatives,
-    torus_indices, torus_order, DEFAULT_MAX_ENUM,
+    C, D, ONE, Z, ZC, ZD, ClassLabel, _class_indices, _lex_tuples, _mul,
+    _rank, _tuple_products, class_labels, representatives, torus_indices,
+    torus_order, DEFAULT_MAX_ENUM,
 )
 from .labels import _Label
 
@@ -153,11 +154,13 @@ def fs_indicator_brute(table: CharTable, char: CharLabel) -> int:
 @lru_cache(maxsize=8)
 def _square_label_counts(q: int, max_enum: int):
     """How many g in the whole group have g^2 in each class: a sum over
-    every element of the orbit partition, read from its lookup's keys."""
-    from .grp import class_label_lookup
-    lookup = class_label_lookup(q, max_enum)
-    assert len(lookup) == q ** 3 - q
-    return dict(Counter(lookup[g * g] for g in lookup))
+    every element, each square's class read by rank from the orbit
+    partition."""
+    index = _class_indices(q, max_enum)
+    counts = Counter(index[_rank(q, _mul(q, g, g))] for g in _lex_tuples(q))
+    _tuple_products[0] += q ** 3 - q
+    labels = class_labels(q)
+    return {labels[i]: n for i, n in counts.items()}
 
 
 def fs_indicator_raw(table: CharTable, char: CharLabel,

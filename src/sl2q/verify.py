@@ -3,25 +3,27 @@
 ``verify_all(q)`` enumerates SL2(q) and runs eleven independent checks,
 from the group order up through fixed-point dimensions.  Each check is
 crash-isolated: a failure (or an exception) is recorded and the rest of
-the suite still runs.  Checks 3, 10 and 11 read one walk of the cyclic
-subgroups, made on first use: each element's subgroup, and each
-subgroup's order, first generator, class-label counts and (at order 2q)
-element set; check 10 averages once per class profile, with the function
+the suite still runs.  The group passes run on plain (a, b, c, d) tuples,
+and every |G|-sized container is an array indexed by the element's rank
+(``grp._rank``).  Checks 3, 10 and 11 read one walk of the cyclic
+subgroups, made on first use: each rank's subgroup number, and each
+subgroup's order, a generator, class profile and (at order 2q) rank set;
+check 10 averages once per class profile, with the function
 ``full_report`` uses.  If the walk raises, each check that asks for it
-fails on its own; the class lookup it counts labels with is fetched in a
-guarded step, so a lookup that fails fails check 10 alone.
+fails on its own; the class indices it counts with are fetched in a
+guarded step, so a partition that fails still leaves check 3 its walk.
 
 The orbit partition takes each class as the orbit of its representative
 under conjugation by the two generators s = [[1,1],[0,1]] and
 t = [[1,0],[1,1]]; check 2 confirms that s and t generate the enumerated
-group, and that the orbits are disjoint, cover it and have the
-closed-form sizes.  The raw Frobenius-Schur sum in check 7 deliberately
-walks all q^3-q elements through that partition rather than trusting the
-fast classifier; it is the ground-truth layer under the two closed
-computations.
+group, and that the orbits cover it and have the closed-form sizes.  The
+raw Frobenius-Schur sum in check 7 deliberately walks all q^3-q elements
+through that partition rather than trusting the fast classifier; it is
+the ground-truth layer under the two closed computations.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
@@ -32,9 +34,10 @@ from .cyclo import dot
 from .fixdim import (_SUBGROUP_OF_CLASS, SubgroupKey, _averages, _profile,
                      fixed_dim_closed)
 from .grp import (
-    ZC, ZD, GroupElem, _generated_group, class_label_lookup, class_labels,
-    class_of, conjugacy_partition, element_order, enumerate_group, find_b,
-    powers, rep_a, rep_z, representatives, DEFAULT_MAX_ENUM,
+    _FREE, ZC, ZD, GroupElem, _check_enumerable, _class_indices, _elem,
+    _entries, _generated_ranks, _lex_tuples, _mul, _power_ranks, _rank,
+    _tuple_products, class_labels, class_of, element_order, find_b, rep_a,
+    rep_z, representatives, DEFAULT_MAX_ENUM,
 )
 from .realrep import (
     _power_class, fs_indicator_brute, fs_indicator_closed, fs_indicator_raw,
@@ -94,48 +97,57 @@ def _fail_list(bad: list, limit: int = 4) -> str:
     return shown + more
 
 
-def _cyclic_walks(G):
-    """Yield (g, i, walk) for each g of G, in order.
-
-    i numbers the cyclic subgroup <g> among those met so far.  When g is
-    the first element of G that generates <g>, walk is g, g^2, ..., g^n = 1;
-    otherwise it is None.  The power g^k generates <g> exactly when
-    gcd(k, n) = 1, so those elements are not walked again; each is kept
-    only until the scan reaches it.
-    """
-    pending = {}   # generator not yet reached -> number of its subgroup
-    count = 0
-    for g in G:
-        i = pending.pop(g, None)
-        if i is not None:
-            yield g, i, None
-            continue
-        walk = powers(g)
-        n = len(walk)
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                pending[walk[k - 1]] = count
-        yield g, count, walk
-        count += 1
+_UNWALKED = 0xFFFFFFFF   # the subgroup number of a rank not yet walked
 
 
 class _Subgroup(NamedTuple):
     order: int
-    generator: GroupElem   # the first element of G that generates it
-    counts: Counter        # class label (None off the lookup) -> elements
-    elements: frozenset | None   # kept at order 2q only, for check 11
+    generator: GroupElem   # the element it was numbered from
+    profile: frozenset     # ``fixdim._profile``; label None off the partition
+    elements: frozenset | None   # ranks, kept at order 2q only, for check 11
 
 
-def _walk_subgroups(G, label, q: int) -> tuple[list, list]:
-    """The number of each element's cyclic subgroup, in G's order, and the
-    subgroups by number, their labels counted by ``label``."""
-    number, subgroups = [], []
-    for g, i, walk in _cyclic_walks(G):
-        if walk is not None:
-            n = len(walk)
-            subgroups.append(_Subgroup(n, g, Counter(map(label, walk)),
-                                       frozenset(walk) if n == 2 * q else None))
-        number.append(i)
+def _walk_subgroups(q: int, cls) -> tuple[array, list]:
+    """The number of each rank's cyclic subgroup, and the subgroups by
+    number, each profile read once per distinct count from the class
+    indices ``cls`` (None puts every element under None).
+
+    The scan walks g, g^2, ..., g^n = 1 from each g not yet numbered.  The
+    power g^k generates <g^d>, d = gcd(k, n), whose elements are the
+    g^(dj); so one walk numbers each subgroup of <g> not numbered before,
+    at all of its generators, and every later generator is skipped.
+    """
+    label_of = {**dict(enumerate(class_labels(q))), _FREE: None}
+    profiles = {}     # sorted class indices -> profile
+    steps = {}        # n -> (d, the k < n/d with gcd(k, n/d) = 1) per d | n
+    number = array("I", [_UNWALKED]) * (q ** 3 - q)
+    subgroups = []
+    for r in range(len(number)):
+        if number[r] != _UNWALKED:
+            continue
+        g = _entries(q, r)
+        walk = _power_ranks(q, g)
+        n = len(walk)
+        if n not in steps:
+            steps[n] = [(d, [k for k in range(n // d)
+                             if gcd(k + 1, n // d) == 1])
+                        for d in range(1, n + 1) if n % d == 0]
+        classes = (list(map(cls.__getitem__, walk)) if cls is not None
+                   else [_FREE] * n)
+        for d, coprime in steps[n]:
+            if number[walk[d - 1]] != _UNWALKED:
+                continue
+            ranks = walk[d - 1::d]
+            i = len(subgroups)
+            for k in coprime:
+                number[ranks[k]] = i
+            key = tuple(sorted(classes[d - 1::d]))
+            if key not in profiles:
+                profiles[key] = _profile(Counter(map(label_of.get, key)))
+            m = len(ranks)
+            subgroups.append(_Subgroup(
+                m, _elem(q, g if d == 1 else _entries(q, ranks[0])),
+                profiles[key], frozenset(ranks) if m == 2 * q else None))
     return number, subgroups
 
 
@@ -160,40 +172,37 @@ def _generator_keys(q: int, lab, n: int) -> dict:
 def _profile_key_pairs(q: int, subgroups):
     """Each distinct (class profile, subgroup key) pair once, as
     (profile, key, subgroup, k): the first subgroup with the pair, whose
-    generator's k-th power has the key.  A profile is ``fixdim._profile``
-    of the class-label counts; class_of runs once per subgroup.
+    generator's k-th power has the key.  class_of runs once per subgroup,
+    and the keys once per (profile, class of a generator, order).
     """
-    keys_of = {}   # (class of a generator, its order) -> _generator_keys
+    done = set()
     seen = set()
     for sub in subgroups:
-        sig = _profile(sub.counts)
+        sig = sub.profile
         lab = class_of(sub.generator)
-        keys = keys_of.get((lab, sub.order))
-        if keys is None:
-            keys = keys_of[lab, sub.order] = _generator_keys(q, lab, sub.order)
-        for key, k in keys.items():
+        if (sig, lab, sub.order) in done:
+            continue
+        done.add((sig, lab, sub.order))
+        for key, k in _generator_keys(q, lab, sub.order).items():
             if (sig, key) not in seen:
                 seen.add((sig, key))
                 yield sig, key, sub, k
 
 
-def _order_2q_conjugates(part: dict) -> set:
-    """The distinct subgroups h<r>h^-1 for r in {zc, zd} and h in G.
-
-    h<r>h^-1 = <h r h^-1>, so these are the subgroups <x> for x in the
-    orbits of zc and zd in the partition ``part``.  An element of order
-    2q that lies in a cyclic subgroup of order 2q generates it, so an x
-    inside a subgroup already found adds nothing; only the first x of
-    each subgroup is walked.
+def _order_2q_conjugates(q: int, cls) -> set:
+    """The distinct subgroups h<r>h^-1 for r in {zc, zd} and h in G, as
+    frozensets of ranks: the <x> for x in the orbits of zc and zd in the
+    class indices ``cls``.  An x of order 2q generates any cyclic subgroup
+    of order 2q it lies in, so only the first x of each is walked.
     """
+    pair = {i for i, c in enumerate(representatives(q)) if c.label in (ZC, ZD)}
     target = set()
     covered = set()
-    for label in (ZC, ZD):
-        for x in part[label]:
-            if x not in covered:
-                S = frozenset(powers(x))
-                target.add(S)
-                covered |= S
+    for r, i in enumerate(cls):
+        if i in pair and r not in covered:
+            S = frozenset(_power_ranks(q, _entries(q, r)))
+            target.add(S)
+            covered |= S
     return target
 
 
@@ -203,22 +212,22 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         raise ValueError(
             f"q={q} exceeds the enumeration bound {max_enum}; "
             f"verification needs the full group")
-    G = enumerate_group(q, max_enum)
+    _check_enumerable(q, max_enum)
     order = q ** 3 - q
     checks: list[VerificationCheck] = []
 
     walked = None
 
     def subgroups() -> tuple:
-        """(element -> subgroup number, subgroups, lookup error), from one
+        """(rank -> subgroup number, subgroups, partition error), from one
         walk on first use, kept only once complete."""
         nonlocal walked
         if walked is None:
             try:
-                label, error = class_label_lookup(q, max_enum).get, None
+                cls, error = _class_indices(q, max_enum), None
             except Exception as exc:  # for check 10 to raise, and no other
-                label, error = (lambda h: None), exc
-            walked = (*_walk_subgroups(G, label, q), error)
+                cls, error = None, exc
+            walked = (*_walk_subgroups(q, cls), error)
         return walked
 
     def run(name, fn):
@@ -230,7 +239,11 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     # (1) group order
     def check_group_order():
-        n, ndist = len(G), len(set(G))
+        n, seen = 0, bytearray(order)
+        for n, (a, b, c, d) in enumerate(_lex_tuples(q), 1):
+            if (a * d - b * c) % q == 1:
+                seen[_rank(q, (a, b, c, d))] = 1
+        ndist = seen.count(1)
         ok = n == order == ndist
         return ok, f"|SL2({q})| = {n}, expected {order}, distinct {ndist}"
     run("group_order", check_group_order)
@@ -239,31 +252,27 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     # The orbits are taken under the generators s and t only, so their
     # closure must be all of G for the orbits to be the classes.
     def check_partition():
-        part = conjugacy_partition(q, max_enum)
+        index = _class_indices(q, max_enum)
         reps = representatives(q)
         bad = []
-        if _generated_group(q) != set(G):
+        if _generated_ranks(q) != bytearray(b"\1") * order:
             bad.append("s and t do not generate the enumerated group")
-        if set(part) != set(class_labels(q)):
+        if {cls.label for cls in reps} != set(class_labels(q)):
             bad.append("label set mismatch")
-        if len(part) != q + 4:
-            bad.append(f"{len(part)} classes, expected {q + 4}")
-        union = set()
-        total = 0
-        for cls in reps:
-            orbit = part[cls.label]
-            if len(orbit) != cls.size:
-                bad.append(f"|{cls.label}| = {len(orbit)}, expected {cls.size}")
-            if cls.representative not in orbit:
+        if len(reps) != q + 4:
+            bad.append(f"{len(reps)} classes, expected {q + 4}")
+        sizes = Counter(index)   # disjoint: each rank holds one class
+        for i, cls in enumerate(reps):
+            if sizes[i] != cls.size:
+                bad.append(f"|{cls.label}| = {sizes[i]}, expected {cls.size}")
+            if index[_rank(q, cls.representative[1:])] != i:
                 bad.append(f"representative of {cls.label} not in its orbit")
             if element_order(cls.representative) != cls.element_order:
                 bad.append(f"order of {cls.label} rep is "
                            f"{element_order(cls.representative)}, "
                            f"expected {cls.element_order}")
-            union |= orbit
-            total += len(orbit)
-        if not (total == len(union) == order):
-            bad.append(f"orbits cover {len(union)} of {order} elements")
+        if sizes[_FREE]:
+            bad.append(f"orbits cover {order - sizes[_FREE]} of {order} elements")
         if bad:
             return False, _fail_list(bad)
         sizes = ",".join(str(c.size) for c in reps)
@@ -274,8 +283,8 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     def check_involution():
         z = rep_z(q)
         number, subs, _ = subgroups()
-        invs = [g for g, i in zip(G, number) if subs[i].order == 2]
-        ok = invs == [z]
+        invs = [r for r, i in enumerate(number) if subs[i].order == 2]
+        ok = invs == [_rank(q, z[1:])]
         ok = ok and rep_a(q) ** ((q - 1) // 2) == z
         ok = ok and find_b(q) ** ((q + 1) // 2) == z
         side = ("a^((q-1)/2) = z (z lies in the split torus chain)"
@@ -286,16 +295,20 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     # (4) square and inverse class maps, elementwise
     def check_maps():
-        lookup = class_label_lookup(q, max_enum)
-        sq = square_class_map(q)
-        inv = inverse_class_map(q)
+        index = _class_indices(q, max_enum)
+        labels = class_labels(q)
+        at = {lab: i for i, lab in enumerate(labels)}
+        sq = [at[square_class_map(q)[lab]] for lab in labels]
+        inv = [at[inverse_class_map(q)[lab]] for lab in labels]
         bad = []
-        for g in G:
-            lab = lookup[g]
-            if lookup[g * g] != sq[lab]:
-                bad.append(f"square map wrong on {g!r}")
-            if lookup[g.inverse()] != inv[lab]:
-                bad.append(f"inverse map wrong on {g!r}")
+        for r, g in enumerate(_lex_tuples(q)):
+            i = index[r]
+            if index[_rank(q, _mul(q, g, g))] != sq[i]:
+                bad.append(f"square map wrong on {_elem(q, g)!r}")
+            a, b, c, d = g
+            if index[_rank(q, (d, -b % q, -c % q, a))] != inv[i]:
+                bad.append(f"inverse map wrong on {_elem(q, g)!r}")
+        _tuple_products[0] += order
         if bad:
             return False, _fail_list(bad)
         return True, f"g -> g^2 and g -> g^-1 agree classwise for all {order} elements"
@@ -428,11 +441,12 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         rt = real_table(q)
         memo = {}   # class profile -> averages, shared by conjugate subgroups
         bad = []
-        for _, skey, sub, k in _profile_key_pairs(q, subs):
+        for profile, skey, sub, k in _profile_key_pairs(q, subs):
+            counts = dict(profile)
             try:
-                if None in sub.counts:
+                if None in counts:
                     raise ValueError("meets an element outside every orbit")
-                avgs = _averages(rt, sub.counts, memo)
+                avgs = _averages(rt, counts, memo)
             except ValueError as exc:
                 bad.append(f"<{sub.generator!r}> under {skey}: {exc}")
                 continue
@@ -450,16 +464,17 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     # (11) order-2q subgroups are conjugates of <zc> or <zd>
     def check_order_2q():
-        target = _order_2q_conjugates(conjugacy_partition(q, max_enum))
+        target = _order_2q_conjugates(q, _class_indices(q, max_enum))
         number, subs, _ = subgroups()
         n = 0
         bad = []
-        for g, i in zip(G, number):
+        for r, i in enumerate(number):
             if subs[i].order != 2 * q:
                 continue
             n += 1
             if subs[i].elements not in target:
-                bad.append(f"<{g!r}> not conjugate to <zc> or <zd>")
+                bad.append(f"<{_elem(q, _entries(q, r))!r}> not conjugate "
+                           f"to <zc> or <zd>")
         if bad:
             return False, _fail_list(bad)
         return True, (f"{n} elements of order {2 * q}, {len(target)} subgroup "

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from sl2q.fq import is_odd_prime
-from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, GroupElem, _generated_group,
-                      _lex_tuples, class_label_lookup, class_labels, class_of,
+from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, GroupElem, _conjugates,
+                      _entries, _generated_ranks, _lex_tuples, _mul,
+                      _power_ranks, _rank, class_label_lookup, class_labels,
+                      class_of,
                       class_order, conjugacy_partition, element_order,
                       enumerate_group, find_b, identity, parse_class_label,
                       powers, rep_a, rep_c, rep_d, rep_z, rep_zc, rep_zd,
@@ -77,6 +79,35 @@ def test_product_checks_the_determinant_of_forged_operands():
         g * forged
     with pytest.raises(ValueError):
         forged * g
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_rank_and_entries_are_inverse_in_lex_order(q):
+    # ranks run over range(q^3 - q) in the order _lex_tuples yields
+    order = q ** 3 - q
+    assert [_rank(q, g) for g in _lex_tuples(q)] == list(range(order))
+    assert [_entries(q, r) for r in range(order)] == list(_lex_tuples(q))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_tuple_product_is_the_group_product(q):
+    G = enumerate_group(q)
+    if q <= 5:
+        pairs = [(g, h) for g in G for h in G]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.choice(G), rng.choice(G)) for _ in range(2000)]
+    for g, h in pairs:
+        assert _mul(q, g[1:], h[1:]) == (g * h)[1:]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_written_out_conjugations_and_power_walk(q):
+    s, t = GroupElem(q, 1, 1, 0, 1), GroupElem(q, 1, 0, 1, 1)
+    for g in enumerate_group(q):
+        assert _conjugates(q, g[1:]) == ((s * g * s.inverse())[1:],
+                                         (t * g * t.inverse())[1:])
+        assert _power_ranks(q, g[1:]) == [_rank(q, h[1:]) for h in powers(g)]
 
 
 def test_class_labels_shape():
@@ -182,7 +213,7 @@ def test_orbit_partition_equals_the_direct_expansion(q):
 
 @pytest.mark.parametrize("q", Q_SMALL)
 def test_s_and_t_generate_the_group(q):
-    assert _generated_group(q) == set(enumerate_group(q))
+    assert _generated_ranks(q) == bytearray(b"\1") * len(enumerate_group(q))
 
 
 def test_partition_and_lookup_keep_the_enumeration_bound():

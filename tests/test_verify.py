@@ -11,11 +11,11 @@ import pytest
 
 import sl2q
 from sl2q.fixdim import subgroup_key_of
-from sl2q.grp import (class_label_lookup, class_of, conjugacy_partition,
+from sl2q.grp import (_class_indices, class_label_lookup, class_of,
                       element_order, enumerate_group, powers, rep_zc, rep_zd)
-from sl2q.verify import (VerificationReport, _cyclic_walks,
-                         _generator_keys, _order_2q_conjugates,
-                         _profile_key_pairs, _walk_subgroups, verify_all)
+from sl2q.verify import (VerificationReport, _generator_keys,
+                         _order_2q_conjugates, _profile_key_pairs,
+                         _walk_subgroups, verify_all)
 
 CHECK_NAMES = [
     "group_order", "class_partition", "unique_involution",
@@ -130,26 +130,28 @@ def test_report_text_is_byte_stable(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_shared_subgroups_equal_the_full_expansion(q):
     G = enumerate_group(q)
+    rank = {g: r for r, g in enumerate(G)}   # G is in rank order
+
+    def ranks(g):
+        return frozenset(rank[h] for h in powers(g))
+
     # check 11: every conjugate of <zc> and <zd>, with no de-duplication
     full = set()
     for r in (rep_zc(q), rep_zd(q)):
         S = powers(r)
         for h in G:
             hinv = h.inverse()
-            full.add(frozenset(h * x * hinv for x in S))
-    assert _order_2q_conjugates(conjugacy_partition(q)) == full
+            full.add(frozenset(rank[h * x * hinv] for x in S))
+    assert _order_2q_conjugates(q, _class_indices(q)) == full
     # checks 3, 10 and 11: <g> as if walked from g itself, for every g
-    walks = []
-    seen = []
-    for g, i, walk in _cyclic_walks(G):
-        seen.append(g)
-        if walk is not None:
-            assert i == len(walks)
-            walks.append(frozenset(walk))
-        assert walks[i] == frozenset(powers(g))
-        assert len(walks[i]) == element_order(g)
-    assert seen == list(G)
-    assert len(walks) == len({frozenset(powers(g)) for g in G})
+    number, subgroups = _walk_subgroups(q, _class_indices(q))
+    assert len(number) == len(G)
+    for g, i in zip(G, number):
+        sub = subgroups[i]
+        assert ranks(sub.generator) == ranks(g)
+        assert sub.order == len(ranks(g)) == element_order(g)
+        assert sub.elements == (ranks(g) if sub.order == 2 * q else None)
+    assert len(subgroups) == len({ranks(g) for g in G})
 
 
 def _profile(counts) -> frozenset:
@@ -165,13 +167,13 @@ def test_fixed_dims_tests_every_profile_key_pair_of_the_elements(q):
     lookup = class_label_lookup(q)
     want = {(_profile(Counter(lookup[h] for h in powers(g))),
              subgroup_key_of(g)) for g in G}
-    number, subgroups = _walk_subgroups(G, lookup.get, q)
+    number, subgroups = _walk_subgroups(q, _class_indices(q))
     assert len(number) == len(G)
     got = []
     for sig, key, sub, k in _profile_key_pairs(q, subgroups):
         got.append((sig, key))
         assert subgroup_key_of(sub.generator ** k) == key
-        assert _profile(sub.counts) == sig
+        assert sub.profile == sig
     assert len(got) == len(set(got))
     assert set(got) == want
     # and per subgroup, the keys of all its generators
@@ -191,14 +193,17 @@ def test_class_lookup_crash_fails_only_the_checks_that_read_it(monkeypatch):
     def broken(q, max_enum=50):
         raise RuntimeError("no lookup")
 
-    monkeypatch.setattr(grp, "class_label_lookup", broken)
-    monkeypatch.setattr(verify, "class_label_lookup", broken)
-    # the raw indicator reads the lookup through a per-q cache
+    for module in (grp, realrep, verify):
+        monkeypatch.setattr(module, "_class_indices", broken)
+    # the raw indicator reads the classes through a per-q cache
     realrep._square_label_counts.cache_clear()
     report = verify_all(5)
     realrep._square_label_counts.cache_clear()
     failed = [c.name for c in report.checks if not c.passed]
-    assert failed == ["square_inverse_maps", "fs_indicators", "fixed_dims"]
+    # every check that reads the class of an element, and the walk's
+    # involution count still passes
+    assert failed == ["class_partition", "square_inverse_maps",
+                      "fs_indicators", "fixed_dims", "order_2q_subgroups"]
     assert all(c.details == "crashed: RuntimeError('no lookup')"
                for c in report.checks if not c.passed)
 
@@ -206,10 +211,10 @@ def test_class_lookup_crash_fails_only_the_checks_that_read_it(monkeypatch):
 def test_subgroup_walk_crash_fails_only_its_checks(monkeypatch):
     import sl2q.verify as verify
 
-    def broken(G):
+    def broken(q, cls):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(verify, "_cyclic_walks", broken)
+    monkeypatch.setattr(verify, "_walk_subgroups", broken)
     report = verify_all(3)
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["unique_involution", "fixed_dims", "order_2q_subgroups"]
@@ -223,7 +228,7 @@ from sl2q import grp
 from sl2q.grp import GroupElem
 from sl2q.verify import verify_all
 {setup}
-calls = 0
+calls = 0   # GroupElem products; grp._tuple_products counts those on tuples
 product = GroupElem.__mul__
 def counted(g, h):
     global calls
@@ -231,7 +236,7 @@ def counted(g, h):
     return product(g, h)
 GroupElem.__mul__ = counted
 {work}
-print(calls)
+print(calls + grp._tuple_products[0])
 """
 _COUNT_PRODUCTS = _COUNT_PRODUCTS_OF.format(
     setup="", work="assert verify_all(11).overall")
@@ -249,20 +254,27 @@ def _run_fresh(program: str) -> str:
 
 def test_group_product_budget_of_verify():
     # a count, not a timing: the group products verify_all(11) makes from
-    # cold caches, in a fresh interpreter (197,422 before the oracle
-    # stopped re-deriving orders and conjugate subgroups; 18,423 while
-    # the cyclic subgroups were walked twice and each order-2q subgroup
-    # again per element; 13,409 with one walk)
-    assert int(_run_fresh(_COUNT_PRODUCTS)) <= 14_000
+    # cold caches, in a fresh interpreter, on GroupElems and on tuples
+    # (197,422 before the oracle stopped re-deriving orders and conjugate
+    # subgroups; 18,423 while the cyclic subgroups were walked twice and
+    # each order-2q subgroup again per element; 13,409 with one walk;
+    # 12,794 once a walk numbers every subgroup of the subgroup it walks:
+    # 5,280 for the partition, 2,640 for the closure of {s, t}, 1,320 each
+    # for check 4 and the raw indicator, 1,771 for the walk, 252 for
+    # check 11 and 211 on GroupElems)
+    # (the floor holds the count to the work: a pass that stopped
+    # counting its tuple products would pass a ceiling alone)
+    assert 10_560 <= int(_run_fresh(_COUNT_PRODUCTS)) <= 13_000
 
 
 def test_group_product_budget_of_conjugacy_partition():
     # the orbits under conjugation by the two generators cost about
-    # 4(q^3-q) = 5,280 products at q = 11 (39,675 when every class was
-    # expanded by conjugating with all of G)
+    # 4(q^3-q) = 5,280 products at q = 11, counted as two per written-out
+    # conjugation (39,675 when every class was expanded by conjugating
+    # with all of G)
     program = _COUNT_PRODUCTS_OF.format(
         setup="", work="assert len(grp.conjugacy_partition(11)) == 15")
-    assert int(_run_fresh(program)) <= 6_000
+    assert 5_280 <= int(_run_fresh(program)) <= 6_000
 
 
 def test_group_product_budget_of_class_of_at_trace_two():
@@ -280,10 +292,8 @@ _S_ONLY_ORBITS = """
 import json
 from sl2q import grp
 from sl2q.verify import verify_all
-def s_only(x):
-    s = grp._generators(x.q)[0]
-    return grp._orbit(x, [lambda y: s * y * s.inverse()])
-grp._conjugation_orbit = s_only
+conjugates = grp._conjugates
+grp._conjugates = lambda q, g: conjugates(q, g)[:1]
 report = verify_all(7)
 print(json.dumps([[c.name, c.passed] for c in report.checks]))
 """
@@ -302,8 +312,12 @@ def test_partition_from_one_generator_fails_class_partition():
 def test_partition_check_needs_s_and_t_to_generate_the_group(monkeypatch):
     import sl2q.verify as verify
 
-    monkeypatch.setattr(verify, "_generated_group",
-                        lambda q: {verify.rep_z(q)})
+    def z_only(q):
+        marks = bytearray(q ** 3 - q)
+        marks[verify._rank(q, verify.rep_z(q)[1:])] = 1
+        return marks
+
+    monkeypatch.setattr(verify, "_generated_ranks", z_only)
     report = verify_all(3)
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == ["class_partition"]
