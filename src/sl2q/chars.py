@@ -35,7 +35,6 @@ sums).  ``CharTable.from_json`` loads either.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -55,9 +54,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CharLabel(_Label):
     """Row name: one of 1, psi, chi_i, theta_j, xi_1, xi_2, eta_1, eta_2."""
+    __slots__ = ()
     _NAMES = {
         "1": ("1", r"\mathbf{{1}}", None), "psi": ("psi", r"\psi", None),
         "chi": ("chi_{}", r"\chi_{{{}}}", 1),

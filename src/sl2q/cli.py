@@ -31,7 +31,7 @@ import sys
 from functools import cache
 from itertools import chain, repeat
 from operator import methodcaller
-from types import SimpleNamespace
+from types import GeneratorType, SimpleNamespace
 
 from .chars import complex_table, sym_latex, sym_str
 from .fixdim import full_report
@@ -71,12 +71,12 @@ def _write_lines(lines, end: str = "\n") -> None:
 
 
 def _json_chunks(doc: dict):
-    """json.dumps(doc) in pieces: each item of a top-level list is
-    encoded on its own, so the document is never one string."""
+    """json.dumps(doc) in pieces: each item of a top-level list or
+    generator is encoded on its own, so the document is never one string."""
     encode = json.JSONEncoder().encode
     for i, (key, value) in enumerate(doc.items()):
         yield f"{', ' if i else '{'}{encode(key)}: "
-        if isinstance(value, list):
+        if isinstance(value, (list, GeneratorType)):
             yield "["
             for j, item in enumerate(value):
                 yield f"{', ' if j else ''}{encode(item)}"
@@ -322,8 +322,9 @@ def _print_fixed_point_text(report) -> None:
 def _cmd_fixed_points(args) -> int:
     report = full_report(args.q, args.max_enum)
     if args.fmt == "json":
-        # streamed: the whole document as one string doubled the peak
-        _write_lines(chain(_json_chunks(report.to_json()), ["\n"]), end="")
+        # streamed row by row: the document or its rows held whole add MBs
+        _write_lines(chain(_json_chunks(report.to_json(lazy=True)), ["\n"]),
+                     end="")
         return 0 if report.all_match else 2
     if args.fmt == "csv":
         _write_lines(_fixed_point_csv(report))

@@ -24,7 +24,6 @@ gcd(q-1, l) for the same quantity.  The oracle decides (+1 is correct).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd
@@ -36,7 +35,7 @@ from .grp import (
     DEFAULT_MAX_ENUM,
 )
 from .chars import CharTable, _json_schema
-from .labels import _Label
+from .labels import _Label, _Record
 from .realrep import RealCharLabel, real_char_labels, real_table
 
 __all__ = [
@@ -47,9 +46,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SubgroupKey(_Label):
     """Canonical name of a cyclic subgroup up to conjugacy."""
+    __slots__ = ()
     _NAMES = {
         "TrivialH": ("TrivialH", r"\{{1\}}", None),
         "ZH": ("ZH", r"\langle z\rangle", None),
@@ -108,14 +107,9 @@ def _check_key_range(q: int, key: SubgroupKey) -> None:
         raise ValueError(f"{key.kind} index {key.index} out of range for q={q}")
 
 
-@dataclass(frozen=True)
-class SubgroupDesc:
-    """A concrete cyclic subgroup: generator and its full power list."""
-    q: int
-    key: SubgroupKey
-    order: int
-    generator: GroupElem
-    elements: tuple  # tuple[GroupElem, ...]: g, g^2, ..., 1 for g the generator
+class SubgroupDesc(_Record):
+    """A concrete cyclic subgroup: generator g and its powers g, ..., 1."""
+    __slots__ = _FIELDS = ("q", "key", "order", "generator", "elements")
 
     def __str__(self):
         return f"{self.key} (order {self.order}) in SL2({self.q})"
@@ -325,18 +319,20 @@ class FixedDimTable:
     def all_match(self) -> bool:
         return self.oracle is None or self.oracle == self.closed
 
-    def to_json(self) -> dict:
+    def to_json(self, lazy: bool = False) -> dict:
         """The table as a JSON document (schema 2): the subgroup keys once,
         then one row per character with its closed and oracle values in
-        key order; a row's ``oracle`` is null past the enumeration bound."""
+        key order; a row's ``oracle`` is null past the enumeration bound.
+        With ``lazy``, "rows" is a generator, to encode row by row."""
+        rows = ({"char": str(c), "closed": list(closed),
+                 "oracle": None if self.oracle is None else list(oracle)}
+                for c, closed, oracle in self.rows())
         return {
             "schema": 2,
             "q": self.q,
             "subgroups": [{"key": str(k), "order": _closed_order(self.q, k)}
                           for k in self.keys],
-            "rows": [{"char": str(c), "closed": list(closed),
-                      "oracle": None if self.oracle is None else list(oracle)}
-                     for c, closed, oracle in self.rows()],
+            "rows": rows if lazy else list(rows),
             "notes": list(self.notes),
         }
 

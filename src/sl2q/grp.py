@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
@@ -37,7 +36,7 @@ from .fq import (
     FqElem, _prime_factors, inverse, is_odd_prime, is_quadratic_residue,
     primitive_root,
 )
-from .labels import _Label
+from .labels import _Label, _Record
 
 __all__ = [
     "GroupElem", "ClassLabel", "ConjClass",
@@ -79,6 +78,9 @@ class GroupElem(tuple):
         if (a * d - b * c) % q != 1:
             raise ValueError(f"determinant must be 1: ({a},{b},{c},{d}) mod {q}")
         return _new_tuple(cls, (q, a, b, c, d))
+
+    def __getnewargs__(self):   # pickle and copy rebuild through __new__
+        return tuple(self)
 
     q = property(itemgetter(0))
     a = property(itemgetter(1))
@@ -140,9 +142,9 @@ class GroupElem(tuple):
         return f"GroupElem({self.q}, {self.a}, {self.b}, {self.c}, {self.d})"
 
 
-@dataclass(frozen=True)
 class ClassLabel(_Label):
     """Conjugacy-class name: one of 1, z, c, d, zc, zd, a^l, b^m."""
+    __slots__ = ()
     _NAMES = {k: (k, k, None) for k in ("1", "z", "c", "d", "zc", "zd")} | {
         "a": ("a^{}", "a^{{{}}}", 1), "b": ("b^{}", "b^{{{}}}", 1)}
 
@@ -185,12 +187,8 @@ def class_labels(q: int) -> list[ClassLabel]:
                                      for k in torus_indices(q, kind)]
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    label: ClassLabel
-    representative: GroupElem
-    size: int
-    element_order: int
+class ConjClass(_Record):
+    __slots__ = _FIELDS = ("label", "representative", "size", "element_order")
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +489,14 @@ def _class_indices(q: int) -> array:
         if cls[_rank(q, g)] == _FREE:
             _tuple_products[0] += 4 * _grow(q, cls, g, i, _conjugates)
     return cls
+
+
+@_cached_on_q
+def _square_classes(q: int) -> array:
+    """``_class_indices`` of g^2, by the rank of g: one pass of squares."""
+    index = _class_indices(q, q)
+    _tuple_products[0] += q ** 3 - q
+    return array("H", (index[_rank(q, _mul(q, g, g))] for g in _lex_tuples(q)))
 
 
 @_cached_on_q

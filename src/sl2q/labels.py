@@ -17,18 +17,50 @@ different families never compare equal, whatever their kind and index.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 # an indexed name: the text before the index, the index (no sign, no
 # leading zero) and a tail without digits
 _INDEXED = re.compile(r"(.*?)(0|[1-9][0-9]*)(\D*)")
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class _Label:
-    kind: str
-    index: int = 0
 
+class _Record:
+    """A frozen record of ``_FIELDS`` (also its ``__slots__``), built
+    positionally, equal only within its class, pickled by ``__reduce__``."""
+    __slots__ = _FIELDS = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._FIELDS, values, strict=True):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._FIELDS, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Label(_Record):
+    __slots__ = _FIELDS = ("kind", "index")
+    # dict keys on every path: __init__, == and hash are written out below
     _NAMES = {}   # kind -> (text, latex, first index or None)
     _STEP = 1
 
@@ -38,17 +70,27 @@ class _Label:
         cls._PARSE = {text if first is None else tuple(text.split("{}")): kind
                       for kind, (text, _, first) in cls._NAMES.items()}
 
-    def __post_init__(self):
-        name = self._NAMES.get(self.kind)
+    def __init__(self, kind: str, index: int = 0):
+        _set(self, "kind", kind)
+        _set(self, "index", index)
+        name = self._NAMES.get(kind)
         if name is None:
-            raise ValueError(f"unknown {type(self).__name__} kind {self.kind!r}")
+            raise ValueError(f"unknown {type(self).__name__} kind {kind!r}")
         first = name[2]
         if first is None:
-            if self.index:
-                raise ValueError(f"{self!r}: kind {self.kind!r} takes no index")
-        elif self.index < first or (self.index - first) % self._STEP:
-            raise ValueError(f"{self!r}: kind {self.kind!r} takes the index "
+            if index:
+                raise ValueError(f"{self!r}: kind {kind!r} takes no index")
+        elif index < first or (index - first) % self._STEP:
+            raise ValueError(f"{self!r}: kind {kind!r} takes the index "
                              f"{first}, {first + self._STEP}, ...")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.index))
 
     def __str__(self):
         return self._NAMES[self.kind][0].format(self.index)

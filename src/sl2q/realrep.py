@@ -27,18 +27,16 @@ is another name for ``CharTable``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul
 
 from .chars import CharLabel, CharTable, complex_table, sym_add, sym_scale
 from .cyclo import CycNum
 from .grp import (
-    C, D, ONE, Z, ZC, ZD, ClassLabel, _class_indices, _lex_tuples, _mul,
-    _rank, _tuple_products, class_labels, representatives, torus_indices,
-    torus_order, DEFAULT_MAX_ENUM,
+    C, D, ONE, Z, ZC, ZD, ClassLabel, _square_classes, class_labels,
+    representatives, torus_indices, torus_order, DEFAULT_MAX_ENUM,
 )
-from .labels import _Label
+from .labels import _Label, _Record
 
 __all__ = [
     "RealCharLabel", "RealCharTable", "RealClassPartition",
@@ -97,11 +95,9 @@ def inverse_class_map(q: int) -> dict:
     return inv
 
 
-@dataclass(frozen=True)
-class RealClassPartition:
-    """Orbits of the inversion map on conjugacy classes."""
-    q: int
-    blocks: tuple  # tuple[frozenset[ClassLabel], ...] in table order
+class RealClassPartition(_Record):
+    """Orbits of the inversion map on classes, as frozensets in table order."""
+    __slots__ = _FIELDS = ("q", "blocks")
 
     @property
     def count(self) -> int:
@@ -153,12 +149,8 @@ def fs_indicator_brute(table: CharTable, char: CharLabel) -> int:
 
 @lru_cache(maxsize=8)
 def _square_label_counts(q: int, max_enum: int):
-    """How many g in the whole group have g^2 in each class: a sum over
-    every element, each square's class read by rank from the orbit
-    partition."""
-    index = _class_indices(q, max_enum)
-    counts = Counter(index[_rank(q, _mul(q, g, g))] for g in _lex_tuples(q))
-    _tuple_products[0] += q ** 3 - q
+    """How many g in G have g^2 in each class, by the orbit partition."""
+    counts = Counter(_square_classes(q, max_enum))
     labels = class_labels(q)
     return {labels[i]: n for i, n in counts.items()}
 
@@ -201,10 +193,10 @@ def _closed_fs_weights(q: int) -> dict:
 # ---------------------------------------------------------------------------
 # real character labels
 
-@dataclass(frozen=True)
 class RealCharLabel(_Label):
     """Row name in the real table; a chi/theta kind carries the index of
     its complex character, even on chi_i, theta_j and odd on 2chi_i, 2theta_j."""
+    __slots__ = ()
     _NAMES = {
         "triv": ("1", r"\mathbf{{1}}", None), "psi": ("psi", r"\psi", None),
         "chi_even": ("chi_{}", r"\chi_{{{}}}", 2),

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -35,10 +34,11 @@ from .fixdim import (_SUBGROUP_OF_CLASS, SubgroupKey, _averages, _profile,
                      fixed_dim_closed)
 from .grp import (
     _FREE, ZC, ZD, GroupElem, _check_enumerable, _class_indices, _elem,
-    _entries, _generated_ranks, _lex_tuples, _mul, _power_ranks, _rank,
-    _tuple_products, class_labels, class_of, element_order, find_b, rep_a,
+    _entries, _generated_ranks, _lex_tuples, _power_ranks, _rank,
+    _square_classes, class_labels, class_of, element_order, find_b, rep_a,
     rep_z, representatives, DEFAULT_MAX_ENUM,
 )
+from .labels import _Record
 from .realrep import (
     _power_class, fs_indicator_brute, fs_indicator_closed, fs_indicator_raw,
     inverse_class_map, real_classes, real_table, square_class_map,
@@ -47,17 +47,12 @@ from .realrep import (
 __all__ = ["VerificationCheck", "VerificationReport", "verify_all"]
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
-    name: str
-    passed: bool
-    details: str
+class VerificationCheck(_Record):
+    __slots__ = _FIELDS = ("name", "passed", "details")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    q: int
-    checks: tuple  # tuple[VerificationCheck, ...]
+class VerificationReport(_Record):
+    __slots__ = _FIELDS = ("q", "checks")   # checks: VerificationChecks
 
     @property
     def overall(self) -> bool:
@@ -87,8 +82,7 @@ class VerificationReport:
         lines.append(f"overall: {'PASS' if self.overall else 'FAIL'}")
         return "\n".join(lines)
 
-    def __str__(self):
-        return self.to_text()
+    __str__ = to_text
 
 
 def _fail_list(bad: list, limit: int = 4) -> str:
@@ -296,6 +290,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     # (4) square and inverse class maps, elementwise
     def check_maps():
         index = _class_indices(q, max_enum)
+        square = _square_classes(q, max_enum)
         labels = class_labels(q)
         at = {lab: i for i, lab in enumerate(labels)}
         sq = [at[square_class_map(q)[lab]] for lab in labels]
@@ -303,12 +298,11 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         bad = []
         for r, g in enumerate(_lex_tuples(q)):
             i = index[r]
-            if index[_rank(q, _mul(q, g, g))] != sq[i]:
+            if square[r] != sq[i]:
                 bad.append(f"square map wrong on {_elem(q, g)!r}")
             a, b, c, d = g
             if index[_rank(q, (d, -b % q, -c % q, a))] != inv[i]:
                 bad.append(f"inverse map wrong on {_elem(q, g)!r}")
-        _tuple_products[0] += order
         if bad:
             return False, _fail_list(bad)
         return True, f"g -> g^2 and g -> g^-1 agree classwise for all {order} elements"

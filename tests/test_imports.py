@@ -8,8 +8,15 @@ reads it anywhere or lists it in ``__all__`` (a re-export);
 a dunder) that a module defines at top level, as a function, class or
 assignment, counts as used when some other top-level statement of the
 package reads it, as a name, an attribute or an import.
+
+Importing the package and its CLI must also stay cheap: it loads neither
+``dataclasses`` nor the ``inspect`` module behind it.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +107,25 @@ def test_the_check_sees_dead_private_names():
     assert dead_private_names(sources) == ["m._f"]
     sources["n"] += "y = m._f\n"
     assert dead_private_names(sources) == []
+
+
+_ADDED_MODULES = """
+import json, sys
+before = set(sys.modules)
+import sl2q, sl2q.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter: the test process has loaded both long ago.
+    # dataclasses, with inspect behind it, was most of what importing
+    # sl2q cost before the records became plain slotted classes
+    path = [str(Path(sl2q.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", _ADDED_MODULES],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "sl2q.cli" in added   # the snapshot was taken before the import
+    assert not {"dataclasses", "inspect"} & set(added), added

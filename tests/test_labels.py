@@ -1,6 +1,4 @@
 """The one label type: every family's str, latex() and parse agree."""
-import dataclasses
-
 import pytest
 
 from sl2q.chars import CharLabel, char_labels, parse_char_label
@@ -92,7 +90,7 @@ def test_families_never_compare_equal():
         assert (x.kind, x.index) == (y.kind, y.index)
         assert x != y and hash(x) == hash(y)
         assert len({x, y}) == 2
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             x.note = "labels stay frozen"
     assert repr(ClassLabel("a", 3)) == "ClassLabel(kind='a', index=3)"
     assert repr(SubgroupKey("AH", 2)) == "SubgroupKey(kind='AH', index=2)"
