@@ -94,6 +94,8 @@ COMMANDS = [
     ["fs", "499"],
     ["char-table", "1009"],
     ["char-table", "2003"],
+    ["real-table", "1009"],
+    ["real-table", "2003"],
 ]
 
 _CHILD = "import sys; from sl2q.cli import main; sys.exit(main(sys.argv[1:]))"

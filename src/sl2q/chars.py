@@ -12,9 +12,8 @@ b-classes, q for the Gauss-sum values of xi and eta (in
 Q(sqrt(eps*q)) inside Q(zeta_q)).  The table's ``conductor`` is the
 working conductor N = lcm(q, q-1, q+1) that holds them all; a value is
 embedded there only where the csv approximation columns read it
-(``CharTable.serial_map``, once per distinct value), so arithmetic at
-degree phi(N) happens for that format alone.  JSON writes each value at
-its natural conductor.
+(``CharTable.serial_map``), so arithmetic at degree phi(N) happens for
+that format alone.  JSON writes each value at its natural conductor.
 
 The zc/zd columns follow from the central character of z:
 chi(zc) = chi(z)/chi(1) * chi(c), and chi(z)/chi(1) is always +-1.
@@ -27,6 +26,9 @@ Gauss sum.
 Each cell also carries a small symbolic form (a tagged tuple) used by
 the text and LaTeX renderers; the exact CycNum is the value of record.
 Both renderers are one cell grammar (``_render``) spelled per format.
+The (q+4)^2 cells hold about q distinct (value, cell) entries: ``_intern``
+keeps each once in the table's ``pool``, a row is an array of pool
+indices, and every reader of a table works once per entry.
 
 ``CharTable`` is the table type of both the complex table built here
 and the real table of ``realrep``, which is the complex table with other
@@ -35,6 +37,7 @@ sums).  ``CharTable.from_json`` loads either.
 """
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -198,59 +201,86 @@ def _json_schema(obj: dict, what: str) -> int:
     return schema
 
 
+def _intern(rows, entry) -> tuple[tuple, dict]:
+    """(pool, {row label: array('I') of pool indices}) from (row label,
+    sequence of codes) pairs, where ``entry(code)`` is the (value, cell)
+    a hashable code names.  ``entry`` and ``CycNum.key`` run once per
+    distinct code; the pool holds each distinct (value.key(), cell) once,
+    in order of first occurrence row by row."""
+    pool, found, at, index = [], {}, {}, {}
+    for label, codes in rows:
+        for code in dict.fromkeys(codes):
+            if code not in at:
+                value, cell = entry(code)
+                i = at[code] = found.setdefault((value.key(), cell), len(pool))
+                if i == len(pool):
+                    pool.append((value, cell))
+        index[label] = array("I", map(at.__getitem__, codes))
+    return tuple(pool), index
+
+
 class CharTable:
     """Exact character table: columns ClassLabel, rows character labels.
 
-    ``rows`` maps each row label to its values in class order (the order
-    of ``classes``), each a CycNum at its natural conductor, a divisor of
-    ``conductor`` (a table loaded from a schema-1 JSON document holds
-    every value at ``conductor`` itself); ``serial_map`` takes the csv
-    approximations at ``conductor``.  ``cells`` has the same shape and
-    carries the display cells (None on tables rebuilt from JSON; the
-    exact values are the record).  Equal cells may share one object.
-    The complex table has CharLabel rows and ``source`` None.  The real
-    table (see ``realrep.real_table``) has RealCharLabel rows, and
-    ``source`` maps each of them to the (CharLabel, multiplicity) pairs
-    it is the sum of.
+    ``pool`` holds each distinct (value, display cell) entry once
+    (``_intern``), and ``index`` maps each row label to an array('I') of
+    pool indices in class order (the order of ``classes``).  Each value is
+    a CycNum at its natural conductor, a divisor of ``conductor`` (a table
+    loaded from a schema-1 JSON document holds every value at
+    ``conductor`` itself).  The cell is None on tables rebuilt from JSON;
+    the exact values are the record.  ``rows`` and ``cells`` are
+    read-only views, built anew from the pool on each read.  The complex
+    table has CharLabel rows and ``source`` None.  The real table (see
+    ``realrep.real_table``) has RealCharLabel rows, and ``source`` maps
+    each of them to the (CharLabel, multiplicity) pairs it is the sum of.
     """
 
     def __init__(self, q: int, epsilon: int, conductor: int,
-                 classes: tuple[ConjClass, ...], rows: dict,
-                 cells: dict | None, source: dict | None = None):
+                 classes: tuple[ConjClass, ...], pool: tuple, index: dict,
+                 source: dict | None = None):
         self.q = q
         self.epsilon = epsilon
         self.conductor = conductor
         self.classes = classes
-        self.chars = tuple(rows)
-        self.rows = rows
-        self.cells = cells
+        self.chars = tuple(index)
+        self.pool = pool
+        self.index = index
         self.source = source
         self.class_order = [cls.label for cls in classes]
         self._column = {lab: i for i, lab in enumerate(self.class_order)}
 
+    def by_row(self, column):
+        """(row label, tuple of ``column[i]`` for the row's pool indices i
+        in class order) for each row; ``column`` has an item per entry."""
+        return ((ch, tuple(map(column.__getitem__, idx)))
+                for ch, idx in self.index.items())
+
+    def _view(self, part: int) -> dict:
+        return dict(self.by_row([entry[part] for entry in self.pool]))
+
+    @property
+    def rows(self) -> dict:
+        """{row: its values in class order}."""
+        return self._view(0)
+
+    @property
+    def cells(self) -> dict | None:
+        """{row: its display cells in class order}; None from JSON."""
+        return None if self.pool[0][1] is None else self._view(1)
+
     def value(self, char, label: ClassLabel) -> CycNum:
-        return self.rows[char][self._column[label]]
+        return self.pool[self.index[char][self._column[label]]][0]
 
     def cell(self, char, label: ClassLabel) -> tuple:
         """The display cell of ``value(char, label)``."""
-        return self.cells[char][self._column[label]]
+        return self.pool[self.index[char][self._column[label]]][1]
 
     def serial_map(self) -> dict:
         """{row: approx() of each value embedded in Q(zeta_conductor), in
-        class order}, as the csv approximation columns read it.
-
-        The embedding and ``approx`` run once per distinct value
-        (``CycNum.key``), and equal cells share that one result.
-        """
-        N = self.conductor
-        memo = {}
-
-        def approx(v):
-            key = v.key()
-            if key not in memo:
-                memo[key] = v.promote(N).approx()
-            return memo[key]
-        return {ch: tuple(map(approx, row)) for ch, row in self.rows.items()}
+        class order}, as the csv approximation columns read it; the
+        embedding and ``approx`` run once per pool entry."""
+        return dict(self.by_row([v.promote(self.conductor).approx()
+                                 for v, _ in self.pool]))
 
     def degree(self, char) -> int:
         return self.value(char, ONE).as_integer()
@@ -263,16 +293,22 @@ class CharTable:
     def class_sum(self, char, counts: dict) -> CycNum:
         """Sum of count * chi(label) over a {ClassLabel: count} map (0 for
         an empty map), reduced once (``cyclo.dot``)."""
-        row, column = self.rows[char], self._column
-        return dot((row[column[lab]], cnt) for lab, cnt in counts.items())
+        pool, row, column = self.pool, self.index[char], self._column
+        return dot((pool[row[column[lab]]][0], cnt)
+                   for lab, cnt in counts.items())
 
     def size(self, label: ClassLabel) -> int:
         return self.classes[self._column[label]].size
 
     def to_json(self) -> dict:
         """The table as a JSON document (schema 2), each value at its own
-        conductor."""
+        conductor; each pool entry is written once and shared by its
+        cells."""
         names = [str(lab) for lab in self.class_order]
+
+        def by_name(column):
+            return {str(ch): dict(zip(names, row))
+                    for ch, row in self.by_row(column)}
         obj = {
             "schema": 2,
             "q": self.q,
@@ -285,14 +321,9 @@ class CharTable:
                 for name, c in zip(names, self.classes)
             ],
             "chars": [str(ch) for ch in self.chars],
-            "values": {
-                str(ch): {name: v.to_json() for name, v in zip(names, row)}
-                for ch, row in self.rows.items()
-            },
-            "symbolic": None if self.cells is None else {
-                str(ch): dict(zip(names, map(sym_str, row)))
-                for ch, row in self.cells.items()
-            },
+            "values": by_name([v.to_json() for v, _ in self.pool]),
+            "symbolic": None if self.pool[0][1] is None else
+            by_name([sym_str(cell) for _, cell in self.pool]),
         }
         if self.source is not None:
             obj["source"] = {str(ch): [[str(c), m] for c, m in self.source[ch]]
@@ -305,6 +336,7 @@ class CharTable:
 
         Reads schema 1 (every value at ``conductor``) and schema 2 (each
         value at its own conductor, a divisor of ``conductor``) alike.
+        Each distinct value in the document is parsed once.
         """
         from .realrep import RealCharLabel
         _json_schema(obj, "character table")
@@ -319,20 +351,22 @@ class CharTable:
         row_label = CharLabel if source is None else RealCharLabel
         chars = tuple(map(row_label.parse, obj["chars"]))
         N = obj["conductor"]
-        rows = {}
-        for ch in chars:
-            row = obj["values"][str(ch)]
-            rows[ch] = tuple(CycNum.from_json(row[name]) for name in names)
-            for name, v in zip(names, rows[ch]):
-                if N % v.conductor:
-                    raise ValueError(f"the value at ({ch}, {name}) has "
-                                     f"conductor {v.conductor}, which does "
-                                     f"not divide the table's {N}")
+
+        def entry(code):
+            v = CycNum(*code)
+            if N % v.conductor:
+                raise ValueError(f"a value has conductor {v.conductor}, which "
+                                 f"does not divide the table's {N}")
+            return v, None
+        pool, index = _intern((
+            (ch, [(v["conductor"], tuple(v["coeffs"])) for v in
+                  map(obj["values"][str(ch)].__getitem__, names)])
+            for ch in chars), entry)
         if source is not None:
             source = {ch: tuple((CharLabel.parse(c), m)
                                 for c, m in source[str(ch)])
                       for ch in chars}
-        return cls(q, obj["epsilon"], N, classes, rows, None, source)
+        return cls(q, obj["epsilon"], N, classes, pool, index, source)
 
     def __eq__(self, other):
         if not isinstance(other, CharTable):
@@ -342,7 +376,7 @@ class CharTable:
                 and self.classes == other.classes
                 and self.chars == other.chars
                 and self.source == other.source
-                and self.rows == other.rows)
+                and self._view(0) == other._view(0))
 
 
 # ---------------------------------------------------------------------------
@@ -362,61 +396,69 @@ def complex_table(q: int) -> CharTable:
     classes = representatives(q)
     ls, ms = torus_indices(q, "a"), torus_indices(q, "b")
 
-    # each cell a (value, display cell) pair, the value at its natural
-    # conductor: 1, r = q-1 or q+1, or q
+    # a row names each (value, display cell) entry by its place in
+    # ``entries``, the value at its natural conductor: 1, q-1, q+1 or q
+    entries = []
+
+    def new(value, cell):
+        entries.append((value, cell))
+        return len(entries) - 1
+
     def rat_cell(v):
         v = Fraction(v)
-        return (rational(v), sym_rat(v))
+        return new(rational(v), sym_rat(v))
 
     def nu_cells(r, coef):
         """coef*nu(r, s) for each folded exponent 0 <= s <= r/2, built
         once and shared by every cell that reads it."""
         vals = [nu(r, s) * coef for s in range(r // 2 + 1)]
-        return [(v, ("nu", Fraction(coef), r, s)) if v.as_rational() is None
+        return [new(v, ("nu", Fraction(coef), r, s)) if v.as_rational() is None
                 else rat_cell(v.as_rational()) for s, v in enumerate(vals)]
 
     def gauss_cell(a, b):
         a, b = Fraction(a), Fraction(b)
-        return (gauss * b + a, ("gauss", a, b, disc))
+        return new(gauss * b + a, ("gauss", a, b, disc))
 
     a_nu, b_nu = nu_cells(q - 1, 1), nu_cells(q + 1, -1)
     zero, one, minus_one = rat_cell(0), rat_cell(1), rat_cell(-1)
-    rows, cells = {}, {}
 
-    def fill(char, deg, z, c, d, a_row, b_row):
-        """Assemble one row in class order; the zc/zd columns follow from
-        the z-ratio."""
-        sz = z[0].as_rational() / deg[0].as_rational()
+    def row(deg, z, c, d, a_row, b_row):
+        """One row in class order; the zc/zd columns follow from the
+        z-ratio."""
+        sz = entries[z][0].as_rational() / entries[deg][0].as_rational()
         assert sz in (1, -1)
-        zc = (c[0] * sz, sym_scale(c[1], sz))
-        zd = (d[0] * sz, sym_scale(d[1], sz))
-        row = (deg, z, c, d, zc, zd, *a_row, *b_row)
-        rows[char] = tuple(v for v, _ in row)
-        cells[char] = tuple(cell for _, cell in row)
+        zc, zd = (new(entries[x][0] * sz, sym_scale(entries[x][1], sz))
+                  for x in (c, d))
+        return (deg, z, c, d, zc, zd, *a_row, *b_row)
 
-    fill(TRIV, one, one, one, one, [one] * len(ls), [one] * len(ms))
-    fill(PSI, rat_cell(q), rat_cell(q), zero, zero,
-         [one] * len(ls), [minus_one] * len(ms))
-    for i in ls:
-        fill(Chi(i), rat_cell(q + 1), rat_cell((-1) ** i * (q + 1)), one, one,
-             [a_nu[_fold_exponent(q - 1, i * l)] for l in ls],
-             [zero] * len(ms))
-    for j in ms:
-        fill(Theta(j), rat_cell(q - 1), rat_cell((-1) ** j * (q - 1)),
-             minus_one, minus_one, [zero] * len(ls),
-             [b_nu[_fold_exponent(q + 1, j * m)] for m in ms])
-    half = Fraction(1, 2)
-    # (-1)^l on the a-classes, -(-1)^m on the b-classes
-    a_signs = [(one, minus_one)[l % 2] for l in ls]
-    b_signs = [(minus_one, one)[m % 2] for m in ms]
-    for char, g in ((XI1, half), (XI2, -half)):
-        fill(char, rat_cell(Fraction(q + 1, 2)),
-             rat_cell(Fraction(eps * (q + 1), 2)),
-             gauss_cell(half, g), gauss_cell(half, -g),
-             a_signs, [zero] * len(ms))
-    for char, g in ((ETA1, half), (ETA2, -half)):
-        fill(char, rat_cell(Fraction(q - 1, 2)),
-             rat_cell(Fraction(-eps * (q - 1), 2)),
-             gauss_cell(-half, g), gauss_cell(-half, -g),
-             [zero] * len(ls), b_signs)
-    return CharTable(q, eps, working_conductor(q), classes, rows, cells)
+    def rows():
+        yield TRIV, row(one, one, one, one, [one] * len(ls), [one] * len(ms))
+        yield PSI, row(rat_cell(q), rat_cell(q), zero, zero,
+                       [one] * len(ls), [minus_one] * len(ms))
+        for i in ls:
+            yield Chi(i), row(
+                rat_cell(q + 1), rat_cell((-1) ** i * (q + 1)), one, one,
+                [a_nu[_fold_exponent(q - 1, i * l)] for l in ls],
+                [zero] * len(ms))
+        for j in ms:
+            yield Theta(j), row(
+                rat_cell(q - 1), rat_cell((-1) ** j * (q - 1)),
+                minus_one, minus_one, [zero] * len(ls),
+                [b_nu[_fold_exponent(q + 1, j * m)] for m in ms])
+        half = Fraction(1, 2)
+        # (-1)^l on the a-classes, -(-1)^m on the b-classes
+        a_signs = [(one, minus_one)[l % 2] for l in ls]
+        b_signs = [(minus_one, one)[m % 2] for m in ms]
+        for char, g in ((XI1, half), (XI2, -half)):
+            yield char, row(rat_cell(Fraction(q + 1, 2)),
+                            rat_cell(Fraction(eps * (q + 1), 2)),
+                            gauss_cell(half, g), gauss_cell(half, -g),
+                            a_signs, [zero] * len(ms))
+        for char, g in ((ETA1, half), (ETA2, -half)):
+            yield char, row(rat_cell(Fraction(q - 1, 2)),
+                            rat_cell(Fraction(-eps * (q - 1), 2)),
+                            gauss_cell(-half, g), gauss_cell(-half, -g),
+                            [zero] * len(ls), b_signs)
+
+    pool, index = _intern(rows(), entries.__getitem__)
+    return CharTable(q, eps, working_conductor(q), classes, pool, index)

@@ -28,7 +28,6 @@ import io
 import json
 import os
 import sys
-from functools import cache
 from itertools import chain, repeat
 from operator import methodcaller
 from types import GeneratorType, SimpleNamespace
@@ -180,43 +179,37 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_table(table, fmt: str) -> int:
-    """Both character tables, in all four formats."""
+    """Both character tables, in all four formats, each distinct entry
+    (``table.pool``) rendered once."""
     if fmt == "json":
         print(json.dumps(table.to_json()))
         return 0
     names = [str(lab) for lab in table.class_order]
     if fmt == "latex":
-        latex = cache(lambda cell: f"${sym_latex(cell)}$")
+        shown = [f"${sym_latex(cell)}$" for _, cell in table.pool]
         headers = [""] + [lab.latex() for lab in table.class_order]
-        rows = ([ch.latex(), *map(latex, cells)]
-                for ch, cells in table.cells.items())
+        rows = ([ch.latex(), *row] for ch, row in table.by_row(shown))
         _print_latex_table(headers, rows)
         return 0
-    text = cache(sym_str)
+    shown = [sym_str(cell) for _, cell in table.pool]
     if fmt == "csv":
         approx = table.serial_map()
-        rows = ([str(ch), name, text(cell), f"{v.real:.9g}", f"{v.imag:.9g}"]
-                for ch in table.chars
-                for name, cell, v in zip(names, table.cells[ch], approx[ch]))
+        rows = ([str(ch), name, s, f"{v.real:.9g}", f"{v.imag:.9g}"]
+                for ch, row in table.by_row(shown)
+                for name, s, v in zip(names, row, approx[ch]))
         _print_csv(["char", "class", "value", "approx_re", "approx_im"],
                    rows, comment=_ADVISORY)
         return 0
-    # the rows share a few cell objects, and an id hashes far faster than
-    # a cell; a display cell is exact, so equal strings hold equal values
-    flat = chain.from_iterable
-    objects = dict(zip(map(id, flat(table.cells.values())),
-                       zip(flat(table.cells.values()),
-                           flat(table.rows.values()))))
-    shown = {i: text(cell) for i, (cell, _) in objects.items()}
-    legend = {shown[i]: v for i, (cell, v) in objects.items()
+    # a display cell is exact, so equal strings hold equal values
+    legend = {shown[i]: v for i, (v, cell) in enumerate(table.pool)
               if cell[0] != "rat"}
+    lengths = list(map(len, shown))
     head, widths = _text_layout(["char", *names], [
         max(len(str(ch)) for ch in table.chars),
-        *(max(len(shown[i]) for i in set(map(id, column)))
-          for column in zip(*table.cells.values()))])
+        *(max(map(lengths.__getitem__, column))
+          for column in zip(*table.index.values()))])
     _write_lines(chain(head, (
-        _text_line([str(ch), *map(shown.__getitem__, map(id, cells))], widths)
-        for ch, cells in table.cells.items()),
+        _text_line([str(ch), *row], widths) for ch, row in table.by_row(shown)),
         ["", "decimal approximations (advisory):"] if legend else [],
         (f"  {s} = {_fmt_complex(v.approx())}" for s, v in legend.items())))
     return 0

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .fq import FqElem, _prime_factors, legendre_symbol
+from .fq import _prime_factors
 from ._kernel import mul_reduce, reduce_mod
 
 __all__ = [
@@ -484,17 +484,15 @@ def nu(r: int, s: int) -> CycNum:
 
 @lru_cache(maxsize=8)
 def sqrt_eps_q(q: int) -> CycNum:
-    """The quadratic Gauss sum g = sum_k legendre(k) zeta_q^k.
+    """The quadratic Gauss sum g = sum_k legendre(k) zeta_q^k, built in one
+    scatter as sum_{x in F_q} zeta_q^(x^2), which equals it because the
+    q-th roots of unity sum to 0.
 
     Squares to eps*q with eps = (-1)^((q-1)/2): an exact square root of
     +-q, real for q = 1 mod 4 and purely imaginary for q = 3 mod 4.
     """
-    total = rational(0, conductor=q)
-    for k in range(1, q):
-        ls = legendre_symbol(FqElem(k, q))
-        term = root_of_unity(q, k)
-        total = total + (term if ls > 0 else -term)
-    return total
+    squares = ((x * x % q, 1) for x in range(q))
+    return _raw(q, tuple(_from_powers(q, squares)), 1)
 
 
 def working_conductor(q: int) -> int:

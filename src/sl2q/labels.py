@@ -17,6 +17,7 @@ different families never compare equal, whatever their kind and index.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 # an indexed name: the text before the index, the index (no sign, no
 # leading zero) and a tail without digits
@@ -30,6 +31,10 @@ class _Record:
     positionally, equal only within its class, pickled by ``__reduce__``."""
     __slots__ = _FIELDS = ()
 
+    def __init_subclass__(cls):
+        # the field tuple in one call (no method: self._values(self))
+        cls._values = attrgetter(*cls._FIELDS)
+
     def __init__(self, *values):
         for name, value in zip(self._FIELDS, values, strict=True):
             _set(self, name, value)
@@ -39,23 +44,20 @@ class _Record:
 
     __delattr__ = __setattr__
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
-        fields = map("{}={!r}".format, self._FIELDS, self._values())
+        fields = map("{}={!r}".format, self._FIELDS, self._values(self))
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
 
 class _Label(_Record):

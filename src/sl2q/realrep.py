@@ -21,17 +21,22 @@ eta_1 + eta_2 = 2 Re eta_1.
 
 ``real_table`` therefore returns a ``chars.CharTable``: its rows are
 RealCharLabels and its ``source`` records that recipe, which complex
-rows each real row sums and with what multiplicity.  ``RealCharTable``
-is another name for ``CharTable``.
+rows each real row sums and with what multiplicity.  It works on the
+complex table's pool indices, not on cells: a row taken once reads the
+complex index array, a multiple scales each source entry once, and a
+sum adds each distinct pair of entries once (a rational sum is held at
+conductor 1).  ``RealCharTable`` is another name for ``CharTable``.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import add, mul
+from itertools import chain, repeat
 
-from .chars import CharLabel, CharTable, complex_table, sym_add, sym_scale
-from .cyclo import CycNum
+from .chars import (
+    CharLabel, CharTable, _intern, complex_table, sym_add, sym_scale,
+)
+from .cyclo import CycNum, rational
 from .grp import (
     C, D, ONE, Z, ZC, ZD, ClassLabel, _square_classes, class_labels,
     representatives, torus_indices, torus_order, DEFAULT_MAX_ENUM,
@@ -271,29 +276,6 @@ _SOURCE = {
 }
 
 
-def _scaled_once(scale, key):
-    """``scale(x, mult)``, computed once per distinct (key(x), mult): a
-    table has about q distinct values in its (q+4)^2 cells."""
-    memo = {}
-
-    def scaled(x, mult):
-        k = (key(x), mult)
-        if k not in memo:
-            memo[k] = scale(x, mult)
-        return memo[k]
-    return scaled
-
-
-def _row_sum(rows: dict, recipe: tuple, scale, add) -> tuple:
-    """The sum of mult * rows[src] over the (src, mult) pairs of
-    ``recipe``, element by element."""
-    total = None
-    for src, mult in recipe:
-        row = rows[src] if mult == 1 else [scale(x, mult) for x in rows[src]]
-        total = row if total is None else list(map(add, total, row))
-    return tuple(total)
-
-
 @lru_cache(maxsize=8)
 def real_table(q: int) -> CharTable:
     ct = complex_table(q)
@@ -302,11 +284,33 @@ def real_table(q: int) -> CharTable:
     recipe = {lab: tuple((CharLabel(kind, lab.index), mult)
                          for kind, mult in _SOURCE[lab.kind])
               for lab in labels}
-    scale_value = _scaled_once(mul, CycNum.key)
-    scale_cell = _scaled_once(sym_scale, lambda cell: cell)
-    rows = {lab: _row_sum(ct.rows, recipe[lab], scale_value, add)
-            for lab in labels}
-    cells = {lab: _row_sum(ct.cells, recipe[lab], scale_cell, sym_add)
-             for lab in labels}
-    return CharTable(q, ct.epsilon, ct.conductor, ct.classes, rows, cells,
+
+    def codes(terms):
+        """A row's codes: the complex row's pool indices as they are for a
+        row taken once, else a tuple (index, multiplicity, ...) per cell."""
+        (src, mult), *more = terms
+        if mult == 1 and not more:
+            return ct.index[src]
+        return list(zip(*chain.from_iterable(
+            (ct.index[src], repeat(mult)) for src, mult in terms)))
+
+    def entry(code):
+        if type(code) is int:
+            return ct.pool[code]
+        value = cell = None
+        for i, mult in zip(code[::2], code[1::2]):
+            v, s = ct.pool[i]
+            if mult != 1:
+                v, s = v * mult, sym_scale(s, mult)
+            value, cell = ((v, s) if value is None
+                           else (value + v, sym_add(cell, s)))
+        # a sum of conjugates can be rational (at c and d when q = 3 mod
+        # 4); a rational is held at conductor 1, as in complex_table
+        if (r := value.as_rational()) is not None:
+            value = rational(r)
+        return value, cell
+
+    pool, index = _intern(((lab, codes(recipe[lab])) for lab in labels),
+                          entry)
+    return CharTable(q, ct.epsilon, ct.conductor, ct.classes, pool, index,
                      recipe)

@@ -314,9 +314,8 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     # each value at its natural conductor (1, q-1, q or q+1): an inner
     # product below gathers its terms at the lcm of the conductors it
     # meets, at most q(q+1), never at the working conductor N
-    rows = ct.rows
-    conj_rows = {ch: tuple(v.conjugate() for v in row)
-                 for ch, row in rows.items()}
+    rows = dict(ct.by_row([v for v, _ in ct.pool]))
+    conj_rows = dict(ct.by_row([v.conjugate() for v, _ in ct.pool]))
     conj_sized = {ch: tuple(v * n for v, n in zip(row, sizes))
                   for ch, row in conj_rows.items()}
 
@@ -399,12 +398,9 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     def check_real_table():
         rt = real_table(q)
         blocks = real_classes(q)
-        bad = []
-        for ch in rt.chars:
-            for lab in labels:
-                v = rt.value(ch, lab)
-                if v.conjugate() != v:
-                    bad.append(f"{ch} not real at {lab}")
+        unreal = {i for i, (v, _) in enumerate(rt.pool) if v.conjugate() != v}
+        bad = [f"{ch} not real at {lab}" for ch, idx in rt.index.items()
+               for lab, i in zip(labels, idx) if i in unreal]
         for block in blocks.blocks:
             if len(block) == 1:
                 continue

@@ -254,6 +254,8 @@ def test_values_stay_at_their_natural_conductor(q):
         assert table.conductor == working_conductor(q)
         assert {v.conductor for row in table.rows.values()
                 for v in row} <= natural
-    # every rational cell of the complex table, nu values included, at 1
-    assert all(v.conductor == 1 for row in complex_table(q).rows.values()
-               for v in row if v.as_rational() is not None)
+    # every rational cell of both tables, nu values and sums of
+    # conjugates included, at 1
+    for table in (complex_table(q), real_table(q)):
+        assert all(v.conductor == 1 for row in table.rows.values()
+                   for v in row if v.as_rational() is not None)

@@ -1,6 +1,7 @@
 """Fixed-point dimensions: closed forms against the averaging oracle."""
 import json
 import re
+from array import array
 from math import gcd
 from pathlib import Path
 
@@ -360,11 +361,12 @@ def _doctored_real_table(q):
     """real_table(q) with triv's value at z raised to 3, so the average of
     triv over <z> is (1 + 3)/2 = 2, an integer above its degree 1."""
     rt = real_table(q)
-    rows = dict(rt.rows)
-    row = list(rows[RTRIV])
-    row[rt.class_order.index(Z)] = rational(3)
-    rows[RTRIV] = tuple(row)
-    return CharTable(q, rt.epsilon, rt.conductor, rt.classes, rows, None,
+    # the real table's values, no display cells, and 3 as one more entry
+    pool = tuple((v, None) for v, _ in rt.pool) + ((rational(3), None),)
+    index = dict(rt.index)
+    index[RTRIV] = array("I", rt.index[RTRIV])
+    index[RTRIV][rt.class_order.index(Z)] = len(rt.pool)
+    return CharTable(q, rt.epsilon, rt.conductor, rt.classes, pool, index,
                      rt.source)
 
 

@@ -7,7 +7,9 @@ table digests were written before table values moved to their natural
 conductors, and the ``classes`` and ``fixed-points`` ones before the
 fixed-point table became columns; how a value is stored must not move a
 byte of those formats.  The json digests are of schema 2, one compact
-line of ``json.dumps``.  ``fixed-points 17`` and ``fixed-points 13
+line of ``json.dumps``; the ``real-table`` ones at q = 3, 7 and 11 write
+the rational sums of conjugates (2Re xi_1 and 2Re eta_1 at c, d, zc and
+zd) at conductor 1.  ``fixed-points 17`` and ``fixed-points 13
 --max-enum 11`` pin the text, csv and latex tables without an oracle
 column; their digests were written before those tables were rendered
 from per-width tables of padded cells.
@@ -64,7 +66,7 @@ DIGESTS = {
     "real-table 3 text":
         "c23db6e514b306d362e46e60a5529ca0a652c6e2a7733068a3e903391f5224f6",
     "real-table 3 json":
-        "19e31c852307803465ccef820418b20b12cb6b5f9967699706ba62ce035f2300",
+        "3e50afeefb3e3e6b7e058577926ed85c71c5f0e8173d742b2db1fc69b7c09f9b",
     "real-table 3 csv":
         "6999ce674ae1380478c33649b9aad1cd6f3ccc6e089d6872b593b5444cd50c92",
     "real-table 3 latex":
@@ -80,7 +82,7 @@ DIGESTS = {
     "real-table 7 text":
         "a08334935190f8a8547f4ca7915e1e2acbe80bd0a57564c41876f03697af1399",
     "real-table 7 json":
-        "4700b0cbd9da22de58bcbee1be372e6fabca6c0ebe62b9fa71687c2d46efceb4",
+        "c9cd8f1b8d5f5d339c949a0ee14458b4ff35c68615ef4bb07cf4ca110afcade2",
     "real-table 7 csv":
         "05d8319a96557758f37126e04e14e869418d8e67511bb6e6255b1c4a73bf89c8",
     "real-table 7 latex":
@@ -88,7 +90,7 @@ DIGESTS = {
     "real-table 11 text":
         "0a015fe62475af811cec85cb61693eeab244f1b757cc6da727bf02fb020ab2f5",
     "real-table 11 json":
-        "d7f3eef5efef3e1263d95e4f241bc383ced2a9eb9811d53983316916c0f93ea9",
+        "cf7b7dc27bd0ed212d9447733a9f19fa57d1c4394bc2df774c0269fb8e749746",
     "real-table 11 csv":
         "a43cf2dea2e85a3721e4f144f44715a5705880a628708c6191d34f31eedc2aac",
     "real-table 11 latex":

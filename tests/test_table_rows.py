@@ -1,19 +1,20 @@
 """Tables stored as rows in class order, each distinct value built once.
 
 ``complex_table`` builds each distinct nu value once and lets every cell
-that reads it share it; ``real_table`` sums its source rows element by
-element.  The references below build every cell on its own, as the
-package did before it stored rows, and every value and display cell
-must agree with them.
+that reads it share it; ``real_table`` maps the complex table's pool
+indices, once per distinct entry.  The references below build every
+cell on its own, as the package did before it stored rows, and every
+value and display cell must agree with them.
 """
 from fractions import Fraction
 
 import pytest
 
 import sl2q.chars
+import sl2q.realrep
 from sl2q.chars import (ETA1, ETA2, PSI, TRIV, XI1, XI2, Chi, Theta,
                         char_labels, complex_table, sym_add, sym_scale)
-from sl2q.cyclo import nu, rational, sqrt_eps_q
+from sl2q.cyclo import CycNum, nu, rational, sqrt_eps_q
 from sl2q.fq import is_odd_prime
 from sl2q.grp import A, B, C, D, ONE, Z, ZC, ZD
 from sl2q.realrep import real_char_labels, real_table
@@ -106,6 +107,8 @@ def test_real_table_matches_its_sums_of_complex_cells(q):
                 s = sym_scale(ct.cell(src, lab), mult)
                 value = v if value is None else value + v
                 cell = s if cell is None else sym_add(cell, s)
+            if value.as_rational() is not None:   # held at conductor 1
+                value = rational(value.as_rational())
             assert rt.value(ch, lab).key() == value.key()
             assert rt.cell(ch, lab) == cell
 
@@ -118,6 +121,42 @@ def test_rows_and_cells_are_in_class_order():
             for ch in table.chars:
                 assert table.value(ch, lab) is table.rows[ch][j]
                 assert table.cell(ch, lab) is table.cells[ch][j]
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_47)
+def test_no_two_pool_entries_share_a_key_and_cell(q):
+    for table in (complex_table(q), real_table(q)):
+        keys = [(value.key(), cell) for value, cell in table.pool]
+        assert len(set(keys)) == len(keys)
+        # and every entry is read by some cell
+        assert set().union(*map(set, table.index.values())) == set(
+            range(len(table.pool)))
+
+
+@pytest.mark.parametrize("q", [7, 13])
+def test_real_table_works_once_per_entry(monkeypatch, q):
+    # the real rows map the complex table's pool indices: each source
+    # entry is doubled once, each pair of entries summed once, and each
+    # distinct (entry, multiplicity) term keyed once, not once per cell
+    ct, calls = complex_table(q), {}
+
+    def count(owner, name):
+        f, calls[name] = getattr(owner, name), []
+
+        def counted(*args):
+            calls[name].append(args[0] if name == "key" else args)
+            return f(*args)
+        monkeypatch.setattr(owner, name, counted)
+    count(CycNum, "key")
+    count(sl2q.realrep, "sym_scale")
+    count(sl2q.realrep, "sym_add")
+    rt = real_table.__wrapped__(q)
+    assert len(calls["sym_scale"]) <= len(ct.pool)
+    assert len(calls["sym_add"]) <= len(rt.pool)
+    for name in ("sym_scale", "sym_add"):
+        assert len(set(calls[name])) == len(calls[name])
+    assert len(set(map(id, calls["key"]))) == len(calls["key"])
+    assert len(calls["key"]) <= len(ct.pool) + len(rt.pool) < (q + 4) ** 2
 
 
 def test_each_nu_value_is_built_once(monkeypatch):
