@@ -92,6 +92,8 @@ COMMANDS = [
     ["char-table", "499"],
     ["real-table", "499"],
     ["fs", "499"],
+    ["fs", "1009"],
+    ["fs", "2003"],
     ["char-table", "1009"],
     ["char-table", "2003"],
     ["real-table", "1009"],

@@ -190,6 +190,9 @@ def sym_latex(sym: tuple) -> str:
 
 # ---------------------------------------------------------------------------
 
+_ONE = rational(1)   # the y of each class-sum term w * x * y
+
+
 def _json_schema(obj: dict, what: str) -> int:
     """The schema of a JSON document, 1 when it has none; every loader
     reads schemas 1 and 2 and rejects any other."""
@@ -294,8 +297,16 @@ class CharTable:
         """Sum of count * chi(label) over a {ClassLabel: count} map (0 for
         an empty map), reduced once (``cyclo.dot``)."""
         pool, row, column = self.pool, self.index[char], self._column
-        return dot((pool[row[column[lab]]][0], cnt)
+        return dot((pool[row[column[lab]]][0], _ONE, cnt)
                    for lab, cnt in counts.items())
+
+    def class_sums(self, counts: dict) -> tuple:
+        """``class_sum`` of every row over one {ClassLabel: count} map, in
+        row order; the labels are mapped to columns once, not per row."""
+        values = [v for v, _ in self.pool]
+        weights = [(self._column[lab], cnt) for lab, cnt in counts.items()]
+        return tuple(dot((values[row[c]], _ONE, cnt) for c, cnt in weights)
+                     for row in self.index.values())
 
     def size(self, label: ClassLabel) -> int:
         return self.classes[self._column[label]].size
@@ -381,9 +392,16 @@ class CharTable:
 
 # ---------------------------------------------------------------------------
 
-def _fold_exponent(r: int, s: int) -> int:
-    s %= r
-    return min(s, r - s)
+def _folded_exponents(r: int, i: int, n: int) -> list[int]:
+    """min(s, r - s) for s = i*l mod r, l = 1, ..., n: where nu(r, i*l)
+    sits in ``nu_cells``, stepped along a row (0 < i < r)."""
+    out, s = [], 0
+    for _ in range(n):
+        s += i
+        if s >= r:
+            s -= r
+        out.append(s if 2 * s <= r else r - s)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -438,13 +456,13 @@ def complex_table(q: int) -> CharTable:
         for i in ls:
             yield Chi(i), row(
                 rat_cell(q + 1), rat_cell((-1) ** i * (q + 1)), one, one,
-                [a_nu[_fold_exponent(q - 1, i * l)] for l in ls],
+                [a_nu[s] for s in _folded_exponents(q - 1, i, len(ls))],
                 [zero] * len(ms))
         for j in ms:
             yield Theta(j), row(
                 rat_cell(q - 1), rat_cell((-1) ** j * (q - 1)),
                 minus_one, minus_one, [zero] * len(ls),
-                [b_nu[_fold_exponent(q + 1, j * m)] for m in ms])
+                [b_nu[s] for s in _folded_exponents(q + 1, j, len(ms))])
         half = Fraction(1, 2)
         # (-1)^l on the a-classes, -(-1)^m on the b-classes
         a_signs = [(one, minus_one)[l % 2] for l in ls]

@@ -12,8 +12,9 @@ request.  There is one reduction, exact long division by the monic Phi_N
 after a few sparse multiples of it (``_moduli``, ``_kernel.reduce_mod``):
 a product reduces its convolution, an embedding, a conjugate or a root
 of unity reduces its exponents scattered into one vector, and ``dot``
-reduces a whole sum of products once, gathered over the L-th roots of
-unity.
+reduces a whole weighted sum of products once, gathered over the L-th
+roots of unity.  ``dot`` reads each value through its split, the nonzero
+(exponent, numerator) pairs, made once per value and kept on it.
 
 Everything any character-table entry needs lives here: roots of unity,
 nu(r, s) = zeta_r^s + zeta_r^(-s), and the quadratic Gauss sum, which is
@@ -27,6 +28,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 
 from .fq import _prime_factors
@@ -161,6 +163,7 @@ def _fill(x: "CycNum", N: int, num: tuple, den: int) -> None:
     _set(x, "_num", num)
     _set(x, "_den", den)
     _set(x, "_coeffs", None)
+    _set(x, "_split", None)
 
 
 class CycNum:
@@ -173,7 +176,7 @@ class CycNum:
     True
     """
 
-    __slots__ = ("conductor", "_num", "_den", "_coeffs")
+    __slots__ = ("conductor", "_num", "_den", "_coeffs", "_split")
 
     def __init__(self, conductor: int, coeffs):
         coeffs = [c if type(c) is int else Fraction(c) for c in coeffs]
@@ -201,6 +204,20 @@ class CycNum:
 
     def _is_rational(self) -> bool:
         return not any(self._num[1:])
+
+    def _parts(self) -> tuple[int, tuple, int]:
+        """(conductor, the nonzero (exponent, numerator) pairs, denominator),
+        a rational at conductor 1 and zero with no pairs (derived,
+        memoized); ``dot`` reads each value through it."""
+        out = self._split
+        if out is None:
+            num = self._num
+            pairs = tuple(compress(enumerate(num), num))
+            # a rational has no pair past exponent 0
+            N = 1 if not pairs or pairs[-1][0] == 0 else self.conductor
+            out = (N, pairs, self._den)
+            object.__setattr__(self, "_split", out)
+        return out
 
     # -- representation changes ---------------------------------------
 
@@ -395,55 +412,55 @@ def _add_vectors(a: CycNum, b: CycNum) -> CycNum:
                  da * ka)
 
 
-def _parts(v) -> tuple[int, tuple, int]:
-    """(conductor, numerators, denominator) of a CycNum or an int; a
-    rational value is taken at conductor 1."""
-    if type(v) is int:
-        return 1, (v,), 1
-    if v._is_rational():
-        return 1, v._num[:1], v._den
-    return v.conductor, v._num, v._den
+def dot(triples) -> CycNum:
+    """The exact sum of w * x * y over the (x, y, w) triples, reduced once.
 
-
-def dot(pairs) -> CycNum:
-    """The exact sum of x * y over the (x, y) pairs, reduced once.
-
-    x is a CycNum, y a CycNum or an int.  Each term's numerator products
-    are scattered by exponent, j*(L/N_x) + k*(L/N_y), into one vector over
-    the L-th roots of unity, L the lcm of the irrational operands'
-    conductors, at the common denominator D = lcm(den_x * den_y); a
-    product of two rationals lands on exponent 0.  Z[x]/(x^L - 1) maps
-    onto Z[zeta_L] because Phi_L divides x^L - 1, so the vector is reduced
-    mod Phi_L and brought to lowest terms once, not once per term.
+    x and y are CycNums and w is an int.  A term with a zero factor is
+    dropped, and the rest are read through each value's split
+    (``CycNum._parts``).  The numerator products of a term are scattered
+    by exponent, j*(L/N_x) + k*(L/N_y), into one vector over the L-th
+    roots of unity, L the lcm of the conductors met (a rational is at
+    conductor 1), at the common denominator D, the lcm of the
+    den_x * den_y met.  Z[x]/(x^L - 1) maps onto Z[zeta_L] because Phi_L
+    divides x^L - 1, so the vector is reduced mod Phi_L and brought to
+    lowest terms once, not once per term; a sum of rationals (L = 1)
+    needs no reduction.
 
     >>> dot([]) == 0
     True
     >>> i = root_of_unity(4, 1)
     >>> w = root_of_unity(3, 1)
-    >>> dot([(i, i), (rational(Fraction(1, 2)), 2), (w, 2)]) == w * 2
+    >>> dot([(i, i, 1), (rational(Fraction(1, 2)), rational(1), 2),
+    ...      (w, rational(1), 2)]) == w * 2
     True
     """
-    terms = []
-    L = D = 1
-    for x, y in pairs:
-        nx, ax, dx = _parts(x)
-        ny, ay, dy = _parts(y)
-        if ax[0] or nx > 1:
-            if ay[0] or ny > 1:
-                terms.append((nx, ax, ny, ay, dx * dy))
-                L = lcm(L, nx, ny)
-                D = lcm(D, dx * dy)
+    terms, conductors, dens = [], set(), set()
+    for x, y, w in triples:
+        if w:
+            nx, ax, dx = x._split or x._parts()
+            ny, ay, dy = y._split or y._parts()
+            if ax and ay:
+                d = dx * dy
+                terms.append((nx, ax, ny, ay, d, w))
+                conductors.add(nx)
+                conductors.add(ny)
+                dens.add(d)
+    L, D = lcm(*conductors), lcm(*dens)
+    if L == 1:
+        return _make(1, [sum(w * (D // d) * ax[0][1] * ay[0][1]
+                             for _, ax, _, ay, d, w in terms)], D)
     # exponents below 2L - 1; the upper half folds onto the lower
     poly = [0] * (2 * L)
-    for nx, ax, ny, ay, d in terms:
-        f = D // d
+    for nx, ax, ny, ay, d, w in terms:
+        f = w * (D // d)
         sx, sy = L // nx, L // ny
-        ys = [(k * sy, c * f) for k, c in enumerate(ay) if c]
-        for j, c in enumerate(ax):
-            if c:
-                e = j * sx
-                for k, cy in ys:
-                    poly[e + k] += c * cy
+        if len(ay) > len(ax):
+            ax, ay, sx, sy = ay, ax, sy, sx
+        for k, c in ay:
+            k *= sy
+            c *= f
+            for j, cx in ax:
+                poly[j * sx + k] += cx * c
     poly = [a + b for a, b in zip(poly, poly[L:])]
     return _make(L, reduce_mod(poly, _moduli(L)), D)
 
@@ -479,7 +496,7 @@ def nu(r: int, s: int) -> CycNum:
     >>> nu(8, 2) == 0
     True
     """
-    return root_of_unity(r, s) + root_of_unity(r, -s)
+    return _raw(r, tuple(_from_powers(r, [(s % r, 1), (-s % r, 1)])), 1)
 
 
 @lru_cache(maxsize=8)

@@ -272,7 +272,7 @@ def _averages(rt: CharTable, counts: dict, memo: dict) -> tuple:
     profile = _profile(counts)
     if profile not in memo:
         n = sum(counts.values())
-        avgs = [(rt.class_sum(ch, counts) / n).as_rational() for ch in rt.chars]
+        avgs = [(total / n).as_rational() for total in rt.class_sums(counts)]
         for ch, v in zip(rt.chars, avgs):
             if v is None or v.denominator != 1 or not 0 <= v <= rt.degree(ch):
                 raise ValueError(f"average of {ch} over a subgroup of order "

@@ -36,7 +36,7 @@ from itertools import chain, repeat
 from .chars import (
     CharLabel, CharTable, _intern, complex_table, sym_add, sym_scale,
 )
-from .cyclo import CycNum, rational
+from .cyclo import rational
 from .grp import (
     C, D, ONE, Z, ZC, ZD, ClassLabel, _square_classes, class_labels,
     representatives, torus_indices, torus_order, DEFAULT_MAX_ENUM,
@@ -126,8 +126,26 @@ def real_classes(q: int) -> RealClassPartition:
 # ---------------------------------------------------------------------------
 # Frobenius-Schur indicators
 
-def _indicator_from_total(total: CycNum, order: int) -> int:
-    v = (total / order).as_rational()
+# (id(table), id(weights)) -> (table, weights, {row: class sum}); an entry
+# holds both objects, so neither id is reused while it lives
+_TOTALS: dict = {}
+_TOTALS_MAX = 8
+
+
+def _indicator(table: CharTable, char: CharLabel, weights: dict) -> int:
+    """The indicator of ``char``: its class sum over ``weights`` divided
+    by |G|.  The first call for a (table, weight map) sums every row at
+    once (``CharTable.class_sums``), and the other rows read the totals
+    it keeps."""
+    key = id(table), id(weights)
+    hit = _TOTALS.get(key)
+    if hit is None:
+        if len(_TOTALS) >= _TOTALS_MAX:
+            _TOTALS.clear()
+        hit = _TOTALS[key] = (
+            table, weights, dict(zip(table.chars, table.class_sums(weights))))
+    q = table.q
+    v = (hit[2][char] / (q ** 3 - q)).as_rational()
     if v is None or v.denominator != 1 or v not in (-1, 0, 1):
         raise ValueError(f"indicator came out as {v!r}, expected -1, 0 or 1")
     return int(v)
@@ -147,9 +165,7 @@ def _square_class_counts(q: int) -> dict:
 def fs_indicator_brute(table: CharTable, char: CharLabel) -> int:
     """Indicator via the square map on classes:
     sum over classes of |class| * chi(square of the class)."""
-    q = table.q
-    return _indicator_from_total(
-        table.class_sum(char, _square_class_counts(q)), q ** 3 - q)
+    return _indicator(table, char, _square_class_counts(table.q))
 
 
 @lru_cache(maxsize=8)
@@ -164,9 +180,7 @@ def fs_indicator_raw(table: CharTable, char: CharLabel,
                      max_enum: int = DEFAULT_MAX_ENUM) -> int:
     """Ground-truth indicator: sum of chi(g^2) over every group element,
     classified through the brute-force orbit partition."""
-    q = table.q
-    counts = _square_label_counts(q, max_enum)
-    return _indicator_from_total(table.class_sum(char, counts), q ** 3 - q)
+    return _indicator(table, char, _square_label_counts(table.q, max_enum))
 
 
 def fs_indicator_closed(table: CharTable, char: CharLabel) -> int:
@@ -178,9 +192,7 @@ def fs_indicator_closed(table: CharTable, char: CharLabel) -> int:
               + 2q(q-1) sum_{m<= (q-1)/4} chi(b^{2m})) / (q^3 - q)
     with K = q^2+q for q = 1 mod 4 and K = q^2-q for q = 3 mod 4.
     """
-    q = table.q
-    return _indicator_from_total(
-        table.class_sum(char, _closed_fs_weights(q)), q ** 3 - q)
+    return _indicator(table, char, _closed_fs_weights(table.q))
 
 
 @lru_cache(maxsize=8)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -316,15 +317,13 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     # meets, at most q(q+1), never at the working conductor N
     rows = dict(ct.by_row([v for v, _ in ct.pool]))
     conj_rows = dict(ct.by_row([v.conjugate() for v, _ in ct.pool]))
-    conj_sized = {ch: tuple(v * n for v, n in zip(row, sizes))
-                  for ch, row in conj_rows.items()}
 
     # (5) orthogonality, rows and columns, exact
     def check_orthogonality():
         bad = []
         for i, ch1 in enumerate(ct.chars):
             for ch2 in ct.chars[i:]:
-                acc = dot(zip(rows[ch1], conj_sized[ch2]))
+                acc = dot(zip(rows[ch1], conj_rows[ch2], sizes))
                 want = order if ch1 == ch2 else 0
                 if acc != want:
                     bad.append(f"<{ch1},{ch2}> != {want}")
@@ -332,7 +331,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         conj_cols = list(zip(*conj_rows.values()))
         for i, l1 in enumerate(labels):
             for j in range(i, len(labels)):
-                acc = dot(zip(cols[i], conj_cols[j]))
+                acc = dot(zip(cols[i], conj_cols[j], repeat(1)))
                 want = order // sizes[i] if i == j else 0
                 if acc != want:
                     bad.append(f"column <{l1},{labels[j]}> != {want}")

@@ -10,16 +10,17 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sl2q._kernel import mul_reduce
-from sl2q.chars import complex_table
-from sl2q.cyclo import (CycNum, _moduli, _phi, cyclotomic_polynomial, dot,
-                        nu, rational, root_of_unity, sqrt_eps_q,
-                        working_conductor)
+from sl2q.chars import CharTable, complex_table
+from sl2q.cyclo import (CycNum, _from_powers, _make, _moduli, _phi,
+                        cyclotomic_polynomial, dot, nu, rational,
+                        root_of_unity, sqrt_eps_q, working_conductor)
 from sl2q.realrep import real_table
 
 # small conductors with interesting lcm structure; lcm of any three is
@@ -469,56 +470,88 @@ def _rationals(max_denominator):
 
 
 @st.composite
-def dot_pairs(draw):
-    """(x, y) pairs over one q <= 13: table values, the same halved (a
-    denominator 2 on either side), rationals, and int weights."""
+def dot_triples(draw):
+    """(x, y, w) triples over one q <= 13: table values, the same halved
+    (a denominator 2 on either side) and rationals, with int weights
+    that are often zero and may be negative."""
     q = draw(st.sampled_from([3, 5, 7, 11, 13]))
     value = st.sampled_from(_table_values(q))
     halved = value.map(lambda v: v * Fraction(1, 2))
     ratio = _rationals(max_denominator=2)
-    weight = st.integers(-30, 30)
     x = st.one_of(value, halved, ratio)
-    y = st.one_of(value, halved, ratio, weight)
-    return draw(st.lists(st.tuples(x, y), max_size=12))
+    weight = st.one_of(st.just(0), st.integers(-30, 30))
+    return draw(st.lists(st.tuples(x, x, weight), max_size=12))
 
 
-def _term_by_term(pairs):
+def _term_by_term(triples):
     acc = rational(0)
-    for x, y in pairs:
-        acc = acc + x * y
+    for x, y, w in triples:
+        acc = acc + x * y * w
     return acc
 
 
 @seed(20261019)
 @settings(max_examples=300, deadline=None)
-@given(pairs=dot_pairs())
-def test_dot_equals_the_term_by_term_sum(pairs):
-    got = dot(pairs)
-    assert got == _term_by_term(pairs)
+@given(triples=dot_triples())
+def test_dot_equals_the_term_by_term_sum(triples):
+    got = dot(triples)
+    assert got == _term_by_term(triples)
     _assert_normal(got)
 
 
 @seed(20261020)
 @settings(max_examples=100, deadline=None)
-@given(pairs=st.lists(st.tuples(
-    _rationals(6), st.one_of(st.integers(-9, 9), _rationals(6))), max_size=8))
-def test_dot_of_rationals_is_their_sum_at_conductor_1(pairs):
-    got = dot(pairs)
+@given(triples=st.lists(st.tuples(
+    _rationals(6), _rationals(6), st.integers(-9, 9)), max_size=8))
+def test_dot_of_rationals_is_their_sum_at_conductor_1(triples):
+    got = dot(triples)
     assert got.conductor == 1
-    assert got.as_rational() == sum((x.as_rational() * y for x, y in pairs),
-                                    Fraction(0))
+    assert got.as_rational() == sum(
+        (x.as_rational() * y.as_rational() * w for x, y, w in triples),
+        Fraction(0))
     _assert_normal(got)
 
 
 def test_dot_of_nothing_is_zero():
     assert dot([]) == rational(0)
     assert dot(iter([])).as_rational() == 0
-    # terms with a zero operand are dropped before the conductor is chosen
-    assert dot([(root_of_unity(7, 1), 0), (rational(0), nu(13, 1))]) == 0
+    # terms with a zero factor are dropped before the conductor is chosen
+    one = rational(1)
+    assert dot([(root_of_unity(7, 1), one, 0),
+                (rational(0), nu(13, 1), 1)]) == 0
+    assert dot([(root_of_unity(7, 1), one, 0)]).conductor == 1
 
 
 def test_dot_at_the_working_conductor_of_13():
     # zeta_12 * zeta_13 * zeta_7: every exponent pair wraps past L = 1092
     x, y = root_of_unity(12, 11), root_of_unity(91, 90)
-    assert dot([(x, y), (x, y)]) == x * y * 2
-    assert dot([(x, y)]).conductor == 1092
+    assert dot([(x, y, 1), (x, y, 1)]) == dot([(x, y, 2)]) == x * y * 2
+    assert dot([(x, y, 1)]).conductor == 1092
+    assert dot([(x, y, -1)]) == -(x * y)
+
+
+_SCHEMA_1 = Path(__file__).parent / "data" / "char-table-3.schema1.json"
+
+
+def _tables_to_split():
+    for q in (3, 5, 7, 11, 13):
+        yield pytest.param(complex_table, q, id=f"complex-{q}")
+        yield pytest.param(real_table, q, id=f"real-{q}")
+    yield pytest.param(
+        lambda _: CharTable.from_json(json.loads(_SCHEMA_1.read_text())), 3,
+        id="schema-1-3")
+
+
+@pytest.mark.parametrize("make, q", _tables_to_split())
+def test_every_pool_entry_splits_and_scatters_back_to_itself(make, q):
+    # each entry and its conjugate: the values dot reads through the split
+    for v, _ in make(q).pool:
+        for x in (v, v.conjugate()):
+            split = x._parts()
+            N, pairs, den = split
+            assert x._parts() is split   # memoized on the value
+            assert all(c for _, c in pairs)
+            assert N == (1 if x.as_rational() is not None else x.conductor)
+            back = _make(N, _from_powers(N, pairs), den)
+            assert back == x and back.conductor == N
+            _assert_normal(back)

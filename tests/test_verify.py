@@ -225,6 +225,24 @@ def test_subgroup_walk_crash_fails_only_its_checks(monkeypatch):
     assert [c.name for c in report.checks] == CHECK_NAMES
 
 
+def test_one_nu_entry_with_its_sign_flipped_fails_orthogonality(monkeypatch):
+    # check 5 weights each row term by its class size inside dot; a table
+    # with one wrong pool entry must still fail it
+    import sl2q.verify as verify
+    from sl2q.chars import CharTable, complex_table, sym_scale
+
+    ct = complex_table(11)
+    k = next(i for i, (_, cell) in enumerate(ct.pool) if cell[0] == "nu")
+    v, cell = ct.pool[k]
+    pool = (*ct.pool[:k], (-v, sym_scale(cell, -1)), *ct.pool[k + 1:])
+    broken = CharTable(ct.q, ct.epsilon, ct.conductor, ct.classes, pool,
+                       ct.index)
+    monkeypatch.setattr(verify, "complex_table", lambda q: broken)
+    check = {c.name: c for c in verify_all(11).checks}["orthogonality"]
+    assert not check.passed
+    assert "!=" in check.details and "crashed" not in check.details
+
+
 _COUNT_PRODUCTS_OF = """
 from sl2q import grp
 from sl2q.grp import GroupElem
