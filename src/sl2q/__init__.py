@@ -7,8 +7,8 @@ backed by a brute-force verification suite (``verify_all``).
 """
 from .cyclo import CycNum, nu, rational, root_of_unity, sqrt_eps_q, working_conductor
 from .fq import (
-    FqElem, inverse, is_odd_prime, is_quadratic_residue, legendre_symbol,
-    pow_mod, primitive_root,
+    inverse, is_odd_prime, is_quadratic_residue, legendre_symbol,
+    primitive_root,
 )
 from .grp import (
     A, B, C, D, ONE, Z, ZC, ZD, ClassLabel, ConjClass, GroupElem,
@@ -35,8 +35,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CycNum", "nu", "rational", "root_of_unity", "sqrt_eps_q",
     "working_conductor",
-    "FqElem", "inverse", "is_odd_prime", "is_quadratic_residue",
-    "legendre_symbol", "pow_mod", "primitive_root",
+    "inverse", "is_odd_prime", "is_quadratic_residue", "legendre_symbol",
+    "primitive_root",
     "A", "B", "C", "D", "ONE", "Z", "ZC", "ZD",
     "ClassLabel", "ConjClass", "GroupElem",
     "class_labels", "class_of", "conjugacy_partition", "element_order",

@@ -45,8 +45,7 @@ from typing import Callable, NamedTuple
 from .cyclo import CycNum, dot, nu, rational, sqrt_eps_q, working_conductor
 from .fq import is_odd_prime
 from .grp import (
-    ONE, ClassLabel, ConjClass, GroupElem, class_of, representatives,
-    torus_indices,
+    ONE, ClassLabel, ConjClass, GroupElem, representatives, torus_indices,
 )
 from .labels import _Label
 
@@ -287,11 +286,6 @@ class CharTable:
 
     def degree(self, char) -> int:
         return self.value(char, ONE).as_integer()
-
-    def value_at(self, char, g: GroupElem) -> CycNum:
-        if g.q != self.q:
-            raise ValueError(f"element of SL2({g.q}) in a table for SL2({self.q})")
-        return self.value(char, class_of(g))
 
     def class_sum(self, char, counts: dict) -> CycNum:
         """Sum of count * chi(label) over a {ClassLabel: count} map (0 for

@@ -1,13 +1,19 @@
 """Arithmetic in the prime field F_q, q an odd prime.
 
-Residues are wrapped in FqElem so that a modulus mismatch is a loud
-error instead of a silent wrong answer.  Only what the rest of the
-package needs is here: inverses, Euler's criterion, Legendre symbols
-and primitive roots.
+A residue is a plain int, taken mod q: any int stands for its class, so
+-1 and q - 1 give the same answer.  Every function but ``is_odd_prime``
+takes the modulus as an argument and raises ``ValueError`` when it is
+not an odd prime.  Only what the rest of the package needs is here:
+inverses, Euler's criterion, Legendre symbols and primitive roots.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+
+__all__ = [
+    "is_odd_prime", "inverse", "is_quadratic_residue", "legendre_symbol",
+    "primitive_root",
+]
 
 
 @lru_cache(maxsize=8)
@@ -28,109 +34,29 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"modulus must be an odd prime, got {q}")
 
 
-class FqElem:
-    """A residue modulo an odd prime q.
-
-    >>> FqElem(7, 5)
-    FqElem(2, 5)
-    >>> FqElem(2, 5) * FqElem(3, 5)
-    FqElem(1, 5)
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        _check_modulus(modulus)
-        object.__setattr__(self, "value", value % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FqElem is immutable")
-
-    def _coerce(self, other) -> "FqElem":
-        if isinstance(other, FqElem):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli {self.modulus} and {other.modulus}")
-            return other
-        if isinstance(other, int):
-            return FqElem(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FqElem(-self.value, self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (isinstance(other, FqElem)
-                and self.modulus == other.modulus
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return f"FqElem({self.value}, {self.modulus})"
-
-    def __int__(self):
-        return self.value
-
-
-def pow_mod(base: FqElem, exp: int) -> FqElem:
-    """base**exp in F_q; exp = 0 gives 1."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return FqElem(pow(base.value, exp, base.modulus), base.modulus)
-
-
-def inverse(a: FqElem) -> FqElem:
-    """Multiplicative inverse; zero has none."""
-    if a.value == 0:
+def inverse(a: int, q: int) -> int:
+    """The inverse of a mod q; zero has none."""
+    _check_modulus(q)
+    if a % q == 0:
         raise ZeroDivisionError("0 has no inverse")
-    return FqElem(pow(a.value, -1, a.modulus), a.modulus)
+    return pow(a, -1, q)
 
 
-def is_quadratic_residue(a: FqElem) -> bool:
-    """Euler's criterion: a^((q-1)/2) = 1.  Zero is rejected, not answered."""
-    if a.value == 0:
+def is_quadratic_residue(a: int, q: int) -> bool:
+    """Euler's criterion: a^((q-1)/2) = 1 mod q.  Zero is rejected, not
+    answered."""
+    _check_modulus(q)
+    if a % q == 0:
         raise ValueError("0 is neither a residue nor a non-residue here")
-    return pow(a.value, (a.modulus - 1) // 2, a.modulus) == 1
+    return pow(a, (q - 1) // 2, q) == 1
 
 
-def legendre_symbol(a: FqElem) -> int:
+def legendre_symbol(a: int, q: int) -> int:
     """0 on zero, +1 on squares, -1 otherwise."""
-    if a.value == 0:
+    _check_modulus(q)
+    if a % q == 0:
         return 0
-    return 1 if is_quadratic_residue(a) else -1
+    return 1 if is_quadratic_residue(a, q) else -1
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -149,7 +75,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def primitive_root(q: int) -> FqElem:
+def primitive_root(q: int) -> int:
     """Smallest generator >= 2 of the multiplicative group of F_q.
 
     Deterministic so that every table built on top is reproducible.
@@ -160,5 +86,5 @@ def primitive_root(q: int) -> FqElem:
     prime_factors = _prime_factors(n)
     for g in range(2, q):
         if all(pow(g, n // p, q) != 1 for p in prime_factors):
-            return FqElem(g, q)
+            return g
     raise AssertionError(f"no primitive root mod {q}")  # unreachable for prime q

@@ -33,7 +33,7 @@ from math import gcd
 from operator import itemgetter, mul
 
 from .fq import (
-    FqElem, _prime_factors, inverse, is_odd_prime, is_quadratic_residue,
+    _prime_factors, inverse, is_odd_prime, is_quadratic_residue,
     primitive_root,
 )
 from .labels import _Label, _Record
@@ -207,8 +207,7 @@ def rep_c(q: int) -> GroupElem:
 
 
 def rep_d(q: int) -> GroupElem:
-    nu = primitive_root(q).value
-    return GroupElem(q, 1, 0, nu, 1)
+    return GroupElem(q, 1, 0, primitive_root(q), 1)
 
 
 def rep_zc(q: int) -> GroupElem:
@@ -221,7 +220,7 @@ def rep_zd(q: int) -> GroupElem:
 
 def rep_a(q: int) -> GroupElem:
     nu = primitive_root(q)
-    return GroupElem(q, nu.value, 0, 0, inverse(nu).value)
+    return GroupElem(q, nu, 0, 0, inverse(nu, q))
 
 
 def powers(g: GroupElem) -> list[GroupElem]:
@@ -371,14 +370,14 @@ def class_of(g: GroupElem) -> ClassLabel:
         # decides.  Diagonal conjugation scales both entries by squares
         # (Dornhoff §38; Bonnafé, Representations of SL2(F_q), ch. 1).
         u = g if t == 2 else rep_z(q) * g
-        is_c = is_quadratic_residue(FqElem(u.c if u.c else -u.b, q))
+        is_c = is_quadratic_residue(u.c if u.c else -u.b, q)
         return (C if is_c else D) if t == 2 else (ZC if is_c else ZD)
     label = _trace_labels(q).get(t)
     if label is None:  # every non-central trace belongs to exactly one family
         raise AssertionError(f"unclassifiable trace {t} mod {q}")
     # consistency: split classes have square discriminant, non-split don't
     disc = (t * t - 4) % q
-    assert is_quadratic_residue(FqElem(disc, q)) == (label.kind == "a")
+    assert is_quadratic_residue(disc, q) == (label.kind == "a")
     return label
 
 

@@ -37,6 +37,7 @@ from .chars import (
     CharLabel, CharTable, _intern, complex_table, sym_add, sym_scale,
 )
 from .cyclo import rational
+from .fq import is_quadratic_residue
 from .grp import (
     C, D, ONE, Z, ZC, ZD, ClassLabel, _square_classes, class_labels,
     representatives, torus_indices, torus_order, DEFAULT_MAX_ENUM,
@@ -75,8 +76,7 @@ def square_class_map(q: int) -> dict:
     sq: dict[ClassLabel, ClassLabel] = {ONE: ONE, Z: ONE}
     # unipotent classes: g^2 has trace 2; it lands back in the class of c
     # exactly when 2 is a square mod q, otherwise in the class of d.
-    from .fq import FqElem, is_quadratic_residue
-    two_qr = is_quadratic_residue(FqElem(2, q))
+    two_qr = is_quadratic_residue(2, q)
     sq[C] = C if two_qr else D
     sq[D] = D if two_qr else C
     sq[ZC] = sq[C]

@@ -10,7 +10,8 @@ from sl2q.chars import (Chi, ETA1, ETA2, PSI, TRIV, Theta, XI1, XI2, CharLabel,
                         parse_char_label, sym_latex, sym_str)
 from sl2q.cyclo import (nu, rational, root_of_unity, sqrt_eps_q,
                         working_conductor)
-from sl2q.grp import A, B, C, D, ONE, Z, ZC, ZD, rep_a, rep_c, rep_z
+from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, class_of, rep_a, rep_c,
+                      rep_z)
 from sl2q.realrep import parse_real_char_label, real_table
 
 Q_SMALL = [3, 5, 7, 11, 13]
@@ -106,12 +107,13 @@ def test_orthogonality_small(q):
             assert total == (order if ch1 == ch2 else 0)
 
 
-def test_value_at_resolves_arbitrary_elements():
+def test_values_of_arbitrary_elements():
     ct = complex_table(5)
-    assert ct.value_at(PSI, rep_a(5)) == 1
-    assert ct.value_at(PSI, rep_z(5)) == 5
+    assert ct.value(PSI, class_of(rep_a(5))) == 1
+    assert ct.value(PSI, class_of(rep_z(5))) == 5
     c2 = rep_c(5) * rep_c(5)  # lands in (d) since 2 is not a square mod 5
-    assert ct.value_at(XI1, c2) == ct.value(XI1, D)
+    assert class_of(c2) == D
+    assert ct.value(XI1, class_of(c2)) == ct.value(XI1, D)
 
 
 def test_symbolic_cells_render():

@@ -9,10 +9,15 @@ a dunder) that a module defines at top level, as a function, class or
 assignment, counts as used when some other top-level statement of the
 package reads it, as a name, an attribute or an import.
 
+Every name in a module's ``__all__`` must exist on that module, so that
+a name deleted from the code cannot linger in an export list until
+``from sl2q import *`` fails.
+
 Importing the package and its CLI must also stay cheap: it loads neither
 ``dataclasses`` nor the ``inspect`` module behind it.
 """
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -55,6 +60,14 @@ def test_the_check_sees_unused_imports():
     assert unused_imports(source) == ["gcd", "regex"]
     # a read inside a function, an annotation or __all__ is a use
     assert unused_imports("import re\ndef f(x: re.Pattern): pass\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_every_exported_name_resolves(path):
+    name = "sl2q" if path.stem == "__init__" else f"sl2q.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
 
 
 def _private(name: str) -> bool:

@@ -14,7 +14,7 @@ import pytest
 from sl2q.chars import CharLabel, char_labels, complex_table
 from sl2q.fixdim import (AH, BH, C_H, TRIVIAL_H, Z_H, ZC_H, fixed_dim_closed,
                          subgroup, subgroup_keys)
-from sl2q.fq import FqElem, is_odd_prime, is_quadratic_residue
+from sl2q.fq import is_odd_prime, is_quadratic_residue
 from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, class_labels, find_b,
                       identity, rep_a, rep_c, rep_d, rep_z, rep_zc, rep_zd,
                       representatives, torus_indices, torus_order)
@@ -61,7 +61,7 @@ def spelled_square_class_map(q):
         k %= n
         return ONE if k == 0 else Z if 2 * k == n else label(min(k, n - k))
 
-    two_qr = is_quadratic_residue(FqElem(2, q))
+    two_qr = is_quadratic_residue(2, q)
     sq = {ONE: ONE, Z: ONE, C: C if two_qr else D, D: D if two_qr else C}
     sq[ZC], sq[ZD] = sq[C], sq[D]
     for l in range(1, (q - 3) // 2 + 1):
