@@ -83,6 +83,8 @@ COMMANDS = [
     ["fixed-points", "1009", "--format", "latex"],
     ["fixed-points", "2003"],
     ["fixed-points", "2003", "--format", "csv"],
+    ["fixed-points", "5003"],
+    ["fixed-points", "10007"],
     ["fixed-points", "47", "--max-enum", "47"],
     ["fixed-points", "101", "--max-enum", "101"],
     ["fixed-points", "211", "--max-enum", "211"],

@@ -250,31 +250,39 @@ def _cmd_fs(args) -> int:
 
 
 def _fixed_point_widths(report) -> list[int]:
-    """The widest text cell of each column, read off the int columns."""
+    """The widest text cell of each column, read off the int columns once
+    per distinct pair of (closed, oracle) column objects: the keys of one
+    closed-form signature share their closed column."""
     widths = [max(len(str(ch)) for ch in report.chars)]
+    seen = {}   # (id of closed, id of oracle) -> width
     for closed, oracle in zip(report.closed, report.oracle or repeat(None)):
-        width = len(str(max(closed)))   # full_report's values are >= 0
-        if oracle is not None:
-            width = max([width] + [len(f"{c}!={o}")
-                                   for c, o in zip(closed, oracle) if c != o])
-        widths.append(width)
+        pair = id(closed), id(oracle)
+        if pair not in seen:
+            width = len(str(max(closed)))   # full_report's values are >= 0
+            if oracle is not None:
+                width = max([width] + [len(f"{c}!={o}")
+                                       for c, o in zip(closed, oracle) if c != o])
+            seen[pair] = width
+        widths.append(seen[pair])
     return widths
 
 
 def _fixed_point_csv(report):
     """The report as csv, joined by hand: labels, keys and ints never need
     csv quoting.  After the header, one string per character, its rows
-    joined."""
+    joined; past the enumeration bound the closed values come as text,
+    each distinct column rendered once (``_closed_rows``)."""
     yield "char,subgroup,closed,oracle,match"
     keys = [str(k) for k in report.keys]
-    for ch, closed, oracle in report.rows():
-        name = str(ch)
-        if report.oracle is None:
+    if report.oracle is None:
+        for name, *closed in _closed_rows(report, str, [0] * len(keys)):
             yield "\n".join([f"{name},{key},{c},,"
                               for key, c in zip(keys, closed)])
-        else:
-            yield "\n".join([f"{name},{key},{c},{o},{c == o}"
-                              for key, c, o in zip(keys, closed, oracle)])
+        return
+    for ch, closed, oracle in report.rows():
+        name = str(ch)
+        yield "\n".join([f"{name},{key},{c},{o},{c == o}"
+                          for key, c, o in zip(keys, closed, oracle)])
 
 
 def _checked_rows(report, name):
@@ -286,17 +294,23 @@ def _checked_rows(report, name):
 
 
 def _closed_rows(report, name, widths: list[int]):
-    """Rows past the enumeration bound: each character's name, then its
-    cells left-justified to ``widths``.  A cell is read from a dict of the
-    distinct values of all columns of its width, so there are a handful of
-    dicts, not one per column."""
-    values = {}
+    """Rows past the enumeration bound, as tuples: each character's name,
+    then its cells left-justified to ``widths``.  Each distinct pair of a
+    column object and a width is rendered once, as a column of cells read
+    from a dict of padded values per width; the keys of one closed-form
+    signature share their column, so the rows zip a few dozen distinct
+    string columns."""
+    distinct = {}   # (id of a column, width) -> the column
     for column, w in zip(report.closed, widths):
+        distinct[id(column), w] = column
+    values = {}   # width -> every value shown at that width
+    for (_, w), column in distinct.items():
         values.setdefault(w, set()).update(column)
     cells = {w: {v: str(v).ljust(w) for v in vs} for w, vs in values.items()}
-    tables = [cells[w] for w in widths]
-    for ch, closed in zip(report.chars, zip(*report.closed)):
-        yield chain([name(ch)], map(dict.__getitem__, tables, closed))
+    shown = {pair: tuple(map(cells[pair[1]].__getitem__, column))
+             for pair, column in distinct.items()}
+    return zip([name(ch) for ch in report.chars],
+               *(shown[id(column), w] for column, w in zip(report.closed, widths)))
 
 
 def _print_fixed_point_text(report) -> None:

@@ -142,32 +142,45 @@ def subgroup_key_of(g: GroupElem) -> SubgroupKey:
 # ---------------------------------------------------------------------------
 # closed forms
 
-def _generic_column(q: int, key: SubgroupKey) -> dict:
-    if key.kind == "TrivialH":
+def _signature(q: int, key: SubgroupKey) -> tuple:
+    """All that ``key``'s closed column depends on: its kind, and on a
+    torus AH(l) (BH(m)) also gamma = gcd(q-1, l) (delta = gcd(q+1, m)) and
+    the parity of the index.  The parity only matters when the quotient
+    (q-1)/gamma ((q+1)/delta) is even: an odd quotient makes gamma
+    (delta) even, and the index with it."""
+    if key.kind == "AH":
+        return "AH", gcd(q - 1, key.index), key.index % 2
+    if key.kind == "BH":
+        return "BH", gcd(q + 1, key.index), key.index % 2
+    return key.kind, 0, 0
+
+
+def _generic_column(q: int, kind: str, g: int = 0, odd: int = 0) -> dict:
+    """The generic closed value of each real row kind on a subgroup of
+    signature (kind, g, odd) (``_signature``)."""
+    if kind == "TrivialH":
         return {"triv": 1, "psi": q, "chi_even": q + 1, "two_chi_odd": 2 * q + 2,
                 "theta_even": q - 1, "two_theta_odd": 2 * q - 2,
                 "xi1": (q + 1) // 2, "xi2": (q + 1) // 2,
                 "two_eta1": q - 1, "two_eta2": q - 1,
                 "two_re_xi1": q + 1, "two_re_eta1": q - 1}
-    if key.kind == "ZH":
+    if kind == "ZH":
         return {"triv": 1, "psi": q, "chi_even": q + 1, "two_chi_odd": 0,
                 "theta_even": q - 1, "two_theta_odd": 0,
                 "xi1": (q + 1) // 2, "xi2": (q + 1) // 2,
                 "two_eta1": 0, "two_eta2": 0,
                 "two_re_xi1": 0, "two_re_eta1": q - 1}
-    if key.kind == "CH":
+    if kind == "CH":
         return {"triv": 1, "psi": 1, "chi_even": 2, "two_chi_odd": 4,
                 "theta_even": 0, "two_theta_odd": 0,
                 "xi1": 1, "xi2": 1, "two_eta1": 0, "two_eta2": 0,
                 "two_re_xi1": 2, "two_re_eta1": 0}
-    if key.kind == "ZCH":
+    if kind == "ZCH":
         return {"triv": 1, "psi": 1, "chi_even": 2, "two_chi_odd": 0,
                 "theta_even": 0, "two_theta_odd": 0,
                 "xi1": 1, "xi2": 1, "two_eta1": 0, "two_eta2": 0,
                 "two_re_xi1": 0, "two_re_eta1": 0}
-    if key.kind == "AH":
-        l = key.index
-        g = gcd(q - 1, l)
+    if kind == "AH":
         if ((q - 1) // g) % 2 == 1:
             # odd quotient: -1 is not a power of a^l
             return {"triv": 1, "psi": g + 1, "chi_even": g, "two_chi_odd": 2 * g,
@@ -176,24 +189,22 @@ def _generic_column(q: int, key: SubgroupKey) -> dict:
                     "two_eta1": g, "two_eta2": g,
                     "two_re_xi1": g + 2, "two_re_eta1": g}
         # even quotient: z is a power of a^l; xi sees the parity of l
-        xi = g + 1 if l % 2 == 0 else g
+        xi = g if odd else g + 1
         return {"triv": 1, "psi": 2 * g + 1, "chi_even": 2 * g, "two_chi_odd": 0,
                 "theta_even": 2 * g, "two_theta_odd": 0,
                 "xi1": xi, "xi2": xi, "two_eta1": 0, "two_eta2": 0,
                 "two_re_xi1": 0, "two_re_eta1": 2 * g}
-    # BH
-    m = key.index
-    d = gcd(q + 1, m)
-    if ((q + 1) // d) % 2 == 1:
-        return {"triv": 1, "psi": d - 1, "chi_even": d, "two_chi_odd": 2 * d,
-                "theta_even": d, "two_theta_odd": 2 * d,
-                "xi1": d // 2, "xi2": d // 2,
-                "two_eta1": d - 2, "two_eta2": d - 2,
-                "two_re_xi1": d, "two_re_eta1": d - 2}
-    re_eta = 2 * d - 2 if m % 2 == 0 else 2 * d
-    return {"triv": 1, "psi": 2 * d - 1, "chi_even": 2 * d, "two_chi_odd": 0,
-            "theta_even": 2 * d, "two_theta_odd": 0,
-            "xi1": d, "xi2": d, "two_eta1": 0, "two_eta2": 0,
+    # BH, with g = delta = gcd(q+1, m)
+    if ((q + 1) // g) % 2 == 1:
+        return {"triv": 1, "psi": g - 1, "chi_even": g, "two_chi_odd": 2 * g,
+                "theta_even": g, "two_theta_odd": 2 * g,
+                "xi1": g // 2, "xi2": g // 2,
+                "two_eta1": g - 2, "two_eta2": g - 2,
+                "two_re_xi1": g, "two_re_eta1": g - 2}
+    re_eta = 2 * g if odd else 2 * g - 2
+    return {"triv": 1, "psi": 2 * g - 1, "chi_even": 2 * g, "two_chi_odd": 0,
+            "theta_even": 2 * g, "two_theta_odd": 0,
+            "xi1": g, "xi2": g, "two_eta1": 0, "two_eta2": 0,
             "two_re_xi1": 0, "two_re_eta1": re_eta}
 
 
@@ -214,9 +225,12 @@ def _rows(q: int) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=8)
-def _closed_column(q: int, key: SubgroupKey) -> tuple[tuple, tuple]:
+def _closed_column(q: int, kind: str, g: int = 0,
+                   odd: int = 0) -> tuple[tuple, tuple]:
     """dim V^H for every real row V in table order, and the positions of
-    the rows the resonance correction moved.
+    the rows the resonance correction moved, on every subgroup H of
+    signature (kind, g, odd) (``_signature``): keys of one signature have
+    one column.
 
     The correction is a boundary effect on torus restrictions of chi and
     theta.  Restricting chi_i to AH(l), the eigenvalue-character sum over
@@ -228,24 +242,30 @@ def _closed_column(q: int, key: SubgroupKey) -> tuple[tuple, tuple]:
     coming from theta's minus on the torus values.  The generic-case
     tables in the literature omit this; the smallest instances are
     theta_4 on BH(3) at q = 11 and chi_4 on AH(3) at q = 13, and the
-    averaging oracle confirms the corrected values.
+    averaging oracle confirms the corrected values.  n, the order of H,
+    is a function of g, so the signature covers the correction too.
     """
-    column = _generic_column(q, key)
-    n = _closed_order(q, key)
+    column = _generic_column(q, kind, g, odd)
     positions, by_kind = _rows(q)
     values = [column[char.kind] for char in positions]
     moved = []
-    for kind, (torus, shift) in _RESONANT.items():
-        if torus != key.kind:
+    for row_kind, (torus, shift) in _RESONANT.items():
+        if torus != kind:
             continue
-        for ci, index in by_kind.get(kind, ()):
+        n = (q - 1 if torus == "AH" else q + 1) // g
+        for ci, index in by_kind.get(row_kind, ()):
             if index % n == 0:
                 # an even n cannot divide the odd index of a doubled odd row
-                assert n % 2 or not kind.startswith("two_")
+                assert n % 2 or not row_kind.startswith("two_")
                 values[ci] += shift
                 moved.append(ci)
     assert min(values) >= 0
     return tuple(values), tuple(moved)
+
+
+def _key_column(q: int, key: SubgroupKey) -> tuple:
+    """The closed column of ``key``, a valid subgroup key of SL2(q)."""
+    return _closed_column(q, *_signature(q, key))[0]
 
 
 def fixed_dim_closed(q: int, char: RealCharLabel, kind, index: int = 0) -> int:
@@ -257,7 +277,7 @@ def fixed_dim_closed(q: int, char: RealCharLabel, kind, index: int = 0) -> int:
         raise ValueError(f"{char} is not a real character of SL2({q})")
     key = _as_key(kind, index)
     _check_key_range(q, key)
-    return _closed_column(q, key)[0][ci]
+    return _key_column(q, key)[ci]
 
 
 def _profile(counts: dict) -> frozenset:
@@ -295,9 +315,11 @@ class FixedDimTable:
     """All fixed-point dimensions for one q, closed form vs oracle.
 
     ``closed[j][i]`` is dim V^H for V = ``chars[i]`` and H = ``keys[j]``:
-    one int tuple per subgroup key.  ``oracle`` has the same shape, or is
-    None when q exceeded the enumeration bound.  Whether an entry matches
-    is derived from the two, never stored.
+    one int tuple per subgroup key, and from ``full_report`` the same
+    tuple object for every key of one closed-form signature, so the
+    distinct columns are a few dozen, not one per key.  ``oracle`` has the
+    same shape, or is None when q exceeded the enumeration bound.  Whether
+    an entry matches is derived from the two, never stored.
     """
 
     def __init__(self, q: int, chars, keys, closed, oracle, notes):
@@ -393,17 +415,21 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
 
     closed = []
     oracle = None if rt is None else []
+    columns = {}   # signature -> closed column; keys of a signature share it
     memo = {}   # class profile -> oracle column; most keys share one
     resonant = []   # (char position, key position) of corrected entries
     for ki, key in enumerate(keys):
-        values, moved = _closed_column(q, key)
+        signature = _signature(q, key)
+        if signature not in columns:
+            columns[signature] = _closed_column(q, *signature)
+        values, moved = columns[signature]
         closed.append(values)
         resonant += [(ci, ki) for ci in moved]
         if rt is not None:   # rt's rows are in the order of chars
             counts = Counter(map(class_of, subgroup(q, key).elements))
             oracle.append(_averages(rt, counts, memo))
     notes = []
-    if any(k.kind == "AH" and _closed_order(q, k) % 2 for k in keys):
+    if any(kind == "AH" and (q - 1) // g % 2 for kind, g, _ in columns):
         notes.append(
             "psi on odd-quotient AH(l): the averaged value is "
             "gcd(q-1,l)+1; some classical write-ups carry gcd(q-1,l) "

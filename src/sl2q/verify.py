@@ -9,9 +9,10 @@ and every |G|-sized container is an array indexed by the element's rank
 subgroups, made on first use: each rank's subgroup number, and each
 subgroup's order, a generator, class profile and (at order 2q) rank set;
 check 10 averages once per class profile, with the function
-``full_report`` uses.  If the walk raises, each check that asks for it
-fails on its own; the class indices it counts with are fetched in a
-guarded step, so a partition that fails still leaves check 3 its walk.
+``full_report`` uses, and reads each pair's closed column once.  If the
+walk raises, each check that asks for it fails on its own; the class
+indices it counts with are fetched in a guarded step, so a partition that
+fails still leaves check 3 its walk.
 
 The orbit partition takes each class as the orbit of its representative
 under conjugation by the two generators s = [[1,1],[0,1]] and
@@ -31,8 +32,8 @@ from typing import NamedTuple
 
 from .chars import ETA1, ETA2, XI1, XI2, _json_schema, complex_table
 from .cyclo import dot
-from .fixdim import (_SUBGROUP_OF_CLASS, SubgroupKey, _averages, _profile,
-                     fixed_dim_closed)
+from .fixdim import (_SUBGROUP_OF_CLASS, SubgroupKey, _averages, _key_column,
+                     _profile)
 from .grp import (
     _FREE, ZC, ZD, GroupElem, _check_enumerable, _class_indices, _elem,
     _entries, _generated_ranks, _lex_tuples, _power_ranks, _rank,
@@ -439,8 +440,8 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
             except ValueError as exc:
                 bad.append(f"<{sub.generator!r}> under {skey}: {exc}")
                 continue
-            for ch, avg in zip(rt.chars, avgs):
-                if (closed := fixed_dim_closed(q, ch, skey)) != avg:
+            for ch, closed, avg in zip(rt.chars, _key_column(q, skey), avgs):
+                if closed != avg:
                     bad.append(f"dim {ch}^{skey}: closed {closed}, average "
                                f"{avg} (generator {sub.generator ** k!r})")
         if bad:

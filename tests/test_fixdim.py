@@ -161,9 +161,10 @@ def test_report_entries_equal_fixed_dim_closed(q):
     for ch, closed, oracle in rows:
         assert closed == tuple(fixed_dim_closed(q, ch, k) for k in rep.keys)
         assert oracle == (closed if q <= 50 else (None,) * len(rep.keys))
-    # the per-key column behind both is cached, so it must be read-only
+    # the column behind both is cached and shared by every key of its
+    # signature, so it must be read-only
     from sl2q.fixdim import _closed_column
-    values, moved = _closed_column(q, Z_H)
+    values, moved = _closed_column(q, "ZH")
     with pytest.raises(TypeError):
         values[1] = 0
     with pytest.raises(TypeError):
@@ -325,16 +326,52 @@ def _per_entry_closed(q, char, key, column):
     return value + per_copy * copies
 
 
-@pytest.mark.parametrize("q", PRIMES_TO_211)
+def _key_generic_column(q, key):
+    """The generic values on ``key``, from its own gcd and index parity."""
+    if key.kind not in ("AH", "BH"):
+        return _generic_column(q, key.kind)
+    g = gcd(q - 1 if key.kind == "AH" else q + 1, key.index)
+    return _generic_column(q, key.kind, g, key.index % 2)
+
+
+# 1008 = 2^4 * 3^2 * 7 has 30 divisors, so many keys share a signature
+@pytest.mark.parametrize("q", PRIMES_TO_211 + [1009])
 def test_closed_column_equals_the_per_entry_path(q):
     chars = real_char_labels(q)
     report = full_report(q, 0)   # closed values only
     assert report.keys == tuple(subgroup_keys(q))
     for key, column in zip(report.keys, report.closed):
-        generic = _generic_column(q, key)
+        generic = _key_generic_column(q, key)
         want = tuple(_per_entry_closed(q, ch, key, generic) for ch in chars)
         assert column == want, key
         assert tuple(fixed_dim_closed(q, ch, key) for ch in chars) == want, key
+
+
+def _divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("q", [211, 1009])
+def test_report_holds_one_column_per_signature(q):
+    # a torus key's column depends on gcd(q -+ 1, index) and, when the
+    # quotient (q -+ 1)/gcd is even, on the index parity; every other key's
+    # on its kind alone.  full_report builds one tuple per signature and
+    # puts it under each of its keys (one per key was 213 tuples at q = 211)
+    report = full_report(q, 0)
+    signatures = {}
+    for key, column in zip(report.keys, report.closed):
+        if key.kind in ("AH", "BH"):
+            order = q - 1 if key.kind == "AH" else q + 1
+            g = gcd(order, key.index)
+            signature = (key.kind, g, key.index % 2 if order // g % 2 == 0
+                         else None)
+        else:
+            signature = key.kind
+        signatures.setdefault(signature, set()).add(id(column))
+    assert all(len(ids) == 1 for ids in signatures.values())
+    distinct = len(set(map(id, report.closed)))
+    assert distinct == len(signatures)
+    assert distinct <= 2 * (_divisor_count(q - 1) + _divisor_count(q + 1)) + 4
 
 
 @pytest.mark.parametrize("q", [q for q in PRIMES_TO_211 if q <= 101])
