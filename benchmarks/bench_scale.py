@@ -25,7 +25,9 @@ wall time, and records:
   wall_runs_s  the wall time of each run, in the order they ran
   peak_rss_mb  the child's ru_maxrss, from wait4 (of the median run)
   stdout_bytes, stdout_sha256   so two trees' outputs can be compared
-               (hashed in chunks: an output may be hundreds of MB)
+               (hashed in chunks as the child writes them, by a reader
+               thread: an output may be hundreds of MB, and none of it
+               is stored)
   stderr_tail  the last stderr line, when there is one
 
 The rows go into --out under the key --label, next to the rows of other
@@ -47,6 +49,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -56,7 +59,7 @@ CAP_MB = 2048
 REPEATS = 3        # runs of each command per side; single runs drift ±40%
 SHORT_S = 1.0      # a command whose first runs all finish under this ...
 SHORT_REPEATS = 9  # ... runs this many times per side
-_CHUNK = 1 << 20   # stdout is hashed this many bytes at a time
+_CHUNK = 1 << 20   # stdout is read and hashed this many bytes at a time
 
 COMMANDS = [
     ["classes", "3"],   # interpreter start-up and argument parsing alone
@@ -74,6 +77,8 @@ COMMANDS = [
     ["fs", "53"],
     ["char-table", "31", "--format", "csv"],
     ["char-table", "47", "--format", "csv"],
+    ["char-table", "23"],               # the perfbench tables sizes
+    ["real-table", "23", "--format", "csv"],
     ["real-table", "23", "--format", "json"],
     ["char-table", "31", "--format", "json"],
     ["char-table", "47", "--format", "json"],
@@ -112,14 +117,26 @@ def _cap(mb: int):
     return limit
 
 
+def _hash_stream(pipe, digest, size: list) -> None:
+    """Read ``pipe`` to its end in _CHUNK reads, hashing and counting each."""
+    while chunk := pipe.read(_CHUNK):
+        digest.update(chunk)
+        size[0] += len(chunk)
+
+
 def run(argv: list[str], src: Path, budget: float, cap_mb: int) -> dict:
-    """One command in a capped child; its row."""
+    """One command in a capped child; its row.  The child's stdout is
+    hashed as it streams through a pipe, so none of it is kept."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+    digest, size = hashlib.sha256(), [0]
+    with tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-c", _CHILD, *argv],
-                                stdout=out, stderr=err, env=env,
+                                stdout=subprocess.PIPE, stderr=err, env=env,
                                 preexec_fn=_cap(cap_mb))
+        reader = threading.Thread(target=_hash_stream,
+                                  args=(proc.stdout, digest, size))
+        reader.start()
         timed_out = False
         while True:
             pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
@@ -133,11 +150,9 @@ def run(argv: list[str], src: Path, budget: float, cap_mb: int) -> dict:
             time.sleep(0.01)
         wall = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
-        out.seek(0)
-        digest, stdout_bytes = hashlib.sha256(), 0
-        while chunk := out.read(_CHUNK):
-            digest.update(chunk)
-            stdout_bytes += len(chunk)
+        reader.join()   # the pipe ends when the child has exited
+        proc.stdout.close()
+        stdout_bytes = size[0]
         err.seek(0)
         stderr = err.read().decode(errors="replace")
     code = None if timed_out else proc.returncode

@@ -26,8 +26,12 @@ Gauss sum.
 Each cell also carries a small symbolic form (a tagged tuple) used by
 the text and LaTeX renderers; the exact CycNum is the value of record.
 Both renderers are one cell grammar (``_render``) spelled per format.
-The (q+4)^2 cells hold about q distinct (value, cell) entries: ``_intern``
-keeps each once in the table's ``pool``, a row is an array of pool
+The (q+4)^2 cells hold about q distinct (value, cell) entries.
+``complex_table`` names each entry by one code of ints (a rational by
+its integer, nu(r, s) by r and its folded exponent, a Gauss-sum cell by
+its two signs) and builds it once, on first use, from that code;
+``_intern`` keeps each once in the table's ``pool``, in order of first
+occurrence (the order of the text legend), a row is an array of pool
 indices, and every reader of a table works once per entry.
 
 ``CharTable`` is the table type of both the complex table built here
@@ -42,7 +46,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .cyclo import CycNum, dot, nu, rational, sqrt_eps_q, working_conductor
+from .cyclo import (
+    CycNum, _raw, dot, nu, rational, sqrt_eps_q, working_conductor,
+)
 from .fq import is_odd_prime
 from .grp import (
     ONE, ClassLabel, ConjClass, GroupElem, representatives, torus_indices,
@@ -96,10 +102,6 @@ def char_labels(q: int) -> list[CharLabel]:
 # ---------------------------------------------------------------------------
 # symbolic cells: ("rat", Fraction) | ("nu", coef, r, s) | ("gauss", a, b, D)
 # where ("gauss", a, b, D) means a + b*sqrt(D), all coefficients Fraction.
-
-def sym_rat(v) -> tuple:
-    return ("rat", Fraction(v))
-
 
 def sym_scale(sym: tuple, k) -> tuple:
     k = Fraction(k)
@@ -388,7 +390,7 @@ class CharTable:
 
 def _folded_exponents(r: int, i: int, n: int) -> list[int]:
     """min(s, r - s) for s = i*l mod r, l = 1, ..., n: where nu(r, i*l)
-    sits in ``nu_cells``, stepped along a row (0 < i < r)."""
+    sits in ``nu_codes``, stepped along a row (0 < i < r)."""
     out, s = [], 0
     for _ in range(n):
         s += i
@@ -408,69 +410,71 @@ def complex_table(q: int) -> CharTable:
     classes = representatives(q)
     ls, ms = torus_indices(q, "a"), torus_indices(q, "b")
 
-    # a row names each (value, display cell) entry by its place in
-    # ``entries``, the value at its natural conductor: 1, q-1, q+1 or q
-    entries = []
+    # A row names each (value, display cell) entry by a code of ints, one
+    # code per entry, and ``_intern`` builds each entry once, from its
+    # code, in order of first occurrence.  Every rational of the table is
+    # an integer n (q is odd), named by n itself; ("gauss", a, b) names
+    # (a + b*g)/2 for signs a, b; ("nu", r, s) names nu(q-1, s) or
+    # -nu(q+1, s), built once per folded exponent s below.
+    nus = {}
 
-    def new(value, cell):
-        entries.append((value, cell))
-        return len(entries) - 1
+    def nu_codes(r, sign):
+        """The code of sign*nu(r, s) for each folded exponent 0 <= s <= r/2;
+        a rational one is named by its int (nu is an algebraic integer)."""
+        codes = []
+        for s in range(r // 2 + 1):
+            v = nu(r, s) if sign > 0 else -nu(r, s)
+            if v._is_rational():
+                codes.append(v._num[0])
+            else:
+                code = "nu", r, s
+                nus[code] = v, ("nu", Fraction(sign), r, s)
+                codes.append(code)
+        return codes
 
-    def rat_cell(v):
-        v = Fraction(v)
-        return new(rational(v), sym_rat(v))
+    def entry(code):
+        if type(code) is int:
+            return _raw(1, (code,), 1), ("rat", Fraction(code))
+        if code[0] == "nu":
+            return nus[code]
+        _, a, b = code
+        return (((gauss if b > 0 else -gauss) + a) / 2,
+                ("gauss", Fraction(a, 2), Fraction(b, 2), disc))
 
-    def nu_cells(r, coef):
-        """coef*nu(r, s) for each folded exponent 0 <= s <= r/2, built
-        once and shared by every cell that reads it."""
-        vals = [nu(r, s) * coef for s in range(r // 2 + 1)]
-        return [new(v, ("nu", Fraction(coef), r, s)) if v.as_rational() is None
-                else rat_cell(v.as_rational()) for s, v in enumerate(vals)]
+    def negated(code):
+        """The code of minus a rational or Gauss-cell entry."""
+        return -code if type(code) is int else (code[0], -code[1], -code[2])
 
-    def gauss_cell(a, b):
-        a, b = Fraction(a), Fraction(b)
-        return new(gauss * b + a, ("gauss", a, b, disc))
+    a_nu, b_nu = nu_codes(q - 1, 1), nu_codes(q + 1, -1)
 
-    a_nu, b_nu = nu_cells(q - 1, 1), nu_cells(q + 1, -1)
-    zero, one, minus_one = rat_cell(0), rat_cell(1), rat_cell(-1)
-
-    def row(deg, z, c, d, a_row, b_row):
-        """One row in class order; the zc/zd columns follow from the
-        z-ratio."""
-        sz = entries[z][0].as_rational() / entries[deg][0].as_rational()
-        assert sz in (1, -1)
-        zc, zd = (new(entries[x][0] * sz, sym_scale(entries[x][1], sz))
-                  for x in (c, d))
-        return (deg, z, c, d, zc, zd, *a_row, *b_row)
+    def row(deg, sign, c, d, a_row, b_row):
+        """One row in class order from chi(1) = deg and chi(z) = sign*deg;
+        the zc/zd columns are the c/d columns times the sign."""
+        assert sign in (1, -1)
+        zc, zd = (c, d) if sign == 1 else (negated(c), negated(d))
+        return (deg, sign * deg, c, d, zc, zd, *a_row, *b_row)
 
     def rows():
-        yield TRIV, row(one, one, one, one, [one] * len(ls), [one] * len(ms))
-        yield PSI, row(rat_cell(q), rat_cell(q), zero, zero,
-                       [one] * len(ls), [minus_one] * len(ms))
+        yield TRIV, row(1, 1, 1, 1, [1] * len(ls), [1] * len(ms))
+        yield PSI, row(q, 1, 0, 0, [1] * len(ls), [-1] * len(ms))
         for i in ls:
             yield Chi(i), row(
-                rat_cell(q + 1), rat_cell((-1) ** i * (q + 1)), one, one,
+                q + 1, (-1) ** i, 1, 1,
                 [a_nu[s] for s in _folded_exponents(q - 1, i, len(ls))],
-                [zero] * len(ms))
+                [0] * len(ms))
         for j in ms:
             yield Theta(j), row(
-                rat_cell(q - 1), rat_cell((-1) ** j * (q - 1)),
-                minus_one, minus_one, [zero] * len(ls),
+                q - 1, (-1) ** j, -1, -1, [0] * len(ls),
                 [b_nu[s] for s in _folded_exponents(q + 1, j, len(ms))])
-        half = Fraction(1, 2)
         # (-1)^l on the a-classes, -(-1)^m on the b-classes
-        a_signs = [(one, minus_one)[l % 2] for l in ls]
-        b_signs = [(minus_one, one)[m % 2] for m in ms]
-        for char, g in ((XI1, half), (XI2, -half)):
-            yield char, row(rat_cell(Fraction(q + 1, 2)),
-                            rat_cell(Fraction(eps * (q + 1), 2)),
-                            gauss_cell(half, g), gauss_cell(half, -g),
-                            a_signs, [zero] * len(ms))
-        for char, g in ((ETA1, half), (ETA2, -half)):
-            yield char, row(rat_cell(Fraction(q - 1, 2)),
-                            rat_cell(Fraction(-eps * (q - 1), 2)),
-                            gauss_cell(-half, g), gauss_cell(-half, -g),
-                            [zero] * len(ls), b_signs)
+        a_signs = [(1, -1)[l % 2] for l in ls]
+        b_signs = [(-1, 1)[m % 2] for m in ms]
+        for char, g in ((XI1, 1), (XI2, -1)):
+            yield char, row((q + 1) // 2, eps, ("gauss", 1, g),
+                            ("gauss", 1, -g), a_signs, [0] * len(ms))
+        for char, g in ((ETA1, 1), (ETA2, -1)):
+            yield char, row((q - 1) // 2, -eps, ("gauss", -1, g),
+                            ("gauss", -1, -g), [0] * len(ls), b_signs)
 
-    pool, index = _intern(rows(), entries.__getitem__)
+    pool, index = _intern(rows(), entry)
     return CharTable(q, eps, working_conductor(q), classes, pool, index)

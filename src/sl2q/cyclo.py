@@ -343,10 +343,11 @@ class CycNum:
         return r.numerator
 
     def approx(self) -> complex:
-        """Floating shadow; advisory only, never used for decisions."""
-        roots, den = _roots(self.conductor), self._den
+        """Floating shadow; advisory only, never used for decisions.  Only
+        the nonzero coefficients are read, in basis order."""
+        roots, den, num = _roots(self.conductor), self._den, self._num
         return sum((complex(x / den) * roots[k]
-                    for k, x in enumerate(self._num) if x), 0j)
+                    for k, x in compress(enumerate(num), num)), 0j)
 
     # -- comparisons ------------------------------------------------------
 

@@ -36,7 +36,7 @@ from itertools import chain, repeat
 from .chars import (
     CharLabel, CharTable, _intern, complex_table, sym_add, sym_scale,
 )
-from .cyclo import rational
+from .cyclo import _raw
 from .fq import is_quadratic_residue
 from .grp import (
     C, D, ONE, Z, ZC, ZD, ClassLabel, _square_classes, class_labels,
@@ -318,8 +318,8 @@ def real_table(q: int) -> CharTable:
                            else (value + v, sym_add(cell, s)))
         # a sum of conjugates can be rational (at c and d when q = 3 mod
         # 4); a rational is held at conductor 1, as in complex_table
-        if (r := value.as_rational()) is not None:
-            value = rational(r)
+        if value._is_rational():
+            value = _raw(1, value._num[:1], value._den)
         return value, cell
 
     pool, index = _intern(((lab, codes(recipe[lab])) for lab in labels),

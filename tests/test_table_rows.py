@@ -1,7 +1,8 @@
 """Tables stored as rows in class order, each distinct value built once.
 
-``complex_table`` builds each distinct nu value once and lets every cell
-that reads it share it; ``real_table`` maps the complex table's pool
+``complex_table`` names each distinct entry by one code and builds it
+once, each nu value included, and every cell that reads it shares it;
+``real_table`` maps the complex table's pool
 indices, once per distinct entry.  The references below build every
 cell on its own, as the package did before it stored rows, and every
 value and display cell must agree with them.
@@ -171,3 +172,19 @@ def test_each_nu_value_is_built_once(monkeypatch):
     complex_table.__wrapped__(q)
     assert len(calls) <= q + 3
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("q", [3, 5, 13, 23, 53])
+def test_each_table_entry_is_built_once(monkeypatch, q):
+    # complex_table names each distinct (value, cell) entry by one code,
+    # so _intern builds as many entries as the pool keeps
+    seen, real_intern = [], sl2q.chars._intern
+
+    def counted(rows, entry):
+        rows = list(rows)
+        seen.extend(code for _, codes in rows for code in codes)
+        return real_intern(rows, entry)
+    monkeypatch.setattr(sl2q.chars, "_intern", counted)
+    ct = complex_table.__wrapped__(q)
+    assert len(seen) == (q + 4) ** 2
+    assert len(set(seen)) == len(ct.pool)
