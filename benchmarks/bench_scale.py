@@ -63,6 +63,8 @@ _CHUNK = 1 << 20   # stdout is read and hashed this many bytes at a time
 
 COMMANDS = [
     ["classes", "3"],   # interpreter start-up and argument parsing alone
+    ["verify", "7"],    # the perfbench verify sizes
+    ["verify", "11"],
     ["verify", "13"],
     ["verify", "23"],
     ["verify", "31"],

@@ -353,7 +353,10 @@ class CycNum:
 
     def __eq__(self, other):
         if (r := _rational_operand(other)) is not None:
-            return self.as_rational() == r
+            # in ints: rational, and num/den = r
+            num = self._num
+            return (num[0] * r.denominator == r.numerator * self._den
+                    and not any(num[1:]))
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b = self._common(other)

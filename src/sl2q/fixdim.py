@@ -285,27 +285,40 @@ def _profile(counts: dict) -> frozenset:
     return frozenset(counts.items())
 
 
-def _averages(rt: CharTable, counts: dict, memo: dict) -> tuple:
+def _degrees(rt: CharTable) -> list[int]:
+    """Every row's degree, in row order: read once per table."""
+    return [rt.degree(ch) for ch in rt.chars]
+
+
+def _averages(rt: CharTable, degrees: list, counts: dict, memo: dict) -> tuple:
     """Every row's exact average over a subgroup of class counts ``counts``,
     in row order, made once per class profile and kept in ``memo``; raises
-    unless each is an integer from 0 to its row's degree."""
+    unless each is an integer from 0 to its row's degree (``degrees``).
+
+    A total is num/den over the power basis, so its average is an integer
+    exactly when the numerators past index 0 are zero and den * n divides
+    numerator 0; a Fraction is built only to word the error."""
     profile = _profile(counts)
     if profile not in memo:
         n = sum(counts.values())
-        avgs = [(total / n).as_rational() for total in rt.class_sums(counts)]
-        for ch, v in zip(rt.chars, avgs):
-            if v is None or v.denominator != 1 or not 0 <= v <= rt.degree(ch):
+        avgs = []
+        for ch, deg, total in zip(rt.chars, degrees, rt.class_sums(counts)):
+            num = total._num
+            v, rest = divmod(num[0], total._den * n)
+            if rest or not 0 <= v <= deg or any(num[1:]):
                 raise ValueError(f"average of {ch} over a subgroup of order "
-                                 f"{n} is {v!r}, not an integer in [0, deg]")
-        memo[profile] = tuple(map(int, avgs))
+                                 f"{n} is {(total / n).as_rational()!r}, not "
+                                 f"an integer in [0, deg]")
+            avgs.append(v)
+        memo[profile] = tuple(avgs)
     return memo[profile]
 
 
 def fixed_dim_average(rt: CharTable, H: SubgroupDesc) -> dict:
     """Oracle: {char: (1/|H|) sum of char over H} for every row of ``rt``,
     exactly, from one count of the classes of H's elements."""
-    return dict(zip(rt.chars,
-                    _averages(rt, Counter(map(class_of, H.elements)), {})))
+    return dict(zip(rt.chars, _averages(
+        rt, _degrees(rt), Counter(map(class_of, H.elements)), {})))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +425,7 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
     chars = tuple(_rows(q)[0])   # real_char_labels(q), from the row map
     keys = subgroup_keys(q)
     rt = real_table(q) if q <= max_enum else None
+    degrees = None if rt is None else _degrees(rt)
 
     closed = []
     oracle = None if rt is None else []
@@ -427,7 +441,7 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
         resonant += [(ci, ki) for ci in moved]
         if rt is not None:   # rt's rows are in the order of chars
             counts = Counter(map(class_of, subgroup(q, key).elements))
-            oracle.append(_averages(rt, counts, memo))
+            oracle.append(_averages(rt, degrees, counts, memo))
     notes = []
     if any(kind == "AH" and (q - 1) // g % 2 for kind, g, _ in columns):
         notes.append(

@@ -26,7 +26,6 @@ but still checks the determinant.  The brute-force oracle works on plain
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
@@ -417,20 +416,21 @@ def _elem(q: int, g: tuple) -> GroupElem:
     return _new_tuple(GroupElem, (q, *g))
 
 
-def _mul(q: int, g: tuple, h: tuple) -> tuple:
-    """The product of two trusted tuples, with no determinant check."""
-    a, b, c, d = g
-    e, f, x, y = h
-    return ((a * e + b * x) % q, (a * f + b * y) % q,
-            (c * e + d * x) % q, (c * f + d * y) % q)
-
+# The passes below run once per group element, so each writes its
+# products and ranks out inline (``_rank`` is the formula they repeat)
+# and calls no helper per element or per product, but for the class
+# orbits' one ``_conjugates`` call per element.
 
 def _power_ranks(q: int, g: tuple) -> list[int]:
     """The ranks of g, g^2, ..., g^n = 1, n the order of g."""
-    h, walk, one = g, [_rank(q, g)], q * q - q   # one: the rank of 1
-    while walk[-1] != one:
-        h = _mul(q, h, g)
-        walk.append(_rank(q, h))
+    e, f, x, y = a, b, c, d = g
+    r, one = (a * q + b) * q + (c if a else d) - q, q * q - q
+    walk = [r]
+    while r != one:
+        a, b, c, d = ((a * e + b * x) % q, (a * f + b * y) % q,
+                      (c * e + d * x) % q, (c * f + d * y) % q)
+        r = (a * q + b) * q + (c if a else d) - q
+        walk.append(r)
     _tuple_products[0] += len(walk) - 1
     return walk
 
@@ -442,34 +442,51 @@ def _conjugates(q: int, g: tuple) -> tuple:
             ((a - b) % q, b, (a + c - b - d) % q, (b + d) % q))
 
 
-def _right_products(q: int, g: tuple) -> tuple:
-    """g s and g t."""
-    return _mul(q, g, (1, 1, 0, 1)), _mul(q, g, (1, 0, 1, 1))
-
-
-def _grow(q: int, marks, g: tuple, mark: int, moves) -> int:
+def _grow(q: int, marks, g: tuple, mark: int) -> int:
     """Set ``marks`` to ``mark`` at the rank of each element of the orbit
-    of g under ``moves`` (an element -> its images), breadth first; the
-    orbit's size.  Each element met passes through the moves once (the
-    standard orbit algorithm); in a finite group, closure under maps built
-    from the generators is closure under the group they generate."""
-    marks[_rank(q, g)] = mark
-    queue, size = deque([g]), 1
-    while queue:
-        for h in moves(q, queue.popleft()):
-            r = _rank(q, h)
+    of g under conjugation by s and t (``_conjugates``); the orbit's size.
+    Each element met is conjugated once (the standard orbit algorithm);
+    an orbit does not depend on visit order, so a list is the stack.  In
+    a finite group, closure under conjugation by the generators is
+    closure under conjugation by the group they generate."""
+    a, b, c, d = g
+    marks[(a * q + b) * q + (c if a else d) - q] = mark
+    stack, size = [g], 1
+    push, pop = stack.append, stack.pop
+    while stack:
+        for h in _conjugates(q, pop()):
+            a, b, c, d = h
+            r = (a * q + b) * q + (c if a else d) - q
             if marks[r] != mark:
                 marks[r] = mark
-                queue.append(h)
+                push(h)
                 size += 1
     return size
 
 
 def _generated_ranks(q: int) -> bytearray:
-    """The subgroup generated by s and t, marked by rank: the orbit of 1
-    under right multiplication by each, two products per element."""
+    """The subgroup generated by s and t, marked by rank: the closure of 1
+    under right multiplication by each, two products per element, written
+    out as additions: g s = (a, a+b, c, c+d) and g t = (a+b, b, c+d, d).
+    A closure does not depend on visit order, so a list is the stack."""
     seen = bytearray(q ** 3 - q)
-    _tuple_products[0] += 2 * _grow(q, seen, (1, 0, 0, 1), 1, _right_products)
+    seen[q * q - q] = 1   # the rank of 1
+    stack, size = [(1, 0, 0, 1)], 1
+    push, pop = stack.append, stack.pop
+    while stack:
+        a, b, c, d = pop()
+        ab, cd = (a + b) % q, (c + d) % q
+        r = (a * q + ab) * q + (c if a else cd) - q   # g s
+        if not seen[r]:
+            seen[r] = 1
+            push((a, ab, c, cd))
+            size += 1
+        r = (ab * q + b) * q + (cd if ab else d) - q   # g t
+        if not seen[r]:
+            seen[r] = 1
+            push((ab, b, cd, d))
+            size += 1
+    _tuple_products[0] += 2 * size
     return seen
 
 
@@ -486,16 +503,23 @@ def _class_indices(q: int) -> array:
     for i, rep in enumerate(representatives(q)):
         g = rep.representative[1:]
         if cls[_rank(q, g)] == _FREE:
-            _tuple_products[0] += 4 * _grow(q, cls, g, i, _conjugates)
+            _tuple_products[0] += 4 * _grow(q, cls, g, i)
     return cls
 
 
 @_cached_on_q
 def _square_classes(q: int) -> array:
-    """``_class_indices`` of g^2, by the rank of g: one pass of squares."""
+    """``_class_indices`` of g^2, by the rank of g: one pass of squares,
+    g^2 = (a^2 + bc, b(a+d), c(a+d), d^2 + bc)."""
     index = _class_indices(q, q)
-    _tuple_products[0] += q ** 3 - q
-    return array("H", (index[_rank(q, _mul(q, g, g))] for g in _lex_tuples(q)))
+    out = array("H", bytes(2 * (q ** 3 - q)))
+    for r, (a, b, c, d) in enumerate(_lex_tuples(q)):
+        bc, t = b * c, a + d
+        x = (a * a + bc) % q
+        out[r] = index[(x * q + b * t % q) * q - q
+                       + (c * t % q if x else (d * d + bc) % q)]
+    _tuple_products[0] += len(out)
+    return out
 
 
 @_cached_on_q

@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 from .chars import ETA1, ETA2, XI1, XI2, _json_schema, complex_table
 from .cyclo import dot
-from .fixdim import (_SUBGROUP_OF_CLASS, SubgroupKey, _averages, _key_column,
-                     _profile)
+from .fixdim import (_SUBGROUP_OF_CLASS, SubgroupKey, _averages, _degrees,
+                     _key_column, _profile)
 from .grp import (
     _FREE, ZC, ZD, GroupElem, _check_enumerable, _class_indices, _elem,
     _entries, _generated_ranks, _lex_tuples, _power_ranks, _rank,
@@ -87,9 +87,15 @@ class VerificationReport(_Record):
     __str__ = to_text
 
 
-def _fail_list(bad: list, limit: int = 4) -> str:
-    shown = "; ".join(str(x) for x in bad[:limit])
-    more = f" (+{len(bad) - limit} more)" if len(bad) > limit else ""
+_SHOWN = 4   # the failures a check words; a pass over G counts the rest
+
+
+def _fail_list(bad: list, count: int | None = None) -> str:
+    """The first _SHOWN failures in ``bad``, and how many more of ``count``
+    (len(bad) by default) there are."""
+    count = len(bad) if count is None else count
+    shown = "; ".join(str(x) for x in bad[:_SHOWN])
+    more = f" (+{count - _SHOWN} more)" if count > _SHOWN else ""
     return shown + more
 
 
@@ -238,7 +244,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         n, seen = 0, bytearray(order)
         for n, (a, b, c, d) in enumerate(_lex_tuples(q), 1):
             if (a * d - b * c) % q == 1:
-                seen[_rank(q, (a, b, c, d))] = 1
+                seen[(a * q + b) * q + (c if a else d) - q] = 1   # _rank
         ndist = seen.count(1)
         ok = n == order == ndist
         return ok, f"|SL2({q})| = {n}, expected {order}, distinct {ndist}"
@@ -279,7 +285,8 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     def check_involution():
         z = rep_z(q)
         number, subs, _ = subgroups()
-        invs = [r for r, i in enumerate(number) if subs[i].order == 2]
+        twos = {i for i, sub in enumerate(subs) if sub.order == 2}
+        invs = [r for r, i in enumerate(number) if i in twos]
         ok = invs == [_rank(q, z[1:])]
         ok = ok and rep_a(q) ** ((q - 1) // 2) == z
         ok = ok and find_b(q) ** ((q + 1) // 2) == z
@@ -297,16 +304,21 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         at = {lab: i for i, lab in enumerate(labels)}
         sq = [at[square_class_map(q)[lab]] for lab in labels]
         inv = [at[inverse_class_map(q)[lab]] for lab in labels]
-        bad = []
+        bad, n = [], 0   # the first _SHOWN messages, and the count
         for r, g in enumerate(_lex_tuples(q)):
             i = index[r]
             if square[r] != sq[i]:
-                bad.append(f"square map wrong on {_elem(q, g)!r}")
+                n += 1
+                if n <= _SHOWN:
+                    bad.append(f"square map wrong on {_elem(q, g)!r}")
             a, b, c, d = g
-            if index[_rank(q, (d, -b % q, -c % q, a))] != inv[i]:
-                bad.append(f"inverse map wrong on {_elem(q, g)!r}")
-        if bad:
-            return False, _fail_list(bad)
+            # the rank of g^-1 = (d, -b, -c, a)
+            if index[(d * q + -b % q) * q + (-c % q if d else a) - q] != inv[i]:
+                n += 1
+                if n <= _SHOWN:
+                    bad.append(f"inverse map wrong on {_elem(q, g)!r}")
+        if n:
+            return False, _fail_list(bad, count=n)
         return True, f"g -> g^2 and g -> g^-1 agree classwise for all {order} elements"
     run("square_inverse_maps", check_maps)
 
@@ -429,6 +441,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         if error is not None:
             raise error
         rt = real_table(q)
+        degrees = _degrees(rt)
         memo = {}   # class profile -> averages, shared by conjugate subgroups
         bad = []
         for profile, skey, sub, k in _profile_key_pairs(q, subs):
@@ -436,7 +449,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
             try:
                 if None in counts:
                     raise ValueError("meets an element outside every orbit")
-                avgs = _averages(rt, counts, memo)
+                avgs = _averages(rt, degrees, counts, memo)
             except ValueError as exc:
                 bad.append(f"<{sub.generator!r}> under {skey}: {exc}")
                 continue
@@ -456,17 +469,19 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     def check_order_2q():
         target = _order_2q_conjugates(q, _class_indices(q, max_enum))
         number, subs, _ = subgroups()
-        n = 0
-        bad = []
+        big = {i for i, sub in enumerate(subs) if sub.order == 2 * q}
+        stray = {i for i in big if subs[i].elements not in target}
+        n, bad, nbad = 0, [], 0   # the first _SHOWN messages, and the count
         for r, i in enumerate(number):
-            if subs[i].order != 2 * q:
-                continue
-            n += 1
-            if subs[i].elements not in target:
-                bad.append(f"<{_elem(q, _entries(q, r))!r}> not conjugate "
-                           f"to <zc> or <zd>")
-        if bad:
-            return False, _fail_list(bad)
+            if i in big:
+                n += 1
+                if i in stray:
+                    nbad += 1
+                    if nbad <= _SHOWN:
+                        bad.append(f"<{_elem(q, _entries(q, r))!r}> not "
+                                   f"conjugate to <zc> or <zd>")
+        if nbad:
+            return False, _fail_list(bad, count=nbad)
         return True, (f"{n} elements of order {2 * q}, {len(target)} subgroup "
                       f"conjugates, all accounted for")
     run("order_2q_subgroups", check_order_2q)

@@ -59,6 +59,34 @@ def test_rational_scalars_commute_with_division(x, r):
     assert x * r == r * x
 
 
+@st.composite
+def values_and_rationals(draw):
+    """A CycNum, irrational or rational at any conductor with denominator
+    1 to 3, and an int or Fraction operand, equal to it half the time
+    that it is rational."""
+    if draw(st.booleans()):
+        x = draw(cyc_numbers())
+    else:
+        x = rational(draw(st.fractions(-5, 5, max_denominator=3)),
+                     conductor=draw(st.sampled_from(CONDUCTORS)))
+    r = draw(st.one_of(st.integers(-9, 9),
+                       st.fractions(-5, 5, max_denominator=6)))
+    if (v := x.as_rational()) is not None and draw(st.booleans()):
+        r = v.numerator if v.denominator == 1 and draw(st.booleans()) else v
+    return x, r
+
+
+@seed(20261021)
+@settings(max_examples=500, deadline=None)
+@given(xr=values_and_rationals())
+def test_equality_with_an_int_or_fraction_is_as_rational(xr):
+    # __eq__ decides in ints; as_rational builds the Fraction
+    x, r = xr
+    assert (x == r) is (x.as_rational() == r)
+    assert (r == x) is (x == r)
+    assert (x != r) is not (x == r)
+
+
 def _poly_mul(a, b):
     sparse_b = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (len(a) + len(b) - 1)

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from sl2q.fq import is_odd_prime
-from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, GroupElem, _conjugates,
-                      _entries, _generated_ranks, _lex_tuples, _mul,
-                      _power_ranks, _rank, class_label_lookup, class_labels,
-                      class_of,
+from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, GroupElem, _class_indices,
+                      _conjugates, _entries, _generated_ranks, _lex_tuples,
+                      _power_ranks, _rank, _square_classes,
+                      class_label_lookup, class_labels, class_of,
                       class_order, conjugacy_partition, element_order,
                       enumerate_group, find_b, identity, parse_class_label,
                       powers, rep_a, rep_c, rep_d, rep_z, rep_zc, rep_zd,
@@ -89,16 +89,33 @@ def test_rank_and_entries_are_inverse_in_lex_order(q):
     assert [_entries(q, r) for r in range(order)] == list(_lex_tuples(q))
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 11])
-def test_tuple_product_is_the_group_product(q):
+@pytest.mark.parametrize("q", Q_SMALL)
+def test_closure_pass_is_the_group_closure(q):
+    # _generated_ranks writes g*s and g*t out as additions; the closure
+    # of 1 under GroupElem products by s and t marks the same ranks
+    s, t = GroupElem(q, 1, 1, 0, 1), GroupElem(q, 1, 0, 1, 1)
+    seen, stack = {identity(q)}, [identity(q)]
+    while stack:
+        g = stack.pop()
+        for h in (g * s, g * t):
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    want = bytearray(q ** 3 - q)
+    for g in seen:
+        want[_rank(q, g[1:])] = 1
+    assert _generated_ranks(q) == want
+
+
+@pytest.mark.parametrize("q", Q_SMALL)
+def test_square_pass_is_the_group_square(q):
+    # _square_classes writes g^2 out entry by entry; at every rank it
+    # holds the class index of the GroupElem product g * g
+    index, square = _class_indices(q), _square_classes(q)
     G = enumerate_group(q)
-    if q <= 5:
-        pairs = [(g, h) for g in G for h in G]
-    else:
-        rng = random.Random(q)
-        pairs = [(rng.choice(G), rng.choice(G)) for _ in range(2000)]
-    for g, h in pairs:
-        assert _mul(q, g[1:], h[1:]) == (g * h)[1:]
+    assert len(square) == len(G)
+    for g in G:
+        assert square[_rank(q, g[1:])] == index[_rank(q, (g * g)[1:])]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])

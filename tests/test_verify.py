@@ -225,6 +225,28 @@ def test_subgroup_walk_crash_fails_only_its_checks(monkeypatch):
     assert [c.name for c in report.checks] == CHECK_NAMES
 
 
+def test_a_moved_inverse_map_entry_fails_every_element_of_its_class(monkeypatch):
+    # check 4 formats the first four failing elements and counts the rest
+    # (a wrong map at q = 149 fails tens of thousands of elements)
+    import sl2q.verify as verify
+    from sl2q.grp import A, ONE
+    from sl2q.realrep import inverse_class_map
+
+    q = 7
+    moved = {**inverse_class_map(q), A(1): ONE}
+    monkeypatch.setattr(verify, "inverse_class_map", lambda q: moved)
+    report = verify_all(q)
+    assert [c.name for c in report.checks if not c.passed] == [
+        "square_inverse_maps"]
+    lookup = class_label_lookup(q)
+    wrong = [g for g in enumerate_group(q) if lookup[g] == A(1)]
+    assert len(wrong) == q * (q + 1)
+    details = report.checks[CHECK_NAMES.index("square_inverse_maps")].details
+    assert details == ("; ".join(f"inverse map wrong on {g!r}"
+                                 for g in wrong[:4])
+                       + f" (+{q * (q + 1) - 4} more)")
+
+
 def test_one_nu_entry_with_its_sign_flipped_fails_orthogonality(monkeypatch):
     # check 5 weights each row term by its class size inside dot; a table
     # with one wrong pool entry must still fail it
