@@ -96,8 +96,11 @@ COMMANDS = [
     ["fixed-points", "101", "--max-enum", "101"],
     ["fixed-points", "211", "--max-enum", "211"],
     ["fixed-points", "1009", "--max-enum", "1009"],
+    ["classes", "1009", "--format", "latex"],   # the perfbench closed op
     ["classes", "100003"],
     ["classes", "100003", "--format", "latex"],
+    ["classes", "1000003"],
+    ["classes", "1000003", "--format", "latex"],
     ["char-table", "499"],
     ["real-table", "499"],
     ["fs", "499"],

@@ -34,7 +34,8 @@ from types import GeneratorType, SimpleNamespace
 
 from .chars import complex_table, sym_latex, sym_str
 from .fixdim import full_report
-from .grp import DEFAULT_MAX_ENUM, representatives
+from .grp import (DEFAULT_MAX_ENUM, ClassLabel, _class_rows, _class_size,
+                  torus_indices)
 from .realrep import fs_indicator_closed, fs_indicator_raw, real_table
 from .verify import verify_all
 
@@ -138,43 +139,51 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.6f}{z.imag:+.6f}i"
 
 
-def _matrix_str(g) -> str:
-    a, b, c, d = g.to_tuple()
-    return f"[[{a},{b}],[{c},{d}]]"
-
-
-def _matrix_latex(g) -> str:
-    a, b, c, d = g.to_tuple()
-    return (f"$\\left(\\begin{{smallmatrix}}{a}&{b}\\\\{c}&{d}"
-            f"\\end{{smallmatrix}}\\right)$")
+# a representative (a, b, c, d), spelled from its four ints
+_matrix_str = "[[{},{}],[{},{}]]".format
+_matrix_latex = ("$\\left(\\begin{{smallmatrix}}{}&{}\\\\{}&{}"
+                 "\\end{{smallmatrix}}\\right)$").format
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _class_widths(q: int) -> list[int]:
+    """The widest text cell of the label, order and size columns, from the
+    closed forms: the longest label of a kind has its largest index, the
+    largest order is 2q (zc and zd), and each kind has one size."""
+    kinds = [(kind, 0) for kind in ("1", "z", "c", "d", "zc", "zd")]
+    kinds += [(kind, ks[-1]) for kind in "ab" if (ks := torus_indices(q, kind))]
+    return [max(len(ClassLabel.spell(*kind)) for kind in kinds),
+            len(str(2 * q)),
+            max(len(str(_class_size(q, kind))) for kind, _ in kinds)]
+
+
 def _cmd_classes(args) -> int:
-    reps = representatives(args.q)
+    """The class list, streamed from ``grp._class_rows``; no row is kept."""
+    q = args.q
+    rows = _class_rows(q)   # checks q before anything is written
     if args.fmt == "json":
-        print(json.dumps({
-            "schema": 2,
-            "q": args.q,
-            "classes": [{"label": str(c.label),
-                         "representative": list(c.representative.to_tuple()),
-                         "order": c.element_order,
-                         "size": c.size} for c in reps],
-        }))
+        classes = ({"label": ClassLabel.spell(kind, k), "representative": list(g),
+                    "order": order, "size": size}
+                   for kind, k, g, order, size in rows)
+        _write_lines(chain(_json_chunks({"schema": 2, "q": q,
+                                         "classes": classes}), ["\n"]), end="")
         return 0
     headers = ["label", "representative", "order", "size"]
-    name, matrix = ((methodcaller("latex"), _matrix_latex) if args.fmt == "latex"
-                    else (str, _matrix_str))
-    rows = [[name(c.label), matrix(c.representative),
-             str(c.element_order), str(c.size)] for c in reps]
+    latex = args.fmt == "latex"
+    matrix = _matrix_latex if latex else _matrix_str
+    cells = ([ClassLabel.spell(kind, k, latex), matrix(*g), str(order), str(size)]
+             for kind, k, g, order, size in rows)
     if args.fmt == "csv":
-        _print_csv(headers, rows)
-    elif args.fmt == "latex":
-        _print_latex_table(headers, rows)
+        _print_csv(headers, cells)
+    elif latex:
+        _print_latex_table(headers, cells)
     else:
-        _print_text_table(headers, rows)
+        label_w, order_w, size_w = _class_widths(q)
+        matrix_w = max(len(_matrix_str(*g)) for _, _, g, _, _ in _class_rows(q))
+        head, widths = _text_layout(headers, [label_w, matrix_w, order_w, size_w])
+        _write_lines(chain(head, (_text_line(row, widths) for row in cells)))
     return 0
 
 

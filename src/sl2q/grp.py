@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import accumulate, repeat
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .fq import (
     _prime_factors, inverse, is_odd_prime, is_quadratic_residue,
@@ -238,10 +237,15 @@ def element_order(g: GroupElem) -> int:
 def class_order(q: int, label: ClassLabel) -> int:
     """The order of every element of the class ``label``, in closed form:
     |a^l| = (q-1)/gcd(q-1, l) and |b^m| = (q+1)/gcd(q+1, m)."""
-    if label.kind in ("a", "b"):
-        n = torus_order(q, label.kind)
-        return n // gcd(n, label.index)
-    return {"1": 1, "z": 2, "c": q, "d": q, "zc": 2 * q, "zd": 2 * q}[label.kind]
+    return _class_order(q, label.kind, label.index)
+
+
+def _class_order(q: int, kind: str, index: int) -> int:
+    """``class_order`` of the label (kind, index), without building it."""
+    if kind in ("a", "b"):
+        n = torus_order(q, kind)
+        return n // gcd(n, index)
+    return {"1": 1, "z": 2, "c": q, "d": q, "zc": 2 * q, "zd": 2 * q}[kind]
 
 
 def _lex_tuples(q: int):
@@ -321,25 +325,63 @@ def find_b(q: int) -> GroupElem:
     raise AssertionError(f"no element of order {q + 1} in SL2({q})")  # unreachable
 
 
+def _class_size(q: int, kind: str) -> int:
+    """The size of each class of the kind: 1 for 1 and z, (q^2-1)/2 for
+    c, d, zc and zd, q(q+1) per a-class and q(q-1) per b-class."""
+    return {"1": 1, "z": 1, "a": q * (q + 1),
+            "b": q * (q - 1)}.get(kind, (q * q - 1) // 2)
+
+
+def _class_rows(q: int):
+    """The q+4 conjugacy classes in table order, as ints: an iterator of
+    ``(kind, index, (a, b, c, d), order, size)``.
+
+    q is checked and the torus generators are found here, before the
+    iterator is returned, so a refusal or a MemoryError comes before any
+    row.  The classes t^k of a torus generator t are t, t^2, t^3, ...,
+    one product per class written out on ints, each with the determinant
+    check of ``GroupElem.__mul__``.  They are not counted in
+    ``_tuple_products``: building the representatives is set-up for the
+    product budgets, which read that counter whole.
+    """
+    if not is_odd_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
+    nu = primitive_root(q)
+    tori = (("a", (nu, 0, 0, inverse(nu, q))), ("b", find_b(q)[1:]))
+    return _stream_rows(q, nu, tori)
+
+
+def _stream_rows(q: int, nu: int, tori):
+    """``_class_rows`` past its checks."""
+    z = q - 1
+    for kind, g in (("1", (1, 0, 0, 1)), ("z", (z, 0, 0, z)),
+                    ("c", (1, 0, 1, 1)), ("d", (1, 0, nu, 1)),
+                    ("zc", (z, 0, z, z)), ("zd", (z, 0, q - nu, z))):
+        yield kind, 0, g, _class_order(q, kind, 0), _class_size(q, kind)
+    for kind, t in tori:
+        size = _class_size(q, kind)
+        e, f, g, h = a, b, c, d = t
+        for k in torus_indices(q, kind):
+            if k > 1:
+                a, b, c, d = ((a * e + b * g) % q, (a * f + b * h) % q,
+                              (c * e + d * g) % q, (c * f + d * h) % q)
+                if (a * d - b * c) % q != 1:
+                    raise ValueError(
+                        f"determinant must be 1: ({a},{b},{c},{d}) mod {q}")
+            yield kind, k, (a, b, c, d), _class_order(q, kind, k), size
+
+
 @lru_cache(maxsize=8)
 def representatives(q: int) -> tuple[ConjClass, ...]:
     """The q+4 conjugacy classes: label, representative, size, element order.
 
-    Sizes and orders are the classical closed forms (orders from
-    ``class_order``); the verification suite checks both against the
-    orbits and against ``element_order`` of each representative.
+    One ``ConjClass`` per row of ``_class_rows``, whose sizes and orders
+    are the classical closed forms (orders from ``class_order``); the
+    verification suite checks both against the orbits and against
+    ``element_order`` of each representative.
     """
-    if not is_odd_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
-    reps = [identity(q), rep_z(q), rep_c(q), rep_d(q), rep_zc(q), rep_zd(q)]
-    for kind, t in (("a", rep_a(q)), ("b", find_b(q))):
-        # t, t^2, t^3, ...: one group product per class
-        reps += accumulate(repeat(t, len(torus_indices(q, kind))), mul)
-    sizes = {"1": 1, "z": 1, "a": q * (q + 1), "b": q * (q - 1)}
-    half = (q * q - 1) // 2
-    return tuple(ConjClass(label, g, sizes.get(label.kind, half),
-                           class_order(q, label))
-                 for label, g in zip(class_labels(q), reps))
+    return tuple(ConjClass(ClassLabel(kind, k), _elem(q, g), size, order)
+                 for kind, k, g, order, size in _class_rows(q))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ different families never compare equal, whatever their kind and index.
 >>> from sl2q.grp import ClassLabel
 >>> ClassLabel.parse("a^3"), str(ClassLabel("a", 3)), ClassLabel("a", 3).latex()
 (ClassLabel(kind='a', index=3), 'a^3', '$a^{3}$')
+>>> ClassLabel.spell("a", 3), ClassLabel.spell("zc", latex=True)
+('a^3', '$zc$')
 """
 from __future__ import annotations
 
@@ -94,12 +96,19 @@ class _Label(_Record):
     def __hash__(self):
         return hash((self.kind, self.index))
 
+    @classmethod
+    def spell(cls, kind: str, index: int = 0, latex: bool = False) -> str:
+        """The name of the label (kind, index), without building it: its
+        ``str``, or with ``latex`` its ``latex()``."""
+        text, tex, _ = cls._NAMES[kind]
+        return f"${tex.format(index)}$" if latex else text.format(index)
+
     def __str__(self):
-        return self._NAMES[self.kind][0].format(self.index)
+        return self.spell(self.kind, self.index)
 
     def latex(self) -> str:
         """The name in LaTeX math mode, dollars included."""
-        return f"${self._NAMES[self.kind][1].format(self.index)}$"
+        return self.spell(self.kind, self.index, latex=True)
 
     @classmethod
     def parse(cls, s: str):

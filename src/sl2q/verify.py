@@ -117,16 +117,20 @@ def _walk_subgroups(q: int, cls) -> tuple[array, list]:
     The scan walks g, g^2, ..., g^n = 1 from each g not yet numbered.  The
     power g^k generates <g^d>, d = gcd(k, n), whose elements are the
     g^(dj); so one walk numbers each subgroup of <g> not numbered before,
-    at all of its generators, and every later generator is skipped.
+    at all of its generators, and every later generator is skipped: the
+    scan jumps to the next rank not yet numbered (``array.index``).
     """
     label_of = {**dict(enumerate(class_labels(q))), _FREE: None}
     profiles = {}     # sorted class indices -> profile
     steps = {}        # n -> (d, the k < n/d with gcd(k, n/d) = 1) per d | n
     number = array("I", [_UNWALKED]) * (q ** 3 - q)
     subgroups = []
-    for r in range(len(number)):
-        if number[r] != _UNWALKED:
-            continue
+    r = 0
+    while True:
+        try:
+            r = number.index(_UNWALKED, r)
+        except ValueError:   # every rank is numbered
+            break
         g = _entries(q, r)
         walk = _power_ranks(q, g)
         n = len(walk)

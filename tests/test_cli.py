@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -461,6 +462,29 @@ def test_out_of_memory_is_a_message_not_a_traceback():
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops what it is given."""
+    def write(self, s):
+        return len(s)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
+def test_classes_stream_in_little_memory(fmt, monkeypatch):
+    # the class list is rendered row by row from ints, in well under 1 MB
+    # here (find_b's table of 20,011 inverses included).  One ConjClass,
+    # GroupElem and label per class, kept until the list was printed, made
+    # the peak 7-15 MB; at q = 100003 it was 72-74 MB.  A smaller q keeps
+    # the test fast: tracing makes each allocation about 15 times dearer
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        assert main(["classes", "20011", "--format", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("argv", [("char-table", "47"), ("fs", "53")])

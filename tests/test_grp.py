@@ -1,12 +1,16 @@
 """SL2(q): elements, conjugacy classes, and the class-label machinery."""
 import random
+from itertools import accumulate, repeat
+from operator import mul
 
 import pytest
 
+from sl2q import grp
 from sl2q.fq import is_odd_prime
-from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, GroupElem, _class_indices,
-                      _conjugates, _entries, _generated_ranks, _lex_tuples,
-                      _power_ranks, _rank, _square_classes,
+from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, ClassLabel, GroupElem,
+                      _class_indices, _class_rows, _conjugates, _entries,
+                      _generated_ranks, _lex_tuples, _power_ranks, _rank,
+                      _square_classes,
                       class_label_lookup, class_labels, class_of,
                       class_order, conjugacy_partition, element_order,
                       enumerate_group, find_b, identity, parse_class_label,
@@ -204,6 +208,43 @@ def test_class_sizes_and_orders(q):
     for c in classes:
         assert c.element_order == element_order(c.representative)
         assert class_of(c.representative) == c.label
+
+
+def _classes_from_group_products(q):
+    """(label, entries, order, size) of each class, the representatives
+    built as GroupElem products: t, t^2, t^3, ... for t = a and b."""
+    reps = [identity(q), rep_z(q), rep_c(q), rep_d(q), rep_zc(q), rep_zd(q)]
+    for t, n in ((rep_a(q), (q - 3) // 2), (find_b(q), (q - 1) // 2)):
+        reps += accumulate(repeat(t, n), mul)
+    sizes = {"1": 1, "z": 1, "a": q * (q + 1), "b": q * (q - 1)}
+    return [(label, g.to_tuple(), class_order(q, label),
+             sizes.get(label.kind, (q * q - 1) // 2))
+            for label, g in zip(class_labels(q), reps)]
+
+
+@pytest.mark.parametrize("q", [q for q in range(3, 212) if is_odd_prime(q)]
+                         + [1009])
+def test_class_rows_are_the_representatives(q):
+    rows = [(ClassLabel(kind, k), g, order, size)
+            for kind, k, g, order, size in _class_rows(q)]
+    assert rows == [(c.label, c.representative.to_tuple(), c.element_order,
+                     c.size) for c in representatives(q)]
+    assert rows == _classes_from_group_products(q)
+
+
+def test_class_rows_check_the_determinant_of_a_forged_torus_generator(
+        monkeypatch):
+    # determinant 2, so the first product, t^2, has determinant 4
+    forged = tuple.__new__(GroupElem, (7, 2, 0, 0, 1))
+    monkeypatch.setattr(grp, "find_b", lambda q: forged)
+    with pytest.raises(ValueError, match=r"determinant must be 1: "
+                                         r"\(4,0,0,1\) mod 7"):
+        list(_class_rows(7))
+
+
+def test_class_rows_refuse_before_the_first_row():
+    with pytest.raises(ValueError, match="odd prime"):
+        _class_rows(9)   # not iterated: the check runs on the call
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])

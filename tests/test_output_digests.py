@@ -15,7 +15,9 @@ column; their digests were written before those tables were rendered
 from per-width tables of padded cells.  ``fixed-points 53`` and ``211``,
 past the enumeration bound in all four formats, were written before the
 subgroup keys of one closed-form signature shared a column, and the
-renderers read each distinct column once.
+renderers read each distinct column once.  ``classes 1009`` was written
+before the class list was streamed from int rows; its text, csv and latex
+digests are those of perfbench's ``closed`` workload.
 """
 import contextlib
 import hashlib
@@ -210,6 +212,14 @@ DIGESTS = {
         "781048f9d816ce1635b695085e90b00c9e00b679c0ac0d717c27fda935e66b6c",
     "classes 13 latex":
         "1f84e333e955ca858432d8371619dbc964d3efb711add8e8af79dc4218b34683",
+    "classes 1009 text":
+        "333c73d1022317080196b0b5cf802540d8097b752badbc436fbd687440a504ad",
+    "classes 1009 json":
+        "5b069542721d6e36837877fdd15e7fe3a21cd017bd55563a22946a0e59faf817",
+    "classes 1009 csv":
+        "584ecb10979f449279ca03e8cb5afe7f6c14ad1787c41fd9fed9720c3fa132bc",
+    "classes 1009 latex":
+        "7c8e8fd7d4a2ca0ba306f3f618740edcf30cf7de7741e3f9e6aeddba737a48ce",
     "fixed-points 3 text":
         "1c226c262597fc6c3f7e718dbdf7ae9e7bb58d04cc226fe62bd3df705944c7e6",
     "fixed-points 3 json":

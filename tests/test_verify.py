@@ -154,6 +154,37 @@ def test_shared_subgroups_equal_the_full_expansion(q):
     assert len(subgroups) == len({ranks(g) for g in G})
 
 
+def _walk_rank_by_rank(q):
+    """The subgroup numbers and (order, generator rank) of each subgroup of
+    ``_walk_subgroups``, found by a scan that visits every rank and skips
+    those already numbered."""
+    rank = {g: r for r, g in enumerate(enumerate_group(q))}
+    number = [None] * len(rank)
+    subgroups = []
+    for r, g in enumerate(enumerate_group(q)):
+        if number[r] is not None:
+            continue
+        walk = [rank[h] for h in powers(g)]
+        n = len(walk)
+        for d in range(1, n + 1):
+            if n % d or number[walk[d - 1]] is not None:
+                continue
+            for k in range(1, n // d + 1):
+                if gcd(k, n // d) == 1:
+                    number[walk[d * k - 1]] = len(subgroups)
+            subgroups.append((n // d, walk[d - 1]))
+    return number, subgroups
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_subgroup_walk_numbers_every_rank_as_a_rank_by_rank_scan(q):
+    number, subgroups = _walk_subgroups(q, _class_indices(q))
+    want_number, want_subgroups = _walk_rank_by_rank(q)
+    assert list(number) == want_number   # so no rank is left unnumbered
+    rank = {g: r for r, g in enumerate(enumerate_group(q))}
+    assert [(s.order, rank[s.generator]) for s in subgroups] == want_subgroups
+
+
 def _profile(counts) -> frozenset:
     return frozenset(counts.items())
 
