@@ -340,9 +340,8 @@ def _class_rows(q: int):
     iterator is returned, so a refusal or a MemoryError comes before any
     row.  The classes t^k of a torus generator t are t, t^2, t^3, ...,
     one product per class written out on ints, each with the determinant
-    check of ``GroupElem.__mul__``.  They are not counted in
-    ``_tuple_products``: building the representatives is set-up for the
-    product budgets, which read that counter whole.
+    check of ``GroupElem.__mul__``, and counted in ``_tuple_products`` once
+    a torus is written out.
     """
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
@@ -361,7 +360,8 @@ def _stream_rows(q: int, nu: int, tori):
     for kind, t in tori:
         size = _class_size(q, kind)
         e, f, g, h = a, b, c, d = t
-        for k in torus_indices(q, kind):
+        ks = torus_indices(q, kind)
+        for k in ks:
             if k > 1:
                 a, b, c, d = ((a * e + b * g) % q, (a * f + b * h) % q,
                               (c * e + d * g) % q, (c * f + d * h) % q)
@@ -369,6 +369,7 @@ def _stream_rows(q: int, nu: int, tori):
                     raise ValueError(
                         f"determinant must be 1: ({a},{b},{c},{d}) mod {q}")
             yield kind, k, (a, b, c, d), _class_order(q, kind, k), size
+        _tuple_products[0] += max(len(ks) - 1, 0)
 
 
 @lru_cache(maxsize=8)

@@ -14,6 +14,13 @@ walk raises, each check that asks for it fails on its own; the class
 indices it counts with are fetched in a guarded step, so a partition that
 fails still leaves check 3 its walk.
 
+Check 5 sums the row orthogonality relations, and the column relations
+only when a row sum fails, the table is not square, or a class size is
+not a positive divisor of |G|.  Skipping them otherwise is exact: a
+square table whose rows are orthogonal is invertible, and its inverse
+gives the column relations (the second orthogonality relation).  A row
+whose length is not the class count fails the check by name first.
+
 The orbit partition takes each class as the orbit of its representative
 under conjugation by the two generators s = [[1,1],[0,1]] and
 t = [[1,0],[1,1]]; check 2 confirms that s and t generate the enumerated
@@ -335,26 +342,39 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     rows = dict(ct.by_row([v for v, _ in ct.pool]))
     conj_rows = dict(ct.by_row([v.conjugate() for v, _ in ct.pool]))
 
-    # (5) orthogonality, rows and columns, exact
+    # (5) orthogonality, exact.  The row relations say X·D·X̄ᵀ = |G|·I,
+    # X the table and D the class sizes; the loop sums only i <= j, as
+    # conjugate is an involutive automorphism.  For a square X that makes
+    # X invertible with inverse D·X̄ᵀ/|G|, so X̄ᵀ·X = |G|·D⁻¹: the column
+    # relations follow (Isaacs, Character Theory of Finite Groups, ch. 2),
+    # and the want order // size is |G|/size when every size divides |G|.
+    # So the columns are summed only when a row sum fails, the table is
+    # not square, or a class size is not a positive divisor of |G|.
     def check_orthogonality():
-        bad = []
+        n = len(labels)
+        bad = [f"row {ch} has {len(rows[ch])} entries for {n} classes"
+               for ch in ct.chars if len(rows[ch]) != n]
+        if bad:
+            return False, _fail_list(bad)
         for i, ch1 in enumerate(ct.chars):
             for ch2 in ct.chars[i:]:
                 acc = dot(zip(rows[ch1], conj_rows[ch2], sizes))
                 want = order if ch1 == ch2 else 0
                 if acc != want:
                     bad.append(f"<{ch1},{ch2}> != {want}")
-        cols = list(zip(*rows.values()))
-        conj_cols = list(zip(*conj_rows.values()))
-        for i, l1 in enumerate(labels):
-            for j in range(i, len(labels)):
-                acc = dot(zip(cols[i], conj_cols[j], repeat(1)))
-                want = order // sizes[i] if i == j else 0
-                if acc != want:
-                    bad.append(f"column <{l1},{labels[j]}> != {want}")
+        if bad or len(ct.chars) != n or not all(
+                s > 0 and order % s == 0 for s in sizes):
+            cols = list(zip(*rows.values()))
+            conj_cols = list(zip(*conj_rows.values()))
+            for i, l1 in enumerate(labels):
+                for j in range(i, n):
+                    acc = dot(zip(cols[i], conj_cols[j], repeat(1)))
+                    want = order // sizes[i] if i == j else 0
+                    if acc != want:
+                        bad.append(f"column <{l1},{labels[j]}> != {want}")
         if bad:
             return False, _fail_list(bad)
-        return True, (f"{len(ct.chars)} rows and {len(labels)} columns "
+        return True, (f"{len(ct.chars)} rows and {n} columns "
                       f"orthogonal at conductor {ct.conductor}")
     run("orthogonality", check_orthogonality)
 

@@ -2,6 +2,8 @@
 import json
 import os
 from collections import Counter
+from fractions import Fraction
+from itertools import repeat
 from math import gcd
 import subprocess
 import sys
@@ -10,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import sl2q
+from sl2q.chars import CharTable, complex_table, sym_scale
+from sl2q.cyclo import dot
 from sl2q.fixdim import subgroup_key_of
-from sl2q.grp import (_class_indices, class_label_lookup, class_of,
+from sl2q.grp import (ConjClass, _class_indices, class_label_lookup, class_of,
                       element_order, enumerate_group, powers, rep_zc, rep_zd)
-from sl2q.verify import (VerificationReport, _generator_keys,
+from sl2q.verify import (VerificationReport, _fail_list, _generator_keys,
                          _order_2q_conjugates, _profile_key_pairs,
                          _walk_subgroups, verify_all)
 
@@ -278,29 +282,194 @@ def test_a_moved_inverse_map_entry_fails_every_element_of_its_class(monkeypatch)
                        + f" (+{q * (q + 1) - 4} more)")
 
 
+def _flipped_nu_table(q):
+    """complex_table(q) with the sign of its first nu pool entry flipped."""
+    ct = complex_table(q)
+    k = next(i for i, (_, cell) in enumerate(ct.pool) if cell[0] == "nu")
+    v, cell = ct.pool[k]
+    pool = (*ct.pool[:k], (-v, sym_scale(cell, -1)), *ct.pool[k + 1:])
+    return CharTable(ct.q, ct.epsilon, ct.conductor, ct.classes, pool,
+                     ct.index)
+
+
+def _table_without_a_row(q):
+    """complex_table(q) less its last row: q+3 rows for q+4 classes."""
+    ct = complex_table(q)
+    index = dict(ct.index)
+    del index[ct.chars[-1]]
+    return CharTable(ct.q, ct.epsilon, ct.conductor, ct.classes, ct.pool,
+                     index)
+
+
+def _table_with_a_moved_size(q):
+    """complex_table(q) with one element moved from class c to class d:
+    (q^2+1)/2 and (q^2-3)/2 do not divide |G| at q = 11 or 13."""
+    ct = complex_table(q)
+    classes = list(ct.classes)
+    for i, step in ((2, 1), (3, -1)):
+        c = classes[i]
+        classes[i] = ConjClass(c.label, c.representative, c.size + step,
+                               c.element_order)
+    return CharTable(ct.q, ct.epsilon, ct.conductor, tuple(classes), ct.pool,
+                     ct.index)
+
+
+def _table_with_a_rescaled_column(q):
+    """complex_table(q) with column c halved and its class size taken four
+    times: each row sum is unchanged, but 2(q^2-1) does not divide |G|,
+    and the c column sums to |G|/(2(q^2-1)) = q/2, not an integer."""
+    ct = complex_table(q)
+    pool = list(ct.pool)
+    halved = {}
+    index = {}
+    for ch, idx in ct.index.items():
+        k = idx[2]
+        if k not in halved:
+            v, cell = ct.pool[k]
+            halved[k] = len(pool)
+            pool.append((v / 2, sym_scale(cell, Fraction(1, 2))))
+        index[ch] = idx = idx[:]
+        idx[2] = halved[k]
+    classes = list(ct.classes)
+    c = classes[2]
+    classes[2] = ConjClass(c.label, c.representative, 4 * c.size,
+                           c.element_order)
+    return CharTable(ct.q, ct.epsilon, ct.conductor, tuple(classes),
+                     tuple(pool), index)
+
+
+def _check(report, name):
+    return {c.name: c for c in report.checks}[name]
+
+
 def test_one_nu_entry_with_its_sign_flipped_fails_orthogonality(monkeypatch):
     # check 5 weights each row term by its class size inside dot; a table
     # with one wrong pool entry must still fail it
     import sl2q.verify as verify
-    from sl2q.chars import CharTable, complex_table, sym_scale
 
-    ct = complex_table(11)
-    k = next(i for i, (_, cell) in enumerate(ct.pool) if cell[0] == "nu")
-    v, cell = ct.pool[k]
-    pool = (*ct.pool[:k], (-v, sym_scale(cell, -1)), *ct.pool[k + 1:])
-    broken = CharTable(ct.q, ct.epsilon, ct.conductor, ct.classes, pool,
-                       ct.index)
+    broken = _flipped_nu_table(11)
     monkeypatch.setattr(verify, "complex_table", lambda q: broken)
-    check = {c.name: c for c in verify_all(11).checks}["orthogonality"]
+    check = _check(verify_all(11), "orthogonality")
     assert not check.passed
     assert "!=" in check.details and "crashed" not in check.details
+
+
+def _orthogonality_reference(ct, order):
+    """Check 5 as it was when it summed both relations in full: every row
+    pair, then every column pair, whatever the rows gave."""
+    labels = ct.class_order
+    sizes = [cls.size for cls in ct.classes]
+    rows = dict(ct.by_row([v for v, _ in ct.pool]))
+    conj_rows = dict(ct.by_row([v.conjugate() for v, _ in ct.pool]))
+    bad = []
+    for i, ch1 in enumerate(ct.chars):
+        for ch2 in ct.chars[i:]:
+            acc = dot(zip(rows[ch1], conj_rows[ch2], sizes))
+            want = order if ch1 == ch2 else 0
+            if acc != want:
+                bad.append(f"<{ch1},{ch2}> != {want}")
+    cols = list(zip(*rows.values()))
+    conj_cols = list(zip(*conj_rows.values()))
+    for i, l1 in enumerate(labels):
+        for j in range(i, len(labels)):
+            acc = dot(zip(cols[i], conj_cols[j], repeat(1)))
+            want = order // sizes[i] if i == j else 0
+            if acc != want:
+                bad.append(f"column <{l1},{labels[j]}> != {want}")
+    if bad:
+        return False, _fail_list(bad)
+    return True, (f"{len(ct.chars)} rows and {len(labels)} columns "
+                  f"orthogonal at conductor {ct.conductor}")
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                               43, 47])
+def test_orthogonality_matches_the_two_relation_reference(q):
+    # a true table passes its row sums, is square and has class sizes
+    # dividing |G|, so check 5 skips the column sums; its verdict and
+    # words are those of summing both
+    check = _check(verify_all(q), "orthogonality")
+    assert check.passed
+    assert (check.passed, check.details) == _orthogonality_reference(
+        complex_table(q), q ** 3 - q)
+
+
+@pytest.mark.parametrize("q", [11, 13])
+@pytest.mark.parametrize("broken", [_flipped_nu_table, _table_without_a_row,
+                                    _table_with_a_moved_size,
+                                    _table_with_a_rescaled_column])
+def test_orthogonality_of_a_broken_table_matches_the_reference(
+        monkeypatch, broken, q):
+    # a failing row sum, a missing row or a class size that does not
+    # divide |G| each sends check 5 on to the column sums, and it reports
+    # the same failures, rows' first, as summing both relations in full
+    import sl2q.verify as verify
+
+    table = broken(q)
+    monkeypatch.setattr(verify, "complex_table", lambda q: table)
+    check = _check(verify_all(q), "orthogonality")
+    assert not check.passed and "crashed" not in check.details
+    assert (check.passed, check.details) == _orthogonality_reference(
+        table, q ** 3 - q)
+
+
+def test_a_ragged_row_fails_orthogonality_by_name(monkeypatch):
+    # without its last (zero) entry a chi row still passes its row sums,
+    # as zip stops at the shorter operand; check 5 compares each row's
+    # length with the class count before it sums anything
+    import sl2q.verify as verify
+
+    q = 13
+    ct = complex_table(q)
+    index = {ch: idx[:-1] if ch.kind == "chi" else idx
+             for ch, idx in ct.index.items()}
+    ragged = CharTable(ct.q, ct.epsilon, ct.conductor, ct.classes, ct.pool,
+                       index)
+    monkeypatch.setattr(verify, "complex_table", lambda q: ragged)
+    check = _check(verify_all(q), "orthogonality")
+    assert not check.passed
+    assert check.details == ("; ".join(f"row chi_{i} has 16 entries for 17 "
+                                       f"classes" for i in range(1, 5))
+                             + " (+1 more)")
+
+
+def _count_dot(monkeypatch) -> list:
+    """A list that gains one item per exact sum check 5 makes."""
+    import sl2q.verify as verify
+
+    calls = []
+
+    def counted(terms):
+        calls.append(None)
+        return dot(terms)
+    monkeypatch.setattr(verify, "dot", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [7, 11, 13])
+def test_a_passing_table_sums_only_its_row_relations(monkeypatch, q):
+    # (q+4)(q+5)/2 exact sums, one per unordered pair of rows, with
+    # none for the columns, which follow from the rows on a square table
+    calls = _count_dot(monkeypatch)
+    assert _check(verify_all(q), "orthogonality").passed
+    assert len(calls) == (q + 4) * (q + 5) // 2
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_a_failing_table_sums_both_relations(monkeypatch, q):
+    import sl2q.verify as verify
+
+    table = _flipped_nu_table(q)
+    monkeypatch.setattr(verify, "complex_table", lambda q: table)
+    calls = _count_dot(monkeypatch)
+    assert not _check(verify_all(q), "orthogonality").passed
+    assert len(calls) == (q + 4) * (q + 5)
 
 
 _COUNT_PRODUCTS_OF = """
 from sl2q import grp
 from sl2q.grp import GroupElem
 from sl2q.verify import verify_all
-{setup}
 calls = 0   # GroupElem products; grp._tuple_products counts those on tuples
 product = GroupElem.__mul__
 def counted(g, h):
@@ -308,8 +477,10 @@ def counted(g, h):
     calls += 1
     return product(g, h)
 GroupElem.__mul__ = counted
+{setup}
+before = calls + grp._tuple_products[0]
 {work}
-print(calls + grp._tuple_products[0])
+print(calls + grp._tuple_products[0] - before)
 """
 _COUNT_PRODUCTS = _COUNT_PRODUCTS_OF.format(
     setup="", work="assert verify_all(11).overall")
@@ -335,7 +506,8 @@ def test_group_product_budget_of_verify():
     # 11,474 with one squaring pass: 5,280 for the partition, 2,640 for
     # the closure of {s, t}, 1,320 for the squares check 4 and the raw
     # indicator share, 1,771 for the walk, 252 for check 11 and 211 on
-    # GroupElems)
+    # GroupElems; 11,472 since z*c and z*d are written out and the torus
+    # powers t^k are int products)
     # (the floor holds the count to the work: a pass that stopped
     # counting its tuple products would pass a ceiling alone)
     assert 10_560 <= int(_run_fresh(_COUNT_PRODUCTS)) <= 11_700
