@@ -26,18 +26,19 @@ Gauss sum.
 Each cell also carries a small symbolic form (a tagged tuple) used by
 the text and LaTeX renderers; the exact CycNum is the value of record.
 Both renderers are one cell grammar (``_render``) spelled per format.
-The (q+4)^2 cells hold about q distinct (value, cell) entries.
-``complex_table`` names each entry by one code of ints (a rational by
-its integer, nu(r, s) by r and its folded exponent, a Gauss-sum cell by
-its two signs) and builds it once, on first use, from that code;
-``_intern`` keeps each once in the table's ``pool``, in order of first
-occurrence (the order of the text legend), a row is an array of pool
-indices, and every reader of a table works once per entry.
+The (q+4)^2 cells hold about q distinct (value, cell) entries.  Both
+tables name each entry by one code of ints (a rational by its integer,
+k*nu(r, s) by k, r and its folded exponent, a Gauss-sum cell by its two
+coefficients): ``_codes`` gives the codes of any row times an int k,
+row by row on demand, and builds each entry once, on first use, from
+its code.  ``_intern`` keeps each once in the table's ``pool``, in order
+of first occurrence (the order of the text legend), a row is an array of
+pool indices, and every reader of a table works once per entry.
 
 ``CharTable`` is the table type of both the complex table built here
-and the real table of ``realrep``, which is the complex table with other
-row labels and a ``source`` recipe (which complex rows each real row
-sums).  ``CharTable.from_json`` loads either.
+and the real table of ``realrep``, whose rows are sums of complex rows
+with other row labels and a ``source`` recipe (which complex rows each
+real row sums).  ``CharTable.from_json`` loads either.
 """
 from __future__ import annotations
 
@@ -102,30 +103,6 @@ def char_labels(q: int) -> list[CharLabel]:
 # ---------------------------------------------------------------------------
 # symbolic cells: ("rat", Fraction) | ("nu", coef, r, s) | ("gauss", a, b, D)
 # where ("gauss", a, b, D) means a + b*sqrt(D), all coefficients Fraction.
-
-def sym_scale(sym: tuple, k) -> tuple:
-    k = Fraction(k)
-    tag = sym[0]
-    if tag == "rat":
-        return ("rat", sym[1] * k)
-    if tag == "nu":
-        return ("nu", sym[1] * k, sym[2], sym[3])
-    if tag == "gauss":
-        return ("gauss", sym[1] * k, sym[2] * k, sym[3])
-    raise ValueError(f"bad symbolic cell {sym!r}")
-
-
-def sym_add(s1: tuple, s2: tuple) -> tuple:
-    """Addition for the combinations the real table needs."""
-    if s1[0] == "rat" and s2[0] == "rat":
-        return ("rat", s1[1] + s2[1])
-    if s1[0] == "gauss" and s2[0] == "gauss" and s1[3] == s2[3]:
-        a, b = s1[1] + s2[1], s1[2] + s2[2]
-        return ("rat", a) if b == 0 else ("gauss", a, b, s1[3])
-    if s1[0] == "nu" and s2[0] == "nu" and s1[2:] == s2[2:]:
-        return ("nu", s1[1] + s2[1], s1[2], s1[3])
-    raise ValueError(f"cannot add symbolic cells {s1!r} and {s2!r}")
-
 
 class _CellFormat(NamedTuple):
     """What the text and LaTeX cell grammars spell differently."""
@@ -390,7 +367,8 @@ class CharTable:
 
 def _folded_exponents(r: int, i: int, n: int) -> list[int]:
     """min(s, r - s) for s = i*l mod r, l = 1, ..., n: where nu(r, i*l)
-    sits in ``nu_codes``, stepped along a row (0 < i < r)."""
+    sits in a list of codes by folded exponent, stepped along a row
+    (0 < i < r)."""
     out, s = [], 0
     for _ in range(n):
         s += i
@@ -400,81 +378,122 @@ def _folded_exponents(r: int, i: int, n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=8)
-def complex_table(q: int) -> CharTable:
+# Every entry of either table is named by a code of ints: an int n is the
+# rational n (each rational of both tables is an integer, q being odd);
+# ("gauss", a, b) is (a + b*g)/2 with g the quadratic Gauss sum; and
+# ("nu", k, r, s) is k*nu(r, s), r = q-1 or q+1, at a folded exponent s.
+
+def _scaled(code, k: int):
+    """The code of k times the entry ``code``."""
+    if type(code) is int:
+        return k * code
+    if code[0] == "gauss":
+        return "gauss", k * code[1], k * code[2]
+    return "nu", k * code[1], code[2], code[3]
+
+
+def _summed(x, y):
+    """The code of the sum of two int entries or two Gauss-sum entries;
+    a sum whose roots cancel is an int (the real table's sums are)."""
+    if type(x) is int:
+        return x + y
+    a, b = x[1] + y[1], x[2] + y[2]
+    return a // 2 if b == 0 else ("gauss", a, b)
+
+
+def _codes(q: int):
+    """(codes, entry) for the tables of SL2(q).
+
+    ``codes(char, k)`` is the list of the codes of k times the complex row
+    ``char`` in class order, made on demand; ``entry(code)`` is the
+    (value, display cell) any code of either table names.  Each nu(r, s)
+    is built once, and each row's sources (its nu codes, signs and c/d
+    cells) are scaled once, not cell by cell.
+    """
     if not is_odd_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     eps = 1 if q % 4 == 1 else -1
-    disc = eps * q
     gauss = sqrt_eps_q(q)
-    classes = representatives(q)
-    ls, ms = torus_indices(q, "a"), torus_indices(q, "b")
-
-    # A row names each (value, display cell) entry by a code of ints, one
-    # code per entry, and ``_intern`` builds each entry once, from its
-    # code, in order of first occurrence.  Every rational of the table is
-    # an integer n (q is odd), named by n itself; ("gauss", a, b) names
-    # (a + b*g)/2 for signs a, b; ("nu", r, s) names nu(q-1, s) or
-    # -nu(q+1, s), built once per folded exponent s below.
+    na, nb = len(torus_indices(q, "a")), len(torus_indices(q, "b"))
+    # (r, s) -> (sign*nu(r, s), sign) for an irrational one, with the sign
+    # it has in the complex table: nu(q-1, s) on chi_i, -nu(q+1, s) on theta_j
     nus = {}
 
     def nu_codes(r, sign):
         """The code of sign*nu(r, s) for each folded exponent 0 <= s <= r/2;
-        a rational one is named by its int (nu is an algebraic integer)."""
+        a rational one is its int (nu is an algebraic integer)."""
         codes = []
         for s in range(r // 2 + 1):
             v = nu(r, s) if sign > 0 else -nu(r, s)
             if v._is_rational():
                 codes.append(v._num[0])
             else:
-                code = "nu", r, s
-                nus[code] = v, ("nu", Fraction(sign), r, s)
-                codes.append(code)
+                nus[r, s] = v, sign
+                codes.append(("nu", sign, r, s))
         return codes
+    nu_scaled = {(q - 1, 1): nu_codes(q - 1, 1),
+                 (q + 1, 1): nu_codes(q + 1, -1)}
+
+    def nu_row(r, k, i, n):
+        """k times the complex row's nu codes at exponents i*l, l = 1, ...,
+        n; the codes of r are scaled by k once per table."""
+        if (r, k) not in nu_scaled:
+            nu_scaled[r, k] = [_scaled(c, k) for c in nu_scaled[r, 1]]
+        codes = nu_scaled[r, k]
+        return [codes[s] for s in _folded_exponents(r, i, n)]
+
+    def codes(char: CharLabel, k: int = 1) -> tuple:
+        kind, i = char.kind, char.index
+        # chi(1) = deg, chi(z) = sign*deg, chi(c), chi(d), and the a- and
+        # b-columns already times k
+        if kind == "1":
+            deg, sign, c, d, a_row, b_row = 1, 1, 1, 1, [k] * na, [k] * nb
+        elif kind == "psi":
+            deg, sign, c, d, a_row, b_row = q, 1, 0, 0, [k] * na, [-k] * nb
+        elif kind == "chi":
+            deg, sign, c, d = q + 1, (-1) ** i, 1, 1
+            a_row, b_row = nu_row(q - 1, k, i, na), [0] * nb
+        elif kind == "theta":
+            deg, sign, c, d = q - 1, (-1) ** i, -1, -1
+            a_row, b_row = [0] * na, nu_row(q + 1, k, i, nb)
+        elif kind in ("xi1", "xi2"):
+            g = 1 if kind == "xi1" else -1
+            deg, sign = (q + 1) // 2, eps
+            c, d = ("gauss", 1, g), ("gauss", 1, -g)
+            # (-1)^l on the a-classes
+            a_row = [(k, -k)[l % 2] for l in range(1, na + 1)]
+            b_row = [0] * nb
+        else:
+            g = 1 if kind == "eta1" else -1
+            deg, sign = (q - 1) // 2, -eps
+            c, d = ("gauss", -1, g), ("gauss", -1, -g)
+            # -(-1)^m on the b-classes
+            a_row = [0] * na
+            b_row = [(-k, k)[m % 2] for m in range(1, nb + 1)]
+        # the zc/zd columns are the c/d columns times the sign
+        return (k * deg, k * sign * deg, _scaled(c, k), _scaled(d, k),
+                _scaled(c, k * sign), _scaled(d, k * sign), *a_row, *b_row)
 
     def entry(code):
         if type(code) is int:
             return _raw(1, (code,), 1), ("rat", Fraction(code))
         if code[0] == "nu":
-            return nus[code]
+            _, k, r, s = code
+            v, sign = nus[r, s]
+            return v * (k * sign), ("nu", Fraction(k), r, s)
         _, a, b = code
-        return (((gauss if b > 0 else -gauss) + a) / 2,
-                ("gauss", Fraction(a, 2), Fraction(b, 2), disc))
+        return (gauss * b + a) / 2, ("gauss", Fraction(a, 2), Fraction(b, 2),
+                                     eps * q)
 
-    def negated(code):
-        """The code of minus a rational or Gauss-cell entry."""
-        return -code if type(code) is int else (code[0], -code[1], -code[2])
+    return codes, entry
 
-    a_nu, b_nu = nu_codes(q - 1, 1), nu_codes(q + 1, -1)
 
-    def row(deg, sign, c, d, a_row, b_row):
-        """One row in class order from chi(1) = deg and chi(z) = sign*deg;
-        the zc/zd columns are the c/d columns times the sign."""
-        assert sign in (1, -1)
-        zc, zd = (c, d) if sign == 1 else (negated(c), negated(d))
-        return (deg, sign * deg, c, d, zc, zd, *a_row, *b_row)
-
-    def rows():
-        yield TRIV, row(1, 1, 1, 1, [1] * len(ls), [1] * len(ms))
-        yield PSI, row(q, 1, 0, 0, [1] * len(ls), [-1] * len(ms))
-        for i in ls:
-            yield Chi(i), row(
-                q + 1, (-1) ** i, 1, 1,
-                [a_nu[s] for s in _folded_exponents(q - 1, i, len(ls))],
-                [0] * len(ms))
-        for j in ms:
-            yield Theta(j), row(
-                q - 1, (-1) ** j, -1, -1, [0] * len(ls),
-                [b_nu[s] for s in _folded_exponents(q + 1, j, len(ms))])
-        # (-1)^l on the a-classes, -(-1)^m on the b-classes
-        a_signs = [(1, -1)[l % 2] for l in ls]
-        b_signs = [(-1, 1)[m % 2] for m in ms]
-        for char, g in ((XI1, 1), (XI2, -1)):
-            yield char, row((q + 1) // 2, eps, ("gauss", 1, g),
-                            ("gauss", 1, -g), a_signs, [0] * len(ms))
-        for char, g in ((ETA1, 1), (ETA2, -1)):
-            yield char, row((q - 1) // 2, -eps, ("gauss", -1, g),
-                            ("gauss", -1, -g), [0] * len(ls), b_signs)
-
-    pool, index = _intern(rows(), entry)
-    return CharTable(q, eps, working_conductor(q), classes, pool, index)
+@lru_cache(maxsize=8)
+def complex_table(q: int) -> CharTable:
+    # each row names its (value, display cell) entries by codes, and
+    # ``_intern`` builds each distinct entry once, from its code, in order
+    # of first occurrence
+    codes, entry = _codes(q)
+    pool, index = _intern(((ch, codes(ch)) for ch in char_labels(q)), entry)
+    return CharTable(q, 1 if q % 4 == 1 else -1, working_conductor(q),
+                     representatives(q), pool, index)

@@ -21,26 +21,25 @@ eta_1 + eta_2 = 2 Re eta_1.
 
 ``real_table`` therefore returns a ``chars.CharTable``: its rows are
 RealCharLabels and its ``source`` records that recipe, which complex
-rows each real row sums and with what multiplicity.  It works on the
-complex table's pool indices, not on cells: a row taken once reads the
-complex index array, a multiple scales each source entry once, and a
-sum adds each distinct pair of entries once (a rational sum is held at
-conductor 1).  ``RealCharTable`` is another name for ``CharTable``.
+rows each real row sums and with what multiplicity.  It is built from
+the codes of ``chars._codes``, not from the complex table: a row is its
+source row's codes times the multiplicity, or a pair's codes added code
+by code, where a Gauss-sum pair whose roots cancel is an int code (so a
+rational lands at conductor 1).  ``RealCharTable`` is another name for
+``CharTable``.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, repeat
 
-from .chars import (
-    CharLabel, CharTable, _intern, complex_table, sym_add, sym_scale,
-)
-from .cyclo import _raw
+from .chars import CharLabel, CharTable, _codes, _intern, _summed
+from .cyclo import working_conductor
 from .fq import is_quadratic_residue
 from .grp import (
-    C, D, ONE, Z, ZC, ZD, ClassLabel, _square_classes, class_labels,
-    representatives, torus_indices, torus_order, DEFAULT_MAX_ENUM,
+    C, D, ONE, Z, ZC, ZD, ClassLabel, _cached_on_q, _square_classes,
+    class_labels, representatives, torus_indices, torus_order,
+    DEFAULT_MAX_ENUM,
 )
 from .labels import _Label, _Record
 
@@ -168,10 +167,10 @@ def fs_indicator_brute(table: CharTable, char: CharLabel) -> int:
     return _indicator(table, char, _square_class_counts(table.q))
 
 
-@lru_cache(maxsize=8)
-def _square_label_counts(q: int, max_enum: int):
+@_cached_on_q
+def _square_label_counts(q: int):
     """How many g in G have g^2 in each class, by the orbit partition."""
-    counts = Counter(_square_classes(q, max_enum))
+    counts = Counter(_square_classes(q, q))
     labels = class_labels(q)
     return {labels[i]: n for i, n in counts.items()}
 
@@ -290,39 +289,20 @@ _SOURCE = {
 
 @lru_cache(maxsize=8)
 def real_table(q: int) -> CharTable:
-    ct = complex_table(q)
+    codes, entry = _codes(q)
     labels = real_char_labels(q)
     # each real row = sum of complex rows with multiplicity
     recipe = {lab: tuple((CharLabel(kind, lab.index), mult)
                          for kind, mult in _SOURCE[lab.kind])
               for lab in labels}
 
-    def codes(terms):
-        """A row's codes: the complex row's pool indices as they are for a
-        row taken once, else a tuple (index, multiplicity, ...) per cell."""
-        (src, mult), *more = terms
-        if mult == 1 and not more:
-            return ct.index[src]
-        return list(zip(*chain.from_iterable(
-            (ct.index[src], repeat(mult)) for src, mult in terms)))
+    def row(terms):
+        """A row's codes: its source row times its multiplicity, or the
+        two rows of a pair added code by code."""
+        if len(terms) == 1:
+            return codes(*terms[0])
+        return list(map(_summed, *(codes(*t) for t in terms)))
 
-    def entry(code):
-        if type(code) is int:
-            return ct.pool[code]
-        value = cell = None
-        for i, mult in zip(code[::2], code[1::2]):
-            v, s = ct.pool[i]
-            if mult != 1:
-                v, s = v * mult, sym_scale(s, mult)
-            value, cell = ((v, s) if value is None
-                           else (value + v, sym_add(cell, s)))
-        # a sum of conjugates can be rational (at c and d when q = 3 mod
-        # 4); a rational is held at conductor 1, as in complex_table
-        if value._is_rational():
-            value = _raw(1, value._num[:1], value._den)
-        return value, cell
-
-    pool, index = _intern(((lab, codes(recipe[lab])) for lab in labels),
-                          entry)
-    return CharTable(q, ct.epsilon, ct.conductor, ct.classes, pool, index,
-                     recipe)
+    pool, index = _intern(((lab, row(recipe[lab])) for lab in labels), entry)
+    return CharTable(q, 1 if q % 4 == 1 else -1, working_conductor(q),
+                     representatives(q), pool, index, recipe)

@@ -1,11 +1,10 @@
 """Tables stored as rows in class order, each distinct value built once.
 
-``complex_table`` names each distinct entry by one code and builds it
-once, each nu value included, and every cell that reads it shares it;
-``real_table`` maps the complex table's pool
-indices, once per distinct entry.  The references below build every
-cell on its own, as the package did before it stored rows, and every
-value and display cell must agree with them.
+``complex_table`` and ``real_table`` name each distinct entry by one
+code and build it once, each nu value included, and every cell that
+reads it shares it.  The references below build every cell on its own,
+as the package did before it stored rows, with the symbolic-cell
+arithmetic below, and every value and display cell must agree with them.
 """
 from fractions import Fraction
 
@@ -14,13 +13,40 @@ import pytest
 import sl2q.chars
 import sl2q.realrep
 from sl2q.chars import (ETA1, ETA2, PSI, TRIV, XI1, XI2, Chi, Theta,
-                        char_labels, complex_table, sym_add, sym_scale)
+                        char_labels, complex_table)
 from sl2q.cyclo import CycNum, nu, rational, sqrt_eps_q
 from sl2q.fq import is_odd_prime
 from sl2q.grp import A, B, C, D, ONE, Z, ZC, ZD
 from sl2q.realrep import real_char_labels, real_table
 
 PRIMES_TO_47 = [q for q in range(3, 48) if is_odd_prime(q)]
+
+
+# symbolic cells: ("rat", Fraction) | ("nu", coef, r, s) | ("gauss", a, b, D)
+# where ("gauss", a, b, D) means a + b*sqrt(D), all coefficients Fraction.
+
+def sym_scale(sym: tuple, k) -> tuple:
+    k = Fraction(k)
+    tag = sym[0]
+    if tag == "rat":
+        return ("rat", sym[1] * k)
+    if tag == "nu":
+        return ("nu", sym[1] * k, sym[2], sym[3])
+    if tag == "gauss":
+        return ("gauss", sym[1] * k, sym[2] * k, sym[3])
+    raise ValueError(f"bad symbolic cell {sym!r}")
+
+
+def sym_add(s1: tuple, s2: tuple) -> tuple:
+    """Addition for the combinations the real table needs."""
+    if s1[0] == "rat" and s2[0] == "rat":
+        return ("rat", s1[1] + s2[1])
+    if s1[0] == "gauss" and s2[0] == "gauss" and s1[3] == s2[3]:
+        a, b = s1[1] + s2[1], s1[2] + s2[2]
+        return ("rat", a) if b == 0 else ("gauss", a, b, s1[3])
+    if s1[0] == "nu" and s2[0] == "nu" and s1[2:] == s2[2:]:
+        return ("nu", s1[1] + s2[1], s1[2], s1[3])
+    raise ValueError(f"cannot add symbolic cells {s1!r} and {s2!r}")
 
 
 def _fold(r, s):
@@ -134,32 +160,6 @@ def test_no_two_pool_entries_share_a_key_and_cell(q):
             range(len(table.pool)))
 
 
-@pytest.mark.parametrize("q", [7, 13])
-def test_real_table_works_once_per_entry(monkeypatch, q):
-    # the real rows map the complex table's pool indices: each source
-    # entry is doubled once, each pair of entries summed once, and each
-    # distinct (entry, multiplicity) term keyed once, not once per cell
-    ct, calls = complex_table(q), {}
-
-    def count(owner, name):
-        f, calls[name] = getattr(owner, name), []
-
-        def counted(*args):
-            calls[name].append(args[0] if name == "key" else args)
-            return f(*args)
-        monkeypatch.setattr(owner, name, counted)
-    count(CycNum, "key")
-    count(sl2q.realrep, "sym_scale")
-    count(sl2q.realrep, "sym_add")
-    rt = real_table.__wrapped__(q)
-    assert len(calls["sym_scale"]) <= len(ct.pool)
-    assert len(calls["sym_add"]) <= len(rt.pool)
-    for name in ("sym_scale", "sym_add"):
-        assert len(set(calls[name])) == len(calls[name])
-    assert len(set(map(id, calls["key"]))) == len(calls["key"])
-    assert len(calls["key"]) <= len(ct.pool) + len(rt.pool) < (q + 4) ** 2
-
-
 def test_each_nu_value_is_built_once(monkeypatch):
     # one nu(r, s) per folded exponent 0 <= s <= r/2 of r = q-1 and q+1
     q, calls = 13, []
@@ -176,15 +176,30 @@ def test_each_nu_value_is_built_once(monkeypatch):
 
 @pytest.mark.parametrize("q", [3, 5, 13, 23, 53])
 def test_each_table_entry_is_built_once(monkeypatch, q):
-    # complex_table names each distinct (value, cell) entry by one code,
-    # so _intern builds as many entries as the pool keeps
-    seen, real_intern = [], sl2q.chars._intern
+    # both tables name each distinct (value, cell) entry by one code, so
+    # _intern builds and keys as many entries as the pool keeps
+    keyed, key = [], CycNum.key
+    monkeypatch.setattr(CycNum, "key", lambda v: keyed.append(v) or key(v))
+    for module, build in ((sl2q.chars, complex_table),
+                          (sl2q.realrep, real_table)):
+        seen, built, real_intern = [], [], module._intern
 
-    def counted(rows, entry):
-        rows = list(rows)
-        seen.extend(code for _, codes in rows for code in codes)
-        return real_intern(rows, entry)
-    monkeypatch.setattr(sl2q.chars, "_intern", counted)
-    ct = complex_table.__wrapped__(q)
-    assert len(seen) == (q + 4) ** 2
-    assert len(set(seen)) == len(ct.pool)
+        def counted(rows, entry):
+            rows = list(rows)
+            seen.extend(code for _, codes in rows for code in codes)
+            return real_intern(rows, lambda c: built.append(c) or entry(c))
+        monkeypatch.setattr(module, "_intern", counted)
+        keyed.clear()
+        table = build.__wrapped__(q)
+        assert len(seen) == len(table.chars) * (q + 4)
+        assert len(set(seen)) == len(built) == len(keyed) == len(table.pool)
+
+
+@pytest.mark.parametrize("q", [7, 13])
+def test_real_table_does_not_build_the_complex_table(monkeypatch, q):
+    # wherever the name could be read from, realrep included
+    def refuse(q):
+        raise AssertionError("real_table built the complex table")
+    for module in (sl2q.chars, sl2q.realrep):
+        monkeypatch.setattr(module, "complex_table", refuse, raising=False)
+    assert real_table.__wrapped__(q) == real_table(q)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sl2q
-from sl2q.chars import CharTable, complex_table, sym_scale
+from sl2q.chars import CharTable, complex_table
 from sl2q.cyclo import dot
 from sl2q.fixdim import subgroup_key_of
 from sl2q.grp import (ConjClass, _class_indices, class_label_lookup, class_of,
@@ -280,6 +280,18 @@ def test_a_moved_inverse_map_entry_fails_every_element_of_its_class(monkeypatch)
     assert details == ("; ".join(f"inverse map wrong on {g!r}"
                                  for g in wrong[:4])
                        + f" (+{q * (q + 1) - 4} more)")
+
+
+def sym_scale(sym: tuple, k) -> tuple:
+    k = Fraction(k)
+    tag = sym[0]
+    if tag == "rat":
+        return ("rat", sym[1] * k)
+    if tag == "nu":
+        return ("nu", sym[1] * k, sym[2], sym[3])
+    if tag == "gauss":
+        return ("gauss", sym[1] * k, sym[2] * k, sym[3])
+    raise ValueError(f"bad symbolic cell {sym!r}")
 
 
 def _flipped_nu_table(q):
