@@ -25,9 +25,9 @@ wall time, and records:
   wall_runs_s  the wall time of each run, in the order they ran
   peak_rss_mb  the child's ru_maxrss, from wait4 (of the median run)
   stdout_bytes, stdout_sha256   so two trees' outputs can be compared
-               (hashed in chunks as the child writes them, by a reader
-               thread: an output may be hundreds of MB, and none of it
-               is stored)
+               (the child writes to a temporary file, hashed after it
+               exits: an output may be hundreds of MB, and a
+               pipe would make the child wait on its reader)
   stderr_tail  the last stderr line, when there is one
 
 The rows go into --out under the key --label, next to the rows of other
@@ -49,7 +49,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -59,7 +58,6 @@ CAP_MB = 2048
 REPEATS = 3        # runs of each command per side; single runs drift ±40%
 SHORT_S = 1.0      # a command whose first runs all finish under this ...
 SHORT_REPEATS = 9  # ... runs this many times per side
-_CHUNK = 1 << 20   # stdout is read and hashed this many bytes at a time
 
 COMMANDS = [
     ["classes", "3"],   # interpreter start-up and argument parsing alone
@@ -79,6 +77,9 @@ COMMANDS = [
     ["fs", "53"],
     ["char-table", "31", "--format", "csv"],
     ["char-table", "47", "--format", "csv"],
+    ["char-table", "101", "--format", "csv"],
+    ["real-table", "47", "--format", "csv"],
+    ["real-table", "47", "--format", "json"],
     ["char-table", "23"],               # the perfbench tables sizes
     ["real-table", "23", "--format", "csv"],
     ["real-table", "23", "--format", "json"],
@@ -122,26 +123,16 @@ def _cap(mb: int):
     return limit
 
 
-def _hash_stream(pipe, digest, size: list) -> None:
-    """Read ``pipe`` to its end in _CHUNK reads, hashing and counting each."""
-    while chunk := pipe.read(_CHUNK):
-        digest.update(chunk)
-        size[0] += len(chunk)
-
-
 def run(argv: list[str], src: Path, budget: float, cap_mb: int) -> dict:
-    """One command in a capped child; its row.  The child's stdout is
-    hashed as it streams through a pipe, so none of it is kept."""
+    """One command in a capped child; its row.  The child's stdout goes
+    to a temporary file, hashed after the child has exited, so the timed
+    run never waits on a reader."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    digest, size = hashlib.sha256(), [0]
-    with tempfile.TemporaryFile() as err:
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-c", _CHILD, *argv],
-                                stdout=subprocess.PIPE, stderr=err, env=env,
+                                stdout=out, stderr=err, env=env,
                                 preexec_fn=_cap(cap_mb))
-        reader = threading.Thread(target=_hash_stream,
-                                  args=(proc.stdout, digest, size))
-        reader.start()
         timed_out = False
         while True:
             pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
@@ -155,9 +146,9 @@ def run(argv: list[str], src: Path, budget: float, cap_mb: int) -> dict:
             time.sleep(0.01)
         wall = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
-        reader.join()   # the pipe ends when the child has exited
-        proc.stdout.close()
-        stdout_bytes = size[0]
+        out.seek(0)
+        digest = hashlib.file_digest(out, "sha256")
+        stdout_bytes = out.tell()
         err.seek(0)
         stderr = err.read().decode(errors="replace")
     code = None if timed_out else proc.returncode

@@ -11,9 +11,10 @@ rational, q-1 for chi_i on the a-classes, q+1 for theta_j on the
 b-classes, q for the Gauss-sum values of xi and eta (in
 Q(sqrt(eps*q)) inside Q(zeta_q)).  The table's ``conductor`` is the
 working conductor N = lcm(q, q-1, q+1) that holds them all; a value is
-embedded there only where the csv approximation columns read it
-(``CharTable.serial_map``), so arithmetic at degree phi(N) happens for
-that format alone.  JSON writes each value at its natural conductor.
+embedded there only where the csv approximation columns read it (the
+csv renderer of ``cli``, once per pool entry), so arithmetic at degree
+phi(N) happens for that format alone.  JSON writes each value at its
+natural conductor.
 
 The zc/zd columns follow from the central character of z:
 chi(zc) = chi(z)/chi(1) * chi(c), and chi(z)/chi(1) is always +-1.
@@ -255,13 +256,6 @@ class CharTable:
     def cell(self, char, label: ClassLabel) -> tuple:
         """The display cell of ``value(char, label)``."""
         return self.pool[self.index[char][self._column[label]]][1]
-
-    def serial_map(self) -> dict:
-        """{row: approx() of each value embedded in Q(zeta_conductor), in
-        class order}, as the csv approximation columns read it; the
-        embedding and ``approx`` run once per pool entry."""
-        return dict(self.by_row([v.promote(self.conductor).approx()
-                                 for v, _ in self.pool]))
 
     def degree(self, char) -> int:
         return self.value(char, ONE).as_integer()

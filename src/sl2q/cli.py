@@ -71,9 +71,19 @@ def _write_lines(lines, end: str = "\n") -> None:
 
 
 def _json_chunks(doc: dict):
-    """json.dumps(doc) in pieces: each item of a top-level list or
-    generator is encoded on its own, so the document is never one string."""
+    """json.dumps(doc) in pieces, so the document is never one string: each
+    item of a top-level list or generator is encoded on its own, and a
+    top-level map of maps (a table's values) row by row, each distinct
+    object among its keys and leaves encoded once.  That memo is keyed by
+    id, which is sound because doc keeps every leaf alive while it runs."""
     encode = json.JSONEncoder().encode
+    memo = {}   # id of a key or leaf -> its encoding, which is never ""
+    get = memo.get
+
+    def once(obj):
+        memo[id(obj)] = out = encode(obj)
+        return out
+
     for i, (key, value) in enumerate(doc.items()):
         yield f"{', ' if i else '{'}{encode(key)}: "
         if isinstance(value, (list, GeneratorType)):
@@ -81,9 +91,23 @@ def _json_chunks(doc: dict):
             for j, item in enumerate(value):
                 yield f"{', ' if j else ''}{encode(item)}"
             yield "]"
+        elif (isinstance(value, dict) and value
+              and all(type(row) is dict for row in value.values())):
+            yield "{"
+            for j, (name, row) in enumerate(value.items()):
+                cells = ", ".join([f"{get(id(k)) or once(k)}: "
+                                   f"{get(id(v)) or once(v)}"
+                                   for k, v in row.items()])
+                yield f"{', ' if j else ''}{encode(name)}: {{{cells}}}"
+            yield "}"
         else:
             yield encode(value)
     yield "}"
+
+
+def _print_json(doc: dict) -> None:
+    """Write doc as one line of json.dumps, streamed (``_json_chunks``)."""
+    _write_lines(chain(_json_chunks(doc), ["\n"]), end="")
 
 
 def _text_line(cells, widths: list[int]) -> str:
@@ -167,8 +191,7 @@ def _cmd_classes(args) -> int:
         classes = ({"label": ClassLabel.spell(kind, k), "representative": list(g),
                     "order": order, "size": size}
                    for kind, k, g, order, size in rows)
-        _write_lines(chain(_json_chunks({"schema": 2, "q": q,
-                                         "classes": classes}), ["\n"]), end="")
+        _print_json({"schema": 2, "q": q, "classes": classes})
         return 0
     headers = ["label", "representative", "order", "size"]
     latex = args.fmt == "latex"
@@ -191,7 +214,7 @@ def _cmd_table(table, fmt: str) -> int:
     """Both character tables, in all four formats, each distinct entry
     (``table.pool``) rendered once."""
     if fmt == "json":
-        print(json.dumps(table.to_json()))
+        _print_json(table.to_json())
         return 0
     names = [str(lab) for lab in table.class_order]
     if fmt == "latex":
@@ -202,10 +225,15 @@ def _cmd_table(table, fmt: str) -> int:
         return 0
     shown = [sym_str(cell) for _, cell in table.pool]
     if fmt == "csv":
-        approx = table.serial_map()
-        rows = ([str(ch), name, s, f"{v.real:.9g}", f"{v.imag:.9g}"]
-                for ch, row in table.by_row(shown)
-                for name, s, v in zip(names, row, approx[ch]))
+        # each entry's value, embedded at the table's conductor, and its
+        # approx columns, formatted once
+        entries = []
+        for s, (v, _) in zip(shown, table.pool):
+            z = v.promote(table.conductor).approx()
+            entries.append((s, f"{z.real:.9g}", f"{z.imag:.9g}"))
+        rows = ([char, name, *entry]
+                for ch, row in table.by_row(entries) for char in [str(ch)]
+                for name, entry in zip(names, row))
         _print_csv(["char", "class", "value", "approx_re", "approx_im"],
                    rows, comment=_ADVISORY)
         return 0
@@ -234,12 +262,12 @@ def _cmd_fs(args) -> int:
         rows.append((ch, closed, brute,
                      None if brute is None else closed == brute))
     if args.fmt == "json":
-        print(json.dumps({
+        _print_json({
             "schema": 2,
             "q": args.q,
             "indicators": [{"char": str(c), "closed": cl, "brute": br, "match": m}
                            for c, cl, br, m in rows],
-        }))
+        })
         return 0
     headers = ["char", "closed", "brute", "match"]
     name = methodcaller("latex") if args.fmt == "latex" else str
@@ -339,8 +367,7 @@ def _cmd_fixed_points(args) -> int:
     report = full_report(args.q, args.max_enum)
     if args.fmt == "json":
         # streamed row by row: the document or its rows held whole add MBs
-        _write_lines(chain(_json_chunks(report.to_json(lazy=True)), ["\n"]),
-                     end="")
+        _print_json(report.to_json(lazy=True))
         return 0 if report.all_match else 2
     if args.fmt == "csv":
         _write_lines(_fixed_point_csv(report))
@@ -374,7 +401,7 @@ def _cmd_verify(args) -> int:
         return 1
     report = verify_all(args.q, args.max_enum)
     if args.fmt == "json":
-        print(json.dumps(report.to_json()))
+        _print_json(report.to_json())
     elif args.fmt == "csv":
         rows = [[c.name, str(c.passed).lower(), c.details]
                 for c in report.checks]

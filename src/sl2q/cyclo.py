@@ -10,10 +10,11 @@ embedded into the least common conductor automatically.  All arithmetic
 runs on Python ints; ``coeffs`` gives the rational coefficients on
 request.  There is one reduction, exact long division by the monic Phi_N
 after a few sparse multiples of it (``_moduli``, ``_kernel.reduce_mod``):
-a product reduces its convolution, an embedding, a conjugate or a root
-of unity reduces its exponents scattered into one vector, and ``dot``
-reduces a whole weighted sum of products once, gathered over the L-th
-roots of unity.  ``dot`` reads each value through its split, the nonzero
+a product reduces its convolution, a conjugate or a root of unity
+reduces its exponents scattered into one vector, an embedding only its
+few scattered terms (``_kernel.reduce_sparse``), and ``dot`` reduces a
+whole weighted sum of products once, gathered over the L-th roots of
+unity.  ``dot`` reads each value through its split, the nonzero
 (exponent, numerator) pairs, made once per value and kept on it.
 
 Everything any character-table entry needs lives here: roots of unity,
@@ -32,7 +33,7 @@ from itertools import compress
 from math import gcd, lcm
 
 from .fq import _prime_factors
-from ._kernel import mul_reduce, reduce_mod
+from ._kernel import mul_reduce, reduce_mod, reduce_sparse
 
 __all__ = [
     "CycNum", "cyclotomic_polynomial", "root_of_unity", "nu",
@@ -228,12 +229,21 @@ class CycNum:
             return self
         if M % N:
             raise ValueError(f"{N} does not divide {M}")
-        if self._is_rational():
-            return _raw(M, (self._num[0],) + (0,) * (_phi(M) - 1), self._den)
-        ratio = M // N
-        out = _from_powers(M, ((j * ratio, c)
-                               for j, c in enumerate(self._num) if c))
-        return _make(M, out, self._den)
+        num, ratio = self._num, M // N
+        # at most phi(N) terms in M slots, reduced without a scan of the
+        # slots.  Z[zeta_M] meets Q(zeta_N) in Z[zeta_N], so the numerators
+        # keep their content and num/den stays in lowest terms.  The
+        # nonzero terms are the split, kept for approx and dot
+        terms = {j * ratio: c for j, c in compress(enumerate(num), num)}
+        pairs = sorted((k, c) for k, c in
+                       reduce_sparse(terms, _moduli(M)).items() if c)
+        out = [0] * _phi(M)
+        for k, c in pairs:
+            out[k] = c
+        x = _raw(M, tuple(out), self._den)
+        split = (M if pairs and pairs[-1][0] else 1, tuple(pairs), self._den)
+        object.__setattr__(x, "_split", split)
+        return x
 
     def _common(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
         if self.conductor == other.conductor:
@@ -346,8 +356,9 @@ class CycNum:
         """Floating shadow; advisory only, never used for decisions.  Only
         the nonzero coefficients are read, in basis order."""
         roots, den, num = _roots(self.conductor), self._den, self._num
-        return sum((complex(x / den) * roots[k]
-                    for k, x in compress(enumerate(num), num)), 0j)
+        split = self._split   # kept by promote, or made by dot
+        pairs = split[1] if split else compress(enumerate(num), num)
+        return sum((complex(x / den) * roots[k] for k, x in pairs), 0j)
 
     # -- comparisons ------------------------------------------------------
 

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import sl2q
-from sl2q import cli
+from sl2q import chars, cli
 from sl2q.chars import CharTable, complex_table
 from sl2q.cli import main
+from sl2q.cyclo import CycNum
 from sl2q.fixdim import Z_H, FixedDimTable, full_report
 from sl2q.realrep import RPSI, real_table
 from sl2q.verify import VerificationReport
@@ -563,19 +564,30 @@ def test_json_output_is_json_dumps_of_its_document(capsys, command, q):
     assert out == json.dumps(doc) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv", "latex"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "latex", "json"])
 @pytest.mark.parametrize("command, build", [("char-table", complex_table),
                                             ("real-table", real_table)])
 def test_table_renders_each_distinct_cell_once(monkeypatch, capsys, command,
                                                build, fmt):
-    # a table of (q+4)^2 cells holds far fewer distinct display cells
+    # a table of (q+4)^2 cells holds far fewer distinct display cells, and
+    # JSON encodes each entry's value document once, not once per cell
     table = build(13)
     distinct = {cell for cells in table.cells.values() for cell in cells}
-    calls = []
+    calls, encoded = [], []
     name = "sym_latex" if fmt == "latex" else "sym_str"
-    render = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda cell: calls.append(cell) or render(cell))
+    module = chars if fmt == "json" else cli
+    render = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda cell: calls.append(cell) or render(cell))
+
+    class Counted(dict):
+        def items(self):   # what json's encoder reads a dict subclass by
+            encoded.append(self)
+            return super().items()
+    to_json = CycNum.to_json
+    monkeypatch.setattr(CycNum, "to_json", lambda v: Counted(to_json(v)))
     code, _, _ = run_cli(capsys, command, "13", "--format", fmt)
     assert code == 0
     assert sorted(map(repr, calls)) == sorted(map(repr, distinct))
+    assert len(encoded) == (len(table.pool) if fmt == "json" else 0)
     assert len(distinct) < 17 * 17

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from sl2q._kernel import mul_reduce
+from sl2q._kernel import mul_reduce, reduce_mod, reduce_sparse
 from sl2q.chars import CharTable, complex_table
 from sl2q.cyclo import (CycNum, _from_powers, _make, _moduli, _phi,
                         cyclotomic_polynomial, dot, nu, rational,
@@ -190,6 +190,17 @@ def test_kernel_matches_power_row_sum(N, magnitude):
                     expected[t] += c * r
         assert mul_reduce(xs, ys, [(cyclotomic_polynomial(N), 1)]) == expected
         assert mul_reduce(xs, ys, _moduli(N)) == expected
+
+
+@pytest.mark.parametrize("N", [12, 60, 168, 660, 1092])
+def test_sparse_reduction_of_each_power_is_its_power_row(N):
+    # x^k for every k < N against the power rows: no exponent is left at
+    # or past phi, also where a term lands on a modulus' degree exactly
+    rows = _power_rows(N)
+    phi = len(rows[0])
+    for k, row in enumerate(rows):
+        out = reduce_sparse({k: 1}, _moduli(N))
+        assert max(out) < phi and [out.get(e, 0) for e in range(phi)] == row
 
 
 def test_root_of_unity_basics():
@@ -399,6 +410,47 @@ def test_arithmetic_matches_fraction_model(x, y, r):
         assert got.conductor == conductor
         assert list(got.coeffs) == want
         _assert_normal(got)
+
+
+@lru_cache(maxsize=None)
+def _divisors(M):
+    return [d for d in range(1, M + 1) if M % d == 0]
+
+
+@st.composite
+def embeddings(draw):
+    """(x, M): M = lcm(q, q-1, q+1) for an odd prime q <= 31, and x a
+    value, dense or mostly zero, at q-1, q, q+1 or another divisor of M."""
+    q = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    M = working_conductor(q)
+    N = draw(st.sampled_from([q - 1, q, q + 1])
+             | st.sampled_from(_divisors(M)))
+    coeff = st.integers(-9, 9)
+    if draw(st.booleans()):
+        coeff = st.just(0) | st.just(0) | coeff
+    nums = draw(st.lists(coeff, min_size=_phi(N), max_size=_phi(N)))
+    den = draw(st.sampled_from([1, 2, 3]))
+    return CycNum(N, [Fraction(n, den) for n in nums]), M
+
+
+def _dense_promote(x, M):
+    """x embedded at M through one vector of M slots and reduce_mod."""
+    poly = [0] * M
+    for j, c in enumerate(x._num):
+        poly[j * (M // x.conductor)] += c
+    return _make(M, reduce_mod(poly, _moduli(M)), x._den)
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None)
+@given(xm=embeddings())
+def test_sparse_embedding_matches_the_dense_scatter(xm):
+    x, M = xm
+    y, dense = x.promote(M), _dense_promote(x, M)
+    assert y.conductor == M and y.key() == dense.key()
+    # the split promote attaches is the one read off the vector
+    assert y._parts() == dense._parts()
+    assert _bits(y.approx()) == _bits(dense.approx())
 
 
 def test_normal_form():
