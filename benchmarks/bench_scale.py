@@ -94,11 +94,13 @@ COMMANDS = [
     ["fixed-points", "5003"],
     ["fixed-points", "10007"],
     ["fixed-points", "47", "--max-enum", "47"],
+    ["fixed-points", "47", "--max-enum", "47", "--format", "csv"],
     ["fixed-points", "101", "--max-enum", "101"],
     ["fixed-points", "211", "--max-enum", "211"],
     ["fixed-points", "1009", "--max-enum", "1009"],
     ["classes", "1009", "--format", "latex"],   # the perfbench closed op
     ["classes", "100003"],
+    ["classes", "100003", "--format", "csv"],
     ["classes", "100003", "--format", "latex"],
     ["classes", "1000003"],
     ["classes", "1000003", "--format", "latex"],
@@ -147,7 +149,9 @@ def run(argv: list[str], src: Path, budget: float, cap_mb: int) -> dict:
         wall = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
         out.seek(0)
-        digest = hashlib.file_digest(out, "sha256")
+        digest = hashlib.sha256()   # hashlib.file_digest is new in 3.11
+        for chunk in iter(lambda: out.read(1 << 20), b""):
+            digest.update(chunk)
         stdout_bytes = out.tell()
         err.seek(0)
         stderr = err.read().decode(errors="replace")

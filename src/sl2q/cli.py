@@ -148,13 +148,17 @@ def _print_csv(headers: list[str], rows, comment: str | None = None) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-def _print_latex_table(headers: list[str], rows) -> None:
+def _latex_lines(headers: list[str], lines):
+    """A latex tabular of ``headers`` around ``lines``, each a whole row."""
     colspec = "l" + "r" * (len(headers) - 1)
-    _write_lines(chain(
-        (f"\\begin{{tabular}}{{{colspec}}}", "\\hline",
-         " & ".join(headers) + " \\\\", "\\hline"),
-        (" & ".join(row) + " \\\\" for row in rows),
-        ("\\hline", "\\end{tabular}")))
+    return chain((f"\\begin{{tabular}}{{{colspec}}}", "\\hline",
+                  " & ".join(headers) + " \\\\", "\\hline"),
+                 lines, ("\\hline", "\\end{tabular}"))
+
+
+def _print_latex_table(headers: list[str], rows) -> None:
+    _write_lines(_latex_lines(
+        headers, (" & ".join(row) + " \\\\" for row in rows)))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -163,10 +167,8 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.6f}{z.imag:+.6f}i"
 
 
-# a representative (a, b, c, d), spelled from its four ints
-_matrix_str = "[[{},{}],[{},{}]]".format
-_matrix_latex = ("$\\left(\\begin{{smallmatrix}}{}&{}\\\\{}&{}"
-                 "\\end{{smallmatrix}}\\right)$").format
+# a representative, spelled from its tuple (a, b, c, d) of ints
+_matrix_str = "[[%d,%d],[%d,%d]]".__mod__
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +186,49 @@ def _class_widths(q: int) -> list[int]:
 
 
 def _cmd_classes(args) -> int:
-    """The class list, streamed from ``grp._class_rows``; no row is kept."""
-    q = args.q
+    """The class list, streamed from ``grp._class_rows``; no row is kept.
+    Each class kind has one row template per format, of the index, the
+    representative (in text spelled first, to pad it; elsewhere its four
+    ints), the order and the size, so a row is one ``%`` format, which
+    takes about 60% of the time of ``str.format`` on these ints."""
+    q, fmt = args.q, args.fmt
     rows = _class_rows(q)   # checks q before anything is written
-    if args.fmt == "json":
+    if fmt == "json":
         classes = ({"label": ClassLabel.spell(kind, k), "representative": list(g),
                     "order": order, "size": size}
                    for kind, k, g, order, size in rows)
         _print_json({"schema": 2, "q": q, "classes": classes})
         return 0
     headers = ["label", "representative", "order", "size"]
-    latex = args.fmt == "latex"
-    matrix = _matrix_latex if latex else _matrix_str
-    cells = ([ClassLabel.spell(kind, k, latex), matrix(*g), str(order), str(size)]
-             for kind, k, g, order, size in rows)
-    if args.fmt == "csv":
-        _print_csv(headers, cells)
-    elif latex:
-        _print_latex_table(headers, cells)
-    else:
+    label_w = 0
+    if fmt == "text":
         label_w, order_w, size_w = _class_widths(q)
-        matrix_w = max(len(_matrix_str(*g)) for _, _, g, _, _ in _class_rows(q))
-        head, widths = _text_layout(headers, [label_w, matrix_w, order_w, size_w])
-        _write_lines(chain(head, (_text_line(row, widths) for row in cells)))
+        matrix_w = max(len(_matrix_str(g)) for _, _, g, _, _ in _class_rows(q))
+        head, (label_w, matrix_w, order_w, _) = _text_layout(
+            headers, [label_w, matrix_w, order_w, size_w])
+        tail = f"  %-{matrix_w}s  %-{order_w}d  %d"
+    elif fmt == "csv":
+        head = [",".join(headers)]
+        tail = ',"[[%d,%d],[%d,%d]]",%d,%d'   # csv quotes the commas
+    else:
+        tail = (" & $\\left(\\begin{smallmatrix}%d&%d\\\\%d&%d"
+                "\\end{smallmatrix}\\right)$ & %d & %d \\\\")
+    template = {}   # class kind -> its row template
+    for kind in ClassLabel._NAMES:
+        label = ClassLabel.spell(kind, "%d", fmt == "latex")
+        if "%" not in label:   # no index: "%.0s" takes it and prints nothing
+            label = "%.0s" + label.ljust(label_w)
+        elif label_w:   # an indexed text name ends in its index
+            label = label.replace("%d", f"%-{label_w + 2 - len(label)}d")
+        template[kind] = label + tail
+    if fmt == "text":
+        lines = (template[kind] % (k, _matrix_str(g), order, size)
+                 for kind, k, g, order, size in rows)
+    else:
+        lines = (template[kind] % (k, *g, order, size)
+                 for kind, k, g, order, size in rows)
+    _write_lines(_latex_lines(headers, lines) if fmt == "latex"
+                 else chain(head, lines))
     return 0
 
 
@@ -287,10 +309,10 @@ def _cmd_fs(args) -> int:
 
 
 def _fixed_point_widths(report) -> list[int]:
-    """The widest text cell of each column, read off the int columns once
-    per distinct pair of (closed, oracle) column objects: the keys of one
-    closed-form signature share their closed column."""
-    widths = [max(len(str(ch)) for ch in report.chars)]
+    """The widest text cell of each key's column, read off the int columns
+    once per distinct pair of (closed, oracle) column objects: the keys of
+    one closed-form signature share their closed column."""
+    widths = []
     seen = {}   # (id of closed, id of oracle) -> width
     for closed, oracle in zip(report.closed, report.oracle or repeat(None)):
         pair = id(closed), id(oracle)
@@ -304,63 +326,63 @@ def _fixed_point_widths(report) -> list[int]:
     return widths
 
 
+def _shown(c: int, o) -> str:
+    """A text or latex cell: the closed value, or closed!=oracle."""
+    return str(c) if o is None or c == o else f"{c}!={o}"
+
+
+def _cell_column(closed, oracle, cell, width: int) -> tuple:
+    """``cell(c, o)``, left-justified to ``width``, for each entry of a
+    column, o None past the enumeration bound; each distinct entry, (c, o)
+    or past the bound c alone (a cheaper key), is rendered once."""
+    entries = closed if oracle is None else list(zip(closed, oracle))
+    shown = {e: (cell(e, None) if oracle is None else cell(*e)).ljust(width)
+             for e in set(entries)}
+    return tuple(map(shown.__getitem__, entries))
+
+
+def _cell_columns(report, cell, widths: list[int]):
+    """The report's cells, a tuple per subgroup key, made by ``_cell_column``
+    once per distinct (closed column, oracle column, width): the keys of
+    one closed-form signature share their column, so a row is a join over
+    a few dozen distinct columns."""
+    made = {}   # (id of closed, id of oracle, width) -> the cells
+    for closed, oracle, w in zip(report.closed, report.oracle or repeat(None),
+                                 widths):
+        key = id(closed), id(oracle), w
+        if key not in made:
+            made[key] = _cell_column(closed, oracle, cell, w)
+        yield made[key]
+
+
 def _fixed_point_csv(report):
     """The report as csv, joined by hand: labels, keys and ints never need
-    csv quoting.  After the header, one string per character, its rows
-    joined; past the enumeration bound the closed values come as text,
-    each distinct column rendered once (``_closed_rows``)."""
+    csv quoting.  After the header, one string per character: one join of
+    a list of each key's name, key and cell, where only the keys stay."""
     yield "char,subgroup,closed,oracle,match"
-    keys = [str(k) for k in report.keys]
-    if report.oracle is None:
-        for name, *closed in _closed_rows(report, str, [0] * len(keys)):
-            yield "\n".join([f"{name},{key},{c},,"
-                              for key, c in zip(keys, closed)])
-        return
-    for ch, closed, oracle in report.rows():
+    n = len(report.keys)
+    parts = [""] * (3 * n)
+    parts[1::3] = [f"{key}," for key in report.keys]
+    for ch, cells in zip(report.chars, zip(*_cell_columns(
+            report, lambda c, o: f"{c},," if o is None
+            else f"{c},{o},{c == o}", [0] * n))):
         name = str(ch)
-        yield "\n".join([f"{name},{key},{c},{o},{c == o}"
-                          for key, c, o in zip(keys, closed, oracle)])
-
-
-def _checked_rows(report, name):
-    """Rows next to the oracle: each character's name, then its cells,
-    a mismatch shown as closed!=oracle."""
-    return ([name(ch)] + [str(c) if c == o else f"{c}!={o}"
-                          for c, o in zip(closed, oracle)]
-            for ch, closed, oracle in report.rows())
-
-
-def _closed_rows(report, name, widths: list[int]):
-    """Rows past the enumeration bound, as tuples: each character's name,
-    then its cells left-justified to ``widths``.  Each distinct pair of a
-    column object and a width is rendered once, as a column of cells read
-    from a dict of padded values per width; the keys of one closed-form
-    signature share their column, so the rows zip a few dozen distinct
-    string columns."""
-    distinct = {}   # (id of a column, width) -> the column
-    for column, w in zip(report.closed, widths):
-        distinct[id(column), w] = column
-    values = {}   # width -> every value shown at that width
-    for (_, w), column in distinct.items():
-        values.setdefault(w, set()).update(column)
-    cells = {w: {v: str(v).ljust(w) for v in vs} for w, vs in values.items()}
-    shown = {pair: tuple(map(cells[pair[1]].__getitem__, column))
-             for pair, column in distinct.items()}
-    return zip([name(ch) for ch in report.chars],
-               *(shown[id(column), w] for column, w in zip(report.closed, widths)))
+        parts[::3] = [f"\n{name},"] * n
+        parts[0] = f"{name},"
+        parts[2::3] = cells
+        yield "".join(parts)
 
 
 def _print_fixed_point_text(report) -> None:
+    names = [str(ch) for ch in report.chars]
     # the key strings (2,007 at q = 2003) are freed before the rows stream
-    head, widths = _text_layout(["char", *map(str, report.keys)],
-                                _fixed_point_widths(report))
-    if report.oracle is None:
-        # the last column is left unpadded, so no line ends in blanks
-        rows = map("  ".join, _closed_rows(
-            report, lambda ch: str(ch).ljust(widths[0]), widths[1:-1] + [0]))
-    else:
-        rows = (_text_line(row, widths) for row in _checked_rows(report, str))
-    _write_lines(chain(head, rows))
+    head, widths = _text_layout(
+        ["char", *map(str, report.keys)],
+        [max(map(len, names)), *_fixed_point_widths(report)])
+    # the last column is left unpadded, so no line ends in blanks
+    names = [name.ljust(widths[0]) for name in names]
+    _write_lines(chain(head, map("  ".join, zip(
+        names, *_cell_columns(report, _shown, widths[1:-1] + [0])))))
 
 
 def _cmd_fixed_points(args) -> int:
@@ -373,10 +395,9 @@ def _cmd_fixed_points(args) -> int:
         _write_lines(_fixed_point_csv(report))
         return 0 if report.all_match else 2
     if args.fmt == "latex":
-        latex = methodcaller("latex")
-        _print_latex_table(["char", *map(str, report.keys)], (
-            _closed_rows(report, latex, [0] * len(report.keys))
-            if report.oracle is None else _checked_rows(report, latex)))
+        _print_latex_table(["char", *map(str, report.keys)], zip(
+            [ch.latex() for ch in report.chars],
+            *_cell_columns(report, _shown, [0] * len(report.keys))))
         return 0 if report.all_match else 2
     _print_fixed_point_text(report)
     extras = []

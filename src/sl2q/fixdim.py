@@ -30,9 +30,8 @@ from math import gcd
 
 from .fq import is_odd_prime
 from .grp import (
-    ClassLabel, GroupElem, class_labels, class_of, class_order, find_b,
-    identity, powers, rep_a, rep_c, rep_z, rep_zc, torus_indices,
-    DEFAULT_MAX_ENUM,
+    GroupElem, _class_order, class_of, find_b, identity, powers, rep_a,
+    rep_c, rep_z, rep_zc, torus_indices, DEFAULT_MAX_ENUM,
 )
 from .chars import CharTable, _json_schema
 from .labels import _Label, _Record
@@ -97,8 +96,8 @@ _SUBGROUP_OF_CLASS = ({cls: kind for kind, (cls, _) in _GENERATOR.items()}
 def subgroup_keys(q: int) -> list[SubgroupKey]:
     """All subgroup kinds/indices for SL2(q), in report order: one per
     class of standard generators, so d and zd give none."""
-    return [SubgroupKey(_SUBGROUP_OF_CLASS[lab.kind], lab.index)
-            for lab in class_labels(q) if lab.kind not in ("d", "zd")]
+    return [TRIVIAL_H, Z_H, C_H, ZC_H, *map(AH, torus_indices(q, "a")),
+            *map(BH, torus_indices(q, "b"))]
 
 
 def _check_key_range(q: int, key: SubgroupKey) -> None:
@@ -116,7 +115,7 @@ class SubgroupDesc(_Record):
 
 
 def _closed_order(q: int, key: SubgroupKey) -> int:
-    return class_order(q, ClassLabel(_GENERATOR[key.kind][0], key.index))
+    return _class_order(q, _GENERATOR[key.kind][0], key.index)
 
 
 def subgroup(q: int, kind, index: int = 0) -> SubgroupDesc:
@@ -214,14 +213,15 @@ _RESONANT = {"chi_even": ("AH", 2), "two_chi_odd": ("AH", 4),
 
 
 @lru_cache(maxsize=8)
-def _rows(q: int) -> tuple[dict, dict]:
+def _rows(q: int) -> tuple[dict, dict, tuple]:
     """The real characters of SL2(q): each one's position in
-    ``real_char_labels(q)``, and each row kind's (position, index) pairs."""
+    ``real_char_labels(q)``, each row kind's (position, index) pairs, and
+    every row's kind in table order."""
     positions = {char: ci for ci, char in enumerate(real_char_labels(q))}
     by_kind = {}
     for char, ci in positions.items():
         by_kind.setdefault(char.kind, []).append((ci, char.index))
-    return positions, by_kind
+    return positions, by_kind, tuple(char.kind for char in positions)
 
 
 @lru_cache(maxsize=8)
@@ -245,9 +245,8 @@ def _closed_column(q: int, kind: str, g: int = 0,
     averaging oracle confirms the corrected values.  n, the order of H,
     is a function of g, so the signature covers the correction too.
     """
-    column = _generic_column(q, kind, g, odd)
-    positions, by_kind = _rows(q)
-    values = [column[char.kind] for char in positions]
+    _, by_kind, kinds = _rows(q)
+    values = list(map(_generic_column(q, kind, g, odd).__getitem__, kinds))
     moved = []
     for row_kind, (torus, shift) in _RESONANT.items():
         if torus != kind:
@@ -438,7 +437,7 @@ def full_report(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> FixedDimTable:
             columns[signature] = _closed_column(q, *signature)
         values, moved = columns[signature]
         closed.append(values)
-        resonant += [(ci, ki) for ci in moved]
+        resonant += zip(moved, repeat(ki))
         if rt is not None:   # rt's rows are in the order of chars
             counts = Counter(map(class_of, subgroup(q, key).elements))
             oracle.append(_averages(rt, degrees, counts, memo))

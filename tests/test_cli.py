@@ -225,22 +225,53 @@ def test_fixed_points_csv_writes_blocks_of_rows(monkeypatch):
     assert out.writes <= -(-len(rows) // 4096) + 2
 
 
-@pytest.mark.parametrize("argv", [["3"], ["13"], ["53"],
-                                  ["13", "--max-enum", "11"], None])
+@pytest.mark.parametrize("argv", [
+    ["fixed-points", "3"], ["fixed-points", "13"], ["fixed-points", "53"],
+    ["fixed-points", "13", "--max-enum", "11"], None,
+    ["classes", "5"], ["classes", "7"]])
 def test_fixed_point_csv_is_what_the_csv_module_writes(monkeypatch, capsys,
                                                        argv):
     # the rows are joined by hand, with no quoting; csv.writer must give
-    # the same bytes back (None: the forged report of a mismatch)
+    # the same bytes back (None: the forged report of a mismatch).  The
+    # class list quotes its matrix itself, at q = 1 and 3 mod 4
     if argv is None:
         forged = _forged_report(5)
         monkeypatch.setattr(cli, "full_report", lambda q, max_enum: forged)
-        argv = ["5"]
-    code, out, _ = run_cli(capsys, "fixed-points", *argv, "--format", "csv")
+        argv = ["fixed-points", "5"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code in (0, 2) and out.count("\n") > 1
     again = io.StringIO()
     csv.writer(again, lineterminator="\n").writerows(
         csv.reader(io.StringIO(out)))
     assert again.getvalue() == out
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex", "csv"])
+@pytest.mark.parametrize("q, max_enum", [(13, 50), (53, 50), (13, 11)])
+def test_fixed_point_cells_are_made_once_per_distinct_column(
+        monkeypatch, capsys, q, max_enum, fmt):
+    # the keys of one closed-form signature share their closed column, and
+    # the keys of one class profile their oracle column: each distinct
+    # (closed, oracle, width) is rendered once, on both sides of the
+    # enumeration bound
+    report, calls = full_report(q, max_enum), []
+    monkeypatch.setattr(cli, "full_report", lambda q, max_enum: report)
+    make = cli._cell_column
+
+    def counted(closed, oracle, cell, width):
+        calls.append((id(closed), id(oracle), width))
+        return make(closed, oracle, cell, width)
+    monkeypatch.setattr(cli, "_cell_column", counted)
+    code, _, _ = run_cli(capsys, "fixed-points", str(q), "--max-enum",
+                         str(max_enum), "--format", fmt)
+    assert code == 0
+    pairs = {(id(c), id(o)) for c, o in
+             zip(report.closed, report.oracle or [None] * len(report.keys))}
+    assert len(set(calls)) == len(calls)
+    assert {(c, o) for c, o, _ in calls} == pairs
+    if fmt != "text":   # text pads each key's column to its header too
+        assert len(calls) == len(pairs)
+    assert len(pairs) < len(report.keys)
 
 
 @pytest.mark.parametrize("argv", [["classes", "1009", "--format", "latex"],
@@ -516,7 +547,8 @@ def test_json_table_at_q_47_fits_in_64_mb():
                           stdout=out)
         assert proc.returncode == 0, proc.stderr
         out.seek(0)
-        digest = hashlib.file_digest(out, "sha256").hexdigest()
+        # hashlib.file_digest is new in Python 3.11
+        digest = hashlib.sha256(out.read()).hexdigest()
         assert out.tell() < 1 << 20
     assert digest == (
         "9ddcd025e217e0256f1a351fdd3497f37a84ecba1246dcbe4bb3bec5d1ca137b")

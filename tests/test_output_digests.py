@@ -18,10 +18,16 @@ subgroup keys of one closed-form signature shared a column, and the
 renderers read each distinct column once.  ``classes 1009`` was written
 before the class list was streamed from int rows; its text, csv and latex
 digests are those of perfbench's ``closed`` workload.
+
+Every digest of ``perfbench/reference.json`` (the text, csv and latex
+outputs of the benchmark's commands) is checked the same way, so that an
+output change fails here before the benchmark reports it.
 """
 import contextlib
 import hashlib
 import io
+import json
+from pathlib import Path
 
 import pytest
 
@@ -291,11 +297,26 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(DIGESTS))
-def test_stdout_digest(case):
+# the benchmark's reference digests, keyed like DIGESTS
+REFERENCE = json.loads((Path(__file__).parents[1] / "perfbench"
+                        / "reference.json").read_text())
+
+
+def digest(case: str) -> str:
+    """SHA-256 of the stdout of ``case``, a command, q and format."""
     *argv, fmt = case.split()
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main([*argv, "--format", fmt])
     assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS[case]
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_stdout_digest(case):
+    assert digest(case) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE))
+def test_benchmark_reference_digest(case):
+    assert digest(case) == REFERENCE[case]
