@@ -308,51 +308,33 @@ def _cmd_fs(args) -> int:
     return 0
 
 
-def _fixed_point_widths(report) -> list[int]:
-    """The widest text cell of each key's column, read off the int columns
-    once per distinct pair of (closed, oracle) column objects: the keys of
-    one closed-form signature share their closed column."""
-    widths = []
-    seen = {}   # (id of closed, id of oracle) -> width
-    for closed, oracle in zip(report.closed, report.oracle or repeat(None)):
-        pair = id(closed), id(oracle)
-        if pair not in seen:
-            width = len(str(max(closed)))   # full_report's values are >= 0
-            if oracle is not None:
-                width = max([width] + [len(f"{c}!={o}")
-                                       for c, o in zip(closed, oracle) if c != o])
-            seen[pair] = width
-        widths.append(seen[pair])
-    return widths
-
-
 def _shown(c: int, o) -> str:
     """A text or latex cell: the closed value, or closed!=oracle."""
     return str(c) if o is None or c == o else f"{c}!={o}"
 
 
-def _cell_column(closed, oracle, cell, width: int) -> tuple:
-    """``cell(c, o)``, left-justified to ``width``, for each entry of a
-    column, o None past the enumeration bound; each distinct entry, (c, o)
-    or past the bound c alone (a cheaper key), is rendered once."""
-    entries = closed if oracle is None else list(zip(closed, oracle))
-    shown = {e: (cell(e, None) if oracle is None else cell(*e)).ljust(width)
-             for e in set(entries)}
-    return tuple(map(shown.__getitem__, entries))
+def _csv_cell(c: int, o) -> str:
+    """A csv row's closed, oracle and match fields."""
+    return f"{c},," if o is None else f"{c},{o},{c == o}"
 
 
-def _cell_columns(report, cell, widths: list[int]):
-    """The report's cells, a tuple per subgroup key, made by ``_cell_column``
-    once per distinct (closed column, oracle column, width): the keys of
-    one closed-form signature share their column, so a row is a join over
-    a few dozen distinct columns."""
-    made = {}   # (id of closed, id of oracle, width) -> the cells
-    for closed, oracle, w in zip(report.closed, report.oracle or repeat(None),
-                                 widths):
-        key = id(closed), id(oracle), w
-        if key not in made:
-            made[key] = _cell_column(closed, oracle, cell, w)
-        yield made[key]
+def _cell_columns(report, cell):
+    """(cells, width of the widest, the distinct cells) for each subgroup
+    key, ``cell(c, o)`` made once per distinct entry of each distinct
+    (closed column, oracle column), o None past the enumeration bound: the
+    keys of one closed-form signature share their column, so a row is a
+    join over a few dozen distinct columns."""
+    made = {}   # (id of closed, id of oracle) -> (cells, width, distinct)
+    for closed, oracle in zip(report.closed, report.oracle or repeat(None)):
+        pair = id(closed), id(oracle)
+        if pair not in made:
+            # past the bound the entry is c alone, a cheaper key
+            entries = closed if oracle is None else list(zip(closed, oracle))
+            shown = {e: cell(e, None) if oracle is None else cell(*e)
+                     for e in set(entries)}
+            made[pair] = (tuple(map(shown.__getitem__, entries)),
+                          max(map(len, shown.values())), shown.values())
+        yield made[pair]
 
 
 def _fixed_point_csv(report):
@@ -363,9 +345,8 @@ def _fixed_point_csv(report):
     n = len(report.keys)
     parts = [""] * (3 * n)
     parts[1::3] = [f"{key}," for key in report.keys]
-    for ch, cells in zip(report.chars, zip(*_cell_columns(
-            report, lambda c, o: f"{c},," if o is None
-            else f"{c},{o},{c == o}", [0] * n))):
+    columns = [cells for cells, *_ in _cell_columns(report, _csv_cell)]
+    for ch, cells in zip(report.chars, zip(*columns)):
         name = str(ch)
         parts[::3] = [f"\n{name},"] * n
         parts[0] = f"{name},"
@@ -373,16 +354,36 @@ def _fixed_point_csv(report):
         yield "".join(parts)
 
 
-def _print_fixed_point_text(report) -> None:
+def _print_fixed_point_text(report, args) -> None:
+    """The table, each key's column as wide as its widest cell or header,
+    padded once per distinct (column, width), and its notes."""
     names = [str(ch) for ch in report.chars]
+    columns = list(_cell_columns(report, _shown))
     # the key strings (2,007 at q = 2003) are freed before the rows stream
     head, widths = _text_layout(
         ["char", *map(str, report.keys)],
-        [max(map(len, names)), *_fixed_point_widths(report)])
+        [max(map(len, names)), *(w for _, w, _ in columns)])
     # the last column is left unpadded, so no line ends in blanks
+    widths[-1] = 0
+    padded = {}   # (id of cells, width) -> the cells padded to it
+    for j, ((cells, _, distinct), w) in enumerate(zip(columns, widths[1:])):
+        key = id(cells), w
+        if key not in padded:
+            pad = {s: s.ljust(w) for s in distinct}
+            padded[key] = tuple(map(pad.__getitem__, cells))
+        columns[j] = padded[key]
     names = [name.ljust(widths[0]) for name in names]
-    _write_lines(chain(head, map("  ".join, zip(
-        names, *_cell_columns(report, _shown, widths[1:-1] + [0])))))
+    _write_lines(chain(head, map("  ".join, zip(names, *columns))))
+    notes = []
+    if args.q > args.max_enum:
+        notes.append(f"oracle skipped: q={args.q} exceeds the "
+                     f"enumeration bound {args.max_enum} "
+                     f"(raise --max-enum to verify)")
+    elif report.all_match:
+        notes.append("every entry confirmed by character averaging")
+    notes.extend(report.notes)
+    if notes:
+        _write_lines(["", *(f"note: {line}" for line in notes)])
 
 
 def _cmd_fixed_points(args) -> int:
@@ -390,26 +391,14 @@ def _cmd_fixed_points(args) -> int:
     if args.fmt == "json":
         # streamed row by row: the document or its rows held whole add MBs
         _print_json(report.to_json(lazy=True))
-        return 0 if report.all_match else 2
-    if args.fmt == "csv":
+    elif args.fmt == "csv":
         _write_lines(_fixed_point_csv(report))
-        return 0 if report.all_match else 2
-    if args.fmt == "latex":
+    elif args.fmt == "latex":
         _print_latex_table(["char", *map(str, report.keys)], zip(
             [ch.latex() for ch in report.chars],
-            *_cell_columns(report, _shown, [0] * len(report.keys))))
-        return 0 if report.all_match else 2
-    _print_fixed_point_text(report)
-    extras = []
-    if args.q > args.max_enum:
-        extras.append(f"oracle skipped: q={args.q} exceeds the "
-                      f"enumeration bound {args.max_enum} "
-                      f"(raise --max-enum to verify)")
-    elif report.all_match:
-        extras.append("every entry confirmed by character averaging")
-    extras.extend(report.notes)
-    if extras:
-        _write_lines(["", *(f"note: {line}" for line in extras)])
+            *(cells for cells, *_ in _cell_columns(report, _shown))))
+    else:
+        _print_fixed_point_text(report, args)
     return 0 if report.all_match else 2
 
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
 
-from .fq import _prime_factors
+from .fq import _prime_factors, is_odd_prime
 from ._kernel import mul_reduce, reduce_mod, reduce_sparse
 
 __all__ = [
@@ -511,6 +511,8 @@ def nu(r: int, s: int) -> CycNum:
     >>> nu(8, 2) == 0
     True
     """
+    if r < 1:
+        raise ValueError("conductor must be positive")
     return _raw(r, tuple(_from_powers(r, [(s % r, 1), (-s % r, 1)])), 1)
 
 
@@ -523,6 +525,8 @@ def sqrt_eps_q(q: int) -> CycNum:
     Squares to eps*q with eps = (-1)^((q-1)/2): an exact square root of
     +-q, real for q = 1 mod 4 and purely imaginary for q = 3 mod 4.
     """
+    if not is_odd_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
     squares = ((x * x % q, 1) for x in range(q))
     return _raw(q, tuple(_from_powers(q, squares)), 1)
 

@@ -533,7 +533,7 @@ def _generated_ranks(q: int) -> bytearray:
     return seen
 
 
-@_cached_on_q
+@lru_cache(maxsize=8)
 def _class_indices(q: int) -> array:
     """The index in ``representatives(q)`` of the class of each rank
     (_FREE where no orbit reaches).
@@ -550,11 +550,11 @@ def _class_indices(q: int) -> array:
     return cls
 
 
-@_cached_on_q
+@lru_cache(maxsize=8)
 def _square_classes(q: int) -> array:
     """``_class_indices`` of g^2, by the rank of g: one pass of squares,
     g^2 = (a^2 + bc, b(a+d), c(a+d), d^2 + bc)."""
-    index = _class_indices(q, q)
+    index = _class_indices(q)
     out = array("H", bytes(2 * (q ** 3 - q)))
     for r, (a, b, c, d) in enumerate(_lex_tuples(q)):
         bc, t = b * c, a + d
@@ -571,7 +571,7 @@ def conjugacy_partition(q: int):
     class of each rank; G itself is never built here."""
     reps = representatives(q)
     orbits = [[] for _ in reps]
-    for i, g in zip(_class_indices(q, q), _lex_tuples(q)):
+    for i, g in zip(_class_indices(q), _lex_tuples(q)):
         if i != _FREE:
             orbits[i].append(_elem(q, g))
     return {cls.label: frozenset(orbit) for cls, orbit in zip(reps, orbits)}

@@ -37,7 +37,7 @@ from .chars import CharLabel, CharTable, _codes, _intern, _summed
 from .cyclo import working_conductor
 from .fq import is_quadratic_residue
 from .grp import (
-    C, D, ONE, Z, ZC, ZD, ClassLabel, _cached_on_q, _square_classes,
+    C, D, ONE, Z, ZC, ZD, ClassLabel, _check_enumerable, _square_classes,
     class_labels, representatives, torus_indices, torus_order,
     DEFAULT_MAX_ENUM,
 )
@@ -167,10 +167,10 @@ def fs_indicator_brute(table: CharTable, char: CharLabel) -> int:
     return _indicator(table, char, _square_class_counts(table.q))
 
 
-@_cached_on_q
+@lru_cache(maxsize=8)
 def _square_label_counts(q: int):
     """How many g in G have g^2 in each class, by the orbit partition."""
-    counts = Counter(_square_classes(q, q))
+    counts = Counter(_square_classes(q))
     labels = class_labels(q)
     return {labels[i]: n for i, n in counts.items()}
 
@@ -179,7 +179,8 @@ def fs_indicator_raw(table: CharTable, char: CharLabel,
                      max_enum: int = DEFAULT_MAX_ENUM) -> int:
     """Ground-truth indicator: sum of chi(g^2) over every group element,
     classified through the brute-force orbit partition."""
-    return _indicator(table, char, _square_label_counts(table.q, max_enum))
+    _check_enumerable(table.q, max_enum)
+    return _indicator(table, char, _square_label_counts(table.q))
 
 
 def fs_indicator_closed(table: CharTable, char: CharLabel) -> int:

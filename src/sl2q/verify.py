@@ -233,7 +233,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         nonlocal walked
         if walked is None:
             try:
-                cls, error = _class_indices(q, max_enum), None
+                cls, error = _class_indices(q), None
             except Exception as exc:  # for check 10 to raise, and no other
                 cls, error = None, exc
             walked = (*_walk_subgroups(q, cls), error)
@@ -261,7 +261,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
     # The orbits are taken under the generators s and t only, so their
     # closure must be all of G for the orbits to be the classes.
     def check_partition():
-        index = _class_indices(q, max_enum)
+        index = _class_indices(q)
         reps = representatives(q)
         bad = []
         if _generated_ranks(q) != bytearray(b"\1") * order:
@@ -305,8 +305,8 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     # (4) square and inverse class maps, elementwise
     def check_maps():
-        index = _class_indices(q, max_enum)
-        square = _square_classes(q, max_enum)
+        index = _class_indices(q)
+        square = _square_classes(q)
         labels = class_labels(q)
         at = {lab: i for i, lab in enumerate(labels)}
         sq = [at[square_class_map(q)[lab]] for lab in labels]
@@ -487,7 +487,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
 
     # (11) order-2q subgroups are conjugates of <zc> or <zd>
     def check_order_2q():
-        target = _order_2q_conjugates(q, _class_indices(q, max_enum))
+        target = _order_2q_conjugates(q, _class_indices(q))
         number, subs, _ = subgroups()
         big = {i for i, sub in enumerate(subs) if sub.order == 2 * q}
         stray = {i for i in big if subs[i].elements not in target}

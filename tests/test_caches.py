@@ -26,10 +26,9 @@ def test_every_lru_cache_is_bounded():
 
 _MISSES = """
 import json
-from sl2q import grp, realrep
+from sl2q import grp
 misses = {}
-for f in (grp.enumerate_group, grp.conjugacy_partition, grp.class_label_lookup,
-          realrep._square_label_counts):
+for f in (grp.enumerate_group, grp.conjugacy_partition, grp.class_label_lookup):
     f(7), f(7, 50), f(q=7)
     misses[f.__name__] = f.cache_info().misses
 print(json.dumps(misses))
@@ -48,5 +47,4 @@ def test_group_caches_key_on_q_alone():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"enumerate_group": 1,
                                        "conjugacy_partition": 1,
-                                       "class_label_lookup": 1,
-                                       "_square_label_counts": 1}
+                                       "class_label_lookup": 1}

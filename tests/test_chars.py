@@ -1,6 +1,7 @@
 """The complex irreducible character table."""
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -261,3 +262,45 @@ def test_values_stay_at_their_natural_conductor(q):
     for table in (complex_table(q), real_table(q)):
         assert all(v.conductor == 1 for row in table.rows.values()
                    for v in row if v.as_rational() is not None)
+
+
+def _non_integral_central_characters(rows: dict, sizes: list) -> list:
+    """(row, class index) of each cell whose central character
+    |C| chi(g_C) / chi(1) is no algebraic integer (Isaacs, Character
+    Theory of Finite Groups, Thm 3.7), with chi(1) in the first column.  A
+    CycNum holds its numerators over the power basis of Z[zeta_N], an
+    integral basis, so each cell is one int test: den * chi(1) divides
+    |C| * gcd(numerators)."""
+    return [(ch, j) for ch, row in rows.items()
+            for degree in [row[0].as_integer()]
+            for j, (v, size) in enumerate(zip(row, sizes))
+            if size * gcd(*v._num) % (v._den * degree)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                               43, 47, 211])
+def test_central_characters_are_algebraic_integers(q):
+    table = complex_table(q)
+    sizes = [cls.size for cls in table.classes]
+    assert _non_integral_central_characters(table.rows, sizes) == []
+
+
+def test_central_characters_see_a_rotated_table():
+    # M is rational orthogonal and fixes (1, 1, 1): the rotated rows keep
+    # every row and column relation, the degrees and the z, c and d
+    # columns, which no check of the oracle tells from a character table
+    # at q = 23, but their central characters at a^1 have a denominator 3
+    table = complex_table(23)
+    rows = table.rows
+    third = Fraction(1, 3)
+    M = [[2, 2, -1], [-1, 2, 2], [2, -1, 2]]
+    rotated = [Chi(2), Chi(4), Chi(6)]
+    old = [rows[ch] for ch in rotated]
+    for ch, weights in zip(rotated, M):
+        rows[ch] = [sum((v * (w * third) for v, w in zip(cells, weights)),
+                        rational(0)) for cells in zip(*old)]
+    sizes = [cls.size for cls in table.classes]
+    a1 = table.class_order.index(A(1))
+    bad = _non_integral_central_characters(rows, sizes)
+    assert {ch for ch, _ in bad} == set(rotated)
+    assert {(ch, a1) for ch in rotated} <= set(bad)

@@ -5,10 +5,13 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -252,26 +255,46 @@ def test_fixed_point_cells_are_made_once_per_distinct_column(
         monkeypatch, capsys, q, max_enum, fmt):
     # the keys of one closed-form signature share their closed column, and
     # the keys of one class profile their oracle column: each distinct
-    # (closed, oracle, width) is rendered once, on both sides of the
-    # enumeration bound
-    report, calls = full_report(q, max_enum), []
+    # entry of each distinct (closed, oracle) column is formatted once, on
+    # both sides of the enumeration bound, whatever width the text gives
+    # its key
+    report, calls = full_report(q, max_enum), Counter()
     monkeypatch.setattr(cli, "full_report", lambda q, max_enum: report)
-    make = cli._cell_column
+    name = "_csv_cell" if fmt == "csv" else "_shown"
+    cell = getattr(cli, name)
 
-    def counted(closed, oracle, cell, width):
-        calls.append((id(closed), id(oracle), width))
-        return make(closed, oracle, cell, width)
-    monkeypatch.setattr(cli, "_cell_column", counted)
+    def counted(c, o):
+        calls[c, o] += 1
+        return cell(c, o)
+    monkeypatch.setattr(cli, name, counted)
     code, _, _ = run_cli(capsys, "fixed-points", str(q), "--max-enum",
                          str(max_enum), "--format", fmt)
     assert code == 0
-    pairs = {(id(c), id(o)) for c, o in
-             zip(report.closed, report.oracle or [None] * len(report.keys))}
-    assert len(set(calls)) == len(calls)
-    assert {(c, o) for c, o, _ in calls} == pairs
-    if fmt != "text":   # text pads each key's column to its header too
-        assert len(calls) == len(pairs)
-    assert len(pairs) < len(report.keys)
+    columns = {(id(c), id(o)): (c, o) for c, o in
+               zip(report.closed, report.oracle or repeat(None))}
+    expected = Counter()
+    for closed, oracle in columns.values():
+        expected.update(set(zip(closed, oracle or repeat(None))))
+    assert calls == expected
+    assert len(columns) < len(report.keys)
+
+
+def test_fixed_point_text_columns_are_as_wide_as_their_cells(monkeypatch,
+                                                            capsys):
+    # a mismatch spelled longer than c!=o still lines up under its header:
+    # the widths are measured from the cells made, not from the ints
+    forged = _forged_report(5)
+    monkeypatch.setattr(cli, "full_report", lambda q, max_enum: forged)
+    shown = cli._shown
+    monkeypatch.setattr(cli, "_shown", lambda c, o: shown(c, o).replace(
+        "!=", "!=oracle:"))
+    code, out, _ = run_cli(capsys, "fixed-points", "5")
+    assert code == 2 and "5!=oracle:6" in out
+    header, rule, *rows = out.split("\n\n")[0].splitlines()
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    assert len(rows) == len(forged.chars)
+    for line in [rule, *rows]:
+        assert [m.start() for m in re.finditer(r"\S+", line)] == starts
 
 
 @pytest.mark.parametrize("argv", [["classes", "1009", "--format", "latex"],

@@ -256,6 +256,20 @@ def test_gauss_sum_conjugate():
     assert sqrt_eps_q(7).conjugate() == -sqrt_eps_q(7)
 
 
+@pytest.mark.parametrize("make, arg", [
+    (nu, 0), (nu, -4), (sqrt_eps_q, 0), (sqrt_eps_q, -3), (sqrt_eps_q, 1),
+    (sqrt_eps_q, 2), (sqrt_eps_q, 9)])
+def test_constructors_refuse_what_they_cannot_build(make, arg):
+    # nu(r, 1) at r < 1 divided by zero or indexed past its vector, and the
+    # Gauss sum of a q that is no odd prime is no square root of eps*q
+    if make is nu:
+        message, args = "conductor must be positive", (arg, 1)
+    else:
+        message, args = f"q must be an odd prime, got {arg}", (arg,)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(*args)
+
+
 def test_conjugate_inverts_roots():
     for n, k in [(5, 1), (7, 3), (12, 5)]:
         assert root_of_unity(n, k).conjugate() == root_of_unity(n, -k)
