@@ -172,15 +172,18 @@ def sym_latex(sym: tuple) -> str:
 _ONE = rational(1)   # the y of each class-sum term w * x * y
 
 
-def _json_schema(obj: dict, what: str) -> int:
-    """The schema of a JSON document, 1 when it has none; every loader
-    reads schemas 1 and 2 and rejects any other."""
-    schema = obj.get("schema", 1)
+# The one JSON schema sl2q writes and reads: every document carries it
+# as "schema", and each exact value sits at its natural conductor.
+JSON_SCHEMA = 2
+
+
+def _json_schema(obj: dict, what: str) -> None:
+    """Refuse a document whose "schema" is not ``JSON_SCHEMA``."""
+    schema = obj.get("schema")
     # the type test, because JSON true and 2.0 compare equal to 1 and 2
-    if type(schema) is not int or schema not in (1, 2):
+    if type(schema) is not int or schema != JSON_SCHEMA:
         raise ValueError(f"unknown {what} schema {schema!r}; "
-                         f"schemas 1 and 2 can be read")
-    return schema
+                         f"only schema {JSON_SCHEMA} can be read")
 
 
 def _intern(rows, entry) -> tuple[tuple, dict]:
@@ -207,14 +210,13 @@ class CharTable:
     ``pool`` holds each distinct (value, display cell) entry once
     (``_intern``), and ``index`` maps each row label to an array('I') of
     pool indices in class order (the order of ``classes``).  Each value is
-    a CycNum at its natural conductor, a divisor of ``conductor`` (a table
-    loaded from a schema-1 JSON document holds every value at
-    ``conductor`` itself).  The cell is None on tables rebuilt from JSON;
-    the exact values are the record.  ``rows`` and ``cells`` are
-    read-only views, built anew from the pool on each read.  The complex
-    table has CharLabel rows and ``source`` None.  The real table (see
-    ``realrep.real_table``) has RealCharLabel rows, and ``source`` maps
-    each of them to the (CharLabel, multiplicity) pairs it is the sum of.
+    a CycNum at its natural conductor, a divisor of ``conductor``.  The
+    cell is None on tables rebuilt from JSON; the exact values are the
+    record.  ``rows`` and ``cells`` are read-only views, built anew from
+    the pool on each read.  The complex table has CharLabel rows and
+    ``source`` None.  The real table (see ``realrep.real_table``) has
+    RealCharLabel rows, and ``source`` maps each of them to the
+    (CharLabel, multiplicity) pairs it is the sum of.
     """
 
     def __init__(self, q: int, epsilon: int, conductor: int,
@@ -279,16 +281,15 @@ class CharTable:
         return self.classes[self._column[label]].size
 
     def to_json(self) -> dict:
-        """The table as a JSON document (schema 2), each value at its own
-        conductor; each pool entry is written once and shared by its
-        cells."""
+        """The table as a JSON document, each value at its own conductor;
+        each pool entry is written once and shared by its cells."""
         names = [str(lab) for lab in self.class_order]
 
         def by_name(column):
             return {str(ch): dict(zip(names, row))
                     for ch, row in self.by_row(column)}
         obj = {
-            "schema": 2,
+            "schema": JSON_SCHEMA,
             "q": self.q,
             "epsilon": self.epsilon,
             "conductor": self.conductor,
@@ -310,11 +311,9 @@ class CharTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CharTable":
-        """Load either table; a "source" entry marks the real one.
-
-        Reads schema 1 (every value at ``conductor``) and schema 2 (each
-        value at its own conductor, a divisor of ``conductor``) alike.
-        Each distinct value in the document is parsed once.
+        """Load either table from ``to_json``'s document; a "source" entry
+        marks the real one.  Each value is at its own conductor, a divisor
+        of ``conductor``, and each distinct value is parsed once.
         """
         from .realrep import RealCharLabel
         _json_schema(obj, "character table")

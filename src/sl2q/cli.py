@@ -4,10 +4,10 @@ Usage: sl2q <command> q [--format F] [--max-enum N], the commands being
 classes, char-table, real-table, fs, fixed-points and verify; -h prints
 help, and _parse lists the spellings it accepts.
 Formats: text (symbolic cells plus an advisory decimal legend), json
-(one compact line of ``json.dumps``, schema 2: each exact value as a
-coefficient vector at its natural conductor, round-trippable through
-the library loaders), csv (long form, quoted), latex (tabular in the
-classical layout).
+(one compact line of ``json.dumps``, marked with ``chars.JSON_SCHEMA``:
+each exact value as a coefficient vector at its natural conductor,
+round-trippable through the library loaders), csv (long form, quoted),
+latex (tabular in the classical layout).
 
 Text and csv modes render cells in a small stable grammar:
 
@@ -32,7 +32,7 @@ from itertools import chain, repeat
 from operator import methodcaller
 from types import GeneratorType, SimpleNamespace
 
-from .chars import complex_table, sym_latex, sym_str
+from .chars import JSON_SCHEMA, complex_table, sym_latex, sym_str
 from .fixdim import full_report
 from .grp import (DEFAULT_MAX_ENUM, ClassLabel, _class_rows, _class_size,
                   torus_indices)
@@ -197,7 +197,7 @@ def _cmd_classes(args) -> int:
         classes = ({"label": ClassLabel.spell(kind, k), "representative": list(g),
                     "order": order, "size": size}
                    for kind, k, g, order, size in rows)
-        _print_json({"schema": 2, "q": q, "classes": classes})
+        _print_json({"schema": JSON_SCHEMA, "q": q, "classes": classes})
         return 0
     headers = ["label", "representative", "order", "size"]
     label_w = 0
@@ -285,7 +285,7 @@ def _cmd_fs(args) -> int:
                      None if brute is None else closed == brute))
     if args.fmt == "json":
         _print_json({
-            "schema": 2,
+            "schema": JSON_SCHEMA,
             "q": args.q,
             "indicators": [{"char": str(c), "closed": cl, "brute": br, "match": m}
                            for c, cl, br, m in rows],

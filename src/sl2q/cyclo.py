@@ -532,5 +532,8 @@ def sqrt_eps_q(q: int) -> CycNum:
 
 
 def working_conductor(q: int) -> int:
-    """Every character value of SL2(q) lives in Q(zeta_N) for this N."""
+    """Every character value of SL2(q) lives in Q(zeta_N) for this N;
+    q must be an odd prime."""
+    if not is_odd_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
     return lcm(q, q - 1, q + 1)

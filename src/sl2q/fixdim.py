@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd
 
 from .fq import is_odd_prime
@@ -33,7 +33,7 @@ from .grp import (
     GroupElem, _class_order, class_of, find_b, identity, powers, rep_a,
     rep_c, rep_z, rep_zc, torus_indices, DEFAULT_MAX_ENUM,
 )
-from .chars import CharTable, _json_schema
+from .chars import JSON_SCHEMA, CharTable, _json_schema
 from .labels import _Label, _Record
 from .realrep import RealCharLabel, real_char_labels, real_table
 
@@ -354,15 +354,15 @@ class FixedDimTable:
         return self.oracle is None or self.oracle == self.closed
 
     def to_json(self, lazy: bool = False) -> dict:
-        """The table as a JSON document (schema 2): the subgroup keys once,
-        then one row per character with its closed and oracle values in
-        key order; a row's ``oracle`` is null past the enumeration bound.
-        With ``lazy``, "rows" is a generator, to encode row by row."""
+        """The table as a JSON document: the subgroup keys once, then one
+        row per character with its closed and oracle values in key order;
+        a row's ``oracle`` is null past the enumeration bound.  With
+        ``lazy``, "rows" is a generator, to encode row by row."""
         rows = ({"char": str(c), "closed": list(closed),
                  "oracle": None if self.oracle is None else list(oracle)}
                 for c, closed, oracle in self.rows())
         return {
-            "schema": 2,
+            "schema": JSON_SCHEMA,
             "q": self.q,
             "subgroups": [{"key": str(k), "order": _closed_order(self.q, k)}
                           for k in self.keys],
@@ -372,41 +372,29 @@ class FixedDimTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FixedDimTable":
-        """Load a document of schema 2 (``to_json``) or of schema 1, which
-        has no "schema" key and one {"closed", "oracle", "match"} dict per
-        entry under "entries"."""
+        """Load ``to_json``'s document: each row's oracle is a list of one
+        int per subgroup, or null on every row past the enumeration
+        bound."""
+        _json_schema(obj, "fixed-point table")
         names = [d["key"] for d in obj["subgroups"]]
-        if _json_schema(obj, "fixed-point table") == 1:
-            chars = obj["chars"]
-            rows = [obj["entries"][s] for s in chars]
-            columns = [[row[name] for row in rows] for name in names]
-            for e in chain.from_iterable(columns):
-                if e["match"] is not (None if e["oracle"] is None
-                                      else e["closed"] == e["oracle"]):
-                    raise ValueError(f"entry {e} has a match that disagrees "
-                                     f"with its closed and oracle values")
-            closed = [[e["closed"] for e in column] for column in columns]
-            oracle = [[e["oracle"] for e in column] for column in columns]
-            missing = {o is None for column in oracle for o in column}
-        else:
-            rows = obj["rows"]
-            for row in rows:
-                lengths = {len(row["closed"])}
-                if row["oracle"] is not None:
-                    lengths.add(len(row["oracle"]))
-                if lengths != {len(names)}:
-                    raise ValueError(f"row {row['char']} does not have one "
-                                     f"entry per subgroup ({len(names)})")
-            chars = [row["char"] for row in rows]
-            closed = list(zip(*(row["closed"] for row in rows)))
-            oracles = [row["oracle"] for row in rows]
-            missing = {o is None for o in oracles}
-            oracle = None if True in missing else list(zip(*oracles))
+        rows = obj["rows"]
+        for row in rows:
+            lengths = {len(row["closed"])}
+            if row["oracle"] is not None:
+                lengths.add(len(row["oracle"]))
+            if lengths != {len(names)}:
+                raise ValueError(f"row {row['char']} does not have one "
+                                 f"entry per subgroup ({len(names)})")
+        oracles = [row["oracle"] for row in rows]
+        # a null row, or a null entry of a row, marks a partial oracle
+        missing = {o is None for row in oracles
+                   for o in ([None] if row is None else row)}
         if len(missing) > 1:
             raise ValueError("the oracle mixes null and non-null entries")
-        return cls(obj["q"], map(RealCharLabel.parse, chars),
-                   map(SubgroupKey.parse, names), closed,
-                   None if True in missing else oracle, obj["notes"])
+        return cls(obj["q"], (RealCharLabel.parse(row["char"]) for row in rows),
+                   map(SubgroupKey.parse, names),
+                   zip(*(row["closed"] for row in rows)),
+                   None if True in missing else zip(*oracles), obj["notes"])
 
     def __eq__(self, other):
         if not isinstance(other, FixedDimTable):

@@ -37,7 +37,8 @@ from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
-from .chars import ETA1, ETA2, XI1, XI2, _json_schema, complex_table
+from .chars import (ETA1, ETA2, JSON_SCHEMA, XI1, XI2, _json_schema,
+                    complex_table)
 from .cyclo import dot
 from .fixdim import (_SUBGROUP_OF_CLASS, SubgroupKey, _averages, _degrees,
                      _key_column, _profile)
@@ -69,7 +70,7 @@ class VerificationReport(_Record):
 
     def to_json(self) -> dict:
         return {
-            "schema": 2,
+            "schema": JSON_SCHEMA,
             "q": self.q,
             "checks": [{"name": c.name, "pass": c.passed, "details": c.details}
                        for c in self.checks],

@@ -1,8 +1,6 @@
 """The complex irreducible character table."""
-import json
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -208,17 +206,6 @@ def test_json_round_trip():
                    == table.value(ch, lab).to_json()
                    for ch in table.chars for lab in table.class_order)
         assert CharTable.from_json(obj) == table
-
-
-def test_schema_1_document_loads():
-    # `char-table 3 --format json` as written before schema 2: no
-    # "schema" key, every cell at N = 12
-    obj = json.loads((Path(__file__).parent / "data"
-                      / "char-table-3.schema1.json").read_text())
-    assert "schema" not in obj
-    assert {cell["conductor"] for row in obj["values"].values()
-            for cell in row.values()} == {12}
-    assert CharTable.from_json(obj) == complex_table(3)
 
 
 def test_from_json_rejects_a_value_outside_the_working_field():

@@ -10,14 +10,13 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sl2q._kernel import mul_reduce, reduce_mod, reduce_sparse
-from sl2q.chars import CharTable, complex_table
+from sl2q.chars import complex_table
 from sl2q.cyclo import (CycNum, _from_powers, _make, _moduli, _phi,
                         cyclotomic_polynomial, dot, nu, rational,
                         root_of_unity, sqrt_eps_q, working_conductor)
@@ -258,10 +257,13 @@ def test_gauss_sum_conjugate():
 
 @pytest.mark.parametrize("make, arg", [
     (nu, 0), (nu, -4), (sqrt_eps_q, 0), (sqrt_eps_q, -3), (sqrt_eps_q, 1),
-    (sqrt_eps_q, 2), (sqrt_eps_q, 9)])
+    (sqrt_eps_q, 2), (sqrt_eps_q, 9), (working_conductor, 0),
+    (working_conductor, 1), (working_conductor, 2), (working_conductor, 9),
+    (working_conductor, -3)])
 def test_constructors_refuse_what_they_cannot_build(make, arg):
-    # nu(r, 1) at r < 1 divided by zero or indexed past its vector, and the
-    # Gauss sum of a q that is no odd prime is no square root of eps*q
+    # nu(r, 1) at r < 1 divided by zero or indexed past its vector, the
+    # Gauss sum of a q that is no odd prime is no square root of eps*q, and
+    # working_conductor gave 0 at q = 1, which no CycNum takes
     if make is nu:
         message, args = "conductor must be positive", (arg, 1)
     else:
@@ -624,22 +626,19 @@ def test_dot_at_the_working_conductor_of_13():
     assert dot([(x, y, -1)]) == -(x * y)
 
 
-_SCHEMA_1 = Path(__file__).parent / "data" / "char-table-3.schema1.json"
-
-
 def _tables_to_split():
     for q in (3, 5, 7, 11, 13):
-        yield pytest.param(complex_table, q, id=f"complex-{q}")
-        yield pytest.param(real_table, q, id=f"real-{q}")
-    yield pytest.param(
-        lambda _: CharTable.from_json(json.loads(_SCHEMA_1.read_text())), 3,
-        id="schema-1-3")
+        yield pytest.param(complex_table, q, None, id=f"complex-{q}")
+        yield pytest.param(real_table, q, None, id=f"real-{q}")
+    # every value held above its natural conductor, at N = 12
+    yield pytest.param(complex_table, 3, 12, id="promoted-3")
 
 
-@pytest.mark.parametrize("make, q", _tables_to_split())
-def test_every_pool_entry_splits_and_scatters_back_to_itself(make, q):
+@pytest.mark.parametrize("make, q, M", _tables_to_split())
+def test_every_pool_entry_splits_and_scatters_back_to_itself(make, q, M):
     # each entry and its conjugate: the values dot reads through the split
     for v, _ in make(q).pool:
+        v = v.promote(M or v.conductor)
         for x in (v, v.conjugate()):
             split = x._parts()
             N, pairs, den = split

@@ -1,9 +1,7 @@
 """Fixed-point dimensions: closed forms against the averaging oracle."""
-import json
 import re
 from array import array
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -191,47 +189,15 @@ def test_report_json_round_trip():
         assert (clone.oracle is None) == (q > 50)
 
 
-# schema-1 documents, as `fixed-points 5 --format json` wrote them before
-# schema 2, with and without the oracle (--max-enum 3)
-SCHEMA_1 = Path(__file__).parent / "data" / "fixed-points-5.schema1.json"
-SCHEMA_1_NO_ORACLE = (Path(__file__).parent / "data"
-                      / "fixed-points-5-max-enum-3.schema1.json")
-
-
-def _schema_1(path):
-    """A fresh copy of a schema-1 document, free to edit."""
-    return json.loads(path.read_text())
-
-
-def test_schema_1_documents_load():
-    assert "schema" not in _schema_1(SCHEMA_1)
-    assert FixedDimTable.from_json(_schema_1(SCHEMA_1)) == full_report(5)
-    clone = FixedDimTable.from_json(_schema_1(SCHEMA_1_NO_ORACLE))
-    assert clone == full_report(5, 3) and clone.oracle is None
-
-
-def test_from_json_rejects_a_match_that_disagrees():
-    doc = _schema_1(SCHEMA_1)
-    doc["entries"]["psi"]["ZH"]["match"] = False
-    with pytest.raises(ValueError, match="disagrees"):
-        FixedDimTable.from_json(doc)
-    doc = _schema_1(SCHEMA_1)
-    doc["entries"]["psi"]["ZH"]["oracle"] += 1   # match is left true
-    with pytest.raises(ValueError, match="disagrees"):
-        FixedDimTable.from_json(doc)
-    doc = _schema_1(SCHEMA_1_NO_ORACLE)
-    doc["entries"]["psi"]["ZH"]["match"] = True  # no oracle to match
-    with pytest.raises(ValueError, match="disagrees"):
-        FixedDimTable.from_json(doc)
-
-
 def test_from_json_rejects_an_oracle_that_mixes_null_and_integers():
-    doc = _schema_1(SCHEMA_1)
-    doc["entries"]["psi"]["ZH"].update(oracle=None, match=None)
+    # one null entry among a row's integers, and one row filled with
+    # integers past the enumeration bound
+    doc = full_report(5).to_json()
+    doc["rows"][1]["oracle"][1] = None
     with pytest.raises(ValueError, match="mixes"):
         FixedDimTable.from_json(doc)
-    doc = _schema_1(SCHEMA_1_NO_ORACLE)
-    doc["entries"]["psi"]["ZH"].update(oracle=5, match=True)
+    doc = full_report(5, 3).to_json()
+    doc["rows"][1]["oracle"] = [5] * len(doc["subgroups"])
     with pytest.raises(ValueError, match="mixes"):
         FixedDimTable.from_json(doc)
 
@@ -270,14 +236,22 @@ def test_from_json_rejects_oracle_rows_that_mix_null_and_lists():
         FixedDimTable.from_json(doc)
 
 
-@pytest.mark.parametrize("schema", [0, 3, "2", None, True, 2.0])
+_MISSING = object()   # the document has no "schema" key
+
+
+@pytest.mark.parametrize("schema", [0, 1, 3, "2", None, True, 2.0,
+                                    pytest.param(_MISSING, id="missing")])
 def test_from_json_rejects_an_unknown_schema(schema):
-    # every loader reads an absent schema (1), 1 or 2, and nothing else
-    message = re.escape(f" schema {schema!r}; schemas 1 and 2 can be read")
+    # every loader reads schema 2 alone; an absent key reads as None
+    shown = None if schema is _MISSING else schema
+    message = re.escape(f" schema {shown!r}; only schema 2 can be read")
     for cls, doc in [(FixedDimTable, full_report(5).to_json()),
                      (CharTable, complex_table(5).to_json()),
                      (VerificationReport, verify_all(3).to_json())]:
-        doc["schema"] = schema
+        if schema is _MISSING:
+            del doc["schema"]
+        else:
+            doc["schema"] = schema
         with pytest.raises(ValueError, match="^unknown .*" + message):
             cls.from_json(doc)
 
