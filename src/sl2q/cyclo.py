@@ -13,9 +13,7 @@ after a few sparse multiples of it (``_moduli``, ``_kernel.reduce_mod``):
 a product reduces its convolution, a conjugate or a root of unity
 reduces its exponents scattered into one vector, an embedding only its
 few scattered terms (``_kernel.reduce_sparse``), and ``dot`` reduces a
-whole weighted sum of products once, gathered over the L-th roots of
-unity.  ``dot`` reads each value through its split, the nonzero
-(exponent, numerator) pairs, made once per value and kept on it.
+whole weighted sum of products once, read through each value's split.
 
 Everything any character-table entry needs lives here: roots of unity,
 nu(r, s) = zeta_r^s + zeta_r^(-s), and the quadratic Gauss sum, which is
@@ -40,9 +38,9 @@ __all__ = [
     "sqrt_eps_q", "working_conductor", "rational", "dot",
 ]
 
-# Conductor-keyed caches (phi(N), and Phi_m for the squarefree m that
-# reduction uses, at most phi(m) + 1 ints an entry) should hold every key
-# one command touches, or products rebuild Phi_m.  Table values live at
+# Conductor-keyed caches (phi(N), the moduli of N, and Phi_m for the
+# squarefree m that reduction uses, at most phi(m) + 1 ints an entry) should
+# hold every key one command touches, or products rebuild them.  Values live at
 # 1, q-1, q or q+1; verify's inner products and class sums (``dot``)
 # reach q(q-1), q(q+1) and (q^2-1)/2; N = lcm(q, q-1, q+1) is touched only when
 # JSON or the csv approximations serialize a table.
@@ -106,7 +104,8 @@ def _roots(N: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * k / N) for k in range(_phi(N)))
 
 
-def _moduli(N: int) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=_CONDUCTOR_CACHE)
+def _moduli(N: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Phi_N for the kernel, after sparse multiples of it that divide faster.
 
     For m | N, z^(N/m) has order m for every primitive N-th root of unity
@@ -118,7 +117,7 @@ def _moduli(N: int) -> list[tuple[tuple[int, ...], int]]:
     for p in _prime_factors(N):
         m *= p
         out.append((cyclotomic_polynomial(m), N // m))
-    return out or [(cyclotomic_polynomial(1), 1)]
+    return tuple(out) or ((cyclotomic_polynomial(1), 1),)
 
 
 def _from_powers(N: int, terms) -> list[int]:
@@ -432,14 +431,14 @@ def dot(triples) -> CycNum:
 
     x and y are CycNums and w is an int.  A term with a zero factor is
     dropped, and the rest are read through each value's split
-    (``CycNum._parts``).  The numerator products of a term are scattered
-    by exponent, j*(L/N_x) + k*(L/N_y), into one vector over the L-th
-    roots of unity, L the lcm of the conductors met (a rational is at
-    conductor 1), at the common denominator D, the lcm of the
-    den_x * den_y met.  Z[x]/(x^L - 1) maps onto Z[zeta_L] because Phi_L
-    divides x^L - 1, so the vector is reduced mod Phi_L and brought to
-    lowest terms once, not once per term; a sum of rationals (L = 1)
-    needs no reduction.
+    (``CycNum._parts``), at the common denominator D, the lcm of the
+    den_x * den_y met.  A term of two rationals is summed on ints; any
+    other term's numerator products are scattered by exponent,
+    j*(L/N_x) + k*(L/N_y) mod L, into one vector over the L-th roots of
+    unity, L the lcm of the conductors met; L and D grow as terms are
+    read.  Z[x]/(x^L - 1) maps onto Z[zeta_L] because Phi_L divides
+    x^L - 1, so the vector is reduced mod Phi_L and brought to lowest
+    terms once, not once per term; a sum of rationals needs no reduction.
 
     >>> dot([]) == 0
     True
@@ -449,34 +448,36 @@ def dot(triples) -> CycNum:
     ...      (w, rational(1), 2)]) == w * 2
     True
     """
-    terms, conductors, dens = [], set(), set()
+    terms, L, D, num = [], 1, 1, 0   # num / D: the rational terms' sum
     for x, y, w in triples:
         if w:
             nx, ax, dx = x._split or x._parts()
             ny, ay, dy = y._split or y._parts()
             if ax and ay:
                 d = dx * dy
-                terms.append((nx, ax, ny, ay, d, w))
-                conductors.add(nx)
-                conductors.add(ny)
-                dens.add(d)
-    L, D = lcm(*conductors), lcm(*dens)
+                if D % d:
+                    g = d // gcd(D, d)
+                    D, num = D * g, num * g
+                if nx == ny == 1:
+                    num += w * (D // d) * ax[0][1] * ay[0][1]
+                else:
+                    terms.append((nx, ax, ny, ay, d, w))
+                    if L % nx or L % ny:
+                        L = lcm(L, nx, ny)
     if L == 1:
-        return _make(1, [sum(w * (D // d) * ax[0][1] * ay[0][1]
-                             for _, ax, _, ay, d, w in terms)], D)
-    # exponents below 2L - 1; the upper half folds onto the lower
-    poly = [0] * (2 * L)
+        return _make(1, [num], D)
+    poly = [0] * L
+    poly[0] = num
     for nx, ax, ny, ay, d, w in terms:
         f = w * (D // d)
         sx, sy = L // nx, L // ny
         if len(ay) > len(ax):
             ax, ay, sx, sy = ay, ax, sy, sx
         for k, c in ay:
-            k *= sy
+            k = k * sy - L   # j*sx + k < 2L, so index - L is it mod L
             c *= f
             for j, cx in ax:
                 poly[j * sx + k] += cx * c
-    poly = [a + b for a, b in zip(poly, poly[L:])]
     return _make(L, reduce_mod(poly, _moduli(L)), D)
 
 

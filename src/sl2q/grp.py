@@ -461,8 +461,7 @@ def _elem(q: int, g: tuple) -> GroupElem:
 
 # The passes below run once per group element, so each writes its
 # products and ranks out inline (``_rank`` is the formula they repeat)
-# and calls no helper per element or per product, but for the class
-# orbits' one ``_conjugates`` call per element.
+# and calls no helper per element or per product.
 
 def _power_ranks(q: int, g: tuple) -> list[int]:
     """The ranks of g, g^2, ..., g^n = 1, n the order of g."""
@@ -478,58 +477,59 @@ def _power_ranks(q: int, g: tuple) -> list[int]:
     return walk
 
 
-def _conjugates(q: int, g: tuple) -> tuple:
-    """s g s^-1 and t g t^-1, written out entry by entry."""
-    a, b, c, d = g
-    return (((a + c) % q, (b + d - a - c) % q, c, (d - c) % q),
-            ((a - b) % q, b, (a + c - b - d) % q, (b + d) % q))
-
-
 def _grow(q: int, marks, g: tuple, mark: int) -> int:
     """Set ``marks`` to ``mark`` at the rank of each element of the orbit
-    of g under conjugation by s and t (``_conjugates``); the orbit's size.
-    Each element met is conjugated once (the standard orbit algorithm);
-    an orbit does not depend on visit order, so a list is the stack.  In
-    a finite group, closure under conjugation by the generators is
-    closure under conjugation by the group they generate."""
+    of g under conjugation by s and t, s g s^-1 = (a+c, b+d-a-c, c, d-c)
+    and t g t^-1 = (a-b, b, a+c-b-d, b+d); the orbit's size.  Each element
+    met is conjugated once, and a list is the stack.  In a finite group,
+    closure under conjugation by the generators is closure under
+    conjugation by the group they generate."""
     a, b, c, d = g
     marks[(a * q + b) * q + (c if a else d) - q] = mark
     stack, size = [g], 1
     push, pop = stack.append, stack.pop
     while stack:
-        for h in _conjugates(q, pop()):
-            a, b, c, d = h
-            r = (a * q + b) * q + (c if a else d) - q
-            if marks[r] != mark:
-                marks[r] = mark
-                push(h)
-                size += 1
+        a, b, c, d = pop()
+        x, y, z = (a + c) % q, (d - c) % q, (b + d) % q
+        w = (z - x) % q
+        r = (x * q + w) * q + (c if x else y) - q
+        if marks[r] != mark:
+            marks[r] = mark
+            push((x, w, c, y))
+            size += 1
+        x, w = (a - b) % q, -w % q
+        r = (x * q + b) * q + (w if x else z) - q
+        if marks[r] != mark:
+            marks[r] = mark
+            push((x, b, w, z))
+            size += 1
     return size
 
 
 def _generated_ranks(q: int) -> bytearray:
     """The subgroup generated by s and t, marked by rank: the closure of 1
-    under right multiplication by each, two products per element, written
-    out as additions: g s = (a, a+b, c, c+d) and g t = (a+b, b, c+d, d).
+    under right multiplication by each, over the right cosets of <s>.
+    g s^k = (a, b+ka, c, d+kc) keeps the first column, so a coset's q
+    ranks are one slice, and g s^k t = (a+b+ka, b+ka, c+d+kc, d+kc): each
+    coset reached sends its q products by t on to the cosets they lie in.
     A closure does not depend on visit order, so a list is the stack."""
     seen = bytearray(q ** 3 - q)
-    seen[q * q - q] = 1   # the rank of 1
-    stack, size = [(1, 0, 0, 1)], 1
+    ones = b"\1" * q
+    seen[q * q - q:2 * q * q - q:q] = ones    # <s> = {(1, b, 0, 1)}
+    stack, cosets = [(1, 0, 0, 1)], 1
     push, pop = stack.append, stack.pop
     while stack:
         a, b, c, d = pop()
-        ab, cd = (a + b) % q, (c + d) % q
-        r = (a * q + ab) * q + (c if a else cd) - q   # g s
-        if not seen[r]:
-            seen[r] = 1
-            push((a, ab, c, cd))
-            size += 1
-        r = (ab * q + b) * q + (cd if ab else d) - q   # g t
-        if not seen[r]:
-            seen[r] = 1
-            push((ab, b, cd, d))
-            size += 1
-    _tuple_products[0] += 2 * size
+        for _ in range(q):   # g s^k = (a, b, c, d), then g s^k t
+            x, y = (a + b) % q, (c + d) % q
+            r = (x * q + b) * q + (y if x else d) - q
+            if not seen[r]:   # the coset's first rank, and its stride
+                r, step = (r - b * q, q) if x else (r - d, 1)
+                seen[r:r + q * step:step] = ones
+                push((x, b, y, d))
+                cosets += 1
+            b, d = (b + a) % q, (d + c) % q
+    _tuple_products[0] += q * cosets
     return seen
 
 

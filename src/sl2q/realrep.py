@@ -134,15 +134,17 @@ _TOTALS_MAX = 8
 def _indicator(table: CharTable, char: CharLabel, weights: dict) -> int:
     """The indicator of ``char``: its class sum over ``weights`` divided
     by |G|.  The first call for a (table, weight map) sums every row at
-    once (``CharTable.class_sums``), and the other rows read the totals
-    it keeps."""
+    once (``CharTable.class_sums``), or shares the sums of a weight map
+    equal to it as a dict, and the other rows read the totals it keeps."""
     key = id(table), id(weights)
     hit = _TOTALS.get(key)
     if hit is None:
+        sums = next((h[2] for h in _TOTALS.values()
+                     if h[0] is table and h[1] == weights), None)
         if len(_TOTALS) >= _TOTALS_MAX:
             _TOTALS.clear()
-        hit = _TOTALS[key] = (
-            table, weights, dict(zip(table.chars, table.class_sums(weights))))
+        hit = _TOTALS[key] = (table, weights, sums or dict(
+            zip(table.chars, table.class_sums(weights))))
     q = table.q
     v = (hit[2][char] / (q ** 3 - q)).as_rational()
     if v is None or v.denominator != 1 or v not in (-1, 0, 1):

@@ -5,35 +5,24 @@ from the group order up through fixed-point dimensions.  Each check is
 crash-isolated: a failure (or an exception) is recorded and the rest of
 the suite still runs.  The group passes run on plain (a, b, c, d) tuples,
 and every |G|-sized container is an array indexed by the element's rank
-(``grp._rank``).  Checks 3, 10 and 11 read one walk of the cyclic
-subgroups, made on first use: each rank's subgroup number, and each
-subgroup's order, a generator, class profile and (at order 2q) rank set;
-check 10 averages once per class profile, with the function
-``full_report`` uses, and reads each pair's closed column once.  If the
-walk raises, each check that asks for it fails on its own; the class
-indices it counts with are fetched in a guarded step, so a partition that
-fails still leaves check 3 its walk.
-
-Check 5 sums the row orthogonality relations, and the column relations
-only when a row sum fails, the table is not square, or a class size is
-not a positive divisor of |G|.  Skipping them otherwise is exact: a
-square table whose rows are orthogonal is invertible, and its inverse
-gives the column relations (the second orthogonality relation).  A row
-whose length is not the class count fails the check by name first.
-
-The orbit partition takes each class as the orbit of its representative
-under conjugation by the two generators s = [[1,1],[0,1]] and
-t = [[1,0],[1,1]]; check 2 confirms that s and t generate the enumerated
-group, and that the orbits cover it and have the closed-form sizes.  The
-raw Frobenius-Schur sum in check 7 deliberately walks all q^3-q elements
-through that partition rather than trusting the fast classifier; it is
-the ground-truth layer under the two closed computations.
+(``grp._rank``).  Each class is the orbit of its representative under
+conjugation by s = [[1,1],[0,1]] and t = [[1,0],[1,1]] (check 2 confirms
+the orbits).  Checks 3, 10 and 11 read one walk of the cyclic subgroups,
+made on first use from the maximal ones (orders q-1, q+1 and 2q): each
+rank's subgroup number, and each subgroup's order, a generator, class
+profile and (at order 2q) rank set.  Check 10 reads a generator's class
+from the orbits and averages once per class profile, with the function
+``full_report`` uses.  If the walk raises, each check that asks for it
+fails on its own; the class indices it counts with are fetched in a
+guarded step, so a partition that fails still leaves check 3 its walk.
+Check 5 sums the column orthogonality relations only when the row sums
+cannot imply them, and check 7's raw indicator sum walks every element.
 """
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import repeat
+from itertools import chain, compress, count, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -112,9 +101,12 @@ _UNWALKED = 0xFFFFFFFF   # the subgroup number of a rank not yet walked
 
 class _Subgroup(NamedTuple):
     order: int
-    generator: GroupElem   # the element it was numbered from
+    rank: int              # of the generator it was numbered from
     profile: frozenset     # ``fixdim._profile``; label None off the partition
     elements: frozenset | None   # ranks, kept at order 2q only, for check 11
+
+    def generator(self, q: int) -> GroupElem:
+        return _elem(q, _entries(q, self.rank))
 
 
 def _walk_subgroups(q: int, cls) -> tuple[array, list]:
@@ -122,23 +114,25 @@ def _walk_subgroups(q: int, cls) -> tuple[array, list]:
     number, each profile read once per distinct count from the class
     indices ``cls`` (None puts every element under None).
 
-    The scan walks g, g^2, ..., g^n = 1 from each g not yet numbered.  The
-    power g^k generates <g^d>, d = gcd(k, n), whose elements are the
-    g^(dj); so one walk numbers each subgroup of <g> not numbered before,
-    at all of its generators, and every later generator is skipped: the
-    scan jumps to the next rank not yet numbered (``array.index``).
+    A walk of g, g^2, ..., g^n = 1 numbers each subgroup <g^d>, d | n,
+    not numbered before, at all of its generators.  Every element lies in
+    a maximal cyclic subgroup, of order q-1, q+1 or 2q, so the walks start
+    from the ranks of the classes of those orders (``representatives``;
+    check 2 confirms them), then a scan of every rank numbers what is left.
     """
     label_of = {**dict(enumerate(class_labels(q))), _FREE: None}
     profiles = {}     # sorted class indices -> profile
     steps = {}        # n -> (d, the k < n/d with gcd(k, n/d) = 1) per d | n
     number = array("I", [_UNWALKED]) * (q ** 3 - q)
     subgroups = []
-    r = 0
-    while True:
-        try:
-            r = number.index(_UNWALKED, r)
-        except ValueError:   # every rank is numbered
-            break
+    first = ()
+    if cls is not None:
+        top = {i for i, c in enumerate(representatives(q))
+               if c.element_order in (q - 1, q + 1, 2 * q)}
+        first = compress(count(), map(top.__contains__, cls))
+    for r in chain(first, range(len(number))):
+        if number[r] != _UNWALKED:
+            continue
         g = _entries(q, r)
         walk = _power_ranks(q, g)
         n = len(walk)
@@ -160,8 +154,8 @@ def _walk_subgroups(q: int, cls) -> tuple[array, list]:
                 profiles[key] = _profile(Counter(map(label_of.get, key)))
             m = len(ranks)
             subgroups.append(_Subgroup(
-                m, _elem(q, g if d == 1 else _entries(q, ranks[0])),
-                profiles[key], frozenset(ranks) if m == 2 * q else None))
+                m, ranks[0], profiles[key],
+                frozenset(ranks) if m == 2 * q else None))
     return number, subgroups
 
 
@@ -183,21 +177,23 @@ def _generator_keys(q: int, lab, n: int) -> dict:
     return keys
 
 
-def _profile_key_pairs(q: int, subgroups):
+def _profile_key_pairs(q: int, subgroups, cls):
     """Each distinct (class profile, subgroup key) pair once, as
     (profile, key, subgroup, k): the first subgroup with the pair, whose
-    generator's k-th power has the key.  class_of runs once per subgroup,
-    and the keys once per (profile, class of a generator, order).
-    """
+    generator's k-th power has the key; the keys once per (profile, class
+    of a generator in ``cls``, or by class_of off the orbits, order)."""
+    labels = class_labels(q)
     done = set()
     seen = set()
     for sub in subgroups:
         sig = sub.profile
-        lab = class_of(sub.generator)
-        if (sig, lab, sub.order) in done:
+        i = cls[sub.rank]
+        if i == _FREE:
+            i = labels.index(class_of(sub.generator(q)))
+        if (sig, i, sub.order) in done:
             continue
-        done.add((sig, lab, sub.order))
-        for key, k in _generator_keys(q, lab, sub.order).items():
+        done.add((sig, i, sub.order))
+        for key, k in _generator_keys(q, labels[i], sub.order).items():
             if (sig, key) not in seen:
                 seen.add((sig, key))
                 yield sig, key, sub, k
@@ -212,8 +208,8 @@ def _order_2q_conjugates(q: int, cls) -> set:
     pair = {i for i, c in enumerate(representatives(q)) if c.label in (ZC, ZD)}
     target = set()
     covered = set()
-    for r, i in enumerate(cls):
-        if i in pair and r not in covered:
+    for r in compress(count(), map(pair.__contains__, cls)):
+        if r not in covered:
             S = frozenset(_power_ranks(q, _entries(q, r)))
             target.add(S)
             covered |= S
@@ -294,7 +290,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         z = rep_z(q)
         number, subs, _ = subgroups()
         twos = {i for i, sub in enumerate(subs) if sub.order == 2}
-        invs = [r for r, i in enumerate(number) if i in twos]
+        invs = list(compress(count(), map(twos.__contains__, number)))
         ok = invs == [_rank(q, z[1:])]
         ok = ok and rep_a(q) ** ((q - 1) // 2) == z
         ok = ok and find_b(q) ** ((q + 1) // 2) == z
@@ -465,19 +461,20 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         degrees = _degrees(rt)
         memo = {}   # class profile -> averages, shared by conjugate subgroups
         bad = []
-        for profile, skey, sub, k in _profile_key_pairs(q, subs):
+        for profile, skey, sub, k in _profile_key_pairs(q, subs,
+                                                          _class_indices(q)):
             counts = dict(profile)
             try:
                 if None in counts:
                     raise ValueError("meets an element outside every orbit")
                 avgs = _averages(rt, degrees, counts, memo)
             except ValueError as exc:
-                bad.append(f"<{sub.generator!r}> under {skey}: {exc}")
+                bad.append(f"<{sub.generator(q)!r}> under {skey}: {exc}")
                 continue
             for ch, closed, avg in zip(rt.chars, _key_column(q, skey), avgs):
                 if closed != avg:
                     bad.append(f"dim {ch}^{skey}: closed {closed}, average "
-                               f"{avg} (generator {sub.generator ** k!r})")
+                               f"{avg} (generator {sub.generator(q) ** k!r})")
         if bad:
             return False, _fail_list(bad)
         return True, (f"{len(subs)} distinct cyclic subgroups from "
@@ -493,14 +490,13 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         big = {i for i, sub in enumerate(subs) if sub.order == 2 * q}
         stray = {i for i in big if subs[i].elements not in target}
         n, bad, nbad = 0, [], 0   # the first _SHOWN messages, and the count
-        for r, i in enumerate(number):
-            if i in big:
-                n += 1
-                if i in stray:
-                    nbad += 1
-                    if nbad <= _SHOWN:
-                        bad.append(f"<{_elem(q, _entries(q, r))!r}> not "
-                                   f"conjugate to <zc> or <zd>")
+        for r in compress(count(), map(big.__contains__, number)):
+            n += 1
+            if number[r] in stray:
+                nbad += 1
+                if nbad <= _SHOWN:
+                    bad.append(f"<{_elem(q, _entries(q, r))!r}> not "
+                               f"conjugate to <zc> or <zd>")
         if nbad:
             return False, _fail_list(bad, count=nbad)
         return True, (f"{n} elements of order {2 * q}, {len(target)} subgroup "

@@ -608,6 +608,37 @@ def test_dot_of_rationals_is_their_sum_at_conductor_1(triples):
     _assert_normal(got)
 
 
+@st.composite
+def mixed_dot_triples(draw):
+    """(x, y, w) triples over one q <= 13 that mix rational pairs, some
+    held above conductor 1, with irrational table values, in any order,
+    so that the rational sum and L and D each grow between terms."""
+    q = draw(st.sampled_from([5, 7, 11, 13]))
+    irrational = st.sampled_from([v for v in _table_values(q)
+                                  if v.as_rational() is None])
+    ratio = _rationals(max_denominator=6)
+    ratio = st.one_of(ratio, ratio.map(lambda v: v.promote(q + 1)))
+    weight = st.one_of(st.just(0), st.integers(-30, 30))
+    term = st.one_of(st.tuples(ratio, ratio, weight),
+                     st.tuples(irrational, ratio, weight),
+                     st.tuples(ratio, irrational, weight),
+                     st.tuples(irrational, irrational, weight))
+    return draw(st.lists(term, max_size=16))
+
+
+@seed(20261023)
+@settings(max_examples=300, deadline=None)
+@given(triples=mixed_dot_triples())
+def test_dot_of_mixed_terms_equals_the_term_by_term_sum(triples):
+    got = dot(triples)
+    assert got == _term_by_term(triples)
+    _assert_normal(got)
+    # at the lcm of the conductors of the nonzero terms, rationals at 1
+    want = lcm(1, *(v._parts()[0] for x, y, w in triples
+                    if w and x and y for v in (x, y)))
+    assert got.conductor == want
+
+
 def test_dot_of_nothing_is_zero():
     assert dot([]) == rational(0)
     assert dot(iter([])).as_rational() == 0

@@ -8,8 +8,8 @@ import pytest
 from sl2q import grp
 from sl2q.fq import is_odd_prime
 from sl2q.grp import (A, B, C, D, ONE, Z, ZC, ZD, ClassLabel, GroupElem,
-                      _class_indices, _class_rows, _conjugates, _entries,
-                      _generated_ranks, _lex_tuples, _power_ranks, _rank,
+                      _class_indices, _class_rows, _entries,
+                      _generated_ranks, _grow, _lex_tuples, _power_ranks, _rank,
                       _square_classes,
                       class_label_lookup, class_labels, class_of,
                       class_order, conjugacy_partition, element_order,
@@ -93,10 +93,11 @@ def test_rank_and_entries_are_inverse_in_lex_order(q):
     assert [_entries(q, r) for r in range(order)] == list(_lex_tuples(q))
 
 
-@pytest.mark.parametrize("q", Q_SMALL)
+@pytest.mark.parametrize("q", Q_SMALL + [23])
 def test_closure_pass_is_the_group_closure(q):
-    # _generated_ranks writes g*s and g*t out as additions; the closure
-    # of 1 under GroupElem products by s and t marks the same ranks
+    # _generated_ranks walks the cosets of <s> and writes g*s^k*t out as
+    # additions; the closure of 1 under GroupElem products by s and t
+    # marks the same ranks
     s, t = GroupElem(q, 1, 1, 0, 1), GroupElem(q, 1, 0, 1, 1)
     seen, stack = {identity(q)}, [identity(q)]
     while stack:
@@ -122,12 +123,31 @@ def test_square_pass_is_the_group_square(q):
         assert square[_rank(q, g[1:])] == index[_rank(q, (g * g)[1:])]
 
 
+class _Enough(Exception):
+    pass
+
+
+class _FirstReads(dict):
+    """Orbit marks that log the ranks read and stop at the second: the
+    ranks of s g s^-1 and t g t^-1, the first element's conjugates."""
+
+    def __getitem__(self, r):
+        self.reads.append(r)
+        if len(self.reads) == 2:
+            raise _Enough
+        return 0
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_written_out_conjugations_and_power_walk(q):
     s, t = GroupElem(q, 1, 1, 0, 1), GroupElem(q, 1, 0, 1, 1)
     for g in enumerate_group(q):
-        assert _conjugates(q, g[1:]) == ((s * g * s.inverse())[1:],
-                                         (t * g * t.inverse())[1:])
+        marks = _FirstReads()
+        marks.reads = []
+        with pytest.raises(_Enough):
+            _grow(q, marks, g[1:], 1)
+        assert marks.reads == [_rank(q, (s * g * s.inverse())[1:]),
+                               _rank(q, (t * g * t.inverse())[1:])]
         assert _power_ranks(q, g[1:]) == [_rank(q, h[1:]) for h in powers(g)]
 
 

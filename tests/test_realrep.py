@@ -215,3 +215,51 @@ def test_indicator_class_maps_are_built_once_per_q():
         fs_indicator_brute(ct, ch)
     assert realrep._closed_fs_weights.cache_info().misses == 1
     assert realrep._square_class_counts.cache_info().misses == 1
+
+
+def _count_class_sums(monkeypatch) -> list:
+    """A list that gains the table of each ``CharTable.class_sums`` call."""
+    from sl2q import realrep
+    calls = []
+    class_sums = CharTable.class_sums
+
+    def counting(self, counts):
+        calls.append(self)
+        return class_sums(self, counts)
+
+    monkeypatch.setattr(CharTable, "class_sums", counting)
+    realrep._TOTALS.clear()
+    return calls
+
+
+def _fs_check(q):
+    from sl2q.verify import verify_all
+    return {c.name: c for c in verify_all(q).checks}["fs_indicators"]
+
+
+@pytest.mark.parametrize("q", [7, 11, 13])
+def test_fs_check_sums_each_table_once_when_the_weights_agree(monkeypatch, q):
+    # the closed, grouped and raw weight maps are equal as dicts, so check
+    # 7 shares one all-rows class sum among them (three before)
+    calls = _count_class_sums(monkeypatch)
+    assert _fs_check(q).passed
+    assert calls.count(complex_table(q)) == 1
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_fs_check_sums_a_weight_map_that_differs_on_its_own(monkeypatch, q):
+    # K + 2q in the closed weights: check 7 fails, and the closed map gets
+    # sums of its own while the grouped and raw maps share theirs
+    from sl2q import realrep
+    weights = dict(realrep._closed_fs_weights(q))
+    weights[Z] += 2 * q
+    monkeypatch.setattr(realrep, "_closed_fs_weights", lambda q: weights)
+    assert not _fs_check(q).passed
+    calls = _count_class_sums(monkeypatch)
+    ct = complex_table(q)
+    for ch in ct.chars:
+        # each closed sum is off by 2 chi(z) / (q^2 - 1), never an integer
+        with pytest.raises(ValueError, match="indicator came out as"):
+            fs_indicator_closed(ct, ch)
+        assert fs_indicator_brute(ct, ch) == fs_indicator_raw(ct, ch)
+    assert calls.count(ct) == 2

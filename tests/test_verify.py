@@ -18,8 +18,8 @@ from sl2q.fixdim import subgroup_key_of
 from sl2q.grp import (ConjClass, _class_indices, class_label_lookup, class_of,
                       element_order, enumerate_group, powers, rep_zc, rep_zd)
 from sl2q.verify import (VerificationReport, _fail_list, _generator_keys,
-                         _order_2q_conjugates, _profile_key_pairs,
-                         _walk_subgroups, verify_all)
+                         _UNWALKED, _order_2q_conjugates,
+                         _profile_key_pairs, _walk_subgroups, verify_all)
 
 CHECK_NAMES = [
     "group_order", "class_partition", "unique_involution",
@@ -152,16 +152,16 @@ def test_shared_subgroups_equal_the_full_expansion(q):
     assert len(number) == len(G)
     for g, i in zip(G, number):
         sub = subgroups[i]
-        assert ranks(sub.generator) == ranks(g)
+        assert ranks(sub.generator(q)) == ranks(g)
         assert sub.order == len(ranks(g)) == element_order(g)
         assert sub.elements == (ranks(g) if sub.order == 2 * q else None)
     assert len(subgroups) == len({ranks(g) for g in G})
 
 
 def _walk_rank_by_rank(q):
-    """The subgroup numbers and (order, generator rank) of each subgroup of
-    ``_walk_subgroups``, found by a scan that visits every rank and skips
-    those already numbered."""
+    """The subgroup numbers and (order, generator rank) of each subgroup,
+    found by a scan that visits every rank and skips those already
+    numbered."""
     rank = {g: r for r, g in enumerate(enumerate_group(q))}
     number = [None] * len(rank)
     subgroups = []
@@ -180,13 +180,38 @@ def _walk_rank_by_rank(q):
     return number, subgroups
 
 
+def _rank_sets(number) -> dict:
+    """{subgroup number: the ranks numbered with it}."""
+    sets = {}
+    for r, i in enumerate(number):
+        sets.setdefault(i, set()).add(r)
+    return {i: frozenset(ranks) for i, ranks in sets.items()}
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
 def test_subgroup_walk_numbers_every_rank_as_a_rank_by_rank_scan(q):
+    # the walk starts from the maximal cyclic subgroups, so it numbers
+    # them in another order than the scan; the ranks it puts together,
+    # and each subgroup's order and elements, are the scan's
     number, subgroups = _walk_subgroups(q, _class_indices(q))
     want_number, want_subgroups = _walk_rank_by_rank(q)
-    assert list(number) == want_number   # so no rank is left unnumbered
+    assert len(number) == len(want_number)
+    assert _UNWALKED not in number   # no rank is left unnumbered
+    got, want = _rank_sets(number), _rank_sets(want_number)
+    assert sorted(got.values(), key=sorted) == sorted(want.values(), key=sorted)
     rank = {g: r for r, g in enumerate(enumerate_group(q))}
-    assert [(s.order, rank[s.generator]) for s in subgroups] == want_subgroups
+
+    def element_ranks(r):
+        return frozenset(rank[h] for h in powers(enumerate_group(q)[r]))
+    assert len(subgroups) == len(want_subgroups)
+    assert Counter((s.order, element_ranks(s.rank))
+                   for s in subgroups) == Counter(
+        (n, element_ranks(r)) for n, r in want_subgroups)
+    # each subgroup is numbered at the generators of its own rank set
+    for i, ranks in got.items():
+        assert ranks <= element_ranks(subgroups[i].rank)
+        assert len(ranks) == sum(gcd(k, subgroups[i].order) == 1
+                                 for k in range(1, subgroups[i].order + 1))
 
 
 def _profile(counts) -> frozenset:
@@ -202,22 +227,23 @@ def test_fixed_dims_tests_every_profile_key_pair_of_the_elements(q):
     lookup = class_label_lookup(q)
     want = {(_profile(Counter(lookup[h] for h in powers(g))),
              subgroup_key_of(g)) for g in G}
-    number, subgroups = _walk_subgroups(q, _class_indices(q))
+    cls = _class_indices(q)
+    number, subgroups = _walk_subgroups(q, cls)
     assert len(number) == len(G)
     got = []
-    for sig, key, sub, k in _profile_key_pairs(q, subgroups):
+    for sig, key, sub, k in _profile_key_pairs(q, subgroups, cls):
         got.append((sig, key))
-        assert subgroup_key_of(sub.generator ** k) == key
+        assert subgroup_key_of(sub.generator(q) ** k) == key
         assert sub.profile == sig
     assert len(got) == len(set(got))
     assert set(got) == want
     # and per subgroup, the keys of all its generators
     for sub in subgroups:
-        walk = powers(sub.generator)
+        walk = powers(sub.generator(q))
         n = len(walk)
         keys = {subgroup_key_of(walk[k - 1])
                 for k in range(1, n + 1) if gcd(k, n) == 1}
-        assert set(_generator_keys(q, class_of(sub.generator), n)) == keys
+        assert set(_generator_keys(q, class_of(sub.generator(q)), n)) == keys
 
 
 def test_class_lookup_crash_fails_only_the_checks_that_read_it(monkeypatch):
@@ -519,10 +545,12 @@ def test_group_product_budget_of_verify():
     # the closure of {s, t}, 1,320 for the squares check 4 and the raw
     # indicator share, 1,771 for the walk, 252 for check 11 and 211 on
     # GroupElems; 11,472 since z*c and z*d are written out and the torus
-    # powers t^k are int products)
+    # powers t^k are int products; 9,820 since the closure runs over the
+    # cosets of <s>, one product by t per element, 1,320, and the walk
+    # starts from the maximal cyclic subgroups, 1,451)
     # (the floor holds the count to the work: a pass that stopped
     # counting its tuple products would pass a ceiling alone)
-    assert 10_560 <= int(_run_fresh(_COUNT_PRODUCTS)) <= 11_700
+    assert 9_040 <= int(_run_fresh(_COUNT_PRODUCTS)) <= 10_015
 
 
 def test_group_product_budget_of_conjugacy_partition():
@@ -550,8 +578,15 @@ _S_ONLY_ORBITS = """
 import json
 from sl2q import grp
 from sl2q.verify import verify_all
-conjugates = grp._conjugates
-grp._conjugates = lambda q, g: conjugates(q, g)[:1]
+def grow(q, marks, g, mark):   # the orbit under conjugation by s alone
+    size = 0
+    while marks[grp._rank(q, g)] != mark:
+        marks[grp._rank(q, g)] = mark
+        size += 1
+        a, b, c, d = g
+        g = ((a + c) % q, (b + d - a - c) % q, c, (d - c) % q)
+    return size
+grp._grow = grow
 report = verify_all(7)
 print(json.dumps([[c.name, c.passed] for c in report.checks]))
 """
