@@ -42,8 +42,8 @@ __all__ = [
 # squarefree m that reduction uses, at most phi(m) + 1 ints an entry) should
 # hold every key one command touches, or products rebuild them.  Values live at
 # 1, q-1, q or q+1; verify's inner products and class sums (``dot``)
-# reach q(q-1), q(q+1) and (q^2-1)/2; N = lcm(q, q-1, q+1) is touched only when
-# JSON or the csv approximations serialize a table.
+# reach q(q-1), q(q+1) and (q^2-1)/2; N = lcm(q, q-1, q+1) only when csv embeds
+# a table there for its approximation columns (``approx`` caches no roots).
 _CONDUCTOR_CACHE = 8
 
 
@@ -96,12 +96,6 @@ def _phi(N: int) -> int:
     for p in _prime_factors(N):
         out = out // p * (p - 1)
     return out
-
-
-@lru_cache(maxsize=_CONDUCTOR_CACHE)
-def _roots(N: int) -> tuple[complex, ...]:
-    """exp(2 pi i k / N) as floats for k < phi(N), for ``CycNum.approx``."""
-    return tuple(cmath.exp(2j * cmath.pi * k / N) for k in range(_phi(N)))
 
 
 @lru_cache(maxsize=_CONDUCTOR_CACHE)
@@ -353,11 +347,11 @@ class CycNum:
 
     def approx(self) -> complex:
         """Floating shadow; advisory only, never used for decisions.  Only
-        the nonzero coefficients are read, in basis order."""
-        roots, den, num = _roots(self.conductor), self._den, self._num
-        split = self._split   # kept by promote, or made by dot
-        pairs = split[1] if split else compress(enumerate(num), num)
-        return sum((complex(x / den) * roots[k] for k, x in pairs), 0j)
+        the nonzero terms are read, in basis order, one exp each."""
+        N, den = self.conductor, self._den
+        pairs = (self._split or self._parts())[1]
+        return sum((complex(x / den) * cmath.exp(2j * cmath.pi * k / N)
+                    for k, x in pairs), 0j)
 
     # -- comparisons ------------------------------------------------------
 

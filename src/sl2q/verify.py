@@ -9,9 +9,9 @@ and every |G|-sized container is an array indexed by the element's rank
 conjugation by s = [[1,1],[0,1]] and t = [[1,0],[1,1]] (check 2 confirms
 the orbits).  Checks 3, 10 and 11 read one walk of the cyclic subgroups,
 made on first use from the maximal ones (orders q-1, q+1 and 2q): each
-rank's subgroup number, and each subgroup's order, a generator, class
-profile and (at order 2q) rank set.  Check 10 reads a generator's class
-from the orbits and averages once per class profile, with the function
+rank's subgroup number, and each subgroup's order, a generator and class
+profile.  Checks 10 and 11 read the class of each generator from the
+orbits; check 10 averages once per class profile, with the function
 ``full_report`` uses.  If the walk raises, each check that asks for it
 fails on its own; the class indices it counts with are fetched in a
 guarded step, so a partition that fails still leaves check 3 its walk.
@@ -32,14 +32,14 @@ from .cyclo import dot
 from .fixdim import (_SUBGROUP_OF_CLASS, SubgroupKey, _averages, _degrees,
                      _key_column, _profile)
 from .grp import (
-    _FREE, ZC, ZD, GroupElem, _check_enumerable, _class_indices, _elem,
+    _FREE, ZC, ZD, _check_enumerable, _class_indices, _elem,
     _entries, _generated_ranks, _lex_tuples, _power_ranks, _rank,
     _square_classes, class_labels, class_of, element_order, find_b, rep_a,
     rep_z, representatives, DEFAULT_MAX_ENUM,
 )
 from .labels import _Record
 from .realrep import (
-    _power_class, fs_indicator_brute, fs_indicator_closed, fs_indicator_raw,
+    fs_indicator_brute, fs_indicator_closed, fs_indicator_raw,
     inverse_class_map, real_classes, real_table, square_class_map,
 )
 
@@ -103,10 +103,6 @@ class _Subgroup(NamedTuple):
     order: int
     rank: int              # of the generator it was numbered from
     profile: frozenset     # ``fixdim._profile``; label None off the partition
-    elements: frozenset | None   # ranks, kept at order 2q only, for check 11
-
-    def generator(self, q: int) -> GroupElem:
-        return _elem(q, _entries(q, self.rank))
 
 
 def _walk_subgroups(q: int, cls) -> tuple[array, list]:
@@ -152,68 +148,41 @@ def _walk_subgroups(q: int, cls) -> tuple[array, list]:
             key = tuple(sorted(classes[d - 1::d]))
             if key not in profiles:
                 profiles[key] = _profile(Counter(map(label_of.get, key)))
-            m = len(ranks)
-            subgroups.append(_Subgroup(
-                m, ranks[0], profiles[key],
-                frozenset(ranks) if m == 2 * q else None))
+            subgroups.append(_Subgroup(len(ranks), ranks[0], profiles[key]))
     return number, subgroups
-
-
-def _generator_keys(q: int, lab, n: int) -> dict:
-    """{subgroup key: k} over the generators g^k of <g>, gcd(k, n) = 1,
-    for g of class ``lab`` and order n; k is the least power with the key.
-
-    On a torus g^k lies in the class of t^(lk) (``_power_class``); the
-    other generator classes give one key whatever k is.
-    """
-    if lab.kind not in ("a", "b"):
-        return {SubgroupKey(_SUBGROUP_OF_CLASS[lab.kind], lab.index): 1}
-    keys = {}
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            power = _power_class(q, lab.kind, lab.index * k)
-            keys.setdefault(
-                SubgroupKey(_SUBGROUP_OF_CLASS[power.kind], power.index), k)
-    return keys
 
 
 def _profile_key_pairs(q: int, subgroups, cls):
     """Each distinct (class profile, subgroup key) pair once, as
-    (profile, key, subgroup, k): the first subgroup with the pair, whose
-    generator's k-th power has the key; the keys once per (profile, class
-    of a generator in ``cls``, or by class_of off the orbits, order)."""
+    (profile, key, subgroup, rank): the first subgroup with the pair, and
+    its first generator with the key.  <g> is walked once per (profile,
+    class of g, order), and each generator's class is read from the class
+    indices ``cls``, or by class_of at a rank no orbit reached."""
     labels = class_labels(q)
+    keys = [SubgroupKey(_SUBGROUP_OF_CLASS[lab.kind], lab.index)
+            for lab in labels]
+
+    def index(r):
+        i = cls[r]
+        if i == _FREE:
+            i = labels.index(class_of(_elem(q, _entries(q, r))))
+        return i
+
     done = set()
     seen = set()
     for sub in subgroups:
-        sig = sub.profile
-        i = cls[sub.rank]
-        if i == _FREE:
-            i = labels.index(class_of(sub.generator(q)))
-        if (sig, i, sub.order) in done:
+        sig, n = sub.profile, sub.order
+        step = (sig, index(sub.rank), n)
+        if step in done:
             continue
-        done.add((sig, i, sub.order))
-        for key, k in _generator_keys(q, labels[i], sub.order).items():
+        done.add(step)
+        # g^k generates <g> when gcd(k, n) = 1
+        coprime = map((1).__eq__, map(gcd, range(1, n + 1), repeat(n)))
+        for r in compress(_power_ranks(q, _entries(q, sub.rank)), coprime):
+            key = keys[index(r)]
             if (sig, key) not in seen:
                 seen.add((sig, key))
-                yield sig, key, sub, k
-
-
-def _order_2q_conjugates(q: int, cls) -> set:
-    """The distinct subgroups h<r>h^-1 for r in {zc, zd} and h in G, as
-    frozensets of ranks: the <x> for x in the orbits of zc and zd in the
-    class indices ``cls``.  An x of order 2q generates any cyclic subgroup
-    of order 2q it lies in, so only the first x of each is walked.
-    """
-    pair = {i for i, c in enumerate(representatives(q)) if c.label in (ZC, ZD)}
-    target = set()
-    covered = set()
-    for r in compress(count(), map(pair.__contains__, cls)):
-        if r not in covered:
-            S = frozenset(_power_ranks(q, _entries(q, r)))
-            target.add(S)
-            covered |= S
-    return target
+                yield sig, key, sub, r
 
 
 def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
@@ -461,7 +430,7 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
         degrees = _degrees(rt)
         memo = {}   # class profile -> averages, shared by conjugate subgroups
         bad = []
-        for profile, skey, sub, k in _profile_key_pairs(q, subs,
+        for profile, skey, sub, r in _profile_key_pairs(q, subs,
                                                           _class_indices(q)):
             counts = dict(profile)
             try:
@@ -469,12 +438,14 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
                     raise ValueError("meets an element outside every orbit")
                 avgs = _averages(rt, degrees, counts, memo)
             except ValueError as exc:
-                bad.append(f"<{sub.generator(q)!r}> under {skey}: {exc}")
+                g = _elem(q, _entries(q, sub.rank))
+                bad.append(f"<{g!r}> under {skey}: {exc}")
                 continue
             for ch, closed, avg in zip(rt.chars, _key_column(q, skey), avgs):
                 if closed != avg:
+                    g = _elem(q, _entries(q, r))
                     bad.append(f"dim {ch}^{skey}: closed {closed}, average "
-                               f"{avg} (generator {sub.generator(q) ** k!r})")
+                               f"{avg} (generator {g!r})")
         if bad:
             return False, _fail_list(bad)
         return True, (f"{len(subs)} distinct cyclic subgroups from "
@@ -483,23 +454,25 @@ def verify_all(q: int, max_enum: int = DEFAULT_MAX_ENUM) -> VerificationReport:
                       f"closed form")
     run("fixed_dims", check_fixed_dims)
 
-    # (11) order-2q subgroups are conjugates of <zc> or <zd>
+    # (11) order-2q subgroups are conjugates of <zc> or <zd>: a generator
+    # x in the orbit of zc (zd) makes <x> = h<zc>h^-1 (h<zd>h^-1)
     def check_order_2q():
-        target = _order_2q_conjugates(q, _class_indices(q))
+        cls = _class_indices(q)
+        pair = {i for i, c in enumerate(representatives(q))
+                if c.label in (ZC, ZD)}
         number, subs, _ = subgroups()
         big = {i for i, sub in enumerate(subs) if sub.order == 2 * q}
-        stray = {i for i in big if subs[i].elements not in target}
         n, bad, nbad = 0, [], 0   # the first _SHOWN messages, and the count
         for r in compress(count(), map(big.__contains__, number)):
             n += 1
-            if number[r] in stray:
+            if cls[r] not in pair:
                 nbad += 1
                 if nbad <= _SHOWN:
                     bad.append(f"<{_elem(q, _entries(q, r))!r}> not "
                                f"conjugate to <zc> or <zd>")
         if nbad:
             return False, _fail_list(bad, count=nbad)
-        return True, (f"{n} elements of order {2 * q}, {len(target)} subgroup "
+        return True, (f"{n} elements of order {2 * q}, {len(big)} subgroup "
                       f"conjugates, all accounted for")
     run("order_2q_subgroups", check_order_2q)
 

@@ -509,7 +509,7 @@ def test_approx_is_bit_identical_to_one_exp_per_coefficient(x):
     assert _bits(x.approx()) == _bits(_approx_reference(x))
 
 
-def test_approx_from_cached_roots_at_a_working_conductor():
+def test_approx_at_a_working_conductor():
     # N = 1092 at q = 13, where the csv approx columns read it
     rng = random.Random(8)
     N = 1092

@@ -1,6 +1,7 @@
 """The self-verification suite on small q."""
 import json
 import os
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
@@ -15,10 +16,10 @@ import sl2q
 from sl2q.chars import CharTable, complex_table
 from sl2q.cyclo import dot
 from sl2q.fixdim import subgroup_key_of
-from sl2q.grp import (ConjClass, _class_indices, class_label_lookup, class_of,
-                      element_order, enumerate_group, powers, rep_zc, rep_zd)
-from sl2q.verify import (VerificationReport, _fail_list, _generator_keys,
-                         _UNWALKED, _order_2q_conjugates,
+from sl2q.grp import (C, ZC, ZD, ConjClass, _class_indices, class_label_lookup,
+                      element_order, enumerate_group, powers, rep_zc, rep_zd,
+                      representatives)
+from sl2q.verify import (VerificationReport, _fail_list, _UNWALKED,
                          _profile_key_pairs, _walk_subgroups, verify_all)
 
 CHECK_NAMES = [
@@ -139,22 +140,27 @@ def test_shared_subgroups_equal_the_full_expansion(q):
     def ranks(g):
         return frozenset(rank[h] for h in powers(g))
 
-    # check 11: every conjugate of <zc> and <zd>, with no de-duplication
+    # check 11: every conjugate of <zc> and <zd>, with no de-duplication,
+    # is some <g> with |g| = 2q and each such g lies in the orbit of zc
+    # or zd, so that reading the class of g is enough
     full = set()
     for r in (rep_zc(q), rep_zd(q)):
         S = powers(r)
         for h in G:
             hinv = h.inverse()
             full.add(frozenset(rank[h * x * hinv] for x in S))
-    assert _order_2q_conjugates(q, _class_indices(q)) == full
+    big = [g for g in G if element_order(g) == 2 * q]
+    assert full == {ranks(g) for g in big}
+    cls = _class_indices(q)
+    labels = [c.label for c in representatives(q)]
+    assert {labels[cls[rank[g]]] for g in big} == {ZC, ZD}
     # checks 3, 10 and 11: <g> as if walked from g itself, for every g
-    number, subgroups = _walk_subgroups(q, _class_indices(q))
+    number, subgroups = _walk_subgroups(q, cls)
     assert len(number) == len(G)
     for g, i in zip(G, number):
         sub = subgroups[i]
-        assert ranks(sub.generator(q)) == ranks(g)
+        assert ranks(G[sub.rank]) == ranks(g)
         assert sub.order == len(ranks(g)) == element_order(g)
-        assert sub.elements == (ranks(g) if sub.order == 2 * q else None)
     assert len(subgroups) == len({ranks(g) for g in G})
 
 
@@ -220,9 +226,9 @@ def _profile(counts) -> frozenset:
 
 @pytest.mark.parametrize("q", [7, 11, 13, 17])
 def test_fixed_dims_tests_every_profile_key_pair_of_the_elements(q):
-    # check 10 takes the keys of a subgroup's generators from the class of
-    # its first generator; the pairs it tests must be those that walking
-    # <g> and classifying g give over every element g
+    # check 10 reads the key of each generator of a subgroup from the
+    # orbits; the pairs it tests must be those that walking <g> and
+    # classifying g give over every element g
     G = enumerate_group(q)
     lookup = class_label_lookup(q)
     want = {(_profile(Counter(lookup[h] for h in powers(g))),
@@ -231,19 +237,23 @@ def test_fixed_dims_tests_every_profile_key_pair_of_the_elements(q):
     number, subgroups = _walk_subgroups(q, cls)
     assert len(number) == len(G)
     got = []
-    for sig, key, sub, k in _profile_key_pairs(q, subgroups, cls):
+    for sig, key, sub, r in _profile_key_pairs(q, subgroups, cls):
         got.append((sig, key))
-        assert subgroup_key_of(sub.generator(q) ** k) == key
+        g = G[r]   # G is in rank order
+        # a generator of the subgroup, with the key
+        assert set(powers(g)) == set(powers(G[sub.rank]))
+        assert subgroup_key_of(g) == key
         assert sub.profile == sig
     assert len(got) == len(set(got))
     assert set(got) == want
     # and per subgroup, the keys of all its generators
     for sub in subgroups:
-        walk = powers(sub.generator(q))
+        walk = powers(G[sub.rank])
         n = len(walk)
         keys = {subgroup_key_of(walk[k - 1])
                 for k in range(1, n + 1) if gcd(k, n) == 1}
-        assert set(_generator_keys(q, class_of(sub.generator(q)), n)) == keys
+        assert {key for _, key, _, _ in
+                _profile_key_pairs(q, [sub], cls)} == keys
 
 
 def test_class_lookup_crash_fails_only_the_checks_that_read_it(monkeypatch):
@@ -284,6 +294,25 @@ def test_subgroup_walk_crash_fails_only_its_checks(monkeypatch):
     assert all("crashed: RuntimeError('boom')" == c.details
                for c in report.checks if not c.passed)
     assert [c.name for c in report.checks] == CHECK_NAMES
+
+
+def test_an_order_2q_element_off_the_zc_orbit_fails_check_11(monkeypatch):
+    # check 11 reads the class of each generator of an order-2q subgroup
+    # from the orbits: one element of the orbit of zc relabelled c must
+    # fail it, and be the element it names
+    import sl2q.verify as verify
+
+    q = 7
+    labels = [c.label for c in representatives(q)]
+    cls = array("H", _class_indices(q))
+    r = [r for r, i in enumerate(cls) if labels[i] == ZC][1]
+    cls[r] = labels.index(C)
+    monkeypatch.setattr(verify, "_class_indices", lambda q: cls)
+    report = verify_all(q)
+    check = report.checks[CHECK_NAMES.index("order_2q_subgroups")]
+    assert not check.passed
+    assert check.details == (f"<{enumerate_group(q)[r]!r}> not conjugate "
+                             f"to <zc> or <zd>")
 
 
 def test_a_moved_inverse_map_entry_fails_every_element_of_its_class(monkeypatch):
@@ -547,7 +576,10 @@ def test_group_product_budget_of_verify():
     # GroupElems; 11,472 since z*c and z*d are written out and the torus
     # powers t^k are int products; 9,820 since the closure runs over the
     # cosets of <s>, one product by t per element, 1,320, and the walk
-    # starts from the maximal cyclic subgroups, 1,451)
+    # starts from the maximal cyclic subgroups, 1,451; 9,689 since check
+    # 11 reads each generator's class from the orbits instead of walking
+    # the conjugates of <zc> and <zd>, and check 10 walks <g> once per
+    # (profile, class of g, order))
     # (the floor holds the count to the work: a pass that stopped
     # counting its tuple products would pass a ceiling alone)
     assert 9_040 <= int(_run_fresh(_COUNT_PRODUCTS)) <= 10_015

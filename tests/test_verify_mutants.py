@@ -222,17 +222,35 @@ def _with_rows(table, rows):
                      pool, index, table.source)
 
 
-def _rotated(table, labels):
-    """``table`` with the rows ``labels`` replaced by M times them, for
-    M = (1/3)[[2, 2, -1], [-1, 2, 2], [2, -1, 2]], rational orthogonal
-    and fixing (1, 1, 1)."""
+def _mixed(table, labels, M):
+    """``table`` with the rows ``labels`` replaced by M times them."""
     rows = table.rows
     old = [rows[ch] for ch in labels]
-    M = [[2, 2, -1], [-1, 2, 2], [2, -1, 2]]
     for ch, weights in zip(labels, M):
-        rows[ch] = [sum(v * Fraction(w, 3) for v, w in zip(cells, weights))
+        rows[ch] = [sum(v * w for v, w in zip(cells, weights))
                     for cells in zip(*old)]
     return _with_rows(table, rows)
+
+
+# M = (1/3)[[2, 2, -1], [-1, 2, 2], [2, -1, 2]], rational orthogonal and
+# fixing (1, 1, 1)
+_ROTATION = [[Fraction(w, 3) for w in row]
+             for row in ([2, 2, -1], [-1, 2, 2], [2, -1, 2])]
+# M5 = -I + (2/5)J, J all ones: rational orthogonal, fixing (1, ..., 1),
+# and commuting with every permutation of the five rows
+_M5 = [[Fraction(2, 5) - (i == j) for j in range(5)] for i in range(5)]
+
+
+def _install_mixed(monkeypatch, q, M, chis):
+    """Both tables with the chi rows of indices ``chis`` (and their real
+    rows) mixed by M, patched in where verify reads them."""
+    ct = _mixed(chars.complex_table(q), [Chi(i) for i in chis], M)
+    rt = _mixed(realrep.real_table(q), [RChiEven(i) for i in chis], M)
+    if ct == chars.complex_table(q) or rt == realrep.real_table(q):
+        # not an AssertionError, so that the xfail does not absorb it
+        raise RuntimeError("the mix left a table unchanged")
+    monkeypatch.setattr(verify, "complex_table", lambda q: ct)
+    monkeypatch.setattr(verify, "real_table", lambda q: rt)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -240,16 +258,17 @@ def _rotated(table, labels):
     "cannot see a rational orthogonal change of rows that keeps the "
     "degree, z, c and d columns and the index parity"))
 def test_a_rotation_of_three_chi_rows_fails_a_check(monkeypatch):
-    q = 23
-    ct = _rotated(chars.complex_table(q), [Chi(2), Chi(4), Chi(6)])
-    rt = _rotated(realrep.real_table(q), [RChiEven(2), RChiEven(4),
-                                          RChiEven(6)])
-    if ct == chars.complex_table(q) or rt == realrep.real_table(q):
-        # not an AssertionError, so that the xfail does not absorb it
-        raise RuntimeError("the rotation left a table unchanged")
-    monkeypatch.setattr(verify, "complex_table", lambda q: ct)
-    monkeypatch.setattr(verify, "real_table", lambda q: rt)
-    assert _failed(q)
+    _install_mixed(monkeypatch, 23, _ROTATION, [2, 4, 6])
+    assert _failed(23)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: no check reads the class algebra; M5 = -I + (2/5)J on "
+    "one Galois orbit of five chi rows also commutes with the Galois "
+    "action, so a closure test of the rows cannot see it either"))
+def test_m5_on_five_chi_rows_fails_a_check(monkeypatch):
+    _install_mixed(monkeypatch, 23, _M5, [2, 4, 6, 8, 10])
+    assert _failed(23)
 
 
 def _row_values(table):
